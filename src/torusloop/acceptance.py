@@ -33,6 +33,33 @@ SERIES_PQ = ((1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5))
 ALL_HV = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def scaled_error(a: float, b: float) -> float:
+    """|a - b| relative to the larger of the two values compared (0 if both are)."""
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
+def gamma_lambda_worst(dmax: int) -> float:
+    """Largest |gamma_dm - Lambda(d, d/gcd(m, d))/2| over d <= dmax and sampled g."""
+    worst = 0.0
+    for d in range(1, dmax + 1):
+        for m in range(1, d + 1):
+            n = d // math.gcd(m, d)
+            for g in (0.0, 0.3, 1.0, 2.6, math.pi - 0.1):
+                diff = abs(gamma_dm(d, m, g) - 0.5 * lambda_fsz(d, n, g / math.pi))
+                worst = max(worst, diff)
+    return worst
+
+
+def modular_ok(rep: dict) -> bool:
+    """Pass predicate of a ``modular_rep_check`` report."""
+    return bool(rep["S2_is_identity"] and rep["T2_is_identity"]
+                and rep["ST3_is_identity"] and rep["T_sign_checks"]
+                and rep["sector_covariance_residual"] < MODULAR_TOL
+                and rep["Zmm_covariance_residual"] < MODULAR_TOL
+                and rep["character_S_residual"] < MODULAR_TOL)
+
+
 def criterion_1_oracle():
     """Markov trace equals lattice enumeration at every tested point."""
     worst = 0.0
@@ -49,9 +76,9 @@ def criterion_1_oracle():
                         for alpha in (1.0, 2.0, 0.6):
                             lz = lattice_Z(spec, M, N, sector=hv, alpha=alpha)
                             mz = markov_Z(spec, M, N, hv[0], hv[1], alpha=alpha)
-                            worst = max(worst, abs(mz - lz) / (1 + abs(lz)))
+                            worst = max(worst, scaled_error(mz, lz))
                             checks += 1
-    return worst < ORACLE_TOL, f"{checks} points, worst rel err {worst:.3e}"
+    return worst < ORACLE_TOL, f"{checks} points, worst scaled error {worst:.3e}"
 
 
 def criterion_2_triple_identity():
@@ -82,13 +109,7 @@ def criterion_3_appendix_forms(golden_forms: dict):
 
 def criterion_4_gamma_lambda():
     """gamma_dm = (1/2) Lambda plus the supporting index-set and Moebius lemmas."""
-    worst = 0.0
-    for d in range(1, 31):
-        for m in range(1, d + 1):
-            n = d // math.gcd(m, d)
-            for g in (0.0, 0.3, 1.0, 2.6, math.pi - 0.1):
-                diff = abs(gamma_dm(d, m, g) - 0.5 * lambda_fsz(d, n, g / math.pi))
-                worst = max(worst, diff)
+    worst = gamma_lambda_worst(30)
     if worst >= GAMMA_LAMBDA_TOL:
         return False, f"gamma vs Lambda worst {worst:.3e}"
     for d in range(1, 13):
@@ -120,13 +141,8 @@ def criterion_6_modular():
     g_values = tuple(Fraction(p, pq) for (p, pq) in SERIES_PQ)
     rep = modular_rep_check(taus=taus, g_values=g_values, alphas=(2.0, 1.2),
                             D_cutoff=40)
-    ok = (rep["S2_is_identity"] and rep["T2_is_identity"]
-          and rep["ST3_is_identity"] and rep["T_sign_checks"]
-          and rep["sector_covariance_residual"] < MODULAR_TOL
-          and rep["Zmm_covariance_residual"] < MODULAR_TOL
-          and rep["character_S_residual"] < MODULAR_TOL)
-    return ok, (f"sector residual {rep['sector_covariance_residual']:.3e}, "
-                f"character residual {rep['character_S_residual']:.3e}")
+    return modular_ok(rep), (f"sector residual {rep['sector_covariance_residual']:.3e}, "
+                             f"character residual {rep['character_S_residual']:.3e}")
 
 
 def criterion_7_bezout(table_cells: dict):

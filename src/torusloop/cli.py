@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
-from .arith import gamma_dm, lambda_fsz, verify_master, verify_s1_s2
+from .acceptance import GAMMA_LAMBDA_TOL, gamma_lambda_worst, modular_ok, run_suite
+from .arith import verify_master, verify_s1_s2
 from .bezout import BezoutContext, kac_table_text, table_json_obj
 from .characters import TauPoint
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
@@ -112,14 +112,8 @@ def cmd_series(args) -> int:
 def cmd_identity(args) -> int:
     failures = []
     if args.check in ("gamma-lambda", "all"):
-        worst = 0.0
-        for d in range(1, args.dmax + 1):
-            for m in range(1, d + 1):
-                n = d // math.gcd(m, d)
-                for g in (0.0, 0.3, 1.0, 2.6, math.pi - 0.1):
-                    worst = max(worst, abs(gamma_dm(d, m, g)
-                                           - 0.5 * lambda_fsz(d, n, g / math.pi)))
-        ok = worst < 1e-10
+        worst = gamma_lambda_worst(args.dmax)
+        ok = worst < GAMMA_LAMBDA_TOL
         print(f"gamma-lambda: worst residual {worst!r} -> {'ok' if ok else 'FAIL'}")
         if not ok:
             failures.append("gamma-lambda")
@@ -157,11 +151,7 @@ def cmd_modular(args) -> int:
     rep = modular_rep_check(taus=taus, D_cutoff=args.cutoff)
     for key in sorted(rep):
         print(f"{key} = {rep[key]!r}")
-    ok = (rep["S2_is_identity"] and rep["T2_is_identity"]
-          and rep["ST3_is_identity"] and rep["T_sign_checks"]
-          and rep["sector_covariance_residual"] < 1e-8
-          and rep["character_S_residual"] < 1e-8)
-    return 0 if ok else 1
+    return 0 if modular_ok(rep) else 1
 
 
 def cmd_appendixc(args) -> int:
@@ -176,7 +166,6 @@ def cmd_appendixc(args) -> int:
 
 
 def cmd_accept(args) -> int:
-    from .acceptance import run_suite
     from .golden import GOLDEN_APPENDIX_FORMS, GOLDEN_TABLE_CELLS
     ok = run_suite(GOLDEN_APPENDIX_FORMS, GOLDEN_TABLE_CELLS)
     return 0 if ok else 1

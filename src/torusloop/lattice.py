@@ -163,11 +163,13 @@ def _trace_census(kind: str, M: int, N: int, tiles: tuple) -> LoopCensus:
             n_beta += 1
             return
         i_num, j_num = dx, dy
-        assert i_num % (2 * N) == 0 and j_num % (2 * M) == 0
+        if i_num % (2 * N) or j_num % (2 * M):
+            raise ArithmeticError(f"loop displacement ({dx}, {dy}) is not a torus period")
         i, j = i_num // (2 * N), j_num // (2 * M)
         if j < 0 or (j == 0 and i < 0):
             i, j = -i, -j
-        assert math.gcd(abs(i), j) == 1, "non-primitive winding class"
+        if math.gcd(abs(i), j) != 1:
+            raise ArithmeticError(f"non-primitive winding class {(i, j)}")
         windings[(i, j)] += 1
 
     for r in range(M):
@@ -182,7 +184,8 @@ def _trace_census(kind: str, M: int, N: int, tiles: tuple) -> LoopCensus:
                 walk(edge, r, c, L)
 
     classes = set(windings)
-    assert len(classes) <= 1, f"mixed winding classes {classes}"
+    if len(classes) > 1:
+        raise ArithmeticError(f"mixed winding classes {classes}")
     counts = Counter(tiles)
     H = sum(occ_h(1 % M, c) for c in range(N))
     V = sum(occ_v(r, 1 % N) for r in range(M))

@@ -89,7 +89,8 @@ class ModelSpec:
         beta = 2.0 * math.cos(math.pi * (pq - p) / pq)
         if self.kind == "dilute":
             # same beta from the dilute parameterisation, as a consistency guard
-            assert abs(beta + 2.0 * math.cos(4 * lam)) < 1e-12
+            if abs(beta + 2.0 * math.cos(4 * lam)) >= 1e-12:
+                raise ArithmeticError("dilute parameterisation disagrees on beta")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "beta", beta)
         if self.gamma is not None:

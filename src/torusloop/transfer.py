@@ -19,19 +19,27 @@ and reading off the top.  Scalars produced while contracting:
   * a row that joins two defects annihilates the state.
 
 Weights are Laurent polynomials in omega with float coefficients.  Traces of
-transfer-matrix powers decompose as sum_j omega^{-j} C_{d,j}; the Markov
-trace reassembles the torus partition functions from the C_{d,j} with
+transfer-matrix powers decompose as sum_j omega^{-j} C_{d,j} (the twisted
+sectors of Di Francesco, Saleur and Zuber, J. Stat. Phys. 49 (1987) 57); the
+Markov trace reassembles the torus partition functions from the C_{d,j} with
 Chebyshev fugacity factors, the defining cross-check being equality with the
 lattice enumeration.
+
+Two paths compute the C_{d,j}.  ``C_coefficients``, which ``markov_Z`` and
+the CLI read, multiplies numpy slices of the operator's omega-coefficient
+tensor and is cached per (spec, N, M, d).  ``trace_TM`` multiplies the
+Laurent matrices entry by entry with one ``math.fsum`` per power; it is the
+correctly rounded reference that the tests hold the fast path to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -347,26 +355,41 @@ def _apply_row(kind: str, rho: tuple, word: str) -> Iterator[tuple]:
 
 @dataclass
 class TransferOperator:
-    """One-row transfer matrix on the standard module with d defects."""
+    """One-row transfer matrix on the standard module with d defects.
+
+    ``tensor[k - kmin, i, j]`` is the omega^k coefficient of ``matrix[i][j]``,
+    stored once (read-only) for every k in [kmin, kmax].
+    """
 
     spec: ModelSpec
     N: int
     d: int
     basis: tuple
     matrix: list  # matrix[i][j]: OmegaLaurent weight of basis[j] -> basis[i]
+    kmin: int = field(init=False)
+    tensor: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        powers = [k for row in self.matrix for e in row if e is not None
+                  for k in e.coeffs]
+        self.kmin = min(powers, default=0)
+        kmax = max(powers, default=0)
+        tensor = np.zeros((kmax - self.kmin + 1, self.dim, self.dim))
+        for i, row in enumerate(self.matrix):
+            for j, entry in enumerate(row):
+                if entry is not None:
+                    for k, c in entry.coeffs.items():
+                        tensor[k - self.kmin, i, j] = c
+        tensor.setflags(write=False)
+        self.tensor = tensor
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def to_numeric(self, omega: complex) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                entry = self.matrix[i][j]
-                if entry is not None:
-                    out[i, j] = entry.evaluate(omega)
-        return out
+        powers = np.arange(self.kmin, self.kmin + len(self.tensor))
+        return np.tensordot(complex(omega) ** powers, self.tensor, axes=1)
 
 
 @lru_cache(maxsize=256)
@@ -436,11 +459,42 @@ def trace_TM(spec: ModelSpec, N: int, M: int, d: int) -> OmegaLaurent:
     return matrix_power_trace(build_transfer(spec, N, d), M)
 
 
-def C_coefficients(spec: ModelSpec, N: int, M: int, d: int) -> dict:
-    """The coefficients C_{d,j} for j in [-M, M], from the omega expansion."""
-    tr = trace_TM(spec, N, M, d)
-    assert all(abs(k) <= M for k in tr.coeffs), "trace support exceeds [-M, M]"
-    return {j: tr.coeff(-j) for j in range(-M, M + 1)}
+@lru_cache(maxsize=1024)
+def C_coefficients(spec: ModelSpec, N: int, M: int, d: int) -> Mapping:
+    """The coefficients C_{d,j} for j in [-M, M], as a read-only mapping.
+
+    tr T^M = sum_j omega^{-j} C_{d,j} is formed on the coefficient slices
+    A[r] of the operator tensor: P'[k] = sum_r P[k - r] @ A[r] builds
+    T^{M-1}, and the last factor enters through its trace only.  A power
+    that no closed walk reaches stays exactly 0.0.  ``trace_TM`` is the
+    correctly rounded reference for the same numbers.
+    """
+    if M < 0:
+        raise ValueError("need M >= 0")
+    op = build_transfer(spec, N, d)
+    if M == 0:
+        return MappingProxyType({0: float(op.dim)})
+    A, dim = op.tensor, op.dim
+    P = np.eye(dim)[None]
+    for _ in range(M - 1):
+        nxt = np.zeros((len(P) + len(A) - 1, dim, dim))
+        flat = P.reshape(-1, dim)
+        for r, slab in enumerate(A):
+            nxt[r:r + len(P)] += (flat @ slab).reshape(P.shape)
+        P = nxt
+    trace = np.zeros(len(P) + len(A) - 1)
+    for r, slab in enumerate(A):
+        trace[r:r + len(P)] += np.einsum("kij,ji->k", P, slab)
+    # trace[n] is the omega^(M kmin + n) coefficient, i.e. C_{d,-(M kmin + n)}
+    C = dict.fromkeys(range(-M, M + 1), 0.0)
+    for n, c in enumerate(trace.tolist()):
+        j = -(M * op.kmin + n)
+        if j in C:
+            C[j] = c
+        elif c != 0.0:
+            raise ArithmeticError(
+                f"trace support exceeds [-M, M]: omega^{-j} coefficient {c!r}")
+    return MappingProxyType(C)
 
 
 def markov_Z(spec: ModelSpec, M: int, N: int, h: int, v: int,

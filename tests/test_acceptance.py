@@ -71,3 +71,18 @@ def test_criterion_9_scaling_informational():
                          acceptance.criterion_9_scaling)
     assert ok  # the function itself never gates on the extrapolated value
     assert "measured c_eff" in detail
+
+
+def test_modular_ok_gates_every_field():
+    passing = {"S2_is_identity": True, "T2_is_identity": True,
+               "ST3_is_identity": True, "T_sign_checks": True,
+               "sector_covariance_residual": 1e-15,
+               "Zmm_covariance_residual": 1e-15, "character_S_residual": 1e-15}
+    assert acceptance.modular_ok(passing)
+    assert not acceptance.modular_ok(dict(passing, Zmm_covariance_residual=1e-3))
+
+
+def test_scaled_error():
+    assert acceptance.scaled_error(0.0, 0.0) == 0.0
+    assert acceptance.scaled_error(1e-10, 2e-10) == 0.5
+    assert acceptance.scaled_error(-3.0, 3.0) == 2.0

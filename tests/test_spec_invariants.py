@@ -1,11 +1,14 @@
 """Cross-cutting invariants that tie the modules together."""
 
+import ast
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from reference_enum import _valid
+import torusloop
 from torusloop.arith import ImaginaryResidueError, gamma_v
 from torusloop.conformal import Z_hv_bezout, Z_hv_direct, Z_hv_u1
 from torusloop.lattice import enumerate_configs
@@ -115,3 +118,13 @@ def test_series_lattice_sums_are_range_stable():
     brute = (_double_eta_inverse(work, F(0))
              * BiSeries({k: c for k, c in theta.items() if c}, work)).truncate(K)
     assert Z_hv_direct(p, pq, h, v, K).terms == brute.terms
+
+
+def test_no_assert_statements_in_package():
+    """Invariants raise real exceptions: `python -O` strips assert statements."""
+    sources = sorted(Path(torusloop.__file__).parent.glob("*.py"))
+    assert sources
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
