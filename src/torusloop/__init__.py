@@ -23,7 +23,7 @@ from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm,
 from .lattice import LoopCensus, TileGrid, enumerate_configs, lattice_Z
 from .model import ModelSpec, face_weights
 from .qseries import (BiSeries, QSeries, dedekind_eta, euler_inverse,
-                      euler_product, series_mul)
+                      euler_product)
 from .transfer import (OmegaLaurent, TransferOperator, build_transfer,
                        effective_central_charge, link_states, markov_Z,
                        trace_TM)
@@ -40,6 +40,6 @@ __all__ = [
     "euler_product", "expand_terms", "face_weights", "full_Z_series",
     "gamma_dm", "gamma_v", "gcd_conv", "kac_table_text", "lambda_fsz",
     "lattice_Z", "link_states", "markov_Z", "modular_rep_check", "mu_shift",
-    "on_series", "render_appendix_form", "rho_j", "series_mul", "trace_TM",
+    "on_series", "render_appendix_form", "rho_j", "trace_TM",
     "u1_char", "verify_master", "verify_s1_s2", "verma_trace_series",
 ]

@@ -21,19 +21,48 @@ from fractions import Fraction
 
 from .arith import chebyshev_T, gamma_dm_cospoly, gcd_conv, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
-from .characters import (KacData, TauPoint, eta_numeric,
-                         modular_S_residual, t_sign_exact, u1_char)
+from .characters import (_PAD, KacData, TauPoint, eta_numeric,
+                         modular_S_residual, t_sign_exact, theta_series,
+                         u1_char)
 from .cyclo import CycloField, cospoly_to_cyclo
-from .qseries import BiSeries, QSeries, euler_inverse
-
-_PAD = Fraction(2)
+from .qseries import BiSeries, euler_inverse
 
 
-def _double_eta_inverse(cutoff: Fraction, shift: Fraction) -> BiSeries:
-    """(q qbar)^{shift} / ((q)_inf (qbar)_inf) as a BiSeries on a padded window."""
-    inv = euler_inverse(cutoff - min(shift, 0))
-    one_sided = inv.shift(shift)
-    one_sided = QSeries(one_sided.terms, cutoff)
+def _window(cutoff) -> tuple:
+    """(cutoff, work) of a series form: its theta sum is collected through work."""
+    cutoff = Fraction(cutoff)
+    if cutoff < Fraction(-1, 24):
+        raise ValueError("cutoff must be >= -1/24")
+    return cutoff, cutoff + _PAD
+
+
+def _dress(theta: dict, cutoff: Fraction) -> BiSeries:
+    """(q qbar)^{-1/24} / ((q)_inf (qbar)_inf) times the theta sum {(a, b): c}.
+
+    The exponents a, b are >= 0 and theta must hold every term with both of
+    them <= cutoff + 1/24; the result is exact through cutoff.  1/(q)_inf is
+    a partition-number convolution along one axis, applied to each in turn.
+    """
+    shift = Fraction(1, 24)
+    top = cutoff + shift
+    inv = euler_inverse(top)
+    partitions = [inv.coeff(k) for k in range(math.floor(top) + 1)]
+    for axis in (0, 1):
+        spread: dict = {}
+        for ab, c in theta.items():
+            if not c or ab[0] > top or ab[1] > top:
+                continue
+            for k in range(math.floor(top - ab[axis]) + 1):
+                key = (ab[0] + k, ab[1]) if axis == 0 else (ab[0], ab[1] + k)
+                spread[key] = spread.get(key, 0) + partitions[k] * c
+        theta = spread
+    return BiSeries({(a - shift, b - shift): c for (a, b), c in theta.items()},
+                    cutoff)
+
+
+def _double_eta_inverse(cutoff: Fraction) -> BiSeries:
+    """1/((q)_inf (qbar)_inf) as a BiSeries: the product reference for `_dress`."""
+    one_sided = euler_inverse(cutoff)
     return BiSeries.from_product(one_sided, one_sided, cutoff)
 
 
@@ -59,8 +88,7 @@ def verma_trace_series(kind: str, p: int, pq: int, d: int, gamma_over_pi,
                         "use the numeric route for generic twists")
     g0 = Fraction(gamma_over_pi)
     kac = KacData(p, pq)
-    cutoff = Fraction(cutoff)
-    work = cutoff + _PAD
+    cutoff, work = _window(cutoff)
     step = 1 if kind == "dense" else 2
     theta: dict = {}
     l = 0
@@ -68,21 +96,18 @@ def verma_trace_series(kind: str, p: int, pq: int, d: int, gamma_over_pi,
         hit = False
         for ell in ((l, -l) if l else (0,)):
             r = g0 - step * ell
-            a = kac.delta_exp(r, Fraction(d, 2)) - Fraction(1, 24)
-            b = kac.delta_exp(r, Fraction(-d, 2)) - Fraction(1, 24)
+            a = kac.delta_exp(r, Fraction(d, 2))
+            b = kac.delta_exp(r, Fraction(-d, 2))
             if a <= work and b <= work:
                 hit = True
                 sign = 1
                 if kind == "dense" and eps and ell % 2:
                     sign = -1
-                key = (a, b)
-                theta[key] = theta.get(key, Fraction(0)) + sign
+                theta[(a, b)] = theta.get((a, b), Fraction(0)) + sign
         if not hit and l > abs(g0) / step + 1:
             break
         l += 1
-    theta_bi = BiSeries({k: v for k, v in theta.items() if v}, work)
-    pref = _double_eta_inverse(work, Fraction(0))
-    return (pref * theta_bi).truncate(cutoff)
+    return _dress(theta, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +258,7 @@ def modular_rep_check(taus=None, levels=(2, 6), g_values=(Fraction(1, 2),),
 def Z_hv_direct(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
     """Direct double sum (1/eta etabar) sum_{r, s+h/2} (-1)^{vr} q^... qbar^...."""
     kac = KacData(p, pq)
-    cutoff = Fraction(cutoff)
-    work = cutoff + _PAD
+    cutoff, work = _window(cutoff)
     n = p * pq
     theta: dict = {}
     # (p' r)^2 / (2n) <= a + b <= 2*work bounds r; likewise s
@@ -249,50 +273,57 @@ def Z_hv_direct(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
             if a > work or b > work:
                 continue
             sign = Fraction(-1 if (v and r % 2) else 1)
-            key = (a - Fraction(1, 24), b - Fraction(1, 24))
-            theta[key] = theta.get(key, Fraction(0)) + sign
-    theta_bi = BiSeries({k: c for k, c in theta.items() if c}, work)
-    pref = _double_eta_inverse(work, Fraction(0))
-    return (pref * theta_bi).truncate(cutoff)
+            theta[(a, b)] = theta.get((a, b), Fraction(0)) + sign
+    return _dress(theta, cutoff)
 
 
 def _char_product(n: int, jl, jr, z: int, work: Fraction) -> BiSeries:
+    """kappa^n_jl(z, q) kappa^n_jr(z, qbar) from u1_char: the reference path."""
     left = u1_char(n, jl, z, work)
     right = u1_char(n, jr, z, work)
     return BiSeries.from_product(left, right, work)
 
 
-def Z_hv_u1(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
-    """Grid of affine character products over 0 <= r < p, 0 <= s < 2p'."""
-    cutoff = Fraction(cutoff)
-    work = cutoff + _PAD
+def _pairs_theta(pairs, work: Fraction) -> dict:
+    """Theta sum of sum coeff kappa^n_jl(z, q) kappa^n_jr(z, qbar).
+
+    `pairs` yields (n, jl, jr, z, coeff); each product contributes
+    coeff * theta_series(jl)(q) * theta_series(jr)(qbar) through work.
+    """
+    theta: dict = {}
+    for n, jl, jr, z, coeff in pairs:
+        right = theta_series(jr, n, z, work).terms
+        for a, ca in theta_series(jl, n, z, work).terms.items():
+            for b, cb in right.items():
+                theta[(a, b)] = theta.get((a, b), 0) + coeff * ca * cb
+    return theta
+
+
+def _u1_pairs(p: int, pq: int, h: int, v: int):
+    """(n, jl, jr, z, sign) over the p x 2p' character grid of sector (h, v)."""
     n = p * pq
     z = -1 if (p * v) % 2 else 1
-    total = BiSeries.zero(work)
     for r in range(p):
+        sign = -1 if (v and r % 2) else 1
         for s in range(2 * pq):
-            jl = Fraction(2 * (pq * r) - p * (2 * s + h), 2)
-            jr = Fraction(2 * (pq * r) + p * (2 * s + h), 2)
-            term = _char_product(n, jl, jr, z, work)
-            if v and r % 2:
-                term = -term
-            total = total + term
-    return total.truncate(cutoff)
+            yield (n, Fraction(2 * pq * r - p * (2 * s + h), 2),
+                   Fraction(2 * pq * r + p * (2 * s + h), 2), z, sign)
+
+
+def Z_hv_u1(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
+    """Grid of affine character products over 0 <= r < p, 0 <= s < 2p'."""
+    cutoff, work = _window(cutoff)
+    return _dress(_pairs_theta(_u1_pairs(p, pq, h, v), work), cutoff)
 
 
 def Z_hv_bezout(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
     """Bezout-indexed single sum (1/kappa) sum_j (-1)^{v rho_j} kappa kappa-bar."""
-    cutoff = Fraction(cutoff)
-    work = cutoff + _PAD
+    cutoff, work = _window(cutoff)
     ctx = BezoutContext(p, pq, h, v)
-    z = ctx.zsign
-    total = BiSeries.zero(work)
-    for jval, conj, rho in index_pairs(ctx):
-        term = _char_product(ctx.n, jval, conj, z, work)
-        if v and rho % 2:
-            term = -term
-        total = total + term
-    return total.scale(Fraction(1, ctx.kappa)).truncate(cutoff)
+    weight = Fraction(1, ctx.kappa)
+    pairs = ((ctx.n, jval, conj, ctx.zsign, -weight if v and rho % 2 else weight)
+             for jval, conj, rho in index_pairs(ctx))
+    return _dress(_pairs_theta(pairs, work), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -346,15 +377,11 @@ def appendix_c_form(p: int, pq: int, h: int, v: int) -> list:
     n = p * pq
     z = -1 if (p * v) % 2 else 1
     collected: dict = {}
-    for r in range(p):
-        for s in range(2 * pq):
-            jl = Fraction(2 * pq * r - p * (2 * s + h), 2)
-            jr = Fraction(2 * pq * r + p * (2 * s + h), 2)
-            coeff = -1 if (v and r % 2) else 1
-            fl, sl = _fold_label(jl, n, z)
-            fr, sr = _fold_label(jr, n, z)
-            key = (fl, fr)
-            collected[key] = collected.get(key, 0) + coeff * sl * sr
+    for _, jl, jr, _, coeff in _u1_pairs(p, pq, h, v):
+        fl, sl = _fold_label(jl, n, z)
+        fr, sr = _fold_label(jr, n, z)
+        key = (fl, fr)
+        collected[key] = collected.get(key, 0) + coeff * sl * sr
     terms = [SesquiTerm(c, lft, rgt, z, n)
              for (lft, rgt), c in collected.items() if c]
     return sorted(terms, key=lambda t: (t.left, t.right))
@@ -362,13 +389,9 @@ def appendix_c_form(p: int, pq: int, h: int, v: int) -> list:
 
 def expand_terms(terms: list, cutoff) -> BiSeries:
     """Expand a folded term list back into an exact BiSeries."""
-    cutoff = Fraction(cutoff)
-    work = cutoff + _PAD
-    total = BiSeries.zero(work)
-    for t in terms:
-        total = total + _char_product(t.level, t.left, t.right, t.z, work) \
-            .scale(Fraction(t.coeff))
-    return total.truncate(cutoff)
+    cutoff, work = _window(cutoff)
+    pairs = ((t.level, t.left, t.right, t.z, t.coeff) for t in terms)
+    return _dress(_pairs_theta(pairs, work), cutoff)
 
 
 def render_appendix_form(terms: list) -> str:
@@ -391,16 +414,10 @@ def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff,
     e0 = Fraction(gamma_over_pi)
     field = CycloField(2 * e0.denominator)
     kac = KacData(p, pq)
-    cutoff = Fraction(cutoff)
-    work = cutoff + _PAD
+    cutoff, work = _window(cutoff)
     one = field.rational(1)
 
     theta: dict = {}
-
-    def add(a: Fraction, b: Fraction, coeff):
-        if a <= work and b <= work:
-            key = (a - Fraction(1, 24), b - Fraction(1, 24))
-            theta[key] = theta.get(key, field.zero()) + coeff
 
     # d = 0 block: sum_l (q qbar)^{Delta(e0 - 2l, 0)}
     l = 0
@@ -410,7 +427,7 @@ def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff,
             a = kac.delta_exp(e0 - 2 * ell, 0)
             if a <= work:
                 hit = True
-                add(a, a, one)
+                theta[(a, a)] = theta.get((a, a), field.zero()) + one
         if not hit and l > abs(e0) / 2 + 1:
             break
         l += 1
@@ -436,12 +453,10 @@ def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff,
             b = kac.delta_exp(r, -s_half)
             if a > work or b > work:
                 continue
-            add(a, b, 2 * weights[t % d])
+            theta[(a, b)] = theta.get((a, b), field.zero()) + 2 * weights[t % d]
         d += 1
 
-    theta_bi = BiSeries({k: c for k, c in theta.items() if c}, work)
-    pref = _double_eta_inverse(work, Fraction(0))
-    return (pref * theta_bi).truncate(cutoff)
+    return _dress(theta, cutoff)
 
 
 def on_series(g, e0, cutoff) -> BiSeries:
@@ -454,19 +469,12 @@ def on_series(g, e0, cutoff) -> BiSeries:
     g = Fraction(g)
     e0 = Fraction(e0)
     field = CycloField(2 * e0.denominator)
-    cutoff = Fraction(cutoff)
-    work = cutoff + _PAD
+    cutoff, work = _window(cutoff)
 
     def h_exp(r: Fraction, s: Fraction) -> Fraction:
         return (r + g * s) ** 2 / (4 * g)
 
     theta: dict = {}
-
-    def add(a: Fraction, b: Fraction, coeff):
-        if a <= work and b <= work:
-            key = (a - Fraction(1, 24), b - Fraction(1, 24))
-            theta[key] = theta.get(key, field.zero()) + coeff
-
     one = field.rational(1)
     P = 0
     while True:
@@ -475,7 +483,7 @@ def on_series(g, e0, cutoff) -> BiSeries:
             a = h_exp(e0 + 2 * pp, Fraction(0))
             if a <= work:
                 hit = True
-                add(a, a, one)
+                theta[(a, a)] = theta.get((a, a), field.zero()) + one
         if not hit and P > abs(e0) / 2 + 1:
             break
         P += 1
@@ -501,9 +509,7 @@ def on_series(g, e0, cutoff) -> BiSeries:
                 b = h_exp(r, Fraction(-M, 2))  # hbar_{r, M/2} = h_{r, -M/2}
                 if a > work or b > work:
                     continue
-                add(a, b, lam)
+                theta[(a, b)] = theta.get((a, b), field.zero()) + lam
         M += 1
 
-    theta_bi = BiSeries({k: c for k, c in theta.items() if c}, work)
-    pref = _double_eta_inverse(work, Fraction(0))
-    return (pref * theta_bi).truncate(cutoff)
+    return _dress(theta, cutoff)

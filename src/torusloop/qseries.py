@@ -333,13 +333,6 @@ def _frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def series_mul(a, b):
-    """Product of two series of the same kind and cutoff."""
-    if type(a) is not type(b):
-        raise TypeError("cannot multiply series of different kinds")
-    return a * b
-
-
 def euler_product(cutoff) -> QSeries:
     """(q)_inf = prod_{n>=1} (1 - q^n), by Euler's pentagonal number theorem."""
     cutoff = _as_rational(cutoff)

@@ -46,6 +46,16 @@ def test_series_forms_agree(capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_series_cutoff_below_eta_pole_exits_2(capsys):
+    for form in ("direct", "u1", "bezout"):
+        code = main(["series", "--p", "3", "--pq", "4", "--h", "1", "--v", "1",
+                     "--form", form, "--cutoff=-3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "cutoff must be >= -1/24" in captured.err
+
+
 def test_enumerate_csv(capsys):
     code, out = run_cli(capsys, "enumerate", "--kind", "dense", "--p", "2",
                         "--pq", "3", "--M", "2", "--N", "2", "--with-z")

@@ -77,13 +77,89 @@ def test_verma_depends_on_ratio_only():
         if a <= work and b <= work:
             theta[(a, b)] = theta.get((a, b), F(0)) + 1
     from torusloop.conformal import _double_eta_inverse
-    rebuilt = (_double_eta_inverse(work, F(0)) * BiSeries(theta, work)).truncate(K)
+    rebuilt = (_double_eta_inverse(work) * BiSeries(theta, work)).truncate(K)
     assert direct.matches(rebuilt)
 
 
 def test_verma_rejects_irrational_twist():
     with pytest.raises(TypeError):
         verma_trace_series("dilute", 2, 3, 0, 0.123, 0, F(3))
+
+
+# -- the shared theta-sum kernel ----------------------------------------------
+
+def _fraction_theta(work):
+    """Sector (1, 1) theta sum of (2, 3): Fraction coefficients of both signs."""
+    kac = KacData(2, 3)
+    theta = {}
+    for r in range(-8, 9):
+        for s2 in range(-11, 12, 2):
+            s = F(s2, 2)
+            a, b = kac.delta_exp(r, s), kac.delta_exp(r, -s)
+            if a <= work and b <= work:
+                theta[(a, b)] = theta.get((a, b), F(0)) + (-1) ** (r % 2)
+    return theta
+
+
+def _cyclo_theta(work):
+    """d > 0 blocks of full_Z_series(3, 4, 2/5): cyclotomic coefficients."""
+    from torusloop.arith import gamma_dm_cospoly
+    from torusloop.cyclo import CycloField, cospoly_to_cyclo
+    kac = KacData(3, 4)
+    field = CycloField(10)
+    theta = {}
+    for d in (1, 2, 3):
+        for t in range(-4 * d, 4 * d + 1):
+            w = cospoly_to_cyclo(gamma_dm_cospoly(d, t % d), 2, 5, field)
+            a = kac.delta_exp(F(2 * t, d), F(d, 2))
+            b = kac.delta_exp(F(2 * t, d), F(-d, 2))
+            if a <= work and b <= work:
+                theta[(a, b)] = theta.get((a, b), field.zero()) + 2 * w
+    return theta
+
+
+@pytest.mark.parametrize("make_theta", [_fraction_theta, _cyclo_theta])
+@pytest.mark.parametrize("K", [F(4), F(7, 3)])
+def test_dress_matches_product_reference(make_theta, K):
+    """_dress equals the eta-inverse product on the padded window, truncated."""
+    from torusloop.characters import _PAD
+    from torusloop.conformal import _double_eta_inverse, _dress
+    from torusloop.qseries import BiSeries
+    work = K + _PAD
+    theta = make_theta(work)
+    shifted = {(a - F(1, 24), b - F(1, 24)): c for (a, b), c in theta.items()}
+    reference = (_double_eta_inverse(work) * BiSeries(shifted, work)).truncate(K)
+    dressed = _dress(theta, K)
+    assert reference.terms
+    assert dressed.terms == reference.terms
+    assert dressed.valid == reference.valid
+    assert dressed.cutoff == reference.cutoff
+
+
+SERIES_FORMS = [
+    lambda K: verma_trace_series("dense", 2, 3, 0, F(1, 3), 0, K),
+    lambda K: Z_hv_direct(2, 3, 0, 0, K),
+    lambda K: Z_hv_u1(2, 3, 0, 0, K),
+    lambda K: Z_hv_bezout(2, 3, 0, 0, K),
+    lambda K: expand_terms(appendix_c_form(2, 3, 0, 0), K),
+    lambda K: full_Z_series(2, 3, F(1, 3), K),
+    lambda K: on_series(F(2, 3), F(1, 3), K),
+]
+
+
+@pytest.mark.parametrize("form", SERIES_FORMS)
+@pytest.mark.parametrize("K", [F(-3), F(-1, 23)])
+def test_series_forms_reject_cutoff_below_eta_pole(form, K):
+    with pytest.raises(ValueError, match="cutoff must be >= -1/24"):
+        form(K)
+
+
+@pytest.mark.parametrize("form", SERIES_FORMS[1:5])
+@pytest.mark.parametrize("K", [F(-1, 24), F(-1, 48)])
+def test_series_cutoff_at_eta_pole_keeps_leading_term(form, K):
+    z = form(K)
+    assert z.terms == {(F(-1, 24), F(-1, 24)): 1}
+    assert z.cutoff == z.valid == K
 
 
 # -- Gaussian numerics -------------------------------------------------------

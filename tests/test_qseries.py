@@ -14,7 +14,6 @@ from torusloop.qseries import (
     euler_inverse,
     euler_product,
     eta_inverse,
-    series_mul,
 )
 
 
@@ -45,21 +44,21 @@ def test_mul_polynomial_identity():
     cutoff = F(5)
     a = QSeries({F(0): F(1), F(1): F(1)}, cutoff)   # 1 + q
     b = QSeries({F(0): F(1), F(1): F(-1)}, cutoff)  # 1 - q
-    prod = series_mul(a, b)
+    prod = a * b
     assert prod.terms == {F(0): F(1), F(2): F(-1)}
 
 
 def test_mul_identity_element():
     a = QSeries({F(1, 2): F(3), F(2): F(-7, 3)}, F(4))
     one = QSeries.one(F(4))
-    assert series_mul(a, one).terms == a.terms
+    assert (a * one).terms == a.terms
 
 
 def test_mul_cutoff_mismatch():
     a = QSeries.one(F(3))
     b = QSeries.one(F(4))
     with pytest.raises(CutoffMismatchError):
-        series_mul(a, b)
+        a * b
 
 
 @pytest.mark.parametrize("n, expected", [(4, 5), (5, 7), (10, 42)])
@@ -75,7 +74,7 @@ def test_euler_inverse_cutoff_zero():
 
 def test_euler_inverse_times_product_is_one():
     K = F(20)
-    prod = series_mul(euler_inverse(K), euler_product(K))
+    prod = euler_inverse(K) * euler_product(K)
     assert prod.terms == {F(0): F(1)}
 
 
@@ -101,7 +100,7 @@ def test_dedekind_eta_leading_and_low_orders():
 
 def test_eta_inverse_matches_series_inverse():
     K = F(6)
-    prod = series_mul(eta_inverse(K), QSeries(dedekind_eta(K + 1).terms, K))
+    prod = eta_inverse(K) * QSeries(dedekind_eta(K + 1).terms, K)
     # valid order shrinks by the eta-inverse pole at -1/24
     assert prod.coeff(F(0)) == F(1)
     for e, c in prod.terms.items():
@@ -113,7 +112,7 @@ def test_valid_order_tracking_with_negative_exponents():
     K = F(4)
     a = QSeries({F(-1, 2): F(1)}, K)    # q^{-1/2}
     b = QSeries({F(0): F(1), F(4): F(1)}, K)
-    prod = series_mul(a, b)
+    prod = a * b
     # exact only through K - 1/2: the q^{4} term of b paired with any term of a
     # beyond the window could be missing
     assert prod.valid == K - F(1, 2)

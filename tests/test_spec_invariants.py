@@ -44,7 +44,7 @@ EXTRA_PAIRS = [(1, 4), (1, 5), (2, 5), (4, 7), (5, 6)]
 @pytest.mark.parametrize("p, pq", EXTRA_PAIRS)
 def test_triple_identity_extra_pairs(p, pq):
     assert p * pq <= 30
-    for (h, v) in [(0, 0), (1, 1)]:
+    for (h, v) in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         K = F(4)
         zd = Z_hv_direct(p, pq, h, v, K)
         assert zd.matches(Z_hv_u1(p, pq, h, v, K))
@@ -115,7 +115,7 @@ def test_series_lattice_sums_are_range_stable():
                 continue
             key = (a - F(1, 24), b - F(1, 24))
             theta[key] = theta.get(key, F(0)) + (-1 if (v and r % 2) else 1)
-    brute = (_double_eta_inverse(work, F(0))
+    brute = (_double_eta_inverse(work)
              * BiSeries({k: c for k, c in theta.items() if c}, work)).truncate(K)
     assert Z_hv_direct(p, pq, h, v, K).terms == brute.terms
 
