@@ -18,6 +18,15 @@ and reading off the top.  Scalars produced while contracting:
     seam and omega^{-1} per leftward crossing;
   * a row that joins two defects annihilates the state.
 
+Each row of tiles is reduced once, for every module, to its row diagram:
+the other end of each strand among its bottom and top edges, the strand's
+signed seam crossings, and the loops closed inside the row.  Stacking a row
+on a link state is then a join: one walk alternates row strands with the
+state's arcs, so each defect reaches a new defect (or a second defect, which
+annihilates the state), the remaining top ends pair into the new arcs, and
+what is left closes into loops.  The new word is checked once, against the
+arcs of the basis word it names.
+
 Weights are Laurent polynomials in omega with float coefficients.  Traces of
 transfer-matrix powers decompose as sum_j omega^{-j} C_{d,j} (the twisted
 sectors of Di Francesco, Saleur and Zuber, J. Stat. Phys. 49 (1987) 57); the
@@ -169,8 +178,6 @@ def link_states(kind: str, N: int, d: int) -> tuple:
         w = "".join(word)
         if w.count("|") != d:
             continue
-        if kind == "dense" and "." in w:
-            continue
         if match_word(w) is not None:
             found.append(w)
     return tuple(sorted(found, key=_word_sort_key))
@@ -190,167 +197,121 @@ def arc_crossings(word: str) -> dict:
 # one-row action
 
 
-def _apply_row(kind: str, rho: tuple, word: str) -> Iterator[tuple]:
-    """All single-row transitions from a link state.
+@lru_cache(maxsize=32)
+def _row_diagrams(N: int, tiles: tuple) -> Mapping:
+    """Connectivity of every horizontally compatible row of N `tiles`.
 
-    Yields (rho_product, omega_power, n_alpha_loops, n_beta_loops, new_word)
-    for every structurally valid row of tiles with nonzero weight.  Rows that
-    join two defects are dropped (they act as zero on the standard module).
+    Rows come in lexicographic order, grouped by bottom occupancy (a tuple
+    of bools, one per site).  Each row is (tiles, ends, crosses, loops): the
+    row ends are numbered c for the bottom edge and N + c for the top edge
+    of column c; ``ends[e]`` is the other end of the strand at e (e itself
+    when e is unoccupied) and ``crosses[e]`` the signed seam crossings from
+    e to it; ``loops`` holds the seam crossings of the loops closed in the
+    row.  ``ends`` is stored as bytes and equal ``crosses`` are shared, which
+    keeps the tens of thousands of dilute rows at N = 7 small.
     """
-    N = len(word)
-    occ_b = [ch != "." for ch in word]
-    arcs = arc_crossings(word)
-    defects = {i for i, ch in enumerate(word) if ch == "|"}
-    d = len(defects)
-    tile_options = (8, 9) if kind == "dense" else (1, 2, 3, 4, 5, 6, 7, 8, 9)
-    options_by_b = {
-        flag: tuple(t for t in tile_options
-                    if (B in TILE_EDGES[t]) == flag and rho[t - 1] != 0.0)
-        for flag in (False, True)
-    }
-
-    tiles = [0] * N
-
-    def emit() -> tuple | None:
-        # walk the composite diagram: row of tiles over the old link state
-        used_links: set = set()
-
-        def step(col: int, entry: int):
-            """One strand move through tile `col`; returns (exit_info, seam_delta)."""
-            t = tiles[col]
-            out = TILE_PARTNER[t][entry]
-            used_links.add((col, frozenset((entry, out))))
-            if out == T:
-                return ("top", col), 0
-            if out == B:
-                return ("state", col), 0
-            if out == R:
-                nxt = (col + 1) % N
-                return ("tile", nxt, L), (1 if nxt == 0 else 0)
-            nxt = (col - 1) % N
-            return ("tile", nxt, R), (-1 if col == 0 else 0)
-
-        def walk_from_tile(col: int, entry: int):
-            """Follow a strand until it hits a top edge or a defect anchor.
-
-            Returns (kind, site, seam_total) with kind in {"top", "anchor"}.
-            """
+    rows = [()]
+    for _ in range(N):
+        rows = [row + (t,) for row in rows for t in tiles
+                if not row or (L in TILE_EDGES[t]) == (R in TILE_EDGES[row[-1]])]
+    groups: dict = {}
+    shared: dict = {}
+    for row in rows:
+        if (L in TILE_EDGES[row[0]]) != (R in TILE_EDGES[row[-1]]):
+            continue
+        ends = list(range(2 * N))
+        crosses = [0] * (2 * N)
+        for start in range(2 * N):
+            col, edge = start % N, (B if start < N else T)
+            if ends[start] != start or edge not in TILE_EDGES[row[col]]:
+                continue
             cross = 0
             while True:
-                info, dcross = step(col, entry)
-                cross += dcross
-                if info[0] == "top":
-                    return "top", info[1], cross
-                if info[0] == "state":
-                    site = info[1]
-                    if site in defects:
-                        return "anchor", site, cross
-                    partner, dc = arcs[site]
-                    cross += dc
-                    col, entry = partner, B
-                    continue
-                _, col, entry = info
-
-        omega_power = 0
-        new_defects = {}
-        # defect strands upward
-        for site in sorted(defects):
-            kind_, end, cross = walk_from_tile(site, B)
-            if kind_ == "anchor":
-                return None  # two defects joined: zero in the standard module
-            if end in new_defects:
-                raise AssertionError("two defects exiting the same top edge")
-            new_defects[end] = True
-            omega_power += cross
-
-        # strands seen from the top edges
-        top_occ = [T in TILE_EDGES[tiles[c]] for c in range(N)]
-        new_arcs = []
-        seen_tops = set(new_defects)
-        for c in range(N):
-            if not top_occ[c] or c in seen_tops:
-                continue
-            kind_, end, cross = walk_from_tile(c, T)
-            if kind_ == "anchor":
-                raise AssertionError("anchor reached twice")
-            seen_tops.add(c)
-            seen_tops.add(end)
-            new_arcs.append((c, end, cross))
-
-        # remaining strands are closed loops
-        n_beta = 0
-        n_alpha = 0
-        for c in range(N):
-            t = tiles[c]
-            for pair in TILE_LINKS[t]:
-                if (c, frozenset(pair)) in used_links:
-                    continue
-                cross = 0
-                col, entry = c, pair[0]
-                start = (c, frozenset(pair))
-                while True:
-                    info, dcross = step(col, entry)
-                    cross += dcross
-                    if info[0] == "state":
-                        site = info[1]
-                        partner, dc = arcs[site]
-                        cross += dc
-                        col, entry = partner, B
-                    elif info[0] == "tile":
-                        _, col, entry = info
-                    else:
-                        raise AssertionError("closed loop reached a top edge")
-                    if (col, frozenset((entry, TILE_PARTNER[tiles[col]][entry]))) == start:
-                        break
-                if cross % 2 == 0:
-                    n_beta += 1
+                edge = TILE_PARTNER[row[col]][edge]
+                if edge == R:
+                    col, edge = (col + 1) % N, L
+                    cross += col == 0
+                elif edge == L:
+                    cross -= col == 0
+                    col, edge = (col - 1) % N, R
                 else:
-                    if d > 0:
-                        raise AssertionError(
-                            "non-contractible loop in a module with defects")
-                    n_alpha += 1
+                    break
+            end = col if edge == B else N + col
+            ends[start], ends[end] = end, start
+            crosses[start], crosses[end] = cross, -cross
+        # a strand meeting neither edge runs L-R through every tile, so only
+        # the all-horizontal row closes a loop, once around the seam
+        loops = (1,) if all(TILE_LINKS[t] == ((L, R),) for t in row) else ()
+        occupancy = tuple(B in TILE_EDGES[t] for t in row)
+        crosses = tuple(crosses)
+        groups.setdefault(occupancy, []).append(
+            (row, bytes(ends), shared.setdefault(crosses, crosses), loops))
+    return MappingProxyType({k: tuple(v) for k, v in groups.items()})
 
-        # assemble and validate the new word
+
+def _join(word: str, rows: tuple, rho: tuple, arcs_of: Mapping) -> Iterator[tuple]:
+    """Stack each row diagram of `rows` on the link state `word`.
+
+    Yields (rho_product, omega_power, n_alpha_loops, n_beta_loops, new_word)
+    per row, in the order of `rows`.  A row that joins two defects acts as
+    zero on the standard module and yields nothing.  `arcs_of` maps every
+    basis word to its ``arc_crossings``.
+
+    Each walk starts at a row end and alternates row strands with the arcs
+    of `word`.  Row strands and arcs pair their ends, so every walk is a
+    path between two of the terminals (defects and top ends) or a closed
+    loop.  Walks start from the defects, then from the unseen top ends, so
+    whatever is left unseen lies on a closed loop.
+    """
+    N = len(word)
+    arcs = arcs_of[word]
+    defects = [s for s, ch in enumerate(word) if ch == "|"]
+    starts = defects + list(range(N, 2 * N)) + list(arcs)
+    for tiles, ends, crosses, loops in rows:
+        seen = [False] * (2 * N)
         letters = ["."] * N
-        for c in new_defects:
-            letters[c] = "|"
-        computed = {}
-        for a, b, cross in new_arcs:
-            if cross % 2 == 0:
-                opener, closer = min(a, b), max(a, b)
+        top_arcs: dict = {}
+        omega_power = 0
+        n_alpha = sum(c % 2 for c in loops)
+        n_beta = len(loops) - n_alpha
+        for start in starts:
+            if seen[start] or ends[start] == start:
+                continue
+            e, cross = start, 0
+            while True:
+                f = ends[e]
+                cross += crosses[e]
+                seen[e] = seen[f] = True
+                if f >= N or f not in arcs:
+                    break
+                e, dc = arcs[f]
+                cross += dc
+                if e == start:
+                    break
+            if start >= N:
+                # a < b: the top ends left of a are seen before a is walked
+                a, b, winds = start - N, f - N, cross % 2
+                opener, closer = (b, a) if winds else (a, b)
+                letters[opener], letters[closer] = "(", ")"
+                top_arcs[opener], top_arcs[closer] = (closer, winds), (opener, -winds)
+            elif start in arcs:
+                n_alpha += cross % 2
+                n_beta += 1 - cross % 2
+            elif f < N:
+                break  # two defects joined
             else:
-                opener, closer = max(a, b), min(a, b)
-            letters[opener] = "("
-            letters[closer] = ")"
-            computed[(opener, closer)] = None
-        new_word = "".join(letters)
-        pairs = match_word(new_word)
-        if pairs is None or set(pairs) != set(computed):
-            raise AssertionError(
-                f"inconsistent composite diagram {word} -> {new_word}")
-
-        rho_prod = 1.0
-        for t in tiles:
-            rho_prod *= rho[t - 1]
-        return rho_prod, omega_power, n_alpha, n_beta, new_word
-
-    def rec(col: int):
-        if col == N:
-            if (R in TILE_EDGES[tiles[N - 1]]) != (L in TILE_EDGES[tiles[0]]):
-                return
-            result = emit()
-            if result is not None:
-                yield result
-            return
-        for t in options_by_b[occ_b[col]]:
-            if col > 0 and ((L in TILE_EDGES[t]) != (R in TILE_EDGES[tiles[col - 1]])):
-                continue
-            if N == 1 and ((L in TILE_EDGES[t]) != (R in TILE_EDGES[t])):
-                continue
-            tiles[col] = t
-            yield from rec(col + 1)
-
-    yield from rec(0)
+                letters[f - N] = "|"
+                omega_power += cross
+        else:
+            new_word = "".join(letters)
+            if arcs_of.get(new_word) != top_arcs:
+                raise ArithmeticError(
+                    f"inconsistent composite diagram {word} -> {new_word}")
+            if n_alpha and defects:
+                raise ArithmeticError(
+                    "non-contractible loop in a module with defects")
+            rho_prod = math.prod(rho[t - 1] for t in tiles)
+            yield rho_prod, omega_power, n_alpha, n_beta, new_word
 
 
 @dataclass
@@ -393,20 +354,23 @@ class TransferOperator:
 
 
 @lru_cache(maxsize=256)
-def build_transfer(spec: ModelSpec, N: int, d: int, _basis: tuple | None = None) -> TransferOperator:
+def build_transfer(spec: ModelSpec, N: int, d: int) -> TransferOperator:
     """Assemble the transfer operator of `spec` on the (N, d) standard module."""
     if spec.kind == "dense" and (N - d) % 2:
         raise ValueError("dense model needs d = N mod 2")
     if N > TRANSFER_SITE_GUARD[spec.kind]:
         raise TransferSizeError(
             f"{spec.kind} transfer matrix limited to N <= {TRANSFER_SITE_GUARD[spec.kind]}")
-    basis = _basis if _basis is not None else link_states(spec.kind, N, d)
+    basis = link_states(spec.kind, N, d)
     index = {w: i for i, w in enumerate(basis)}
+    arcs_of = {w: arc_crossings(w) for w in basis}
     rho = face_weights(spec)
+    diagrams = _row_diagrams(N, tuple(t for t in spec.tiles if rho[t - 1] != 0.0))
     dim = len(basis)
     matrix: list = [[None] * dim for _ in range(dim)]
     for j, word in enumerate(basis):
-        for rho_prod, k, n_alpha, n_beta, new_word in _apply_row(spec.kind, rho, word):
+        rows = diagrams.get(tuple(ch != "." for ch in word), ())
+        for rho_prod, k, n_alpha, n_beta, new_word in _join(word, rows, rho, arcs_of):
             weight = OmegaLaurent.monomial(k, rho_prod * spec.beta**n_beta)
             for _ in range(n_alpha):
                 weight = weight * OmegaLaurent({1: 1.0, -1: 1.0})

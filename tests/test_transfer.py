@@ -97,6 +97,33 @@ def test_dilute_vacuum_tile_only():
     assert entry.coeffs == pytest.approx({0: rho2[0], 1: rho2[5], -1: rho2[5]})
 
 
+@pytest.mark.parametrize("kind, Nmax", [("dense", 7), ("dilute", 5)])
+@pytest.mark.parametrize("p, pq", [(1, 2), (2, 3), (3, 4)])
+def test_u0_transfer_is_one_site_shift(kind, Nmax, p, pq):
+    """At u = 0 the row is the lattice shift w -> w[1:] + w[0] (the tile
+    labelling fixed in model.py): one entry per column, rho_8^N times
+    omega^-1 when the defect at site 0 crosses the seam."""
+    spec = ModelSpec(kind, p, pq, 0.0)
+    rho8 = face_weights(spec)[7]
+    for N, d in _modules(kind, Nmax):
+        op = build_transfer(spec, N, d)
+        for j, w in enumerate(op.basis):
+            column = [i for i in range(op.dim) if op.matrix[i][j] is not None]
+            assert column == [op.basis.index(w[1:] + w[0])], (N, d, w)
+            k = -1 if w[0] == "|" else 0
+            assert op.matrix[column[0]][j].coeffs == pytest.approx({k: rho8 ** N},
+                                                                   rel=1e-13)
+
+
+def test_join_rejects_word_outside_given_basis():
+    # the shift row sends "()" to ")(", which the join is not told about
+    spec = ModelSpec("dense", 2, 3, 0.0)
+    rows = transfer._row_diagrams(2, (8,))[(True, True)]
+    arcs_of = {"()": transfer.arc_crossings("()")}
+    with pytest.raises(ArithmeticError):
+        list(transfer._join("()", rows, face_weights(spec), arcs_of))
+
+
 # -- trace properties --------------------------------------------------------
 
 def test_trace_power_zero_is_dimension():
@@ -139,11 +166,13 @@ def test_laurent_trace_matches_numeric_matrix_path():
 
 def test_trace_basis_permutation_bit_identical():
     spec = ModelSpec("dilute", 2, 3, 0.37)
-    basis = link_states("dilute", 3, 1)
-    shuffled = tuple(basis[i] for i in (3, 0, 5, 2, 4, 1))
+    op = build_transfer(spec, 3, 1)
+    perm = (3, 0, 5, 2, 4, 1)
+    shuffled = tuple(op.basis[i] for i in perm)
+    permuted = [[op.matrix[a][b] for b in perm] for a in perm]
     t_ref = trace_TM(spec, 3, 2, 1)
     from torusloop.transfer import matrix_power_trace
-    t_perm = matrix_power_trace(build_transfer(spec, 3, 1, _basis=shuffled), 2)
+    t_perm = matrix_power_trace(TransferOperator(spec, 3, 1, shuffled, permuted), 2)
     assert t_ref.coeffs == t_perm.coeffs  # bit-for-bit
 
 
