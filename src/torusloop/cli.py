@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -23,13 +22,6 @@ from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
 from .lattice import census_counter, lattice_Z
 from .model import ModelSpec
 from .transfer import C_coefficients, markov_Z
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("TORUSLOOP_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write(args, text: str):
@@ -62,7 +54,7 @@ def _model_from(args) -> ModelSpec:
 
 def cmd_enumerate(args) -> int:
     spec = _model_from(args)
-    counter = census_counter(spec.kind, args.M, args.N, workers=args.workers)
+    counter = census_counter(spec.kind, args.M, args.N)
     lines = ["count,n_beta,class_i,class_j,n_wind,"
              + ",".join(f"n{t}" for t in range(1, 10)) + ",h,v"]
     for (n_beta, winds, counts, h, v), mult in counter:
@@ -75,8 +67,7 @@ def cmd_enumerate(args) -> int:
             + ",".join(str(c) for c in counts) + f",{h},{v}")
     if args.with_z:
         z = lattice_Z(spec, args.M, args.N,
-                      sector=tuple(args.sector) if args.sector else None,
-                      workers=args.workers)
+                      sector=tuple(args.sector) if args.sector else None)
         lines.append(f"# Z = {z!r}")
     _write(args, "\n".join(lines))
     return 0
@@ -175,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="torusloop",
         description="Torus partition functions of dense and dilute loop models")
-    parser.add_argument("--workers", type=int, default=_default_workers(),
-                        help="worker-count hint for lattice enumeration")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_enum = subs.add_parser("enumerate", help="enumerate torus configurations")

@@ -1,9 +1,21 @@
 """Exhaustive enumeration of loop configurations on small M x N tori.
 
-Row-major DFS over faces with immediate edge-compatibility pruning generates
-every no-free-end tile assignment exactly once.  Loops are traced through
-the periodic identifications, classified by homology winding (i, j), and
-counted into a census; partition functions follow by weighting the census.
+A configuration is a stack of M periodic rows of N tiles, each tile agreeing
+with its left neighbour on their shared vertical edge (the wrap-around pair
+included).  The rows are built once per call and grouped by bottom
+occupancy; a row sits on another when its bottom occupancy equals the
+other's top occupancy, and the last row must close the torus against the
+first row's bottom occupancy.  A one-row torus takes its rows straight from
+the tiles whose top and bottom edges agree.  Rows come in lexicographic
+order, so the tile assignments do too.
+
+Loops are traced face by face over the 2MN lattice edges, numbered as
+integers: the horizontal edge below face (r, c) is r*N + c and the vertical
+edge left of it is MN + r*N + c.  A loop's homology winding (i, j) counts its
+net rightward crossings of the column seam (between columns N-1 and 0) and
+upward crossings of the row seam (between rows M-1 and 0), signed along the
+loop and then oriented so that j > 0, or j = 0 and i > 0.  Loops are counted
+into a census; partition functions follow by weighting the census.
 
 Boundary sectors: a configuration lies in sector (h, v) = (H mod 2, V mod 2)
 where H and V count loop-segment crossings of the dual cut lines between
@@ -16,17 +28,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .model import B, EDGE_MID, L, R, T, TILE_EDGES, TILE_PARTNER, ModelSpec, face_weights
+from .model import (B, DENSE_TILES, DILUTE_TILES, L, R, T, TILE_EDGES, TILE_PARTNER,
+                    ModelSpec, face_weights)
 
 SIZE_GUARD = {"dense": 36, "dilute": 20}
-
-# doubled-integer edge midpoints keep winding displacements exact
-_MID2 = {e: (int(2 * x), int(2 * y)) for e, (x, y) in EDGE_MID.items()}
 
 
 class SizeGuardError(ValueError):
@@ -41,9 +50,6 @@ class TileGrid:
     N: int
     tiles: tuple  # flattened row-major, face (r, c) at index r*N + c
 
-    def tile(self, r: int, c: int) -> int:
-        return self.tiles[r * self.N + c]
-
 
 @dataclass(frozen=True)
 class LoopCensus:
@@ -54,10 +60,6 @@ class LoopCensus:
     tile_counts: tuple          # occurrences of tiles 1..9
     H: int                      # crossings of the horizontal cut line
     V: int                      # crossings of the vertical cut line
-
-    @property
-    def winding_class(self):
-        return self.windings[0][0] if self.windings else None
 
     @property
     def n_noncontractible(self) -> int:
@@ -74,127 +76,109 @@ class LoopCensus:
         return ((j * n) % 2, (i * n) % 2)
 
 
-def _valid_tiles(kind: str) -> tuple:
-    return (8, 9) if kind == "dense" else (1, 2, 3, 4, 5, 6, 7, 8, 9)
+def _rows(tiles: tuple, N: int, row: tuple = ()) -> Iterator[tuple]:
+    """Periodic rows of N `tiles` that extend `row`, in lexicographic order.
+
+    Each tile's left edge must agree with its left neighbour's right edge;
+    the wrap-around pair (columns N-1 and 0) is checked once the row is full.
+    """
+    if len(row) == N:
+        if (L in TILE_EDGES[row[0]]) == (R in TILE_EDGES[row[-1]]):
+            yield row
+        return
+    for t in tiles:
+        if not row or (L in TILE_EDGES[t]) == (R in TILE_EDGES[row[-1]]):
+            yield from _rows(tiles, N, row + (t,))
 
 
-def _enumerate_grids(kind: str, M: int, N: int, prefix: tuple = ()) -> Iterator[tuple]:
-    """DFS over no-free-end tile assignments, optionally below a fixed prefix."""
-    total = M * N
-    tiles = [0] * total
-    tiles[: len(prefix)] = prefix
-    options = _valid_tiles(kind)
-
-    def compatible(idx: int, t: int) -> bool:
-        r, c = divmod(idx, N)
-        occ = TILE_EDGES[t]
-        if r > 0 and ((B in occ) != (T in TILE_EDGES[tiles[idx - N]])):
-            return False
-        if c > 0 and ((L in occ) != (R in TILE_EDGES[tiles[idx - 1]])):
-            return False
-        if c == N - 1:
-            left0 = tiles[r * N] if c != 0 else t
-            if (R in occ) != (L in TILE_EDGES[left0]):
-                return False
-        if r == M - 1:
-            below0 = tiles[c] if r != 0 else t
-            if (T in occ) != (B in TILE_EDGES[below0]):
-                return False
-        return True
-
-    for i, t in enumerate(prefix):
-        if not compatible(i, t):
-            return
-
-    def rec(idx: int):
-        if idx == total:
-            yield tuple(tiles)
-            return
-        for t in options:
-            if compatible(idx, t):
-                tiles[idx] = t
-                yield from rec(idx + 1)
-        tiles[idx] = 0
-
-    yield from rec(len(prefix))
+def _occupancy(row: tuple, edge: int) -> tuple:
+    return tuple(edge in TILE_EDGES[t] for t in row)
 
 
-def _trace_census(kind: str, M: int, N: int, tiles: tuple) -> LoopCensus:
+def _enumerate_grids(kind: str, M: int, N: int) -> Iterator[tuple]:
+    """Every no-free-end tile assignment, in lexicographic order."""
+    tiles = DENSE_TILES if kind == "dense" else DILUTE_TILES
+    if M == 1:
+        # each tile's top edge is its own bottom edge; filtering the tiles
+        # avoids building every periodic row when few of them close
+        yield from _rows(tuple(t for t in tiles
+                               if (B in TILE_EDGES[t]) == (T in TILE_EDGES[t])), N)
+        return
+    rows = list(_rows(tiles, N))
+    above: dict = {}  # bottom occupancy -> [(row, top occupancy)]
+    for row in rows:
+        above.setdefault(_occupancy(row, B), []).append((row, _occupancy(row, T)))
+
+    def stack(grid: tuple, top: tuple, closing: tuple, m: int) -> Iterator[tuple]:
+        """Grids that extend the m stacked rows of `grid` to M rows."""
+        for row, row_top in above.get(top, ()):
+            if m + 1 < M:
+                yield from stack(grid + row, row_top, closing, m + 1)
+            elif row_top == closing:
+                yield grid + row
+
+    for row in rows:
+        yield from stack(row, _occupancy(row, T), _occupancy(row, B), 1)
+
+
+@lru_cache(maxsize=64)
+def _moves(M: int, N: int) -> tuple:
+    """Strand steps on the M x N torus, indexed by 4 f + e.
+
+    A strand leaving face f through its edge e enters the returned face
+    through the returned entry edge, crossing the returned lattice edge and
+    di column-seam and dj row-seam crossings (each 0 or +-1).
+    """
+    MN = M * N
+    out = []
+    for f in range(MN):
+        r, c = divmod(f, N)
+        up, down = (r + 1) % M * N + c, (r - 1) % M * N + c
+        right, left = r * N + (c + 1) % N, r * N + (c - 1) % N
+        step = {B: (down, T, f, 0, -(r == 0)),
+                T: (up, B, up, 0, int(r == M - 1)),
+                L: (left, R, MN + f, -(c == 0), 0),
+                R: (right, L, MN + right, int(c == N - 1), 0)}
+        out.extend(step[e] for e in sorted(step))
+    return tuple(out)
+
+
+def _trace_census(M: int, N: int, tiles: tuple) -> LoopCensus:
     """Trace every loop of a configuration and collect its census."""
-    def tile(r, c):
-        return tiles[r * N + c]
-
-    def occ_h(r, c):  # horizontal edge below face (r, c)
-        return B in TILE_EDGES[tile(r, c)]
-
-    def occ_v(r, c):  # vertical edge left of face (r, c)
-        return L in TILE_EDGES[tile(r, c)]
-
-    visited = set()
+    MN = M * N
+    moves = _moves(M, N)
+    seen = bytearray(2 * MN)
     n_beta = 0
     windings: Counter = Counter()
-
-    def walk(start_edge, r, c, entry):
-        """Follow the strand entering face (r, c) via edge id `entry`."""
-        nonlocal n_beta
-        dx = dy = 0
-        while True:
-            t = tile(r, c)
-            exit_edge = TILE_PARTNER[t][entry]
-            dx += _MID2[exit_edge][0] - _MID2[entry][0]
-            dy += _MID2[exit_edge][1] - _MID2[entry][1]
-            if exit_edge == T:
-                r2, c2, entry2 = (r + 1) % M, c, B
-                edge = ("h", r2, c2)
-            elif exit_edge == B:
-                r2, c2, entry2 = (r - 1) % M, c, T
-                edge = ("h", r, c)
-            elif exit_edge == R:
-                r2, c2, entry2 = r, (c + 1) % N, L
-                edge = ("v", r, c2)
-            else:
-                r2, c2, entry2 = r, (c - 1) % N, R
-                edge = ("v", r, c)
-            if edge == start_edge:
-                break
-            visited.add(edge)
-            r, c, entry = r2, c2, entry2
-        if dx == 0 and dy == 0:
+    for start in range(2 * MN):
+        f, entry = (start, B) if start < MN else (start - MN, L)
+        if seen[start] or entry not in TILE_EDGES[tiles[f]]:
+            continue
+        i = j = 0
+        edge = -1
+        while edge != start:
+            f, entry, edge, di, dj = moves[4 * f + TILE_PARTNER[tiles[f]][entry]]
+            i += di
+            j += dj
+            seen[edge] = 1
+        if not (i or j):
             n_beta += 1
-            return
-        i_num, j_num = dx, dy
-        if i_num % (2 * N) or j_num % (2 * M):
-            raise ArithmeticError(f"loop displacement ({dx}, {dy}) is not a torus period")
-        i, j = i_num // (2 * N), j_num // (2 * M)
+            continue
         if j < 0 or (j == 0 and i < 0):
             i, j = -i, -j
-        if math.gcd(abs(i), j) != 1:
+        if math.gcd(i, j) != 1:
             raise ArithmeticError(f"non-primitive winding class {(i, j)}")
         windings[(i, j)] += 1
 
-    for r in range(M):
-        for c in range(N):
-            edge = ("h", r, c)
-            if occ_h(r, c) and edge not in visited:
-                visited.add(edge)
-                walk(edge, r, c, B)
-            edge = ("v", r, c)
-            if occ_v(r, c) and edge not in visited:
-                visited.add(edge)
-                walk(edge, r, c, L)
-
-    classes = set(windings)
-    if len(classes) > 1:
-        raise ArithmeticError(f"mixed winding classes {classes}")
-    counts = Counter(tiles)
-    H = sum(occ_h(1 % M, c) for c in range(N))
-    V = sum(occ_v(r, 1 % N) for r in range(M))
+    if len(windings) > 1:
+        raise ArithmeticError(f"mixed winding classes {set(windings)}")
+    cut = (1 % M) * N
     return LoopCensus(
         n_beta=n_beta,
         windings=tuple(sorted(windings.items())),
-        tile_counts=tuple(counts.get(t, 0) for t in range(1, 10)),
-        H=H,
-        V=V,
+        tile_counts=tuple(tiles.count(t) for t in range(1, 10)),
+        H=sum(B in TILE_EDGES[t] for t in tiles[cut:cut + N]),
+        V=sum(L in TILE_EDGES[t] for t in tiles[1 % N::N]),
     )
 
 
@@ -202,7 +186,7 @@ def enumerate_configs(spec: ModelSpec, M: int, N: int) -> Iterator[tuple]:
     """Yield (TileGrid, LoopCensus) for every valid configuration."""
     _check_size(spec.kind, M, N)
     for tiles in _enumerate_grids(spec.kind, M, N):
-        yield TileGrid(M, N, tiles), _trace_census(spec.kind, M, N, tiles)
+        yield TileGrid(M, N, tiles), _trace_census(M, N, tiles)
 
 
 def _check_size(kind: str, M: int, N: int):
@@ -219,31 +203,17 @@ def _census_key(census: LoopCensus) -> tuple:
             census.H % 2, census.V % 2)
 
 
-def _census_for_prefix(kind: str, M: int, N: int, prefix: tuple) -> Counter:
-    out: Counter = Counter()
-    for tiles in _enumerate_grids(kind, M, N, prefix):
-        out[_census_key(_trace_census(kind, M, N, tiles))] += 1
-    return out
-
-
 @lru_cache(maxsize=64)
-def census_counter(kind: str, M: int, N: int, workers: int = 1) -> tuple:
+def census_counter(kind: str, M: int, N: int) -> tuple:
     """Collapsed census multiset of all configurations, cached per geometry."""
     _check_size(kind, M, N)
-    if workers > 1 and M * N > 2:
-        prefixes = [(t1, t2) for t1 in _valid_tiles(kind) for t2 in _valid_tiles(kind)]
-        total: Counter = Counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_census_for_prefix, [kind] * len(prefixes),
-                                 [M] * len(prefixes), [N] * len(prefixes), prefixes):
-                total.update(part)
-        return tuple(sorted(total.items()))
-    return tuple(sorted(_census_for_prefix(kind, M, N, ()).items()))
+    counts = Counter(_census_key(_trace_census(M, N, tiles))
+                     for tiles in _enumerate_grids(kind, M, N))
+    return tuple(sorted(counts.items()))
 
 
 def lattice_Z(spec: ModelSpec, M: int, N: int, sector: tuple | None = None,
-              alpha: float | None = None, alphas: Mapping | None = None,
-              workers: int = 1) -> float:
+              alpha: float | None = None, alphas: Mapping | None = None) -> float:
     """Partition function, optionally restricted to a boundary sector (h, v).
 
     Per-configuration weight: beta^{#contractible} * prod alpha_{i,j}^{n_{i,j}}
@@ -259,7 +229,7 @@ def lattice_Z(spec: ModelSpec, M: int, N: int, sector: tuple | None = None,
         alpha = spec.alpha
     rho = face_weights(spec)
     total = 0.0
-    for (n_beta, winds, counts, h, v), mult in census_counter(spec.kind, M, N, workers):
+    for (n_beta, winds, counts, h, v), mult in census_counter(spec.kind, M, N):
         if sector is not None and (h, v) != tuple(sector):
             continue
         w = spec.beta ** n_beta

@@ -52,9 +52,6 @@ for _t, _links in TILE_LINKS.items():
         part[b] = a
     TILE_PARTNER[_t] = part
 
-# local midpoint coordinates of the edge centres, faces are unit squares
-EDGE_MID = {B: (0.5, 0.0), T: (0.5, 1.0), L: (0.0, 0.5), R: (1.0, 0.5)}
-
 
 @dataclass(frozen=True)
 class ModelSpec:

@@ -249,13 +249,14 @@ def _row_diagrams(N: int, tiles: tuple) -> Mapping:
     return MappingProxyType({k: tuple(v) for k, v in groups.items()})
 
 
-def _join(word: str, rows: tuple, rho: tuple, arcs_of: Mapping) -> Iterator[tuple]:
+def _join(word: str, rows: tuple, weights: tuple, arcs_of: Mapping) -> Iterator[tuple]:
     """Stack each row diagram of `rows` on the link state `word`.
 
-    Yields (rho_product, omega_power, n_alpha_loops, n_beta_loops, new_word)
-    per row, in the order of `rows`.  A row that joins two defects acts as
-    zero on the standard module and yields nothing.  `arcs_of` maps every
-    basis word to its ``arc_crossings``.
+    Yields (row_weight, omega_power, n_alpha_loops, n_beta_loops, new_word)
+    per row, in the order of `rows`; ``weights[i]`` is the product of the
+    tile weights of ``rows[i]``.  A row that joins two defects acts as zero
+    on the standard module and yields nothing.  `arcs_of` maps every basis
+    word to its ``arc_crossings``.
 
     Each walk starts at a row end and alternates row strands with the arcs
     of `word`.  Row strands and arcs pair their ends, so every walk is a
@@ -267,7 +268,7 @@ def _join(word: str, rows: tuple, rho: tuple, arcs_of: Mapping) -> Iterator[tupl
     arcs = arcs_of[word]
     defects = [s for s, ch in enumerate(word) if ch == "|"]
     starts = defects + list(range(N, 2 * N)) + list(arcs)
-    for tiles, ends, crosses, loops in rows:
+    for (_, ends, crosses, loops), weight in zip(rows, weights, strict=True):
         seen = [False] * (2 * N)
         letters = ["."] * N
         top_arcs: dict = {}
@@ -310,8 +311,7 @@ def _join(word: str, rows: tuple, rho: tuple, arcs_of: Mapping) -> Iterator[tupl
             if n_alpha and defects:
                 raise ArithmeticError(
                     "non-contractible loop in a module with defects")
-            rho_prod = math.prod(rho[t - 1] for t in tiles)
-            yield rho_prod, omega_power, n_alpha, n_beta, new_word
+            yield weight, omega_power, n_alpha, n_beta, new_word
 
 
 @dataclass
@@ -367,11 +367,17 @@ def build_transfer(spec: ModelSpec, N: int, d: int) -> TransferOperator:
     rho = face_weights(spec)
     diagrams = _row_diagrams(N, tuple(t for t in spec.tiles if rho[t - 1] != 0.0))
     dim = len(basis)
+    weights: dict = {}  # bottom occupancy -> weight of each row of the group
     matrix: list = [[None] * dim for _ in range(dim)]
     for j, word in enumerate(basis):
-        rows = diagrams.get(tuple(ch != "." for ch in word), ())
-        for rho_prod, k, n_alpha, n_beta, new_word in _join(word, rows, rho, arcs_of):
-            weight = OmegaLaurent.monomial(k, rho_prod * spec.beta**n_beta)
+        occupancy = tuple(ch != "." for ch in word)
+        rows = diagrams.get(occupancy, ())
+        if occupancy not in weights:
+            weights[occupancy] = tuple(math.prod(rho[t - 1] for t in tiles)
+                                       for tiles, *_ in rows)
+        for row_weight, k, n_alpha, n_beta, new_word in _join(word, rows, weights[occupancy],
+                                                              arcs_of):
+            weight = OmegaLaurent.monomial(k, row_weight * spec.beta**n_beta)
             for _ in range(n_alpha):
                 weight = weight * OmegaLaurent({1: 1.0, -1: 1.0})
             i = index[new_word]

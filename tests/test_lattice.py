@@ -7,7 +7,6 @@ import pytest
 from reference_enum import slow_partition_functions
 from torusloop.lattice import (
     SizeGuardError,
-    census_counter,
     enumerate_configs,
     lattice_Z,
 )
@@ -167,6 +166,8 @@ def test_dilute_2x2_fixture_against_slow_reference():
     ("dense", 2, 4, 0.37, 0.6),
     ("dilute", 2, 2, 0.37, 1.0),
     ("dilute", 1, 2, 0.61, 2.0),
+    ("dense", 3, 2, 0.37, 1.3),
+    ("dilute", 3, 1, 0.53, 0.8),
 ])
 def test_fast_matches_slow_reference(kind, M, N, u, alpha):
     spec = ModelSpec(kind, 2, 3, u, alpha=alpha)
@@ -200,9 +201,3 @@ def test_size_guard():
         list(enumerate_configs(spec_dilute(), 3, 7))
     with pytest.raises(SizeGuardError):
         list(enumerate_configs(spec_dense(), 6, 7))
-
-
-def test_workers_reproduce_serial_census():
-    serial = census_counter("dilute", 2, 2, workers=1)
-    parallel = census_counter("dilute", 2, 2, workers=2)
-    assert serial == parallel

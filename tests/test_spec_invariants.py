@@ -3,6 +3,7 @@
 import ast
 import math
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -28,11 +29,18 @@ def test_enumerator_output_revalidated_edge_by_edge(kind, M, N):
     assert count > 0
 
 
-def test_dense_enumeration_is_complete():
-    """No valid dense assignment is missed: all 2^(MN) pass adjacency."""
-    spec = ModelSpec("dense", 2, 3, 0.4)
-    got = {grid.tiles for grid, _ in enumerate_configs(spec, 2, 3)}
-    assert len(got) == 2 ** 6
+@pytest.mark.parametrize("kind, M, N", [
+    ("dense", 2, 3), ("dilute", 2, 2), ("dilute", 1, 3), ("dilute", 3, 1),
+])
+def test_enumeration_is_complete_and_ordered(kind, M, N):
+    """Exactly the assignments that pass the independent adjacency check,
+    each once, in strictly increasing lexicographic order."""
+    spec = ModelSpec(kind, 2, 3, 0.4)
+    got = [grid.tiles for grid, _ in enumerate_configs(spec, M, N)]
+    want = {a for a in product(spec.tiles, repeat=M * N)
+            if _valid([a[r * N:(r + 1) * N] for r in range(M)], M, N)}
+    assert set(got) == want
+    assert all(a < b for a, b in zip(got, got[1:]))
 
 
 # module invariant: the triple identity holds for every coprime pair with
@@ -118,6 +126,33 @@ def test_series_lattice_sums_are_range_stable():
     brute = (_double_eta_inverse(work)
              * BiSeries({k: c for k, c in theta.items() if c}, work)).truncate(K)
     assert Z_hv_direct(p, pq, h, v, K).terms == brute.terms
+
+
+def _package_imports(module: str) -> set:
+    """Modules of the package that `module` imports, relatively or by name."""
+    tree = ast.parse((Path(torusloop.__file__).parent / f"{module}.py")
+                     .read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = f"torusloop.{node.module or ''}".rstrip(".") if node.level \
+                else node.module or ""
+            dotted = [f"{base}.{a.name}" for a in node.names] if base == "torusloop" \
+                else [base]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in dotted if name.startswith("torusloop.")}
+    return found
+
+
+def test_routes_stay_independent():
+    """The lattice oracle borrows no transfer or series machinery, and the
+    transfer route reads nothing from the lattice enumerator."""
+    assert _package_imports("lattice") == {"model"}
+    assert "lattice" not in _package_imports("transfer")
+    assert "model" in _package_imports("transfer")  # relative imports are seen
 
 
 def test_no_assert_statements_in_package():

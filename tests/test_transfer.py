@@ -117,11 +117,10 @@ def test_u0_transfer_is_one_site_shift(kind, Nmax, p, pq):
 
 def test_join_rejects_word_outside_given_basis():
     # the shift row sends "()" to ")(", which the join is not told about
-    spec = ModelSpec("dense", 2, 3, 0.0)
     rows = transfer._row_diagrams(2, (8,))[(True, True)]
     arcs_of = {"()": transfer.arc_crossings("()")}
     with pytest.raises(ArithmeticError):
-        list(transfer._join("()", rows, face_weights(spec), arcs_of))
+        list(transfer._join("()", rows, (1.0,) * len(rows), arcs_of))
 
 
 # -- trace properties --------------------------------------------------------
