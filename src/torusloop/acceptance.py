@@ -228,8 +228,8 @@ def run_suite(golden_forms: dict, table_cells: dict, out=print) -> bool:
     ]
     all_ok = True
     for name, fn in steps:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, detail = fn()
         all_ok &= ok
-        out(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({time.time() - t0:.1f}s)")
+        out(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({time.perf_counter() - t0:.1f}s)")
     return all_ok

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .arith import chebyshev_T, gamma_dm_cospoly, gcd_conv, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
-from .characters import (_PAD, KacData, TauPoint, eta_numeric,
+from .characters import (KacData, TauPoint, eta_numeric,
                          modular_S_residual, t_sign_exact, theta_series,
                          u1_char)
 from .cyclo import CycloField, cospoly_to_cyclo
@@ -29,35 +29,61 @@ from .qseries import BiSeries, euler_inverse
 
 
 def _window(cutoff) -> tuple:
-    """(cutoff, work) of a series form: its theta sum is collected through work."""
+    """(cutoff, work) of a series form: its theta sum is collected through work.
+
+    work = cutoff + 1/24 is exactly the window `_dress` reads; a theta term
+    with an exponent above it only feeds exponents above cutoff.
+    """
     cutoff = Fraction(cutoff)
     if cutoff < Fraction(-1, 24):
         raise ValueError("cutoff must be >= -1/24")
-    return cutoff, cutoff + _PAD
+    return cutoff, cutoff + Fraction(1, 24)
+
+
+def _spread_swap(grid: dict, steps: list, lim: int, D: int) -> dict:
+    """Convolve the first exponent of each key with the steps (k D, p(k)).
+
+    Keys are integer exponent numerators (x, y) with x <= lim; zero terms
+    are dropped, only x + k D <= lim is kept, and every key comes back
+    swapped, so two passes spread both axes.
+    """
+    spread: dict = {}
+    for (x, y), c in grid.items():
+        if not c:
+            continue
+        for s, p in steps[:(lim - x) // D + 1]:
+            t = c if p == 1 else c * p
+            key = (y, x + s)
+            old = spread.get(key)
+            spread[key] = t if old is None else old + t
+    return spread
 
 
 def _dress(theta: dict, cutoff: Fraction) -> BiSeries:
     """(q qbar)^{-1/24} / ((q)_inf (qbar)_inf) times the theta sum {(a, b): c}.
 
     The exponents a, b are >= 0 and theta must hold every term with both of
-    them <= cutoff + 1/24; the result is exact through cutoff.  1/(q)_inf is
-    a partition-number convolution along one axis, applied to each in turn.
+    them <= top = cutoff + 1/24; the result is exact through cutoff.  Every
+    exponent is carried as an integer numerator over one common denominator
+    D = lcm(24, denominators of top and of every a, b), so 1/(q)_inf is a
+    convolution with the partition numbers p(k) in integer steps k D along
+    each axis in turn.  Keys become Fractions (A - D/24) / D only at the end.
     """
-    shift = Fraction(1, 24)
-    top = cutoff + shift
+    top = cutoff + Fraction(1, 24)
+    D = math.lcm(24, top.denominator, *(x.denominator for ab in theta for x in ab))
+    lim = top.numerator * (D // top.denominator)
     inv = euler_inverse(top)
-    partitions = [inv.coeff(k) for k in range(math.floor(top) + 1)]
-    for axis in (0, 1):
-        spread: dict = {}
-        for ab, c in theta.items():
-            if not c or ab[0] > top or ab[1] > top:
-                continue
-            for k in range(math.floor(top - ab[axis]) + 1):
-                key = (ab[0] + k, ab[1]) if axis == 0 else (ab[0], ab[1] + k)
-                spread[key] = spread.get(key, 0) + partitions[k] * c
-        theta = spread
-    return BiSeries({(a - shift, b - shift): c for (a, b), c in theta.items()},
-                    cutoff)
+    steps = [(k * D, inv.coeff(k).numerator) for k in range(math.floor(top) + 1)]
+    grid = {}
+    for (a, b), c in theta.items():
+        A = a.numerator * (D // a.denominator)
+        B = b.numerator * (D // b.denominator)
+        if A <= lim and B <= lim:
+            grid[(A, B)] = c
+    grid = _spread_swap(_spread_swap(grid, steps, lim, D), steps, lim, D)
+    shift = D // 24
+    exps = {x: Fraction(x - shift, D) for ab in grid for x in ab}
+    return BiSeries({(exps[A], exps[B]): c for (A, B), c in grid.items()}, cutoff)
 
 
 def _double_eta_inverse(cutoff: Fraction) -> BiSeries:

@@ -54,6 +54,7 @@ class CycloField:
             inst.m = m
             inst.phi = cyclotomic_poly(m)
             inst.degree = len(inst.phi) - 1
+            inst._cos = {}
             cls._instances[m] = inst
         return cls._instances[m]
 
@@ -78,12 +79,18 @@ class CycloField:
         return CycloNum(self, self._reduce(vec))
 
     def cos_pi_multiple(self, num: int, den: int) -> "CycloNum":
-        """cos(pi * num / den) as a field element; needs 2*den to divide m."""
+        """cos(pi * num / den) as a field element; needs 2*den to divide m.
+
+        Memoised per field on k = (num mod 2 den) m / (2 den), the angle in
+        units of 2 pi / m, so equal angles share one cached element.
+        """
         if self.m % (2 * den):
             raise ValueError(f"cos(pi*{num}/{den}) does not live in Q(zeta_{self.m})")
-        k = num * (self.m // (2 * den))
-        z = self.zeta_power(k) + self.zeta_power(-k)
-        return z * Fraction(1, 2)
+        k = (num % (2 * den)) * (self.m // (2 * den))
+        if k not in self._cos:
+            z = self.zeta_power(k) + self.zeta_power(-k)
+            self._cos[k] = z * Fraction(1, 2)
+        return self._cos[k]
 
     def _reduce(self, vec: list) -> tuple:
         """Reduce a coefficient vector modulo Phi_m."""

@@ -95,6 +95,8 @@ class QSeries:
 
     def matches(self, other: "QSeries") -> bool:
         """Exact equality of all terms up to the smaller guaranteed order."""
+        if self.valid == self.cutoff == other.valid == other.cutoff:
+            return self.terms == other.terms  # no stored term lies above the bound
         bound = min(self.valid, other.valid)
         a = {e: c for e, c in self.terms.items() if e <= bound}
         b = {e: c for e, c in other.terms.items() if e <= bound}
@@ -247,6 +249,9 @@ class BiSeries:
         return hash((frozenset(self.terms.items()), self.cutoff))
 
     def matches(self, other: "BiSeries") -> bool:
+        """Exact equality of all terms up to the smaller guaranteed order."""
+        if self.valid == self.cutoff == other.valid == other.cutoff:
+            return self.terms == other.terms  # no stored term lies above the bound
         bound = min(self.valid, other.valid)
         a = {e: c for e, c in self.terms.items() if e[0] <= bound and e[1] <= bound}
         b = {e: c for e, c in other.terms.items() if e[0] <= bound and e[1] <= bound}

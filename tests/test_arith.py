@@ -212,3 +212,14 @@ def test_cospoly_to_cyclo_degenerate_angles():
     # gamma = pi/3: cos k gamma cycles through 1/2, -1/2, -1 ...
     val = cospoly_to_cyclo({1: F(1), 2: F(1)}, 1, 3)
     assert val == 0
+
+
+@pytest.mark.parametrize("m, den", [(10, 5), (12, 3)])
+def test_cos_pi_multiple_cache_equals_fresh_reduction(m, den):
+    fld = CycloField(m)
+    step = m // (2 * den)
+    for num in range(-3 * den - 1, 5 * den + 2):
+        k = num * step  # the unreduced angle index
+        fresh = (fld.zeta_power(k) + fld.zeta_power(-k)) * F(1, 2)
+        assert fld.cos_pi_multiple(num, den) == fresh
+        assert fld.cos_pi_multiple(num, den) is fld.cos_pi_multiple(num + 2 * den, den)

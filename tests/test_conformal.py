@@ -118,10 +118,43 @@ def _cyclo_theta(work):
     return theta
 
 
-@pytest.mark.parametrize("make_theta", [_fraction_theta, _cyclo_theta])
+def _coprime_theta(work):
+    """Exponents over the coprime denominators 7, 11, ..., 47 (D near 5e17),
+    one zero coefficient among them."""
+    dens = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    theta = {}
+    for i, n in enumerate(dens):
+        a = F(i + 1, n) + i % 3
+        b = F(2 * i + 1, dens[-1 - i])
+        if a <= work and b <= work:
+            theta[(a, b)] = F(i - 5, 3)
+    return theta
+
+
+def _cancelling_theta(one, work):
+    """(1 - q)(1 - qbar) plus zero entries: the dressed coefficient
+    (p(a) - p(a-1)) (p(b) - p(b-1)) cancels wherever a or b is 1."""
+    return {(F(0), F(0)): one, (F(1), F(0)): -one, (F(0), F(1)): -one,
+            (F(1), F(1)): one, (F(1, 3), F(2, 3)): 0 * one,
+            (F(1, 2), F(0)): one - one, (work + 1, F(0)): one}
+
+
+def _cancelling_fraction_theta(work):
+    return _cancelling_theta(F(1), work)
+
+
+def _cancelling_cyclo_theta(work):
+    from torusloop.cyclo import CycloField
+    return _cancelling_theta(CycloField(10).rational(1), work)
+
+
+@pytest.mark.parametrize("make_theta", [_fraction_theta, _cyclo_theta, _coprime_theta,
+                                        _cancelling_fraction_theta,
+                                        _cancelling_cyclo_theta])
 @pytest.mark.parametrize("K", [F(4), F(7, 3)])
 def test_dress_matches_product_reference(make_theta, K):
-    """_dress equals the eta-inverse product on the padded window, truncated."""
+    """_dress equals the eta-inverse product on the padded window, truncated,
+    and keeps no zero coefficient."""
     from torusloop.characters import _PAD
     from torusloop.conformal import _double_eta_inverse, _dress
     from torusloop.qseries import BiSeries
@@ -131,6 +164,7 @@ def test_dress_matches_product_reference(make_theta, K):
     reference = (_double_eta_inverse(work) * BiSeries(shifted, work)).truncate(K)
     dressed = _dress(theta, K)
     assert reference.terms
+    assert all(dressed.terms.values())
     assert dressed.terms == reference.terms
     assert dressed.valid == reference.valid
     assert dressed.cutoff == reference.cutoff
@@ -145,6 +179,16 @@ SERIES_FORMS = [
     lambda K: full_Z_series(2, 3, F(1, 3), K),
     lambda K: on_series(F(2, 3), F(1, 3), K),
 ]
+
+
+@pytest.mark.parametrize("form", SERIES_FORMS)
+@pytest.mark.parametrize("K", [F(4), F(7, 3), F(0), F(-1, 48)])
+def test_series_window_holds_every_needed_term(form, K):
+    """A form at cutoff K equals the same form at K + 2 truncated to K."""
+    z = form(K)
+    wide = form(K + 2).truncate(K)
+    assert z.terms == wide.terms
+    assert z.valid == wide.valid
 
 
 @pytest.mark.parametrize("form", SERIES_FORMS)

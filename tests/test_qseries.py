@@ -176,6 +176,30 @@ def test_biseries_window_truncation():
     assert bi.terms == {(F(1), F(2)): F(3)}
 
 
+def _partly_valid(cls, key, K, tail):
+    """A series valid through 1 with terms at 1/2, K - 1 and `tail`."""
+    return cls({key(F(1, 2)): F(3), key(K - 1): F(5), key(tail): F(7)}, K, valid=1)
+
+
+@pytest.mark.parametrize("cls, key", [(QSeries, lambda e: e),
+                                      (BiSeries, lambda e: (e, F(1, 3)))])
+def test_matches_compares_through_smaller_valid(cls, key):
+    K = F(4)
+    a = _partly_valid(cls, key, K, F(2))
+    assert a.valid == 1 < a.cutoff
+    # differ only above valid: still a match
+    assert a.matches(_partly_valid(cls, key, K, F(5, 2)))
+    assert a.matches(cls({key(F(1, 2)): F(3)}, K))
+    # differ at or below valid: no match
+    assert not a.matches(_partly_valid(cls, key, K, F(1)))
+    assert not a.matches(cls({key(F(1, 2)): F(2), key(K - 1): F(5)}, K, valid=1))
+    # fully valid with equal terms: a match, and unequal terms anywhere: none
+    full = cls(a.terms, K)
+    assert full.valid == full.cutoff
+    assert full.matches(cls(dict(a.terms), K))
+    assert not full.matches(cls({**a.terms, key(K): F(1)}, K))
+
+
 def test_json_serialization_sorted_exact():
     bi = BiSeries({(F(1, 2), F(0)): F(-3, 7), (F(0), F(1)): F(2)}, F(2))
     obj = bi.to_json_obj()
