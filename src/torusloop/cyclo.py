@@ -151,8 +151,8 @@ class CycloNum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return CycloNum(self.field, tuple(a * f for a in self.coeffs))
+            # every coefficient is a Fraction, so a * other stays one
+            return CycloNum(self.field, tuple(a * other if a else a for a in self.coeffs))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -2,20 +2,30 @@
 
 A configuration is a stack of M periodic rows of N tiles, each tile agreeing
 with its left neighbour on their shared vertical edge (the wrap-around pair
-included).  The rows are built once per call and grouped by bottom
+included).  Rows come in lexicographic order, so the tile assignments do too.
+
+Each row is reduced once to a strand table.  Its ends are numbered c for the
+bottom edge of column c and N + c for the top edge.  A strand entering the
+row at one end leaves it at another, and the table records where it enters
+the neighbouring row and how often it crossed the column seam (between
+columns N-1 and 0) on the way.  The table also holds the row's closed loops
+(only a row whose every tile links L to R has one, of class (1, 0)), its tile
+counts and column-1 L bit packed into one integer that adds over rows, and
+its bottom occupancy.
+
+For M >= 2 the tables are built once per call and grouped by bottom
 occupancy; a row sits on another when its bottom occupancy equals the
 other's top occupancy, and the last row must close the torus against the
 first row's bottom occupancy.  A one-row torus takes its rows straight from
-the tiles whose top and bottom edges agree.  Rows come in lexicographic
-order, so the tile assignments do too.
+the tiles whose top and bottom edges agree and makes each row's table as the
+row is yielded, keeping none, so that tori like 1 x 12 stay lazy.
 
-Loops are traced face by face over the 2MN lattice edges, numbered as
-integers: the horizontal edge below face (r, c) is r*N + c and the vertical
-edge left of it is MN + r*N + c.  A loop's homology winding (i, j) counts its
-net rightward crossings of the column seam (between columns N-1 and 0) and
-upward crossings of the row seam (between rows M-1 and 0), signed along the
-loop and then oriented so that j > 0, or j = 0 and i > 0.  Loops are counted
-into a census; partition functions follow by weighting the census.
+Loops are traced from row to row across the MN horizontal edges only, adding
+each row's column-seam crossings and counting the row seam (between rows M-1
+and 0) as the walk wraps.  A loop's homology winding (i, j) is its net count
+of rightward column-seam and upward row-seam crossings, oriented so that
+j > 0, or j = 0 and i > 0.  Loops are counted into a census; partition
+functions follow by weighting the census.
 
 Boundary sectors: a configuration lies in sector (h, v) = (H mod 2, V mod 2)
 where H and V count loop-segment crossings of the dual cut lines between
@@ -30,12 +40,29 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping
+from itertools import compress
+from typing import Iterator, Mapping, NamedTuple
 
 from .model import (B, DENSE_TILES, DILUTE_TILES, L, R, T, TILE_EDGES, TILE_PARTNER,
                     ModelSpec, face_weights)
 
 SIZE_GUARD = {"dense": 36, "dilute": 20}
+# Row tables held by an M >= 2 torus before its first configuration.  A table
+# costs 10-25 us and 0.5-0.7 kB (dilute N = 7, 8; dense N = 14), so 200,000
+# rows take a few seconds and about 100-140 MB.  Dilute N = 8 (187,457 rows)
+# passes; dilute N = 9 (855,095) and dense N = 18 (262,144) do not.
+ROW_GUARD = 200_000
+
+# bits per count in a row's packed tile code; no count exceeds M N <= 36
+_FIELD = max(SIZE_GUARD.values()).bit_length()
+_MASK = (1 << _FIELD) - 1
+_V_SHIFT = 9 * _FIELD   # the column-1 L bit sits above the nine tile counts
+_PARITY = (1 << _V_SHIFT + 1) - 1   # keeps the tile counts and V mod 2
+_CODE = {t: 1 << _FIELD * (t - 1) for t in TILE_EDGES}
+# per tile: the edges linked to its L and R edges (None if unoccupied), and
+# whether it links B to T
+_SWEEP = {t: (part.get(L), part.get(R), part.get(B) == T) for t, part in TILE_PARTNER.items()}
+_BOTTOM = frozenset(t for t, edges in TILE_EDGES.items() if B in edges)
 
 
 class SizeGuardError(ValueError):
@@ -76,6 +103,17 @@ class LoopCensus:
         return ((j * n) % 2, (i * n) % 2)
 
 
+class _RowTable(NamedTuple):
+    """The strands of one periodic row, with ends numbered as in the module doc."""
+
+    tiles: tuple
+    link: bytes     # per end: the end entered in the neighbouring row, 255 if unoccupied
+    cross: tuple    # per end: the strand's signed column-seam crossings, shared
+    starts: tuple   # occupied bottom ends
+    loops: int      # closed loops inside the row, each of class (1, 0)
+    code: int       # tile counts and column-1 L bit, packed in _FIELD-bit fields
+
+
 def _rows(tiles: tuple, N: int, row: tuple = ()) -> Iterator[tuple]:
     """Periodic rows of N `tiles` that extend `row`, in lexicographic order.
 
@@ -91,102 +129,171 @@ def _rows(tiles: tuple, N: int, row: tuple = ()) -> Iterator[tuple]:
             yield from _rows(tiles, N, row + (t,))
 
 
-def _occupancy(row: tuple, edge: int) -> tuple:
-    return tuple(edge in TILE_EDGES[t] for t in row)
+def _row_table(row: tuple) -> _RowTable:
+    """Sweep `row` left to right, pairing the ends of each strand.
+
+    The strand on the vertical edge left of the current face started at end
+    `origin`, or came through the column seam while `origin` is -1.
+    """
+    N = len(row)
+    strands = []      # (a, b): the two ends of each strand
+    origin = seam_end = -1
+    for c, t in enumerate(row):
+        left, right, vertical = _SWEEP[t]
+        if left == B or left == T:   # the strand from the left leaves here
+            end = c if left == B else N + c
+            if origin < 0:
+                seam_end = end
+            else:
+                strands.append((origin, end))
+        if right == B or right == T:  # a strand starts here, heading right
+            origin = c if right == B else N + c
+        if vertical:
+            strands.append((c, N + c))
+    loops, seam = 0, (-1, -1)              # the strand across the column seam
+    if _SWEEP[row[-1]][1] is not None:
+        if seam_end < 0:
+            loops = 1                        # every tile links L to R
+        else:
+            seam = (origin, seam_end)
+            strands.append(seam)
+    link = bytearray(b"\xff") * (2 * N)
+    for a, b in strands:
+        # a strand leaving through bottom end c enters the row below at top
+        # end N + c, and one leaving through top end N + c the row above at c
+        link[a] = b + N if b < N else b - N
+        link[b] = a + N if a < N else a - N
+    return _RowTable(row, bytes(link), _cross(N, *seam),
+                     tuple(compress(range(N), map(_BOTTOM.__contains__, row))), loops,
+                     sum(map(_CODE.__getitem__, row))
+                     + ((L in TILE_EDGES[row[1 % N]]) << _V_SHIFT))
+
+
+@lru_cache(maxsize=None)
+def _cross(N: int, a: int, b: int) -> tuple:
+    """Column-seam crossings per end when the strand from end a to end b
+    crosses the seam rightward (a = b = -1: no strand does); shared by rows."""
+    cross = [0] * (2 * N)
+    if a >= 0:
+        cross[a], cross[b] = 1, -1
+    return tuple(cross)
+
+
+def _occupancy(row: tuple, edge: int) -> int:
+    return sum(1 << c for c, t in enumerate(row) if edge in TILE_EDGES[t])
 
 
 def _enumerate_grids(kind: str, M: int, N: int) -> Iterator[tuple]:
-    """Every no-free-end tile assignment, in lexicographic order."""
+    """Every no-free-end configuration as a stack of M row tables, bottom to
+    top, in lexicographic order of the tile assignments."""
     tiles = DENSE_TILES if kind == "dense" else DILUTE_TILES
     if M == 1:
         # each tile's top edge is its own bottom edge; filtering the tiles
         # avoids building every periodic row when few of them close
-        yield from _rows(tuple(t for t in tiles
-                               if (B in TILE_EDGES[t]) == (T in TILE_EDGES[t])), N)
+        for row in _rows(tuple(t for t in tiles
+                               if (B in TILE_EDGES[t]) == (T in TILE_EDGES[t])), N):
+            yield (_row_table(row),)
         return
-    rows = list(_rows(tiles, N))
-    above: dict = {}  # bottom occupancy -> [(row, top occupancy)]
-    for row in rows:
-        above.setdefault(_occupancy(row, B), []).append((row, _occupancy(row, T)))
+    rows = [(_row_table(row), _occupancy(row, B), _occupancy(row, T))
+            for row in _rows(tiles, N)]
+    above: dict = {}  # bottom occupancy -> [(table, top occupancy)]
+    for table, bottom, top in rows:
+        above.setdefault(bottom, []).append((table, top))
 
-    def stack(grid: tuple, top: tuple, closing: tuple, m: int) -> Iterator[tuple]:
-        """Grids that extend the m stacked rows of `grid` to M rows."""
-        for row, row_top in above.get(top, ()):
+    def stack(grid: tuple, top: int, closing: int, m: int) -> Iterator[tuple]:
+        """Stacks that extend the m rows of `grid` to M rows."""
+        for table, row_top in above.get(top, ()):
             if m + 1 < M:
-                yield from stack(grid + row, row_top, closing, m + 1)
+                yield from stack(grid + (table,), row_top, closing, m + 1)
             elif row_top == closing:
-                yield grid + row
+                yield grid + (table,)
 
-    for row in rows:
-        yield from stack(row, _occupancy(row, T), _occupancy(row, B), 1)
+    for table, bottom, top in rows:
+        yield from stack((table,), top, bottom, 1)
 
 
-@lru_cache(maxsize=64)
-def _moves(M: int, N: int) -> tuple:
-    """Strand steps on the M x N torus, indexed by 4 f + e.
+def _trace(N: int, grid: tuple) -> tuple:
+    """Packed census key (n_beta, windings, code, H mod 2) of the configuration
+    whose row tables are `grid`, bottom to top; `code` packs the tile counts
+    and V mod 2 as _unpack reads them.
 
-    A strand leaving face f through its edge e enters the returned face
-    through the returned entry edge, crossing the returned lattice edge and
-    di column-seam and dj row-seam crossings (each 0 or +-1).
+    Each loop is walked across the horizontal edges it crosses: a strand
+    entering row r at an end leaves it at the end its table names, adding
+    the row's column-seam crossings, and crosses the row seam when it steps
+    from row M-1 up to row 0 or from row 0 down to row M-1.
     """
-    MN = M * N
-    out = []
-    for f in range(MN):
-        r, c = divmod(f, N)
-        up, down = (r + 1) % M * N + c, (r - 1) % M * N + c
-        right, left = r * N + (c + 1) % N, r * N + (c - 1) % N
-        step = {B: (down, T, f, 0, -(r == 0)),
-                T: (up, B, up, 0, int(r == M - 1)),
-                L: (left, R, MN + f, -(c == 0), 0),
-                R: (right, L, MN + right, int(c == N - 1), 0)}
-        out.extend(step[e] for e in sorted(step))
-    return tuple(out)
+    M = len(grid)
+    seen = bytearray(M * N)  # horizontal edge below face (r, c) at r*N + c
+    n_beta = n_wind = code = 0
+    cls = None
+    for r0, table in enumerate(grid):
+        code += table.code
+        if table.loops:
+            if n_wind and cls != (1, 0):
+                raise ArithmeticError(f"mixed winding classes {{{cls}, (1, 0)}}")
+            cls, n_wind = (1, 0), n_wind + table.loops
+        for c0 in table.starts:
+            if seen[r0 * N + c0]:
+                continue
+            r, e, i, j = r0, c0, 0, 0  # enter row r0 upward at bottom end c0
+            while True:
+                here = grid[r]
+                i += here.cross[e]
+                e = here.link[e]
+                if e < N:      # up into row r + 1 at its bottom end e
+                    r += 1
+                    if r == M:
+                        r, j = 0, j + 1
+                    if e == c0 and r == r0:
+                        break
+                    seen[r * N + e] = 1
+                else:          # down into row r - 1 at its top end e
+                    seen[r * N + e - N] = 1
+                    if r == 0:
+                        r, j = M, j - 1
+                    r -= 1
+            if not (i or j):
+                n_beta += 1
+                continue
+            if j < 0 or (j == 0 and i < 0):
+                i, j = -i, -j
+            if math.gcd(i, j) != 1:
+                raise ArithmeticError(f"non-primitive winding class {(i, j)}")
+            if n_wind and (i, j) != cls:
+                raise ArithmeticError(f"mixed winding classes {{{cls}, {(i, j)}}}")
+            cls = (i, j)
+            n_wind += 1
+    return (n_beta, ((cls, n_wind),) if n_wind else (), code & _PARITY,
+            len(grid[1 % M].starts) % 2)
 
 
-def _trace_census(M: int, N: int, tiles: tuple) -> LoopCensus:
-    """Trace every loop of a configuration and collect its census."""
-    MN = M * N
-    moves = _moves(M, N)
-    seen = bytearray(2 * MN)
-    n_beta = 0
-    windings: Counter = Counter()
-    for start in range(2 * MN):
-        f, entry = (start, B) if start < MN else (start - MN, L)
-        if seen[start] or entry not in TILE_EDGES[tiles[f]]:
-            continue
-        i = j = 0
-        edge = -1
-        while edge != start:
-            f, entry, edge, di, dj = moves[4 * f + TILE_PARTNER[tiles[f]][entry]]
-            i += di
-            j += dj
-            seen[edge] = 1
-        if not (i or j):
-            n_beta += 1
-            continue
-        if j < 0 or (j == 0 and i < 0):
-            i, j = -i, -j
-        if math.gcd(i, j) != 1:
-            raise ArithmeticError(f"non-primitive winding class {(i, j)}")
-        windings[(i, j)] += 1
-
-    if len(windings) > 1:
-        raise ArithmeticError(f"mixed winding classes {set(windings)}")
-    cut = (1 % M) * N
-    return LoopCensus(
-        n_beta=n_beta,
-        windings=tuple(sorted(windings.items())),
-        tile_counts=tuple(tiles.count(t) for t in range(1, 10)),
-        H=sum(B in TILE_EDGES[t] for t in tiles[cut:cut + N]),
-        V=sum(L in TILE_EDGES[t] for t in tiles[1 % N::N]),
-    )
+def _unpack(code: int) -> tuple:
+    """Tile counts 1..9 and V from a sum of row codes (V mod 2 once the sum
+    is masked with _PARITY)."""
+    return (tuple(code >> _FIELD * k & _MASK for k in range(9)),
+            code >> _V_SHIFT & _MASK)
 
 
 def enumerate_configs(spec: ModelSpec, M: int, N: int) -> Iterator[tuple]:
     """Yield (TileGrid, LoopCensus) for every valid configuration."""
     _check_size(spec.kind, M, N)
-    for tiles in _enumerate_grids(spec.kind, M, N):
-        yield TileGrid(M, N, tiles), _trace_census(M, N, tiles)
+    for grid in _enumerate_grids(spec.kind, M, N):
+        n_beta, windings, _, _ = _trace(N, grid)
+        counts, V = _unpack(sum(table.code for table in grid))
+        yield (TileGrid(M, N, sum((table.tiles for table in grid), ())),
+               LoopCensus(n_beta, windings, counts, len(grid[1 % M].starts), V))
+
+
+def _row_count(kind: str, N: int) -> int:
+    """Number of periodic rows of N tiles: trace(A^N), where A[a][b] counts
+    the tiles whose L and R edges are occupied as a and b."""
+    tiles = DENSE_TILES if kind == "dense" else DILUTE_TILES
+    A = [[sum((L in TILE_EDGES[t], R in TILE_EDGES[t]) == (a, b) for t in tiles)
+          for b in (False, True)] for a in (False, True)]
+    P = [[1, 0], [0, 1]]
+    for _ in range(N):
+        P = [[P[a][0] * A[0][b] + P[a][1] * A[1][b] for b in (0, 1)] for a in (0, 1)]
+    return P[0][0] + P[1][1]
 
 
 def _check_size(kind: str, M: int, N: int):
@@ -196,6 +303,10 @@ def _check_size(kind: str, M: int, N: int):
         raise SizeGuardError(
             f"{kind} lattice {M}x{N} exceeds the enumeration guard "
             f"({SIZE_GUARD[kind]} faces)")
+    if M >= 2 and (rows := _row_count(kind, N)) > ROW_GUARD:
+        raise SizeGuardError(
+            f"{kind} lattice {M}x{N} needs {rows:,} periodic row tables, "
+            f"more than the enumeration guard ({ROW_GUARD:,})")
 
 
 def _census_key(census: LoopCensus) -> tuple:
@@ -207,9 +318,12 @@ def _census_key(census: LoopCensus) -> tuple:
 def census_counter(kind: str, M: int, N: int) -> tuple:
     """Collapsed census multiset of all configurations, cached per geometry."""
     _check_size(kind, M, N)
-    counts = Counter(_census_key(_trace_census(M, N, tiles))
-                     for tiles in _enumerate_grids(kind, M, N))
-    return tuple(sorted(counts.items()))
+    traced = Counter(_trace(N, grid) for grid in _enumerate_grids(kind, M, N))
+    census = []
+    for (n_beta, windings, code, h), mult in traced.items():
+        tile_counts, v = _unpack(code)
+        census.append(((n_beta, windings, tile_counts, h, v), mult))
+    return tuple(sorted(census))
 
 
 def lattice_Z(spec: ModelSpec, M: int, N: int, sector: tuple | None = None,

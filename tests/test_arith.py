@@ -223,3 +223,14 @@ def test_cos_pi_multiple_cache_equals_fresh_reduction(m, den):
         fresh = (fld.zeta_power(k) + fld.zeta_power(-k)) * F(1, 2)
         assert fld.cos_pi_multiple(num, den) == fresh
         assert fld.cos_pi_multiple(num, den) is fld.cos_pi_multiple(num + 2 * den, den)
+
+
+@pytest.mark.parametrize("scalar", [3, 0, -1, F(-2, 7), F(5, 3)])
+def test_cyclo_scalar_product_matches_field_product(scalar):
+    """Scaling by an int or Fraction equals the product with the field's
+    rational element, zero coefficients included, and keeps Fractions."""
+    fld = CycloField(12)
+    x = fld.element([F(1, 2), 0, F(-3), 0])
+    for got in (x * scalar, scalar * x):
+        assert got == x * fld.rational(scalar)
+        assert all(type(c) is F for c in got.coeffs)

@@ -1,16 +1,22 @@
 """Lattice enumeration: censuses, sectors, and partition functions."""
 
 import math
+from collections import Counter
 
 import pytest
 
 from reference_enum import slow_partition_functions
 from torusloop.lattice import (
     SizeGuardError,
+    _census_key,
+    _check_size,
+    _row_count,
+    _rows,
+    census_counter,
     enumerate_configs,
     lattice_Z,
 )
-from torusloop.model import ModelSpec, face_weights
+from torusloop.model import DILUTE_TILES, ModelSpec, face_weights
 
 
 def spec_dense(p=2, pq=3, u=0.37, alpha=1.0):
@@ -162,15 +168,28 @@ def test_dilute_2x2_fixture_against_slow_reference():
     assert math.isclose(sum(slow.values()), 79.01234567901244, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("kind, M, N, u, alpha", [
-    ("dense", 2, 4, 0.37, 0.6),
-    ("dilute", 2, 2, 0.37, 1.0),
-    ("dilute", 1, 2, 0.61, 2.0),
-    ("dense", 3, 2, 0.37, 1.3),
-    ("dilute", 3, 1, 0.53, 0.8),
-])
-def test_fast_matches_slow_reference(kind, M, N, u, alpha):
-    spec = ModelSpec(kind, 2, 3, u, alpha=alpha)
+REFERENCE_CASES = [  # kind, M, N, u, alpha, (p, p')
+    ("dense", 2, 4, 0.37, 0.6, (2, 3)),
+    ("dilute", 2, 2, 0.37, 1.0, (2, 3)),
+    ("dilute", 1, 2, 0.61, 2.0, (2, 3)),
+    ("dense", 3, 2, 0.37, 1.3, (2, 3)),
+    ("dilute", 3, 1, 0.53, 0.8, (2, 3)),
+    # beta = sqrt(2) at (3, 4), so a miscounted n_beta shows
+    ("dense", 2, 4, 0.29, 0.7, (3, 4)),
+    ("dense", 3, 2, 0.41, 1.6, (3, 4)),
+    ("dilute", 1, 2, 0.33, 0.45, (3, 4)),
+    ("dilute", 2, 2, 0.52, 1.3, (3, 4)),
+    ("dilute", 2, 3, 0.21, 0.8, (3, 4)),
+    ("dilute", 3, 1, 0.47, 1.9, (3, 4)),
+]
+
+
+@pytest.mark.parametrize("kind, M, N, u, alpha, pq", [
+    pytest.param(*case, id="-".join(map(str, case[:5]))
+                 + ("" if case[5] == (2, 3) else "-pq{}{}".format(*case[5])))
+    for case in REFERENCE_CASES])
+def test_fast_matches_slow_reference(kind, M, N, u, alpha, pq):
+    spec = ModelSpec(kind, *pq, u, alpha=alpha)
     slow = slow_partition_functions(kind, M, N, spec.beta, alpha, face_weights(spec))
     for hv, val in slow.items():
         if kind == "dense" and hv != (N % 2, M % 2):
@@ -201,3 +220,29 @@ def test_size_guard():
         list(enumerate_configs(spec_dilute(), 3, 7))
     with pytest.raises(SizeGuardError):
         list(enumerate_configs(spec_dense(), 6, 7))
+    # within the face guard, but 3,900,561 periodic rows to tabulate
+    with pytest.raises(SizeGuardError, match="3,900,561"):
+        census_counter("dilute", 2, 10)
+    with pytest.raises(SizeGuardError, match="3,900,561"):
+        next(enumerate_configs(spec_dilute(), 2, 10))
+    _check_size("dilute", 2, 8)     # 187,457 rows: still enumerable
+    _check_size("dilute", 1, 20)    # a one-row torus keeps no rows
+
+
+def test_row_count_is_trace_of_tile_matrix_power():
+    assert [_row_count("dilute", n) for n in range(1, 9)] == [
+        sum(1 for _ in _rows(DILUTE_TILES, n)) for n in range(1, 9)]
+    assert [_row_count("dense", n) for n in range(1, 9)] == [2 ** n for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("kind, M, N", [
+    ("dense", 3, 3), ("dilute", 2, 3), ("dilute", 1, 4), ("dilute", 4, 1),
+    ("dilute", 2, 2),
+])
+def test_census_counter_collapses_enumerate_configs(kind, M, N):
+    """Both views come from one tracer; dilute 2x2 has in-row horizontal loops."""
+    spec = spec_dense() if kind == "dense" else spec_dilute()
+    census = [c for _, c in enumerate_configs(spec, M, N)]
+    assert Counter(_census_key(c) for c in census) == dict(census_counter(kind, M, N))
+    if (kind, M, N) == ("dilute", 2, 2):
+        assert any(c.windings == (((1, 0), 2),) for c in census)
