@@ -27,6 +27,15 @@ annihilates the state), the remaining top ends pair into the new arcs, and
 what is left closes into loops.  The new word is checked once, against the
 arcs of the basis word it names.
 
+The row is homogeneous, so T commutes with rotating the row by one site,
+rot(w) = w[-1] + w[:-1], up to the twist: with D_r(w) the number of defects
+in w[N-r:], the ones that rot^r carries across the seam, the omega^k
+coefficient of T[i, j] is the omega^(k + D_r(i) - D_r(j)) coefficient of
+T[rot^r i, rot^r j].  ``build_transfer`` therefore joins only the first
+basis word of each rotation orbit and fills the orbit's other columns by
+rotating its rows and shifting its powers of omega; a column that its
+orbit's period does not map onto itself raises.
+
 Weights are Laurent polynomials in omega with float coefficients.  Traces of
 transfer-matrix powers decompose as sum_j omega^{-j} C_{d,j} (the twisted
 sectors of Di Francesco, Saleur and Zuber, J. Stat. Phys. 49 (1987) 57); the
@@ -34,18 +43,20 @@ Markov trace reassembles the torus partition functions from the C_{d,j} with
 Chebyshev fugacity factors, the defining cross-check being equality with the
 lattice enumeration.
 
-Two paths compute the C_{d,j}.  ``C_coefficients``, which ``markov_Z`` and
-the CLI read, multiplies numpy slices of the operator's omega-coefficient
-tensor and is cached per (spec, N, M, d).  ``trace_TM`` multiplies the
-Laurent matrices entry by entry with one ``math.fsum`` per power; it is the
-correctly rounded reference that the tests hold the fast path to.
+The build writes the omega-coefficient tensor of each operator directly;
+it is the operator's primary data, and the matrix of ``OmegaLaurent``
+entries is a view derived from it on first use.  Two paths compute the
+C_{d,j}.  ``C_coefficients``, which ``markov_Z`` and the CLI read,
+multiplies numpy slices of the tensor and is cached per (spec, N, M, d).
+``trace_TM`` multiplies the Laurent matrices entry by entry with one
+``math.fsum`` per power; it is the correctly rounded reference that the
+tests hold the fast path to.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -56,7 +67,7 @@ from .arith import chebyshev_T, gcd_conv
 from .model import (B, L, R, T, TILE_EDGES, TILE_LINKS, TILE_PARTNER,
                     ModelSpec, face_weights)
 
-TRANSFER_SITE_GUARD = {"dense": 10, "dilute": 8}
+TRANSFER_SITE_GUARD = {"dense": 12, "dilute": 8}
 
 _SORT_ORDER = {"|": 0, "(": 1, ")": 2, ".": 3}
 
@@ -76,10 +87,6 @@ class OmegaLaurent:
     @classmethod
     def constant(cls, c: float) -> "OmegaLaurent":
         return cls({0: float(c)})
-
-    @classmethod
-    def monomial(cls, k: int, c: float = 1.0) -> "OmegaLaurent":
-        return cls({k: float(c)})
 
     def coeff(self, k: int) -> float:
         return self.coeffs.get(k, 0.0)
@@ -268,6 +275,8 @@ def _join(word: str, rows: tuple, weights: tuple, arcs_of: Mapping) -> Iterator[
     arcs = arcs_of[word]
     defects = [s for s, ch in enumerate(word) if ch == "|"]
     starts = defects + list(range(N, 2 * N)) + list(arcs)
+    # per row end: (partner, signed crossing) of the arc of `word` there
+    arc_at = [arcs.get(e) for e in range(N)] + [None] * N
     for (_, ends, crosses, loops), weight in zip(rows, weights, strict=True):
         seen = [False] * (2 * N)
         letters = ["."] * N
@@ -283,9 +292,10 @@ def _join(word: str, rows: tuple, weights: tuple, arcs_of: Mapping) -> Iterator[
                 f = ends[e]
                 cross += crosses[e]
                 seen[e] = seen[f] = True
-                if f >= N or f not in arcs:
+                arc = arc_at[f]
+                if arc is None:
                     break
-                e, dc = arcs[f]
+                e, dc = arc
                 cross += dc
                 if e == start:
                     break
@@ -295,7 +305,7 @@ def _join(word: str, rows: tuple, weights: tuple, arcs_of: Mapping) -> Iterator[
                 opener, closer = (b, a) if winds else (a, b)
                 letters[opener], letters[closer] = "(", ")"
                 top_arcs[opener], top_arcs[closer] = (closer, winds), (opener, -winds)
-            elif start in arcs:
+            elif arc_at[start]:
                 n_alpha += cross % 2
                 n_beta += 1 - cross % 2
             elif f < N:
@@ -314,39 +324,58 @@ def _join(word: str, rows: tuple, weights: tuple, arcs_of: Mapping) -> Iterator[
             yield weight, omega_power, n_alpha, n_beta, new_word
 
 
-@dataclass
 class TransferOperator:
     """One-row transfer matrix on the standard module with d defects.
 
-    ``tensor[k - kmin, i, j]`` is the omega^k coefficient of ``matrix[i][j]``,
-    stored once (read-only) for every k in [kmin, kmax].
+    ``tensor[k - kmin, i, j]`` is the omega^k coefficient of the weight of
+    basis[j] -> basis[i], stored once (read-only) for every k in
+    [kmin, kmax].  ``matrix`` is a view derived from it on first use.
     """
 
-    spec: ModelSpec
-    N: int
-    d: int
-    basis: tuple
-    matrix: list  # matrix[i][j]: OmegaLaurent weight of basis[j] -> basis[i]
-    kmin: int = field(init=False)
-    tensor: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, spec: ModelSpec, N: int, d: int, basis: tuple, matrix: list):
+        """Operator from Laurent entries: ``matrix[i][j]`` is the
+        OmegaLaurent weight of basis[j] -> basis[i], or None."""
+        dim = len(basis)
+        entries = [(k, i, j, c) for i, row in enumerate(matrix)
+                   for j, e in enumerate(row) if e is not None
+                   for k, c in e.coeffs.items()]
+        kmin = min((k for k, *_ in entries), default=0)
+        kmax = max((k for k, *_ in entries), default=0)
+        tensor = np.zeros((kmax - kmin + 1, dim, dim))
+        for k, i, j, c in entries:
+            tensor[k - kmin, i, j] = c
+        self._set(spec, N, d, basis, kmin, tensor)
 
-    def __post_init__(self):
-        powers = [k for row in self.matrix for e in row if e is not None
-                  for k in e.coeffs]
-        self.kmin = min(powers, default=0)
-        kmax = max(powers, default=0)
-        tensor = np.zeros((kmax - self.kmin + 1, self.dim, self.dim))
-        for i, row in enumerate(self.matrix):
-            for j, entry in enumerate(row):
-                if entry is not None:
-                    for k, c in entry.coeffs.items():
-                        tensor[k - self.kmin, i, j] = c
+    @classmethod
+    def from_tensor(cls, spec: ModelSpec, N: int, d: int, basis: tuple, kmin: int,
+                    tensor: np.ndarray) -> "TransferOperator":
+        """Operator whose omega^k coefficients are ``tensor[k - kmin]``."""
+        op = cls.__new__(cls)
+        op._set(spec, N, d, basis, kmin, tensor)
+        return op
+
+    def _set(self, spec, N, d, basis, kmin, tensor):
         tensor.setflags(write=False)
-        self.tensor = tensor
+        self.spec, self.N, self.d, self.basis = spec, N, d, basis
+        self.kmin, self.tensor = kmin, tensor
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def matrix(self) -> list:
+        """``matrix[i][j]``: OmegaLaurent weight of basis[j] -> basis[i], None
+        where every coefficient is zero."""
+        nonzero = np.nonzero(self.tensor)
+        coeffs: dict = {}
+        for n, i, j, c in zip(*(a.tolist() for a in nonzero), self.tensor[nonzero].tolist(),
+                              strict=True):
+            coeffs.setdefault((i, j), {})[self.kmin + n] = c
+        out: list = [[None] * self.dim for _ in range(self.dim)]
+        for (i, j), c in coeffs.items():
+            out[i][j] = OmegaLaurent(c)
+        return out
 
     def to_numeric(self, omega: complex) -> np.ndarray:
         powers = np.arange(self.kmin, self.kmin + len(self.tensor))
@@ -355,35 +384,69 @@ class TransferOperator:
 
 @lru_cache(maxsize=256)
 def build_transfer(spec: ModelSpec, N: int, d: int) -> TransferOperator:
-    """Assemble the transfer operator of `spec` on the (N, d) standard module."""
+    """Assemble the transfer operator of `spec` on the (N, d) standard module.
+
+    Only the first word of each rotation orbit is joined; the other columns
+    of the orbit are its rotations (see the module docstring).
+    """
     if spec.kind == "dense" and (N - d) % 2:
         raise ValueError("dense model needs d = N mod 2")
     if N > TRANSFER_SITE_GUARD[spec.kind]:
         raise TransferSizeError(
             f"{spec.kind} transfer matrix limited to N <= {TRANSFER_SITE_GUARD[spec.kind]}")
     basis = link_states(spec.kind, N, d)
+    dim = len(basis)
     index = {w: i for i, w in enumerate(basis)}
     arcs_of = {w: arc_crossings(w) for w in basis}
     rho = face_weights(spec)
     diagrams = _row_diagrams(N, tuple(t for t in spec.tiles if rho[t - 1] != 0.0))
-    dim = len(basis)
+    # one rotation w -> w[-1] + w[:-1] as an index map, and the defect it
+    # carries across the seam
+    rot = np.array([index[w[-1] + w[:-1]] for w in basis], dtype=np.intp)
+    seam = np.array([w[-1] == "|" for w in basis], dtype=np.int64)
     weights: dict = {}  # bottom occupancy -> weight of each row of the group
-    matrix: list = [[None] * dim for _ in range(dim)]
+    done = bytearray(dim)
+    parts: list = []  # (k, i, j, coefficient) arrays, one per filled column
     for j, word in enumerate(basis):
+        if done[j]:
+            continue
         occupancy = tuple(ch != "." for ch in word)
         rows = diagrams.get(occupancy, ())
         if occupancy not in weights:
             weights[occupancy] = tuple(math.prod(rho[t - 1] for t in tiles)
                                        for tiles, *_ in rows)
+        column: dict = {}  # (k, i) -> omega^k coefficient of entry (i, j)
         for row_weight, k, n_alpha, n_beta, new_word in _join(word, rows, weights[occupancy],
                                                               arcs_of):
-            weight = OmegaLaurent.monomial(k, row_weight * spec.beta**n_beta)
-            for _ in range(n_alpha):
-                weight = weight * OmegaLaurent({1: 1.0, -1: 1.0})
             i = index[new_word]
-            cur = matrix[i][j]
-            matrix[i][j] = weight if cur is None else cur + weight
-    return TransferOperator(spec, N, d, basis, matrix)
+            c = row_weight * spec.beta ** n_beta
+            # (omega + 1/omega)^n_alpha
+            for m in range(n_alpha + 1):
+                key = (k + n_alpha - 2 * m, i)
+                column[key] = column.get(key, 0.0) + c * math.comb(n_alpha, m)
+        powers = np.array([k for k, _ in column], dtype=np.int64)
+        targets = np.array([i for _, i in column], dtype=np.intp)
+        coeffs = np.array(list(column.values()))
+        jr = j
+        while True:
+            parts.append((powers, targets, np.full(len(coeffs), jr), coeffs))
+            done[jr] = 1
+            powers = powers + seam[targets] - seam[jr]
+            targets, jr = rot[targets], rot[jr]
+            if jr == j:
+                break
+        # rot^P fixes `word` (P its orbit's length), so it must map this
+        # column onto itself
+        if set(zip(powers.tolist(), targets.tolist())) != set(column):
+            raise ArithmeticError(f"column of {word} is not invariant under its "
+                                  f"rotation period")
+    k, i, j, c = (np.concatenate(a) for a in zip(*parts, strict=True))
+    keep = c != 0.0
+    k, i, j, c = k[keep], i[keep], j[keep], c[keep]
+    kmin, kmax = (int(k.min()), int(k.max())) if len(k) else (0, 0)
+    tensor = np.zeros((kmax - kmin + 1, dim, dim))
+    tensor[k - kmin, i, j] = c
+    return TransferOperator.from_tensor(spec, N, d, basis, kmin, tensor)
 
 
 def _matmul(A: list, Bm: list, dim: int) -> list:

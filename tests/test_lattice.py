@@ -246,3 +246,31 @@ def test_census_counter_collapses_enumerate_configs(kind, M, N):
     assert Counter(_census_key(c) for c in census) == dict(census_counter(kind, M, N))
     if (kind, M, N) == ("dilute", 2, 2):
         assert any(c.windings == (((1, 0), 2),) for c in census)
+
+
+def _reflect_diagonal(key):
+    """A census key of the M x N torus as the N x M torus reads its mirror
+    image across the diagonal (B <-> L, T <-> R)."""
+    n_beta, windings, counts, h, v = key
+    reflected = []
+    for (i, j), n in windings:
+        i, j = j, i
+        if j < 0 or (j == 0 and i < 0):  # _trace's orientation convention
+            i, j = -i, -j
+        reflected.append(((i, j), n))
+    c = list(counts)
+    c[3], c[4], c[5], c[6] = c[4], c[3], c[6], c[5]  # tiles 4 <-> 5, 6 <-> 7
+    return (n_beta, tuple(reflected), tuple(c), v, h)
+
+
+@pytest.mark.parametrize("kind, M, N", [
+    ("dense", 2, 3), ("dense", 3, 4), ("dilute", 2, 3), ("dilute", 1, 4),
+    ("dilute", 3, 4),
+])
+def test_census_diagonal_reflection(kind, M, N):
+    """Reflection across the diagonal maps the M x N census onto the N x M
+    one: windings (i, j) -> (j, i), tiles 4 <-> 5 and 6 <-> 7, H <-> V."""
+    reflected = Counter()
+    for key, mult in census_counter(kind, M, N):
+        reflected[_reflect_diagonal(key)] += mult
+    assert reflected == dict(census_counter(kind, N, M))

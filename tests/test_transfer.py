@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from torusloop import transfer
@@ -153,7 +154,6 @@ def test_trace_support_within_row_count():
 
 def test_laurent_trace_matches_numeric_matrix_path():
     """Evaluate the Laurent trace at omega = 1 against a float matrix power."""
-    import numpy as np
     spec = ModelSpec("dilute", 2, 3, 0.37)
     op = build_transfer(spec, 2, 1)
     mat = op.to_numeric(1.0)
@@ -176,7 +176,6 @@ def test_trace_basis_permutation_bit_identical():
 
 
 def test_to_numeric_matches_entrywise_evaluation():
-    import numpy as np
     spec = ModelSpec("dilute", 2, 3, 0.37)
     omega = complex(math.cos(0.7), math.sin(0.7))
     for d in (0, 1, 2):
@@ -242,6 +241,71 @@ def test_size_guard():
     spec = ModelSpec("dilute", 2, 3, 0.37)
     with pytest.raises(TransferSizeError):
         build_transfer(spec, 9, 1)
+    with pytest.raises(TransferSizeError):
+        build_transfer(ModelSpec("dense", 2, 3, 0.37), 13, 1)
+
+
+# -- the orbit build against a full join -------------------------------------
+
+def _full_join_transfer(spec, N, d):
+    """Reference build: join every basis word, Laurent entries per transition."""
+    basis = link_states(spec.kind, N, d)
+    index = {w: i for i, w in enumerate(basis)}
+    arcs_of = {w: transfer.arc_crossings(w) for w in basis}
+    rho = face_weights(spec)
+    diagrams = transfer._row_diagrams(N, tuple(t for t in spec.tiles if rho[t - 1] != 0.0))
+    matrix = [[None] * len(basis) for _ in basis]
+    for j, word in enumerate(basis):
+        rows = diagrams.get(tuple(ch != "." for ch in word), ())
+        weights = tuple(math.prod(rho[t - 1] for t in tiles) for tiles, *_ in rows)
+        for row_weight, k, n_alpha, n_beta, new_word in transfer._join(word, rows, weights,
+                                                                       arcs_of):
+            weight = OmegaLaurent({k: row_weight * spec.beta ** n_beta})
+            for _ in range(n_alpha):
+                weight = weight * OmegaLaurent({1: 1.0, -1: 1.0})
+            i = index[new_word]
+            matrix[i][j] = weight if matrix[i][j] is None else matrix[i][j] + weight
+    return TransferOperator(spec, N, d, basis, matrix)
+
+
+@pytest.mark.parametrize("kind, Nmax", [("dense", 8), ("dilute", 6)])
+@pytest.mark.parametrize("p, pq", [(2, 3), (3, 4)])
+def test_orbit_build_matches_full_join(kind, Nmax, p, pq):
+    """Same basis, kmin, shape and zero pattern as joining every column, and
+    every coefficient within 1e-13 relative (only the summation order moves)."""
+    for spec in (ModelSpec(kind, p, pq, 0.29), ModelSpec(kind, p, pq, 0.0).isotropic()):
+        for N, d in _modules(kind, Nmax):
+            op = build_transfer(spec, N, d)
+            ref = _full_join_transfer(spec, N, d)
+            assert (op.basis, op.kmin, op.tensor.shape) == \
+                (ref.basis, ref.kmin, ref.tensor.shape), (N, d)
+            assert np.array_equal(op.tensor != 0.0, ref.tensor != 0.0), (N, d)
+            assert np.allclose(op.tensor, ref.tensor, rtol=1e-13, atol=0.0), (N, d)
+
+
+def test_orbit_period_check_raises(monkeypatch):
+    """The word "()()" has period 2 on four sites, but rot^2 moves the fake
+    column's only entry "(())" to "))((", so the orbit fill must refuse it."""
+    def fake_join(word, rows, weights, arcs_of):
+        yield 1.0, 0, 0, 0, "(())"
+    monkeypatch.setattr(transfer, "_join", fake_join)
+    with pytest.raises(ArithmeticError, match="rotation period"):
+        build_transfer.__wrapped__(ModelSpec("dense", 2, 3, 0.37), 4, 0)
+
+
+@pytest.mark.parametrize("kind, Nmax", [("dense", 6), ("dilute", 4)])
+def test_matrix_view_round_trips(kind, Nmax):
+    """The derived Laurent view rebuilds the tensor bit for bit, and is None
+    exactly where every coefficient is zero."""
+    for spec in (ModelSpec(kind, 2, 3, 0.29), ModelSpec(kind, 3, 4, 0.0).isotropic()):
+        for N, d in _modules(kind, Nmax):
+            op = build_transfer(spec, N, d)
+            again = TransferOperator(spec, N, d, op.basis, op.matrix)
+            assert again.kmin == op.kmin
+            assert again.tensor.shape == op.tensor.shape
+            assert again.tensor.tobytes() == op.tensor.tobytes()
+            zero = ~op.tensor.any(axis=0)
+            assert [[e is None for e in row] for row in op.matrix] == zero.tolist()
 
 
 # -- the defining oracle: Markov trace vs lattice enumeration ---------------
@@ -337,3 +401,24 @@ def test_markov_equals_lattice_wider_modules(kind, M, N):
                 lz = lattice_Z(spec, M, N, sector=hv, alpha=alpha)
                 mz = markov_Z(spec, M, N, hv[0], hv[1], alpha=alpha)
                 assert scaled_error(mz, lz) < ORACLE_TOL
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    ("dense", [(2, 3), (3, 4), (5, 7), (4, 8), (6, 10)]),
+    ("dilute", [(1, 4), (2, 3), (3, 4), (2, 6), (5, 6)]),
+], ids=["dense", "dilute"])
+def test_markov_diagonal_reflection_duality(kind, sizes):
+    """Z^(h,v) of the M x N torus equals Z^(v,h) of the N x M torus at every
+    u (tiles 4 <-> 5 and 6 <-> 7 carry equal weights).  Rows of N and rows
+    of M are different modules raised to different powers, so this checks
+    the build at N = 10, beyond the lattice oracle's reach."""
+    for p, pq in [(2, 3), (3, 4)]:
+        for spec in (ModelSpec(kind, p, pq, 0.3), ModelSpec(kind, p, pq, 0.0).isotropic()):
+            for M, N in sizes:
+                sectors = [(N % 2, M % 2)] if kind == "dense" else \
+                    [(0, 0), (0, 1), (1, 0), (1, 1)]
+                for h, v in sectors:
+                    for alpha in (2.0, 0.6):
+                        a = markov_Z(spec, M, N, h, v, alpha=alpha)
+                        b = markov_Z(spec, N, M, v, h, alpha=alpha)
+                        assert scaled_error(a, b) < ORACLE_TOL, (p, pq, spec.u, M, N, h, v)
