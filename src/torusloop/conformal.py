@@ -10,6 +10,16 @@ and the full partition function compared against the O(n) form.
 
 All series are exact; the only floats appear in the explicitly numeric
 checks (Gaussian sums and modular covariance at sampled tau).
+
+Every exact series form collects its theta sum as integer exponent
+numerators over one denominator D that it knows before the sum starts:
+D = 4 p p' den^2 for the Kac-lattice forms, whose exponents are
+delta_exp(R/den, S/den) = (p' R - p S)^2 / D with den a common denominator of
+the labels r and s, and D = 16 n for the u(1) character forms, whose doubled
+labels J = 2j give (J + 4kn)^2 / 16n.  The one kernel `_dress` takes those
+integer keys, dresses them with the eta factors and makes each exponent a
+Fraction once, at the end.  `KacData.delta_exp` and `theta_series` remain the
+Fraction references the tests rebuild the forms from.
 """
 
 from __future__ import annotations
@@ -21,9 +31,8 @@ from fractions import Fraction
 
 from .arith import chebyshev_T, gamma_dm_cospoly, gcd_conv, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
-from .characters import (KacData, TauPoint, eta_numeric,
-                         modular_S_residual, t_sign_exact, theta_series,
-                         u1_char)
+from .characters import (KacData, TauPoint, eta_numeric, modular_S_residual,
+                         t_sign_exact)
 from .cyclo import CycloField, cospoly_to_cyclo
 from .qseries import BiSeries, euler_inverse
 
@@ -38,6 +47,31 @@ def _window(cutoff) -> tuple:
     if cutoff < Fraction(-1, 24):
         raise ValueError("cutoff must be >= -1/24")
     return cutoff, cutoff + Fraction(1, 24)
+
+
+def _run(start: int, step: int, reach: int) -> range:
+    """The integers k with |start + k step| <= reach, for step > 0."""
+    return range(-((reach + start) // step), (reach - start) // step + 1)
+
+
+def _kac_run(p: int, pq: int, root: int, start: int, step: int, S: int):
+    """(k, A, B) for every lattice point R = start + k step of a Kac line.
+
+    A = (p' R - p S)^2 and B = (p' R + p S)^2 are the numerators of
+    delta_exp(R/den, S/den) and delta_exp(R/den, -S/den) over
+    D = 4 p p' den^2.  Only points with A and B <= root^2 are yielded, that
+    is p'|R| + p|S| <= root.
+    """
+    for k in _run(start, step, (root - p * abs(S)) // pq):
+        R = start + k * step
+        yield k, (pq * R - p * S) ** 2, (pq * R + p * S) ** 2
+
+
+def _kac_window(p: int, pq: int, den: int, work: Fraction) -> tuple:
+    """(D, root) of the Kac lattice with labels over den: D = 4 p p' den^2,
+    and root = isqrt(floor(work D)) bounds |p' R -+ p S| inside the window."""
+    D = 4 * p * pq * den * den
+    return D, math.isqrt(math.floor(work * D))
 
 
 def _spread_swap(grid: dict, steps: list, lim: int, D: int) -> dict:
@@ -59,31 +93,37 @@ def _spread_swap(grid: dict, steps: list, lim: int, D: int) -> dict:
     return spread
 
 
-def _dress(theta: dict, cutoff: Fraction) -> BiSeries:
-    """(q qbar)^{-1/24} / ((q)_inf (qbar)_inf) times the theta sum {(a, b): c}.
+def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
+    """(q qbar)^{-1/24} / ((q)_inf (qbar)_inf) times the theta sum.
 
-    The exponents a, b are >= 0 and theta must hold every term with both of
-    them <= top = cutoff + 1/24; the result is exact through cutoff.  Every
-    exponent is carried as an integer numerator over one common denominator
-    D = lcm(24, denominators of top and of every a, b), so 1/(q)_inf is a
-    convolution with the partition numbers p(k) in integer steps k D along
-    each axis in turn.  Keys become Fractions (A - D/24) / D only at the end.
+    theta maps integer pairs (A, B) >= 0 to coefficients, for the term
+    q^{A/D} qbar^{B/D}; it must hold every term with both exponents <=
+    top = cutoff + 1/24, and the result is exact through cutoff.  D is
+    lifted to L = lcm(D, 24, denominator of top) by one integer factor per
+    key, so 1/(q)_inf is a convolution with the partition numbers p(k) in
+    integer steps k L along each axis in turn.  Each distinct output
+    exponent becomes the Fraction (A - L/24) / L once, at the end; int
+    coefficients become Fractions there too.  Every key lies in the window
+    by construction, so the BiSeries skips its per-term checks.
     """
     top = cutoff + Fraction(1, 24)
-    D = math.lcm(24, top.denominator, *(x.denominator for ab in theta for x in ab))
-    lim = top.numerator * (D // top.denominator)
+    L = math.lcm(D, 24, top.denominator)
+    lift = L // D
+    lim = top.numerator * (L // top.denominator)
     inv = euler_inverse(top)
-    steps = [(k * D, inv.coeff(k).numerator) for k in range(math.floor(top) + 1)]
+    steps = [(k * L, inv.coeff(k).numerator) for k in range(math.floor(top) + 1)]
     grid = {}
-    for (a, b), c in theta.items():
-        A = a.numerator * (D // a.denominator)
-        B = b.numerator * (D // b.denominator)
+    for (A, B), c in theta.items():
+        A *= lift
+        B *= lift
         if A <= lim and B <= lim:
             grid[(A, B)] = c
-    grid = _spread_swap(_spread_swap(grid, steps, lim, D), steps, lim, D)
-    shift = D // 24
-    exps = {x: Fraction(x - shift, D) for ab in grid for x in ab}
-    return BiSeries({(exps[A], exps[B]): c for (A, B), c in grid.items()}, cutoff)
+    grid = _spread_swap(_spread_swap(grid, steps, lim, L), steps, lim, L)
+    shift = L // 24
+    exps = {x: Fraction(x - shift, L) for ab in grid for x in ab}
+    terms = {(exps[A], exps[B]): Fraction(c) if type(c) is int else c
+             for (A, B), c in grid.items() if c}
+    return BiSeries._trusted(terms, cutoff, cutoff)
 
 
 def _double_eta_inverse(cutoff: Fraction) -> BiSeries:
@@ -113,27 +153,16 @@ def verma_trace_series(kind: str, p: int, pq: int, d: int, gamma_over_pi,
         raise TypeError("exact series need a rational gamma/pi; "
                         "use the numeric route for generic twists")
     g0 = Fraction(gamma_over_pi)
-    kac = KacData(p, pq)
+    KacData(p, pq)  # rejects a pair that is not coprime 0 < p < p'
     cutoff, work = _window(cutoff)
-    step = 1 if kind == "dense" else 2
+    # over den = 2 g0.denominator: R = 2 g0.numerator - l step and S = d den / 2
+    D, root = _kac_window(p, pq, 2 * g0.denominator, work)
+    step = 2 * g0.denominator * (1 if kind == "dense" else 2)
     theta: dict = {}
-    l = 0
-    while True:
-        hit = False
-        for ell in ((l, -l) if l else (0,)):
-            r = g0 - step * ell
-            a = kac.delta_exp(r, Fraction(d, 2))
-            b = kac.delta_exp(r, Fraction(-d, 2))
-            if a <= work and b <= work:
-                hit = True
-                sign = 1
-                if kind == "dense" and eps and ell % 2:
-                    sign = -1
-                theta[(a, b)] = theta.get((a, b), Fraction(0)) + sign
-        if not hit and l > abs(g0) / step + 1:
-            break
-        l += 1
-    return _dress(theta, cutoff)
+    for k, a, b in _kac_run(p, pq, root, 2 * g0.numerator, step, d * g0.denominator):
+        sign = -1 if kind == "dense" and eps and k % 2 else 1
+        theta[(a, b)] = theta.get((a, b), 0) + sign
+    return _dress(theta, D, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -283,73 +312,91 @@ def modular_rep_check(taus=None, levels=(2, 6), g_values=(Fraction(1, 2),),
 
 def Z_hv_direct(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
     """Direct double sum (1/eta etabar) sum_{r, s+h/2} (-1)^{vr} q^... qbar^...."""
-    kac = KacData(p, pq)
+    KacData(p, pq)  # rejects a pair that is not coprime 0 < p < p'
     cutoff, work = _window(cutoff)
-    n = p * pq
+    # over den = 2: R = 2 r and S = 2 s runs over the integers of parity h
+    D, root = _kac_window(p, pq, 2, work)
     theta: dict = {}
-    # (p' r)^2 / (2n) <= a + b <= 2*work bounds r; likewise s
-    rmax = math.isqrt(int(4 * n * work)) // pq + 2
-    smax = (math.isqrt(int(4 * n * work)) + abs(p)) // p + 2
-    for r in range(-rmax, rmax + 1):
-        # s runs over Z + h/2: keep the doubled index at parity h
-        for s2 in range(-2 * smax - h, 2 * smax + 1, 2):
-            s = Fraction(s2, 2)
-            a = kac.delta_exp(r, s)
-            b = kac.delta_exp(r, -s)
-            if a > work or b > work:
-                continue
-            sign = Fraction(-1 if (v and r % 2) else 1)
-            theta[(a, b)] = theta.get((a, b), Fraction(0)) + sign
-    return _dress(theta, cutoff)
+    for S in (h + 2 * m for m in _run(h, 2, root // p)):
+        for r, a, b in _kac_run(p, pq, root, 0, 2, S):
+            sign = -1 if v and r % 2 else 1
+            theta[(a, b)] = theta.get((a, b), 0) + sign
+    return _dress(theta, D, cutoff)
 
 
-def _char_product(n: int, jl, jr, z: int, work: Fraction) -> BiSeries:
-    """kappa^n_jl(z, q) kappa^n_jr(z, qbar) from u1_char: the reference path."""
-    left = u1_char(n, jl, z, work)
-    right = u1_char(n, jr, z, work)
-    return BiSeries.from_product(left, right, work)
+def _doubled(label) -> int:
+    """2 j for an integer or half-integer u(1) label j."""
+    twice = 2 * Fraction(label)
+    if twice.denominator != 1:
+        raise ValueError("labels are integers or half-integers")
+    return twice.numerator
 
 
-def _pairs_theta(pairs, work: Fraction) -> dict:
-    """Theta sum of sum coeff kappa^n_jl(z, q) kappa^n_jr(z, qbar).
+def _label_theta(n: int, J: int, z: int, lift: int, lim: int) -> dict:
+    """sum_k z^k q^{(J + 4kn)^2 / 16n} for the doubled label J = 2j.
 
-    `pairs` yields (n, jl, jr, z, coeff); each product contributes
-    coeff * theta_series(jl)(q) * theta_series(jr)(qbar) through work.
+    Keys are the numerators (J + 4kn)^2 lift <= lim over D = 16 n lift;
+    cancelled terms are dropped.
     """
+    terms: dict = {}
+    for k in _run(J, 4 * n, math.isqrt(lim // lift)):
+        e = (J + 4 * k * n) ** 2 * lift
+        terms[e] = terms.get(e, 0) + (-1 if z == -1 and k % 2 else 1)
+    return {e: c for e, c in terms.items() if c}
+
+
+def _pairs_theta(pairs, work: Fraction) -> tuple:
+    """Theta sum of sum coeff kappa^n_jl(z, q) kappa^n_jr(z, qbar), as (theta, D).
+
+    `pairs` yields (n, JL, JR, z, coeff) with the doubled labels JL = 2 jl
+    and JR = 2 jr; each product contributes coeff times the theta sums of
+    jl in q and jr in qbar, through work.  Exponents are numerators over
+    D = 16 lcm(n), and each label's theta sum is built once.
+    """
+    pairs = list(pairs)
+    D = 16 * math.lcm(*(n for n, *_ in pairs))
+    lim = math.floor(work * D)
+    labels = {(n, J, z) for n, JL, JR, z, _ in pairs for J in (JL, JR)}
+    sums = {key: _label_theta(*key, D // (16 * key[0]), lim) for key in labels}
     theta: dict = {}
-    for n, jl, jr, z, coeff in pairs:
-        right = theta_series(jr, n, z, work).terms
-        for a, ca in theta_series(jl, n, z, work).terms.items():
+    for n, JL, JR, z, coeff in pairs:
+        right = sums[(n, JR, z)]
+        for a, ca in sums[(n, JL, z)].items():
             for b, cb in right.items():
                 theta[(a, b)] = theta.get((a, b), 0) + coeff * ca * cb
-    return theta
+    return theta, D
 
 
 def _u1_pairs(p: int, pq: int, h: int, v: int):
-    """(n, jl, jr, z, sign) over the p x 2p' character grid of sector (h, v)."""
+    """(n, JL, JR, z, sign) over the p x 2p' character grid of sector (h, v).
+
+    JL = 2 jl and JR = 2 jr are the doubled labels p' r -+ p (s + h/2).
+    """
     n = p * pq
     z = -1 if (p * v) % 2 else 1
     for r in range(p):
         sign = -1 if (v and r % 2) else 1
         for s in range(2 * pq):
-            yield (n, Fraction(2 * pq * r - p * (2 * s + h), 2),
-                   Fraction(2 * pq * r + p * (2 * s + h), 2), z, sign)
+            yield (n, 2 * pq * r - p * (2 * s + h), 2 * pq * r + p * (2 * s + h), z, sign)
 
 
 def Z_hv_u1(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
     """Grid of affine character products over 0 <= r < p, 0 <= s < 2p'."""
     cutoff, work = _window(cutoff)
-    return _dress(_pairs_theta(_u1_pairs(p, pq, h, v), work), cutoff)
+    theta, D = _pairs_theta(_u1_pairs(p, pq, h, v), work)
+    return _dress(theta, D, cutoff)
 
 
 def Z_hv_bezout(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
     """Bezout-indexed single sum (1/kappa) sum_j (-1)^{v rho_j} kappa kappa-bar."""
     cutoff, work = _window(cutoff)
     ctx = BezoutContext(p, pq, h, v)
-    weight = Fraction(1, ctx.kappa)
-    pairs = ((ctx.n, jval, conj, ctx.zsign, -weight if v and rho % 2 else weight)
+    pairs = ((ctx.n, _doubled(jval), _doubled(conj), ctx.zsign, -1 if v and rho % 2 else 1)
              for jval, conj, rho in index_pairs(ctx))
-    return _dress(_pairs_theta(pairs, work), cutoff)
+    theta, D = _pairs_theta(pairs, work)
+    if ctx.kappa > 1:
+        theta = {ab: Fraction(c, ctx.kappa) for ab, c in theta.items()}
+    return _dress(theta, D, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -403,9 +450,9 @@ def appendix_c_form(p: int, pq: int, h: int, v: int) -> list:
     n = p * pq
     z = -1 if (p * v) % 2 else 1
     collected: dict = {}
-    for _, jl, jr, _, coeff in _u1_pairs(p, pq, h, v):
-        fl, sl = _fold_label(jl, n, z)
-        fr, sr = _fold_label(jr, n, z)
+    for _, JL, JR, _, coeff in _u1_pairs(p, pq, h, v):
+        fl, sl = _fold_label(Fraction(JL, 2), n, z)
+        fr, sr = _fold_label(Fraction(JR, 2), n, z)
         key = (fl, fr)
         collected[key] = collected.get(key, 0) + coeff * sl * sr
     terms = [SesquiTerm(c, lft, rgt, z, n)
@@ -416,8 +463,9 @@ def appendix_c_form(p: int, pq: int, h: int, v: int) -> list:
 def expand_terms(terms: list, cutoff) -> BiSeries:
     """Expand a folded term list back into an exact BiSeries."""
     cutoff, work = _window(cutoff)
-    pairs = ((t.level, t.left, t.right, t.z, t.coeff) for t in terms)
-    return _dress(_pairs_theta(pairs, work), cutoff)
+    pairs = ((t.level, _doubled(t.left), _doubled(t.right), t.z, t.coeff) for t in terms)
+    theta, D = _pairs_theta(pairs, work)
+    return _dress(theta, D, cutoff)
 
 
 def render_appendix_form(terms: list) -> str:
@@ -439,50 +487,33 @@ def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff,
     """
     e0 = Fraction(gamma_over_pi)
     field = CycloField(2 * e0.denominator)
-    kac = KacData(p, pq)
+    KacData(p, pq)  # rejects a pair that is not coprime 0 < p < p'
     cutoff, work = _window(cutoff)
+    # the d-block reaches the window iff (p d/2)^2 / (4 p p') <= work
+    d_max = math.isqrt(math.floor(16 * pq * work / p))
+    # r = e0 - 2l and r = 2t/d, s = d/2 over den = lcm(2, e0.denominator, 1..d_max)
+    den = math.lcm(2, e0.denominator, *range(1, d_max + 1))
+    D, root = _kac_window(p, pq, den, work)
     one = field.rational(1)
-
     theta: dict = {}
 
     # d = 0 block: sum_l (q qbar)^{Delta(e0 - 2l, 0)}
-    l = 0
-    while True:
-        hit = False
-        for ell in ((l, -l) if l else (0,)):
-            a = kac.delta_exp(e0 - 2 * ell, 0)
-            if a <= work:
-                hit = True
-                theta[(a, a)] = theta.get((a, a), field.zero()) + one
-        if not hit and l > abs(e0) / 2 + 1:
-            break
-        l += 1
+    for _, a, _ in _kac_run(p, pq, root, e0.numerator * (den // e0.denominator), 2 * den, 0):
+        theta[(a, a)] = theta.get((a, a), field.zero()) + one
 
     # d > 0 blocks: 2 sum_t Gamma_{d, t mod d} q^{Delta(2t/d, d/2)} qbar^{Delta(2t/d, -d/2)}
-    d = 1
-    while True:
-        s_half = Fraction(d, 2)
-        # both window exponents <= work forces (p d/2)^2 / (2 p p') <= 2 work
-        if Fraction(p * d * d, 8 * pq) > 2 * work:
-            break
-        weights = {}
+    for d in range(1, d_max + 1):
+        weights = []
         for m in range(d):
             if use_lambda:
                 poly = lambda_fsz_cospoly(d, d // gcd_conv(m, d))
             else:
                 poly = gamma_dm_cospoly(d, m)
-            weights[m] = cospoly_to_cyclo(poly, e0.numerator, e0.denominator, field)
-        tmax = d * (math.isqrt(int(4 * p * pq * work)) + p * d) // (2 * pq) + 2 * d
-        for t in range(-tmax, tmax + 1):
-            r = Fraction(2 * t, d)
-            a = kac.delta_exp(r, s_half)
-            b = kac.delta_exp(r, -s_half)
-            if a > work or b > work:
-                continue
-            theta[(a, b)] = theta.get((a, b), field.zero()) + 2 * weights[t % d]
-        d += 1
+            weights.append(2 * cospoly_to_cyclo(poly, e0.numerator, e0.denominator, field))
+        for t, a, b in _kac_run(p, pq, root, 0, 2 * den // d, d * den // 2):
+            theta[(a, b)] = theta.get((a, b), field.zero()) + weights[t % d]
 
-    return _dress(theta, cutoff)
+    return _dress(theta, D, cutoff)
 
 
 def on_series(g, e0, cutoff) -> BiSeries:
@@ -496,46 +527,28 @@ def on_series(g, e0, cutoff) -> BiSeries:
     e0 = Fraction(e0)
     field = CycloField(2 * e0.denominator)
     cutoff, work = _window(cutoff)
-
-    def h_exp(r: Fraction, s: Fraction) -> Fraction:
-        return (r + g * s) ** 2 / (4 * g)
-
-    theta: dict = {}
+    # h_{r,s} is delta_exp(r, -s) of (p, p') = (g.numerator, g.denominator)
+    gp, gq = g.numerator, g.denominator
+    # the M-block reaches the window iff g M^2 / 16 <= work
+    M_max = math.isqrt(math.floor(16 * work / g))
+    # r = e0 + 2P and r = 2P/N, s = M/2 over den = lcm(2, e0.denominator, 1..M_max)
+    den = math.lcm(2, e0.denominator, *range(1, M_max + 1))
+    D, root = _kac_window(gp, gq, den, work)
     one = field.rational(1)
-    P = 0
-    while True:
-        hit = False
-        for pp in ((P, -P) if P else (0,)):
-            a = h_exp(e0 + 2 * pp, Fraction(0))
-            if a <= work:
-                hit = True
-                theta[(a, a)] = theta.get((a, a), field.zero()) + one
-        if not hit and P > abs(e0) / 2 + 1:
-            break
-        P += 1
+    theta: dict = {}
+    for _, a, _ in _kac_run(gp, gq, root, e0.numerator * (den // e0.denominator), 2 * den, 0):
+        theta[(a, a)] = theta.get((a, a), field.zero()) + one
 
-    M = 1
-    while True:
-        # both window exponents <= work forces g M^2 / 8 <= 2 work
-        if g * M * M / 8 > 2 * work:
-            break
+    for M in range(1, M_max + 1):
         for N in (N for N in range(1, M + 1) if M % N == 0):
             lam = cospoly_to_cyclo(
                 {k: 2 * c for k, c in lambda_fsz_cospoly(M, N).items()},
                 e0.numerator, e0.denominator, field)
             if not lam:
                 continue
-            pmax = N * (math.isqrt(int(work * 4 * g.numerator * g.denominator))
-                        // (2 * g.denominator) + abs(M) + 2)
-            for Pn in range(-pmax, pmax + 1):
-                if math.gcd(Pn, N) != 1:
-                    continue
-                r = Fraction(2 * Pn, N)
-                a = h_exp(r, Fraction(M, 2))
-                b = h_exp(r, Fraction(-M, 2))  # hbar_{r, M/2} = h_{r, -M/2}
-                if a > work or b > work:
-                    continue
-                theta[(a, b)] = theta.get((a, b), field.zero()) + lam
-        M += 1
+            # S = -M den / 2: a = h_{r, M/2} and b = hbar_{r, M/2} = h_{r, -M/2}
+            for Pn, a, b in _kac_run(gp, gq, root, 0, 2 * den // N, -M * den // 2):
+                if math.gcd(Pn, N) == 1:
+                    theta[(a, b)] = theta.get((a, b), field.zero()) + lam
 
-    return _dress(theta, cutoff)
+    return _dress(theta, D, cutoff)

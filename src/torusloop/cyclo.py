@@ -178,6 +178,9 @@ class CycloNum:
         return self.field is other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a rational element equals its int or Fraction, so it hashes like one
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.field.m, self.coeffs))
 
     def __complex__(self):

@@ -202,6 +202,19 @@ class BiSeries:
         self.valid = cutoff if valid is None else min(_as_rational(valid), cutoff)
 
     @classmethod
+    def _trusted(cls, terms: dict, cutoff: Fraction, valid: Fraction) -> "BiSeries":
+        """Adopt terms already known to be clean, skipping the per-term checks.
+
+        Every key must be a pair of Fractions <= cutoff, no coefficient may
+        be zero, and valid <= cutoff must be a Fraction.
+        """
+        out = object.__new__(cls)
+        out.terms = terms
+        out.cutoff = cutoff
+        out.valid = valid
+        return out
+
+    @classmethod
     def zero(cls, cutoff) -> "BiSeries":
         return cls({}, cutoff)
 
@@ -306,8 +319,8 @@ class BiSeries:
 
     def swap(self) -> "BiSeries":
         """Exchange q and qbar."""
-        return BiSeries({(b, a): c for (a, b), c in self.terms.items()},
-                        self.cutoff, self.valid)
+        return BiSeries._trusted({(b, a): c for (a, b), c in self.terms.items()},
+                                 self.cutoff, self.valid)
 
     def truncate(self, cutoff) -> "BiSeries":
         cutoff = _as_rational(cutoff)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -174,19 +174,23 @@ def link_states(kind: str, N: int, d: int) -> tuple:
     """All canonical link words with d defects, sorted defects-leftmost first."""
     if not 0 <= d <= N:
         raise ValueError("need 0 <= d <= N")
-    if kind == "dense":
-        if (N - d) % 2:
-            raise ValueError("dense model needs d = N mod 2")
-        alphabet = "|()"
-    else:
-        alphabet = "|()."
+    if kind == "dense" and (N - d) % 2:
+        raise ValueError("dense model needs d = N mod 2")
     found = []
-    for word in product(alphabet, repeat=N):
-        w = "".join(word)
-        if w.count("|") != d:
-            continue
-        if match_word(w) is not None:
-            found.append(w)
+    for defects in combinations(range(N), d):
+        rest = [i for i in range(N) if i not in defects]
+        # dense: every other site ends an arc; dilute: any even number of them
+        ends = (len(rest),) if kind == "dense" else range(0, len(rest) + 1, 2)
+        for m in ends:
+            for arc_ends in combinations(rest, m):
+                for openers in combinations(arc_ends, m // 2):
+                    word = ["."] * N
+                    for sites, ch in ((defects, "|"), (arc_ends, ")"), (openers, "(")):
+                        for i in sites:
+                            word[i] = ch
+                    w = "".join(word)
+                    if match_word(w) is not None:
+                        found.append(w)
     return tuple(sorted(found, key=_word_sort_key))
 
 

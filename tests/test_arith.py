@@ -234,3 +234,17 @@ def test_cyclo_scalar_product_matches_field_product(scalar):
     for got in (x * scalar, scalar * x):
         assert got == x * fld.rational(scalar)
         assert all(type(c) is F for c in got.coeffs)
+
+
+@pytest.mark.parametrize("value", [3, 0, -1, F(-2, 7), F(5, 3)])
+def test_cyclo_rational_hashes_like_its_value(value):
+    """A rational element equals its int or Fraction, so sets and dicts
+    must find one through the other."""
+    for m in (10, 14):
+        x = CycloField(m).rational(value)
+        assert x == value and hash(x) == hash(value)
+        assert value in {x} and x in {value}
+        assert {x: 1}[value] == 1
+    irrational = CycloField(10).cos_pi_multiple(2, 5)
+    assert irrational != F(irrational.coeffs[0])
+    assert irrational in {irrational + 0}

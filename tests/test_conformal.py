@@ -148,10 +148,16 @@ def _cancelling_cyclo_theta(work):
     return _cancelling_theta(CycloField(10).rational(1), work)
 
 
+def _integer_keys(theta):
+    """theta over integer numerators, with D the lcm of its denominators."""
+    D = math.lcm(*(x.denominator for ab in theta for x in ab))
+    return {(int(a * D), int(b * D)): c for (a, b), c in theta.items()}, D
+
+
 @pytest.mark.parametrize("make_theta", [_fraction_theta, _cyclo_theta, _coprime_theta,
                                         _cancelling_fraction_theta,
                                         _cancelling_cyclo_theta])
-@pytest.mark.parametrize("K", [F(4), F(7, 3)])
+@pytest.mark.parametrize("K", [F(4), F(7, 3), F(17, 7)])
 def test_dress_matches_product_reference(make_theta, K):
     """_dress equals the eta-inverse product on the padded window, truncated,
     and keeps no zero coefficient."""
@@ -162,7 +168,7 @@ def test_dress_matches_product_reference(make_theta, K):
     theta = make_theta(work)
     shifted = {(a - F(1, 24), b - F(1, 24)): c for (a, b), c in theta.items()}
     reference = (_double_eta_inverse(work) * BiSeries(shifted, work)).truncate(K)
-    dressed = _dress(theta, K)
+    dressed = _dress(*_integer_keys(theta), K)
     assert reference.terms
     assert all(dressed.terms.values())
     assert dressed.terms == reference.terms
@@ -287,9 +293,15 @@ def test_direct_leading_term():
     assert zd.coeff(F(-1, 24), F(-1, 24)) == 1
 
 
+def _char_product(n, jl, jr, z, work):
+    """kappa^n_jl(z, q) kappa^n_jr(z, qbar) from u1_char: the reference path."""
+    from torusloop.characters import u1_char
+    from torusloop.qseries import BiSeries
+    return BiSeries.from_product(u1_char(n, jl, z, work), u1_char(n, jr, z, work), work)
+
+
 def test_u1_half_range_reduction():
     """Summing s over [0, 4p') halves onto the s in [0, 2p') grid."""
-    from torusloop.conformal import _char_product
     from torusloop.qseries import BiSeries
     p, pq, h, v = 3, 4, 1, 1
     n = p * pq
@@ -311,7 +323,6 @@ def test_u1_half_range_reduction():
 
 def test_zrs_symmetries():
     """Character products repeat under r -> r + 2p, s -> s + 2p', (r,s) -> (-r,-s-h)."""
-    from torusloop.conformal import _char_product
     p, pq, h, v = 3, 4, 1, 0
     n, z, K = p * pq, 1, F(4)
 
@@ -424,6 +435,11 @@ def test_appendix_forms_expand_to_direct_series(key):
     K = F(6)
     expansion = expand_terms(appendix_c_form(p, pq, h, v), K)
     assert expansion.matches(Z_hv_direct(p, pq, h, v, K))
+
+
+def test_expand_terms_rejects_labels_off_the_half_integers():
+    with pytest.raises(ValueError, match="integers or half-integers"):
+        expand_terms([SesquiTerm(1, F(1, 3), F(0), 1, 2)], F(2))
 
 
 def test_appendix_form_rendering():

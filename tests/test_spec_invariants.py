@@ -128,6 +128,105 @@ def test_series_lattice_sums_are_range_stable():
     assert Z_hv_direct(p, pq, h, v, K).terms == brute.terms
 
 
+# e0 and g0 over denominators 1, 5 and 7, negative and above 1.  The cutoffs
+# put different denominators into the window: at 7/3 the blocks of (4, 5) stop
+# at d = 6, so the denominator 7 of e0 is not among 1..d_max, and the window
+# top 17/7 + 1/24 has a denominator that does not divide 24.
+BRUTE_ANGLES = (F(2), F(-3, 5), F(9, 7))
+BRUTE_CUTOFFS = (F(4), F(7, 3), F(17, 7))
+
+
+def _brute_dress(theta: dict, K):
+    """The product reference: 1/((q)(qbar)) times the theta sum shifted by
+    -1/24, on the window K + 2, truncated to K."""
+    from torusloop.conformal import _double_eta_inverse
+    from torusloop.qseries import BiSeries
+
+    work = K + 2
+    shifted = {(a - F(1, 24), b - F(1, 24)): c for (a, b), c in theta.items() if c}
+    return (_double_eta_inverse(work) * BiSeries(shifted, work)).truncate(K)
+
+
+def _add(theta: dict, key, c) -> None:
+    theta[key] = theta[key] + c if key in theta else c
+
+
+@pytest.mark.parametrize("kind, eps", [("dense", 0), ("dense", 1), ("dilute", 0)])
+@pytest.mark.parametrize("g0", BRUTE_ANGLES)
+@pytest.mark.parametrize("K", BRUTE_CUTOFFS)
+def test_verma_series_matches_delta_exp_reference(kind, eps, g0, K):
+    from torusloop.characters import KacData
+    from torusloop.conformal import verma_trace_series
+
+    p, pq = 2, 3
+    kac = KacData(p, pq)
+    step = 1 if kind == "dense" else 2
+    for d in (0, 1, 2):
+        theta = {}
+        for ell in range(-40, 41):
+            r = g0 - step * ell
+            sign = -1 if kind == "dense" and eps and ell % 2 else 1
+            _add(theta, (kac.delta_exp(r, F(d, 2)), kac.delta_exp(r, F(-d, 2))), F(sign))
+        series = verma_trace_series(kind, p, pq, d, g0, eps, K)
+        assert series.terms == _brute_dress(theta, K).terms
+        assert series.valid == series.cutoff == K
+
+
+@pytest.mark.parametrize("e0", BRUTE_ANGLES)
+@pytest.mark.parametrize("K", BRUTE_CUTOFFS)
+def test_full_series_matches_delta_exp_reference(e0, K):
+    from torusloop.arith import gamma_dm_cospoly
+    from torusloop.characters import KacData
+    from torusloop.conformal import full_Z_series
+    from torusloop.cyclo import CycloField, cospoly_to_cyclo
+
+    p, pq = 4, 5
+    kac = KacData(p, pq)
+    field = CycloField(2 * e0.denominator)
+    theta = {}
+    for ell in range(-40, 41):
+        a = kac.delta_exp(e0 - 2 * ell, 0)
+        _add(theta, (a, a), field.rational(1))
+    for d in range(1, 20):
+        weights = [2 * cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator, e0.denominator,
+                                        field) for m in range(d)]
+        for t in range(-8 * d, 8 * d + 1):
+            r = F(2 * t, d)
+            _add(theta, (kac.delta_exp(r, F(d, 2)), kac.delta_exp(r, F(-d, 2))), weights[t % d])
+    series = full_Z_series(p, pq, e0, K)
+    assert series.terms == _brute_dress(theta, K).terms
+    assert series.valid == series.cutoff == K
+
+
+@pytest.mark.parametrize("e0", BRUTE_ANGLES)
+@pytest.mark.parametrize("K", BRUTE_CUTOFFS)
+def test_on_series_matches_delta_exp_reference(e0, K):
+    """h_{r,s} = (r + g s)^2 / 4g is delta_exp(r, -s) of (g.numerator, g.denominator)."""
+    from torusloop.arith import lambda_fsz_cospoly
+    from torusloop.characters import KacData
+    from torusloop.conformal import on_series
+    from torusloop.cyclo import CycloField, cospoly_to_cyclo
+
+    g = F(4, 5)
+    kac = KacData(g.numerator, g.denominator)
+    field = CycloField(2 * e0.denominator)
+    theta = {}
+    for P in range(-40, 41):
+        a = kac.delta_exp(e0 + 2 * P, 0)
+        _add(theta, (a, a), field.rational(1))
+    for M in range(1, 20):
+        for N in (N for N in range(1, M + 1) if M % N == 0):
+            lam = cospoly_to_cyclo({k: 2 * c for k, c in lambda_fsz_cospoly(M, N).items()},
+                                   e0.numerator, e0.denominator, field)
+            for Pn in range(-8 * N, 8 * N + 1):
+                if math.gcd(Pn, N) == 1:
+                    r = F(2 * Pn, N)
+                    _add(theta, (kac.delta_exp(r, F(-M, 2)), kac.delta_exp(r, F(M, 2))), lam)
+    series = on_series(g, e0, K)
+    assert series.terms == _brute_dress(theta, K).terms
+    assert series.valid == series.cutoff == K
+
+
 def _package_imports(module: str) -> set:
     """Modules of the package that `module` imports, relatively or by name."""
     tree = ast.parse((Path(torusloop.__file__).parent / f"{module}.py")

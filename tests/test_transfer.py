@@ -57,6 +57,24 @@ def test_dilute_small_modules():
     assert len(link_states("dilute", 3, 1)) == 6
 
 
+@pytest.mark.parametrize("kind, N", [("dense", N) for N in range(1, 11)]
+                         + [("dilute", N) for N in range(1, 8)])
+def test_link_states_equal_the_full_word_filter(kind, N):
+    """Placing defects and arc ends gives the same tuple as filtering every
+    word over the alphabet with match_word."""
+    from itertools import product
+    by_d = {}
+    for word in product("|()" if kind == "dense" else "|().", repeat=N):
+        w = "".join(word)
+        if match_word(w) is not None:
+            by_d.setdefault(w.count("|"), []).append(w)
+    for d in range(N + 1):
+        if kind == "dense" and (N - d) % 2:
+            continue
+        expected = tuple(sorted(by_d.get(d, []), key=transfer._word_sort_key))
+        assert link_states(kind, N, d) == expected
+
+
 # -- single-row fixtures (hand-composed) ------------------------------------
 
 def test_dense_two_defect_scalar_row():
