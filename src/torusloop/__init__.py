@@ -24,7 +24,7 @@ from .lattice import LoopCensus, TileGrid, enumerate_configs, lattice_Z
 from .model import ModelSpec, face_weights
 from .qseries import (BiSeries, QSeries, dedekind_eta, euler_inverse,
                       euler_product)
-from .transfer import (OmegaLaurent, TransferOperator, build_transfer,
+from .transfer import (TransferOperator, build_transfer,
                        effective_central_charge, link_states, markov_Z,
                        trace_TM)
 
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BezoutContext", "BiSeries", "KacData", "LoopCensus", "ModelSpec",
-    "OmegaLaurent", "QSeries", "TauPoint", "TileGrid", "TransferOperator",
+    "QSeries", "TauPoint", "TileGrid", "TransferOperator",
     "Z_hv_bezout", "Z_hv_direct", "Z_hv_u1", "Zmm", "appendix_c_form",
     "bezout_conjugator", "bezout_table", "build_transfer", "chebyshev_T",
     "conformal_Z_numeric", "coulomb_Z_hv", "dedekind_eta",

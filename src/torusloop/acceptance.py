@@ -25,6 +25,9 @@ from .transfer import effective_central_charge, markov_Z
 ORACLE_TOL = 1e-9
 GAMMA_LAMBDA_TOL = 1e-10
 MODULAR_TOL = 1e-8
+# the tau points of criterion 6 and of `torusloop modular` without --tau
+MODULAR_TAUS = (TauPoint(complex(0.1, 0.9)), TauPoint(complex(-0.4, 1.3)),
+                TauPoint(complex(0.5, 0.5)))
 
 DENSE_SIZES = ((2, 2), (2, 4), (3, 3), (4, 4), (3, 4))
 DILUTE_SIZES = ((1, 2), (2, 2), (2, 3), (3, 3))
@@ -136,10 +139,8 @@ def criterion_5_full_pf():
 
 def criterion_6_modular():
     """Modular covariance at the sampled tau, plus the exact 4-dim relations."""
-    taus = (TauPoint(complex(0.1, 0.9)), TauPoint(complex(-0.4, 1.3)),
-            TauPoint(complex(0.5, 0.5)))
     g_values = tuple(Fraction(p, pq) for (p, pq) in SERIES_PQ)
-    rep = modular_rep_check(taus=taus, g_values=g_values, alphas=(2.0, 1.2),
+    rep = modular_rep_check(taus=MODULAR_TAUS, g_values=g_values, alphas=(2.0, 1.2),
                             D_cutoff=40)
     return modular_ok(rep), (f"sector residual {rep['sector_covariance_residual']:.3e}, "
                              f"character residual {rep['character_S_residual']:.3e}")

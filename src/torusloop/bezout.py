@@ -76,13 +76,13 @@ def bezout_table(ctx: BezoutContext) -> dict:
         for s in range(ctx.s_range):
             a, b = ctx.doubled_pair(r, s)
             if a % 2 != ctx.hprime or b % 2 != ctx.hprime:
-                raise AssertionError("doubled label with wrong parity")
+                raise ArithmeticError("doubled label with wrong parity")
             if a in seen:
-                raise AssertionError("Bezout label map is not injective")
+                raise ArithmeticError("Bezout label map is not injective")
             seen.add(a)
             table[(r, s)] = (a, b)
     if len(seen) != ctx.P:
-        raise AssertionError("Bezout label map is not onto")
+        raise ArithmeticError("Bezout label map is not onto")
     return table
 
 
@@ -107,11 +107,11 @@ def bezout_conjugator(ctx: BezoutContext) -> tuple:
         if a == target:
             w0 = (2 ** ctx.hprime) * (2 * ctx.pq * r + ctx.p * (2 * s + ctx.h)) // 2
             if w0 % 2 == 0:
-                raise AssertionError("conjugator must be odd")
+                raise ArithmeticError("conjugator must be odd")
             if (w0 * w0) % ctx.P != 1 % ctx.P:
-                raise AssertionError("conjugator must square to 1 mod P")
+                raise ArithmeticError("conjugator must square to 1 mod P")
             return w0, (r, s)
-    raise AssertionError("no Kac cell with unit label")
+    raise ArithmeticError("no Kac cell with unit label")
 
 
 def mu_shift(ctx: BezoutContext, r: int, s: int) -> int:
@@ -146,7 +146,7 @@ def rho_j(ctx: BezoutContext, j_doubled: int) -> Fraction:
     conj = conjugate_of(ctx, j_doubled)
     rho = Fraction(j_doubled + conj, 4 * ctx.pq)
     if rho.denominator != 1:
-        raise AssertionError("rho_j is not an integer")
+        raise ArithmeticError("rho_j is not an integer")
     return rho
 
 

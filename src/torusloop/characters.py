@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .model import ModelSpec
-from .qseries import QSeries, euler_inverse
+from .qseries import QSeries, eta_inverse
 
 _PAD = Fraction(2)  # internal working margin above the requested cutoff
 
@@ -174,9 +174,7 @@ def u1_char(n: int, j, z: int, cutoff) -> QSeries:
     cutoff = Fraction(cutoff)
     work = cutoff + _PAD
     theta = theta_series(Fraction(j), n, z, work)
-    prefactor = euler_inverse(work + Fraction(1, 24)).shift(Fraction(-1, 24))
-    prod = QSeries(prefactor.terms, work) * theta
-    return prod.truncate(cutoff)
+    return (eta_inverse(work) * theta).truncate(cutoff)
 
 
 def u1_char_numeric(n: int, j, z: int, tau: TauPoint, side: str = "q",
@@ -226,11 +224,11 @@ def t_sign_exact(n4: int, j: int) -> int:
         raise ValueError("level must be a multiple of 4")
     dj = level_weight(n4, Fraction(j)) - level_weight(n4, Fraction(4 * n - j))
     if (dj - Fraction(j, 2)) .denominator != 1:
-        raise AssertionError("phase is not a half-integer multiple")
+        raise ArithmeticError("phase is not a half-integer multiple")
     return -1 if j % 2 else 1
 
 
-def modular_S_residual(n: int, tau: TauPoint, cutoff_terms: float = 1e-18) -> float:
+def modular_S_residual(n: int, tau: TauPoint) -> float:
     """Numeric residual of the character S-transformation at level n.
 
     kappa^n_j(-1/tau) = (1/sqrt(2n)) sum_k exp(-pi i j k / n) kappa^n_k(tau).

@@ -13,7 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .acceptance import GAMMA_LAMBDA_TOL, gamma_lambda_worst, modular_ok, run_suite
+from .acceptance import (GAMMA_LAMBDA_TOL, MODULAR_TAUS, gamma_lambda_worst, modular_ok,
+                         run_suite)
 from .arith import verify_master, verify_s1_s2
 from .bezout import BezoutContext, kac_table_text, table_json_obj
 from .characters import TauPoint
@@ -32,22 +33,20 @@ def _write(args, text: str):
         print(text)
 
 
-def _add_model_args(sub, with_u=True):
+def _add_model_args(sub):
     sub.add_argument("--kind", choices=("dense", "dilute"), default="dilute")
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--pq", type=int, required=True,
                      help="the coprime integer p' > p")
-    if with_u:
-        sub.add_argument("--u", type=float, default=None,
-                         help="spectral parameter (default: isotropic point)")
+    sub.add_argument("--u", type=float, default=None,
+                     help="spectral parameter (default: isotropic point)")
     sub.add_argument("--alpha", type=float, default=1.0,
                      help="non-contractible loop fugacity")
 
 
 def _model_from(args) -> ModelSpec:
-    spec = ModelSpec(args.kind, args.p, args.pq, getattr(args, "u", 0.0) or 0.0,
-                     alpha=args.alpha)
-    if getattr(args, "u", None) is None:
+    spec = ModelSpec(args.kind, args.p, args.pq, args.u or 0.0, alpha=args.alpha)
+    if args.u is None:
         spec = spec.isotropic()
     return spec
 
@@ -134,11 +133,8 @@ def cmd_bezout(args) -> int:
 
 
 def cmd_modular(args) -> int:
-    if args.tau:
-        taus = tuple(TauPoint(complex(re, im)) for re, im in args.tau)
-    else:
-        taus = tuple(TauPoint(complex(*pair)) for pair in
-                     ((0.1, 0.9), (-0.4, 1.3), (0.5, 0.5)))
+    taus = tuple(TauPoint(complex(re, im)) for re, im in args.tau) if args.tau \
+        else MODULAR_TAUS
     rep = modular_rep_check(taus=taus, D_cutoff=args.cutoff)
     for key in sorted(rep):
         print(f"{key} = {rep[key]!r}")

@@ -237,6 +237,12 @@ def _mat_eq_identity(A):
     return all(A[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
 
 
+def _sector_map(A) -> dict:
+    """hv -> the sector whose column holds the 1 in row hv of the 0/1
+    matrix `A` over SECTOR_ORDER."""
+    return {hv: SECTOR_ORDER[row.index(1)] for hv, row in zip(SECTOR_ORDER, A, strict=True)}
+
+
 def modular_rep_check(taus=None, levels=(2, 6), g_values=(Fraction(1, 2),),
                       alphas=(2.0, 1.2), D_cutoff: int = 40) -> dict:
     """Verify the modular structure; returns a report of exact and numeric checks.
@@ -273,6 +279,7 @@ def modular_rep_check(taus=None, levels=(2, 6), g_values=(Fraction(1, 2),),
                     abs(s_lhs - s_rhs) / max(1.0, abs(s_rhs)))
     report["Zmm_covariance_residual"] = worst_gauss
 
+    t_perm, s_perm = _sector_map(MODULAR_T4), _sector_map(MODULAR_S4)
     worst_sector = 0.0
     for tau in taus:
         for g in g_values:
@@ -285,10 +292,6 @@ def modular_rep_check(taus=None, levels=(2, 6), g_values=(Fraction(1, 2),),
                 s_vals = {hv: conformal_Z_numeric(g, alpha, hv[0], hv[1],
                                                   tau.invert(), D_cutoff)
                           for hv in SECTOR_ORDER}
-                t_perm = {(0, 0): (0, 0), (0, 1): (0, 1),
-                          (1, 0): (1, 1), (1, 1): (1, 0)}
-                s_perm = {(0, 0): (0, 0), (0, 1): (1, 0),
-                          (1, 0): (0, 1), (1, 1): (1, 1)}
                 for hv in SECTOR_ORDER:
                     scale = max(1.0, abs(vals[t_perm[hv]]))
                     worst_sector = max(worst_sector,

@@ -171,14 +171,21 @@ class CycloNum:
         return any(self.coeffs)
 
     def __eq__(self, other):
+        """Equal elements of one field are equal; across fields only rational
+        elements compare, by value, like the int or Fraction they equal.  An
+        irrational element never equals one of another field, even where
+        both are the same complex number (zeta_4 and zeta_8^2)."""
         if isinstance(other, (int, Fraction)):
             other = self.field.rational(other)
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        if self.field is other.field:
+            return self.coeffs == other.coeffs
+        return not any(self.coeffs[1:]) and not any(other.coeffs[1:]) \
+            and self.coeffs[0] == other.coeffs[0]
 
     def __hash__(self):
-        # a rational element equals its int or Fraction, so it hashes like one
+        # a rational element equals its value, so it hashes like it
         if not any(self.coeffs[1:]):
             return hash(self.coeffs[0])
         return hash((self.field.m, self.coeffs))

@@ -70,10 +70,6 @@ class QSeries:
     def one(cls, cutoff) -> "QSeries":
         return cls({Fraction(0): Fraction(1)}, cutoff)
 
-    @classmethod
-    def monomial(cls, exponent, cutoff, coeff=Fraction(1)) -> "QSeries":
-        return cls({_as_rational(exponent): coeff}, cutoff)
-
     # -- inspection --------------------------------------------------------
 
     def coeff(self, exponent):

@@ -36,21 +36,22 @@ basis word of each rotation orbit and fills the orbit's other columns by
 rotating its rows and shifting its powers of omega; a column that its
 orbit's period does not map onto itself raises.
 
-Weights are Laurent polynomials in omega with float coefficients.  Traces of
-transfer-matrix powers decompose as sum_j omega^{-j} C_{d,j} (the twisted
-sectors of Di Francesco, Saleur and Zuber, J. Stat. Phys. 49 (1987) 57); the
-Markov trace reassembles the torus partition functions from the C_{d,j} with
-Chebyshev fugacity factors, the defining cross-check being equality with the
-lattice enumeration.
+Weights are Laurent polynomials in omega with float coefficients.  An
+operator holds them as one omega-coefficient tensor, which the build writes
+directly; ``matrix`` is a view derived from it on first use, each entry a
+{power of omega: coefficient} dict, and every Laurent polynomial of this
+module is such a mapping.  Traces of transfer-matrix powers decompose as
+sum_j omega^{-j} C_{d,j} (the twisted sectors of Di Francesco, Saleur and
+Zuber, J. Stat. Phys. 49 (1987) 57); the Markov trace reassembles the torus
+partition functions from the C_{d,j} with Chebyshev fugacity factors, the
+defining cross-check being equality with the lattice enumeration.
 
-The build writes the omega-coefficient tensor of each operator directly;
-it is the operator's primary data, and the matrix of ``OmegaLaurent``
-entries is a view derived from it on first use.  Two paths compute the
-C_{d,j}.  ``C_coefficients``, which ``markov_Z`` and the CLI read,
-multiplies numpy slices of the tensor and is cached per (spec, N, M, d).
-``trace_TM`` multiplies the Laurent matrices entry by entry with one
-``math.fsum`` per power; it is the correctly rounded reference that the
-tests hold the fast path to.
+Two paths compute the C_{d,j}.  ``C_coefficients``, which ``markov_Z`` and
+the CLI read, multiplies numpy slices of the tensor and is cached per
+(spec, N, M, d); ``commutator_residual`` uses the same slice product.
+``trace_TM`` multiplies the ``matrix`` views entry by entry with one
+``math.fsum`` per power, in pure Python; it is the correctly rounded
+reference that the tests hold the fast path to.
 """
 
 from __future__ import annotations
@@ -74,54 +75,6 @@ _SORT_ORDER = {"|": 0, "(": 1, ")": 2, ".": 3}
 
 class TransferSizeError(ValueError):
     """Module too large for dense matrix powering."""
-
-
-class OmegaLaurent:
-    """Finite Laurent polynomial sum_k c_k omega^k with float coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c != 0.0}
-
-    @classmethod
-    def constant(cls, c: float) -> "OmegaLaurent":
-        return cls({0: float(c)})
-
-    def coeff(self, k: int) -> float:
-        return self.coeffs.get(k, 0.0)
-
-    def support(self) -> tuple:
-        return tuple(sorted(self.coeffs))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __add__(self, other: "OmegaLaurent") -> "OmegaLaurent":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return OmegaLaurent(out)
-
-    def __mul__(self, other: "OmegaLaurent") -> "OmegaLaurent":
-        out: dict = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                out[k1 + k2] = out.get(k1 + k2, 0.0) + c1 * c2
-        return OmegaLaurent(out)
-
-    def scale(self, c: float) -> "OmegaLaurent":
-        return OmegaLaurent({k: c * v for k, v in self.coeffs.items()})
-
-    def evaluate(self, omega: complex) -> complex:
-        return sum(c * omega**k for k, c in self.coeffs.items())
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def __repr__(self):
-        parts = [f"{c:+g}*w^{k}" for k, c in sorted(self.coeffs.items())]
-        return f"OmegaLaurent({' '.join(parts) or '0'})"
 
 
 # ---------------------------------------------------------------------------
@@ -332,33 +285,13 @@ class TransferOperator:
     """One-row transfer matrix on the standard module with d defects.
 
     ``tensor[k - kmin, i, j]`` is the omega^k coefficient of the weight of
-    basis[j] -> basis[i], stored once (read-only) for every k in
-    [kmin, kmax].  ``matrix`` is a view derived from it on first use.
+    basis[j] -> basis[i] for every k in [kmin, kmin + len(tensor) - 1]; the
+    operator marks it read-only.  ``matrix`` is a view derived from it on
+    first use.
     """
 
-    def __init__(self, spec: ModelSpec, N: int, d: int, basis: tuple, matrix: list):
-        """Operator from Laurent entries: ``matrix[i][j]`` is the
-        OmegaLaurent weight of basis[j] -> basis[i], or None."""
-        dim = len(basis)
-        entries = [(k, i, j, c) for i, row in enumerate(matrix)
-                   for j, e in enumerate(row) if e is not None
-                   for k, c in e.coeffs.items()]
-        kmin = min((k for k, *_ in entries), default=0)
-        kmax = max((k for k, *_ in entries), default=0)
-        tensor = np.zeros((kmax - kmin + 1, dim, dim))
-        for k, i, j, c in entries:
-            tensor[k - kmin, i, j] = c
-        self._set(spec, N, d, basis, kmin, tensor)
-
-    @classmethod
-    def from_tensor(cls, spec: ModelSpec, N: int, d: int, basis: tuple, kmin: int,
-                    tensor: np.ndarray) -> "TransferOperator":
-        """Operator whose omega^k coefficients are ``tensor[k - kmin]``."""
-        op = cls.__new__(cls)
-        op._set(spec, N, d, basis, kmin, tensor)
-        return op
-
-    def _set(self, spec, N, d, basis, kmin, tensor):
+    def __init__(self, spec: ModelSpec, N: int, d: int, basis: tuple, kmin: int,
+                 tensor: np.ndarray):
         tensor.setflags(write=False)
         self.spec, self.N, self.d, self.basis = spec, N, d, basis
         self.kmin, self.tensor = kmin, tensor
@@ -369,16 +302,16 @@ class TransferOperator:
 
     @cached_property
     def matrix(self) -> list:
-        """``matrix[i][j]``: OmegaLaurent weight of basis[j] -> basis[i], None
+        """``matrix[i][j]``: the weight of basis[j] -> basis[i] as a
+        {power of omega: coefficient} dict of its nonzero coefficients, None
         where every coefficient is zero."""
         nonzero = np.nonzero(self.tensor)
-        coeffs: dict = {}
+        out: list = [[None] * self.dim for _ in range(self.dim)]
         for n, i, j, c in zip(*(a.tolist() for a in nonzero), self.tensor[nonzero].tolist(),
                               strict=True):
-            coeffs.setdefault((i, j), {})[self.kmin + n] = c
-        out: list = [[None] * self.dim for _ in range(self.dim)]
-        for (i, j), c in coeffs.items():
-            out[i][j] = OmegaLaurent(c)
+            if out[i][j] is None:
+                out[i][j] = {}
+            out[i][j][self.kmin + n] = c
         return out
 
     def to_numeric(self, omega: complex) -> np.ndarray:
@@ -450,11 +383,18 @@ def build_transfer(spec: ModelSpec, N: int, d: int) -> TransferOperator:
     kmin, kmax = (int(k.min()), int(k.max())) if len(k) else (0, 0)
     tensor = np.zeros((kmax - kmin + 1, dim, dim))
     tensor[k - kmin, i, j] = c
-    return TransferOperator.from_tensor(spec, N, d, basis, kmin, tensor)
+    return TransferOperator(spec, N, d, basis, kmin, tensor)
+
+
+def _fsum_nonzero(buckets: dict) -> dict:
+    """{power: math.fsum of its terms} for each power of `buckets`, exact
+    zeros dropped."""
+    sums = {k: math.fsum(v) for k, v in buckets.items()}
+    return {k: c for k, c in sums.items() if c != 0.0}
 
 
 def _matmul(A: list, Bm: list, dim: int) -> list:
-    """Laurent matrix product with correctly rounded per-power sums."""
+    """Product of two ``matrix`` views with correctly rounded per-power sums."""
     out: list = [[None] * dim for _ in range(dim)]
     for i in range(dim):
         Ai = A[i]
@@ -465,20 +405,19 @@ def _matmul(A: list, Bm: list, dim: int) -> list:
                 b = Bm[k][j]
                 if a is None or b is None:
                     continue
-                for ka, ca in a.coeffs.items():
-                    for kb, cb in b.coeffs.items():
+                for ka, ca in a.items():
+                    for kb, cb in b.items():
                         buckets.setdefault(ka + kb, []).append(ca * cb)
-            if buckets:
-                out[i][j] = OmegaLaurent(
-                    {k: math.fsum(v) for k, v in buckets.items()})
+            out[i][j] = _fsum_nonzero(buckets) or None
     return out
 
 
-def matrix_power_trace(op: TransferOperator, M: int) -> OmegaLaurent:
-    """Trace of the M-th power as a Laurent polynomial in omega."""
+def matrix_power_trace(op: TransferOperator, M: int) -> Mapping:
+    """Trace of the M-th power as a read-only {power of omega: coefficient}
+    mapping of its nonzero coefficients."""
     dim = op.dim
     if M == 0:
-        return OmegaLaurent.constant(float(dim))
+        return MappingProxyType({0: float(dim)})
     P = op.matrix
     for _ in range(M - 1):
         P = _matmul(P, op.matrix, dim)
@@ -486,14 +425,27 @@ def matrix_power_trace(op: TransferOperator, M: int) -> OmegaLaurent:
     for i in range(dim):
         entry = P[i][i]
         if entry is not None:
-            for k, c in entry.coeffs.items():
+            for k, c in entry.items():
                 buckets.setdefault(k, []).append(c)
-    return OmegaLaurent({k: math.fsum(v) for k, v in buckets.items()})
+    return MappingProxyType(_fsum_nonzero(buckets))
 
 
-def trace_TM(spec: ModelSpec, N: int, M: int, d: int) -> OmegaLaurent:
-    """tr T(u)^M on the (N, d) standard module: sum_j omega^{-j} C_{d,j}."""
+def trace_TM(spec: ModelSpec, N: int, M: int, d: int) -> Mapping:
+    """tr T(u)^M on the (N, d) standard module: sum_j omega^{-j} C_{d,j},
+    as the mapping {-j: C_{d,j}} of its nonzero coefficients."""
     return matrix_power_trace(build_transfer(spec, N, d), M)
+
+
+def _slice_product(P: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Coefficient slices of the product of two operators' omega tensors:
+    out[k] = sum_r P[k - r] @ A[r], so out[0] sits at the sum of the
+    factors' lowest powers."""
+    dim = A.shape[-1]
+    out = np.zeros((len(P) + len(A) - 1, dim, dim))
+    flat = P.reshape(-1, dim)
+    for r, slab in enumerate(A):
+        out[r:r + len(P)] += (flat @ slab).reshape(P.shape)
+    return out
 
 
 @lru_cache(maxsize=1024)
@@ -511,14 +463,10 @@ def C_coefficients(spec: ModelSpec, N: int, M: int, d: int) -> Mapping:
     op = build_transfer(spec, N, d)
     if M == 0:
         return MappingProxyType({0: float(op.dim)})
-    A, dim = op.tensor, op.dim
-    P = np.eye(dim)[None]
+    A = op.tensor
+    P = np.eye(op.dim)[None]
     for _ in range(M - 1):
-        nxt = np.zeros((len(P) + len(A) - 1, dim, dim))
-        flat = P.reshape(-1, dim)
-        for r, slab in enumerate(A):
-            nxt[r:r + len(P)] += (flat @ slab).reshape(P.shape)
-        P = nxt
+        P = _slice_product(P, A)
     trace = np.zeros(len(P) + len(A) - 1)
     for r, slab in enumerate(A):
         trace[r:r + len(P)] += np.einsum("kij,ji->k", P, slab)
@@ -571,18 +519,9 @@ def markov_Z(spec: ModelSpec, M: int, N: int, h: int, v: int,
 
 def commutator_residual(spec_a: ModelSpec, spec_b: ModelSpec, N: int, d: int) -> float:
     """Largest coefficient of [T(u), T(u')] on the (N, d) module."""
-    A = build_transfer(spec_a, N, d)
-    Bo = build_transfer(spec_b, N, d)
-    AB = _matmul(A.matrix, Bo.matrix, A.dim)
-    BA = _matmul(Bo.matrix, A.matrix, A.dim)
-    worst = 0.0
-    for i in range(A.dim):
-        for j in range(A.dim):
-            x = AB[i][j] or OmegaLaurent()
-            y = BA[i][j] or OmegaLaurent()
-            diff = x + y.scale(-1.0)
-            worst = max(worst, diff.max_abs())
-    return worst
+    Ta = build_transfer(spec_a, N, d).tensor
+    Tb = build_transfer(spec_b, N, d).tensor
+    return float(np.abs(_slice_product(Ta, Tb) - _slice_product(Tb, Ta)).max())
 
 
 def leading_eigenvalue(spec: ModelSpec, N: int, d: int = 0, omega: complex = 1.0) -> float:

@@ -248,3 +248,17 @@ def test_cyclo_rational_hashes_like_its_value(value):
     irrational = CycloField(10).cos_pi_multiple(2, 5)
     assert irrational != F(irrational.coeffs[0])
     assert irrational in {irrational + 0}
+
+
+def test_cyclo_rationals_of_different_fields_are_one_set_element():
+    """Equality agrees with the hash: a rational value is one set element
+    whichever field, or none, it comes from, in every insertion order."""
+    from itertools import permutations
+    values = (CycloField(10).rational(3), CycloField(14).rational(3), 3)
+    for order in permutations(values):
+        assert len(set(order)) == 1, order
+    assert CycloField(10).rational(F(1, 2)) != CycloField(14).rational(3)
+    # irrational elements of different fields stay unequal
+    i4, i8 = CycloField(4).zeta_power(1), CycloField(8).zeta_power(2)
+    assert complex(i4) == pytest.approx(complex(i8))
+    assert i4 != i8

@@ -274,6 +274,12 @@ def test_modular_report():
 def test_modular_matrices_are_permutations():
     assert MODULAR_S4[1][2] == MODULAR_S4[2][1] == 1
     assert MODULAR_T4[2][3] == MODULAR_T4[3][2] == 1
+    # the sector maps the numeric covariance check reads off the matrices
+    from torusloop.conformal import _sector_map
+    assert _sector_map(MODULAR_T4) == {(0, 0): (0, 0), (0, 1): (0, 1),
+                                       (1, 0): (1, 1), (1, 1): (1, 0)}
+    assert _sector_map(MODULAR_S4) == {(0, 0): (0, 0), (0, 1): (1, 0),
+                                       (1, 0): (0, 1), (1, 1): (1, 1)}
 
 
 # -- the exact triple identity ------------------------------------------------

@@ -254,11 +254,18 @@ def test_routes_stay_independent():
     assert "model" in _package_imports("transfer")  # relative imports are seen
 
 
+def _raises_assertion_error(node: ast.Raise) -> bool:
+    exc = getattr(node.exc, "func", node.exc)  # `raise E(...)` or `raise E`
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements_in_package():
-    """Invariants raise real exceptions: `python -O` strips assert statements."""
+    """Invariants raise real exceptions: `python -O` strips assert statements,
+    and a broken invariant raises ArithmeticError, not AssertionError."""
     sources = sorted(Path(torusloop.__file__).parent.glob("*.py"))
     assert sources
     found = [f"{path.name}:{node.lineno}" for path in sources
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or isinstance(node, ast.Raise) and _raises_assertion_error(node)]
     assert not found, found

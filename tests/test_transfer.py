@@ -11,7 +11,6 @@ from torusloop.lattice import lattice_Z
 from torusloop.model import ModelSpec, face_weights
 from torusloop.transfer import (
     C_coefficients,
-    OmegaLaurent,
     TransferOperator,
     TransferSizeError,
     build_transfer,
@@ -27,6 +26,11 @@ from torusloop.transfer import (
 
 def comb(n, k):
     return math.comb(n, k)
+
+
+def evaluate(laurent, omega):
+    """Value at `omega` of a {power of omega: coefficient} mapping."""
+    return sum(c * omega**k for k, c in laurent.items())
 
 
 # -- link states -----------------------------------------------------------
@@ -83,23 +87,26 @@ def test_dense_two_defect_scalar_row():
     op = build_transfer(spec, 2, 2)
     assert op.dim == 1
     entry = op.matrix[0][0]
-    assert entry.coeffs == pytest.approx({-1: rho[7] ** 2, 1: rho[8] ** 2})
+    assert entry == pytest.approx({-1: rho[7] ** 2, 1: rho[8] ** 2})
 
 
 def test_dense_n2_d0_trace():
     spec = ModelSpec("dense", 2, 3, 0.37)
     rho = face_weights(spec)
     tr = trace_TM(spec, 2, 1, 0)
-    assert tr.coeffs == pytest.approx({-1: 2 * rho[7] * rho[8], 1: 2 * rho[7] * rho[8]})
+    # the omega^0 coefficient is exactly zero and left out
+    assert tr == pytest.approx({-1: 2 * rho[7] * rho[8], 1: 2 * rho[7] * rho[8]})
+    with pytest.raises(TypeError):
+        tr[0] = 1.0
 
 
 def test_dilute_n1_rows():
     spec = ModelSpec("dilute", 2, 3, 0.37)
     rho = face_weights(spec)
     tr0 = trace_TM(spec, 1, 1, 0)
-    assert tr0.coeffs == pytest.approx({0: rho[0], 1: rho[5], -1: rho[5]})
+    assert tr0 == pytest.approx({0: rho[0], 1: rho[5], -1: rho[5]})
     tr1 = trace_TM(spec, 1, 1, 1)
-    assert tr1.coeffs == pytest.approx({0: rho[6], -1: rho[7], 1: rho[8]})
+    assert tr1 == pytest.approx({0: rho[6], -1: rho[7], 1: rho[8]})
 
 
 def test_dilute_vacuum_tile_only():
@@ -109,11 +116,11 @@ def test_dilute_vacuum_tile_only():
     spec = ModelSpec("dilute", 3, 4, 0.0)
     rho = face_weights(spec)
     op = build_transfer(spec, 1, 0)
-    assert op.matrix[0][0].coeffs == pytest.approx({0: rho[0]})
+    assert op.matrix[0][0] == pytest.approx({0: rho[0]})
     spec2 = ModelSpec("dilute", 3, 4, 0.42)
     rho2 = face_weights(spec2)
     entry = build_transfer(spec2, 1, 0).matrix[0][0]
-    assert entry.coeffs == pytest.approx({0: rho2[0], 1: rho2[5], -1: rho2[5]})
+    assert entry == pytest.approx({0: rho2[0], 1: rho2[5], -1: rho2[5]})
 
 
 @pytest.mark.parametrize("kind, Nmax", [("dense", 7), ("dilute", 5)])
@@ -130,8 +137,7 @@ def test_u0_transfer_is_one_site_shift(kind, Nmax, p, pq):
             column = [i for i in range(op.dim) if op.matrix[i][j] is not None]
             assert column == [op.basis.index(w[1:] + w[0])], (N, d, w)
             k = -1 if w[0] == "|" else 0
-            assert op.matrix[column[0]][j].coeffs == pytest.approx({k: rho8 ** N},
-                                                                   rel=1e-13)
+            assert op.matrix[column[0]][j] == pytest.approx({k: rho8 ** N}, rel=1e-13)
 
 
 def test_join_rejects_word_outside_given_basis():
@@ -148,7 +154,7 @@ def test_trace_power_zero_is_dimension():
     spec = ModelSpec("dilute", 2, 3, 0.42)
     for d in range(0, 4):
         tr = trace_TM(spec, 3, 0, d)
-        assert tr.coeffs == {0: float(len(link_states("dilute", 3, d)))}
+        assert tr == {0: float(len(link_states("dilute", 3, d)))}
 
 
 @pytest.mark.parametrize("N, M", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3)])
@@ -167,7 +173,7 @@ def test_trace_support_within_row_count():
     for d in (0, 1, 2):
         for M in (1, 2, 3):
             tr = trace_TM(spec, 2, M, d)
-            assert all(abs(k) <= M for k in tr.coeffs)
+            assert all(abs(k) <= M for k in tr)
 
 
 def test_laurent_trace_matches_numeric_matrix_path():
@@ -177,7 +183,7 @@ def test_laurent_trace_matches_numeric_matrix_path():
     mat = op.to_numeric(1.0)
     for M in (1, 2, 3):
         direct = np.trace(np.linalg.matrix_power(mat, M))
-        laurent = trace_TM(spec, 2, M, 1).evaluate(1.0)
+        laurent = evaluate(trace_TM(spec, 2, M, 1), 1.0)
         assert abs(direct - laurent) < 1e-10
 
 
@@ -186,11 +192,11 @@ def test_trace_basis_permutation_bit_identical():
     op = build_transfer(spec, 3, 1)
     perm = (3, 0, 5, 2, 4, 1)
     shuffled = tuple(op.basis[i] for i in perm)
-    permuted = [[op.matrix[a][b] for b in perm] for a in perm]
+    permuted = op.tensor[:, perm][:, :, perm]
     t_ref = trace_TM(spec, 3, 2, 1)
     from torusloop.transfer import matrix_power_trace
-    t_perm = matrix_power_trace(TransferOperator(spec, 3, 1, shuffled, permuted), 2)
-    assert t_ref.coeffs == t_perm.coeffs  # bit-for-bit
+    t_perm = matrix_power_trace(TransferOperator(spec, 3, 1, shuffled, op.kmin, permuted), 2)
+    assert t_ref == t_perm  # bit-for-bit
 
 
 def test_to_numeric_matches_entrywise_evaluation():
@@ -198,7 +204,7 @@ def test_to_numeric_matches_entrywise_evaluation():
     omega = complex(math.cos(0.7), math.sin(0.7))
     for d in (0, 1, 2):
         op = build_transfer(spec, 3, d)
-        ref = np.array([[e.evaluate(omega) if e is not None else 0.0 for e in row]
+        ref = np.array([[evaluate(e, omega) if e is not None else 0.0 for e in row]
                         for row in op.matrix])
         assert np.allclose(op.to_numeric(omega), ref, rtol=1e-14, atol=1e-15)
 
@@ -219,7 +225,7 @@ def test_tensor_coefficients_match_fsum_reference(kind, Nmax):
             for M in range(0, 5):
                 C = C_coefficients(spec, N, M, d)
                 tr = trace_TM(spec, N, M, d)
-                ref = {j: tr.coeff(-j) for j in range(-M, M + 1)}
+                ref = {j: tr.get(-j, 0.0) for j in range(-M, M + 1)}
                 assert set(C) == set(ref)
                 scale = max(abs(c) for c in ref.values())
                 for j, c in ref.items():
@@ -237,7 +243,7 @@ def test_C_coefficients_cached_and_read_only():
 
 def test_C_coefficients_rejects_support_beyond_M(monkeypatch):
     spec = ModelSpec("dilute", 1, 7, 0.123)
-    op = TransferOperator(spec, 1, 0, (".",), [[OmegaLaurent({2: 1.0})]])
+    op = TransferOperator(spec, 1, 0, (".",), 2, np.ones((1, 1, 1)))
     monkeypatch.setattr(transfer, "build_transfer", lambda *args: op)
     with pytest.raises(ArithmeticError):
         C_coefficients(spec, 1, 1, 0)
@@ -248,11 +254,59 @@ def test_commuting_family():
                        ("dilute", 3, 1)):
         a = ModelSpec(kind, 2, 3, 0.31)
         b = ModelSpec(kind, 2, 3, 0.73)
-        scale = max(build_transfer(a, N, d).matrix[i][j].max_abs()
-                    for i in range(build_transfer(a, N, d).dim)
-                    for j in range(build_transfer(a, N, d).dim)
-                    if build_transfer(a, N, d).matrix[i][j] is not None)
+        scale = np.abs(build_transfer(a, N, d).tensor).max()
         assert commutator_residual(a, b, N, d) < 1e-9 * max(1.0, scale)
+
+
+def _reference_commutator(spec_a, spec_b, N, d):
+    """[T_a, T_b] from the fsum reference product: {(k, i, j): coefficient},
+    and the largest coefficient of either product."""
+    A, Bo = build_transfer(spec_a, N, d), build_transfer(spec_b, N, d)
+    AB = transfer._matmul(A.matrix, Bo.matrix, A.dim)
+    BA = transfer._matmul(Bo.matrix, A.matrix, A.dim)
+    out, scale = {}, 0.0
+    for i in range(A.dim):
+        for j in range(A.dim):
+            for sign, entry in ((1.0, AB[i][j]), (-1.0, BA[i][j])):
+                for k, c in (entry or {}).items():
+                    out[k, i, j] = out.get((k, i, j), 0.0) + sign * c
+                    scale = max(scale, abs(c))
+    return out, scale
+
+
+def _commutator_pairs(kind):
+    commuting = (ModelSpec(kind, 2, 3, 0.31), ModelSpec(kind, 2, 3, 0.73))
+    other = (ModelSpec(kind, 2, 3, 0.31), ModelSpec(kind, 3, 4, 0.73))
+    return commuting, other
+
+
+@pytest.mark.parametrize("kind, Nmax", [("dense", 4), ("dilute", 3)])
+def test_commutator_matches_fsum_reference(kind, Nmax):
+    """The slice-product commutator equals the one built from the fsum
+    product within 1e-12 of the largest product coefficient, entry by entry
+    and in commutator_residual, for commuting and non-commuting pairs."""
+    for a, b in _commutator_pairs(kind):
+        for N, d in _modules(kind, Nmax):
+            ref, scale = _reference_commutator(a, b, N, d)
+            Ta, Tb = build_transfer(a, N, d), build_transfer(b, N, d)
+            got = transfer._slice_product(Ta.tensor, Tb.tensor) \
+                - transfer._slice_product(Tb.tensor, Ta.tensor)
+            kmin = Ta.kmin + Tb.kmin
+            for (k, i, j), c in ref.items():
+                assert abs(got[k - kmin, i, j] - c) <= 1e-12 * scale, (a, b, N, d, k, i, j)
+            keys = {(kmin + n, i, j) for n, i, j in zip(*np.nonzero(got))}
+            assert keys <= set(ref), (a, b, N, d)
+            worst = max(map(abs, ref.values()), default=0.0)
+            assert abs(commutator_residual(a, b, N, d) - worst) <= 1e-12 * scale, (N, d)
+
+
+@pytest.mark.parametrize("kind, N, d", [("dense", 4, 0), ("dilute", 3, 0)])
+def test_commutator_detects_different_models(kind, N, d):
+    """Negative control: (2, 3) and (3, 4) have different crossing
+    parameters, so their transfer matrices do not commute."""
+    _, (a, b) = _commutator_pairs(kind)
+    _, scale = _reference_commutator(a, b, N, d)
+    assert commutator_residual(a, b, N, d) > 1e-3 * scale
 
 
 def test_size_guard():
@@ -266,24 +320,32 @@ def test_size_guard():
 # -- the orbit build against a full join -------------------------------------
 
 def _full_join_transfer(spec, N, d):
-    """Reference build: join every basis word, Laurent entries per transition."""
+    """Reference build: join every basis word, one Laurent weight per transition."""
     basis = link_states(spec.kind, N, d)
     index = {w: i for i, w in enumerate(basis)}
     arcs_of = {w: transfer.arc_crossings(w) for w in basis}
     rho = face_weights(spec)
     diagrams = transfer._row_diagrams(N, tuple(t for t in spec.tiles if rho[t - 1] != 0.0))
-    matrix = [[None] * len(basis) for _ in basis]
+    entries = {}  # (k, i, j) -> omega^k coefficient of entry (i, j)
     for j, word in enumerate(basis):
         rows = diagrams.get(tuple(ch != "." for ch in word), ())
         weights = tuple(math.prod(rho[t - 1] for t in tiles) for tiles, *_ in rows)
         for row_weight, k, n_alpha, n_beta, new_word in transfer._join(word, rows, weights,
                                                                        arcs_of):
-            weight = OmegaLaurent({k: row_weight * spec.beta ** n_beta})
-            for _ in range(n_alpha):
-                weight = weight * OmegaLaurent({1: 1.0, -1: 1.0})
+            weight = {k: row_weight * spec.beta ** n_beta}
+            for _ in range(n_alpha):  # times omega + 1/omega
+                weight = {p: weight.get(p - 1, 0.0) + weight.get(p + 1, 0.0)
+                          for p in range(min(weight) - 1, max(weight) + 2)}
             i = index[new_word]
-            matrix[i][j] = weight if matrix[i][j] is None else matrix[i][j] + weight
-    return TransferOperator(spec, N, d, basis, matrix)
+            for p, c in weight.items():
+                entries[p, i, j] = entries.get((p, i, j), 0.0) + c
+    entries = {key: c for key, c in entries.items() if c != 0.0}
+    kmin = min((k for k, _, _ in entries), default=0)
+    kmax = max((k for k, _, _ in entries), default=0)
+    tensor = np.zeros((kmax - kmin + 1, len(basis), len(basis)))
+    for (k, i, j), c in entries.items():
+        tensor[k - kmin, i, j] = c
+    return TransferOperator(spec, N, d, basis, kmin, tensor)
 
 
 @pytest.mark.parametrize("kind, Nmax", [("dense", 8), ("dilute", 6)])
@@ -313,15 +375,20 @@ def test_orbit_period_check_raises(monkeypatch):
 
 @pytest.mark.parametrize("kind, Nmax", [("dense", 6), ("dilute", 4)])
 def test_matrix_view_round_trips(kind, Nmax):
-    """The derived Laurent view rebuilds the tensor bit for bit, and is None
-    exactly where every coefficient is zero."""
+    """The derived Laurent view rebuilds the tensor bit for bit, spans its
+    powers, and is None exactly where every coefficient is zero."""
     for spec in (ModelSpec(kind, 2, 3, 0.29), ModelSpec(kind, 3, 4, 0.0).isotropic()):
         for N, d in _modules(kind, Nmax):
             op = build_transfer(spec, N, d)
-            again = TransferOperator(spec, N, d, op.basis, op.matrix)
-            assert again.kmin == op.kmin
-            assert again.tensor.shape == op.tensor.shape
-            assert again.tensor.tobytes() == op.tensor.tobytes()
+            powers = [k for row in op.matrix for e in row if e is not None for k in e]
+            assert min(powers, default=0) == op.kmin
+            assert max(powers, default=0) == op.kmin + len(op.tensor) - 1
+            again = np.zeros(op.tensor.shape)
+            for i, row in enumerate(op.matrix):
+                for j, e in enumerate(row):
+                    for k, c in (e or {}).items():
+                        again[k - op.kmin, i, j] = c
+            assert again.tobytes() == op.tensor.tobytes()
             zero = ~op.tensor.any(axis=0)
             assert [[e is None for e in row] for row in op.matrix] == zero.tolist()
 
@@ -370,8 +437,8 @@ def test_markov_alpha2_reduces_to_plain_traces():
             combo = 0.0
             for d in range(h, N + 1, 2):
                 mult = 1.0 if d == 0 else 2.0
-                t1 = trace_TM(spec, N, M, d).evaluate(1.0).real
-                t2 = trace_TM(spec, N, M, d).evaluate(-1.0).real
+                t1 = evaluate(trace_TM(spec, N, M, d), 1.0)
+                t2 = evaluate(trace_TM(spec, N, M, d), -1.0)
                 combo += mult * 0.5 * (t1 + (-1) ** v * t2)
             assert math.isclose(direct, combo, rel_tol=1e-10, abs_tol=1e-12)
 
