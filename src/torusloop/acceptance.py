@@ -140,8 +140,7 @@ def criterion_5_full_pf():
 def criterion_6_modular():
     """Modular covariance at the sampled tau, plus the exact 4-dim relations."""
     g_values = tuple(Fraction(p, pq) for (p, pq) in SERIES_PQ)
-    rep = modular_rep_check(taus=MODULAR_TAUS, g_values=g_values, alphas=(2.0, 1.2),
-                            D_cutoff=40)
+    rep = modular_rep_check(taus=MODULAR_TAUS, g_values=g_values)
     return modular_ok(rep), (f"sector residual {rep['sector_covariance_residual']:.3e}, "
                              f"character residual {rep['character_S_residual']:.3e}")
 

@@ -23,6 +23,8 @@ from .model import ModelSpec
 from .qseries import QSeries, eta_inverse
 
 _PAD = Fraction(2)  # internal working margin above the requested cutoff
+# every numeric sum drops the terms whose size falls below this, relative to 1
+NUMERIC_TAIL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -177,13 +179,12 @@ def u1_char(n: int, j, z: int, cutoff) -> QSeries:
     return (eta_inverse(work) * theta).truncate(cutoff)
 
 
-def u1_char_numeric(n: int, j, z: int, tau: TauPoint, side: str = "q",
-                    tol: float = 1e-18) -> complex:
+def u1_char_numeric(n: int, j, z: int, tau: TauPoint, side: str = "q") -> complex:
     """kappa^n_j(z, .) evaluated at the nome of `tau` (or its conjugate)."""
     power = tau.q_power if side == "q" else tau.qbar_power
     j = float(j)
-    # |q|^x < tol once x exceeds xmax; bound the index range from that
-    xmax = math.log(tol) / math.log(abs(power(1.0)))
+    # |q|^x < NUMERIC_TAIL once x exceeds xmax; bound the index range from that
+    xmax = math.log(NUMERIC_TAIL) / math.log(abs(power(1.0)))
     reach = math.sqrt(max(xmax, 0.0) * 4 * n)
     k_lo = math.floor((-reach - j) / (2 * n)) - 1
     k_hi = math.ceil((reach - j) / (2 * n)) + 1
@@ -196,11 +197,11 @@ def u1_char_numeric(n: int, j, z: int, tau: TauPoint, side: str = "q",
 
 
 @lru_cache(maxsize=512)
-def eta_numeric(tau: TauPoint, side: str = "q", tol: float = 1e-18) -> complex:
+def eta_numeric(tau: TauPoint, side: str = "q") -> complex:
     power = tau.q_power if side == "q" else tau.qbar_power
     out = power(Fraction(1, 24))
     nmax = 1
-    while abs(power(nmax)) > tol:
+    while abs(power(nmax)) > NUMERIC_TAIL:
         nmax += 1
     for k in range(1, nmax + 1):
         out *= 1 - power(k)

@@ -135,7 +135,7 @@ def cmd_bezout(args) -> int:
 def cmd_modular(args) -> int:
     taus = tuple(TauPoint(complex(re, im)) for re, im in args.tau) if args.tau \
         else MODULAR_TAUS
-    rep = modular_rep_check(taus=taus, D_cutoff=args.cutoff)
+    rep = modular_rep_check(taus=taus)
     for key in sorted(rep):
         print(f"{key} = {rep[key]!r}")
     return 0 if modular_ok(rep) else 1
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bz.set_defaults(func=cmd_bezout)
 
     p_mod = subs.add_parser("modular", help="modular covariance report")
-    p_mod.add_argument("--cutoff", type=int, default=40)
     p_mod.add_argument("--tau", type=float, nargs=2, action="append",
                        metavar=("RE", "IM"), help="sample point (repeatable)")
     p_mod.set_defaults(func=cmd_modular)
@@ -228,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_app.set_defaults(func=cmd_appendixc)
 
     p_acc = subs.add_parser("accept", help="run the acceptance suite")
-    p_acc.add_argument("--suite", choices=("core",), default="core")
     p_acc.set_defaults(func=cmd_accept)
 
     return parser

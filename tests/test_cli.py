@@ -97,9 +97,26 @@ def test_appendixc_text(capsys):
     assert "k[2,1/2](q) k[2,1/2](q~)" in out
 
 
+def test_modular_report_lines(capsys):
+    for argv in (["modular"], ["modular", "--tau", "0.1", "0.9"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        report = dict(line.split(" = ") for line in out.splitlines())
+        assert set(report) == {"S2_is_identity", "T2_is_identity", "ST3_is_identity",
+                               "T_sign_checks", "Zmm_covariance_residual",
+                               "sector_covariance_residual", "character_S_residual"}
+        for text in report.values():
+            # a plain bool or float repr; float() rejects "np.float64(...)"
+            assert text in ("True", "False") or float(text) >= 0.0
+        assert "np." not in out
+
+
 def test_bad_arguments_exit_2(capsys):
     assert main(["series", "--p", "2", "--pq", "4", "--h", "0", "--v", "0"]) == 2
     assert main(["nonsense"]) == 2
+    # the removed knobs are argument errors
+    assert main(["modular", "--cutoff", "40"]) == 2
+    assert main(["accept", "--suite", "core"]) == 2
 
 
 def test_output_file(tmp_path, capsys):
