@@ -22,7 +22,6 @@ from functools import lru_cache
 from .model import ModelSpec
 from .qseries import QSeries, eta_inverse
 
-_PAD = Fraction(2)  # internal working margin above the requested cutoff
 # every numeric sum drops the terms whose size falls below this, relative to 1
 NUMERIC_TAIL = 1e-18
 
@@ -102,6 +101,11 @@ class TauPoint:
     def qbar_power(self, x: float) -> complex:
         return cmath.exp(-2j * math.pi * self.tau.conjugate() * float(x))
 
+    @property
+    def tail_order(self) -> float:
+        """The x beyond which |q|^x = |qbar|^x = e^{-2 pi x Im tau} < NUMERIC_TAIL."""
+        return -math.log(NUMERIC_TAIL) / (2 * math.pi * self.tau.imag)
+
     def shift(self) -> "TauPoint":
         return TauPoint(self.tau + 1)
 
@@ -172,20 +176,24 @@ def u1_char(n: int, j, z: int, cutoff) -> QSeries:
 
     j may be any rational (the physical labels are integers and
     half-integers); no folding is applied, the theta sum handles every j.
+    Both factors are built through cutoff + 1/24.  The theta sum has no
+    exponent below 0 and 1/eta none below -1/24, so by the product rule the
+    product is exact through cutoff.
     """
     cutoff = Fraction(cutoff)
-    work = cutoff + _PAD
-    theta = theta_series(Fraction(j), n, z, work)
-    return (eta_inverse(work) * theta).truncate(cutoff)
+    work = cutoff + Fraction(1, 24)
+    product = eta_inverse(work) * theta_series(Fraction(j), n, z, work)
+    if product.valid < cutoff:
+        raise ArithmeticError(f"character exact only through {product.valid} < {cutoff}")
+    return product.truncate(cutoff)
 
 
 def u1_char_numeric(n: int, j, z: int, tau: TauPoint, side: str = "q") -> complex:
     """kappa^n_j(z, .) evaluated at the nome of `tau` (or its conjugate)."""
     power = tau.q_power if side == "q" else tau.qbar_power
     j = float(j)
-    # |q|^x < NUMERIC_TAIL once x exceeds xmax; bound the index range from that
-    xmax = math.log(NUMERIC_TAIL) / math.log(abs(power(1.0)))
-    reach = math.sqrt(max(xmax, 0.0) * 4 * n)
+    # terms q^x with x beyond tau.tail_order fall below NUMERIC_TAIL
+    reach = math.sqrt(tau.tail_order * 4 * n)
     k_lo = math.floor((-reach - j) / (2 * n)) - 1
     k_hi = math.ceil((reach - j) / (2 * n)) + 1
     total = 0.0 + 0.0j

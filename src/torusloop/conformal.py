@@ -193,15 +193,19 @@ def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float
     g is the model ratio p/p'; the Gaussian coupling is g/4.  d runs over the
     integers of parity h (so d = 0 enters only for h = 0) and j over those of
     parity v.  The sum keeps every (d, j) whose Gaussian factor
-    exp(-pi (g/4) |d tau - j|^2 / tau_i) is at least NUMERIC_TAIL; that bounds
-    the error only while |T_k(alpha/2)| <= 1, so |alpha| > 2 is refused.
+    exp(-pi (g/4) |d tau - j|^2 / tau_i) is at least NUMERIC_TAIL times that of
+    (d, j) = (h, v).  That point lies in the sector, so the tail is measured
+    from the sector's own leading term or below it, however small the whole
+    sector is.  The bound holds only while |T_k(alpha/2)| <= 1, so
+    |alpha| > 2 is refused.
     """
     if abs(alpha) > 2:
         raise ValueError("the numeric sector sum needs |alpha| <= 2")
     g4 = float(g) / 4.0
     tr, ti = tau.tau.real, tau.tau.imag
     # |d tau - j|^2 = (d tr - j)^2 + d^2 ti^2 <= reach^2 inside the tail
-    reach = math.sqrt(-math.log(NUMERIC_TAIL) * ti / (math.pi * g4))
+    reach = math.sqrt(abs(h * tau.tau - v) ** 2
+                      - math.log(NUMERIC_TAIL) * ti / (math.pi * g4))
     dmax = int(reach / ti)
     d = np.arange((dmax + h) % 2 - dmax, dmax + 1, 2)[:, None]
     # each row's j of parity v: the nearest to d tr, and reach + 1 either side of it
@@ -216,9 +220,9 @@ def coulomb_Z_hv(g, h: int, v: int, tau: TauPoint) -> complex:
     """Generalized Coulomb partition function as a truncated double theta sum."""
     g = float(g)
     etas = eta_numeric(tau, "q") * eta_numeric(tau, "qbar")
-    xmax = math.log(NUMERIC_TAIL) / math.log(abs(tau.q_power(1.0)))
-    rmax = int(math.sqrt(max(xmax, 0.0) * 4 * g)) + 2
-    smax = int(math.sqrt(max(xmax, 0.0) * 4 / g)) + 2
+    xmax = tau.tail_order
+    rmax = int(math.sqrt(xmax * 4 * g)) + 2
+    smax = int(math.sqrt(xmax * 4 / g)) + 2
     total = 0.0 + 0.0j
     for r in range(-rmax, rmax + 1):
         for ss in range(-2 * smax, 2 * smax + 1):

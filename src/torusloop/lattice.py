@@ -316,13 +316,22 @@ def _census_key(census: LoopCensus) -> tuple:
 
 @lru_cache(maxsize=64)
 def census_counter(kind: str, M: int, N: int) -> tuple:
-    """Collapsed census multiset of all configurations, cached per geometry."""
+    """Collapsed census multiset of all configurations, cached per geometry.
+
+    Both sector classifications are compared once per distinct key; a
+    disagreement raises ArithmeticError.
+    """
     _check_size(kind, M, N)
     traced = Counter(_trace(N, grid) for grid in _enumerate_grids(kind, M, N))
     census = []
     for (n_beta, windings, code, h), mult in traced.items():
         tile_counts, v = _unpack(code)
-        census.append(((n_beta, windings, tile_counts, h, v), mult))
+        loops = LoopCensus(n_beta, windings, tile_counts, h, v)
+        if loops.sector_from_cuts() != loops.sector_from_windings():
+            raise ArithmeticError(
+                f"cut-line sector {(h, v)} disagrees with the sector "
+                f"{loops.sector_from_windings()} of the windings {windings}")
+        census.append((_census_key(loops), mult))
     return tuple(sorted(census))
 
 

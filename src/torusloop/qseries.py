@@ -1,19 +1,24 @@
 """Exact truncated power series in the modular nome(s).
 
-Series in q (and in the bivariate case q, qbar) with rational exponents and
-exact coefficients.  These carry every conformal object in the package:
+Series in q (`QSeries`) and in q, qbar (`BiSeries`) with rational exponents
+and exact coefficients.  These carry every conformal object in the package:
 eta-function prefactors, theta sums, affine characters and the sesquilinear
 partition functions built from them.
 
 Truncation contract
 -------------------
-A series stores only the terms whose exponent(s) are <= ``cutoff``; the
-``valid`` attribute is the order through which the stored terms are
-guaranteed exact.  For freshly built series ``valid == cutoff``.  A product
-of series with minimal exponents e_a, e_b that are exact through v_a, v_b is
-exact through ``min(v_a + e_b, v_b + e_a)``: below that order every
-contributing term pair was available.  Comparisons between series only look
-at exponents up to the smaller ``valid``.
+A series stores only the terms whose exponents are all <= ``cutoff`` (in two
+nomes, the square window a <= cutoff and b <= cutoff); the ``valid``
+attribute is the order through which the stored terms are guaranteed exact.
+For freshly built series ``valid == cutoff``.  A product of series with
+minimal exponents e_a, e_b that are exact through v_a, v_b is exact through
+``min(v_a + e_b, v_b + e_a)``: below that order every contributing term pair
+was available.  Comparisons between series only look at exponents up to the
+smaller ``valid``.
+
+The contract has one implementation, `_Series`, over an exponent key: a
+Fraction for `QSeries`, a pair of Fractions for `BiSeries`.  Each class says
+only how to build a key from its exponents, read them back and add two keys.
 
 Coefficients are usually ``fractions.Fraction`` but any exact commutative
 ring element works (addition, multiplication, bool for zero-testing); the
@@ -22,6 +27,7 @@ full-partition-function pipeline uses real cyclotomic numbers.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -44,58 +50,80 @@ def _as_rational(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-class QSeries:
-    """Truncated series sum_e c_e q^e with rational exponents e <= cutoff."""
+class _Series:
+    """Truncated series sum_k c_k (nome monomial of k), every exponent <= cutoff.
+
+    A subclass names its nomes and defines the exponent key: `_key` builds a
+    normalised key from exponents, `_parts` reads them back in nome order and
+    `_add` adds two keys (the exponents of a product of monomials).
+    """
 
     __slots__ = ("terms", "cutoff", "valid")
+    _nomes: tuple = ()
 
-    def __init__(self, terms: Mapping[Fraction, object], cutoff, valid=None):
+    def __init__(self, terms: Mapping, cutoff, valid=None):
         cutoff = _as_rational(cutoff)
         clean = {}
-        for e, c in terms.items():
-            e = _as_rational(e)
-            if e <= cutoff and c:
-                clean[e] = c
+        for k, c in terms.items():
+            k = self._key(*self._parts(k))
+            if max(self._parts(k)) <= cutoff and c:
+                clean[k] = c
         self.terms = clean
         self.cutoff = cutoff
         self.valid = cutoff if valid is None else min(_as_rational(valid), cutoff)
 
+    @classmethod
+    def _trusted(cls, terms: dict, cutoff: Fraction, valid: Fraction):
+        """Adopt terms already known to be clean, skipping the per-term checks.
+
+        Every key must be a normalised key with all exponents <= cutoff, no
+        coefficient may be zero, and valid <= cutoff must be a Fraction.
+        """
+        out = object.__new__(cls)
+        out.terms = terms
+        out.cutoff = cutoff
+        out.valid = valid
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, cutoff) -> "QSeries":
+    def zero(cls, cutoff):
         return cls({}, cutoff)
 
     @classmethod
-    def one(cls, cutoff) -> "QSeries":
-        return cls({Fraction(0): Fraction(1)}, cutoff)
+    def one(cls, cutoff):
+        return cls({cls._key(*(0,) * len(cls._nomes)): Fraction(1)}, cutoff)
 
     # -- inspection --------------------------------------------------------
 
-    def coeff(self, exponent):
-        return self.terms.get(_as_rational(exponent), Fraction(0))
+    def coeff(self, *exponents):
+        return self.terms.get(self._key(*exponents), Fraction(0))
 
     def min_exponent(self) -> Fraction:
-        return min(self.terms) if self.terms else _BIG
+        """The smallest exponent of any stored term in any nome."""
+        if not self.terms:
+            return _BIG
+        return min(min(self._parts(k)) for k in self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, QSeries):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms and self.cutoff == other.cutoff
 
     def __hash__(self):
         return hash((frozenset(self.terms.items()), self.cutoff))
 
-    def matches(self, other: "QSeries") -> bool:
+    def matches(self, other) -> bool:
         """Exact equality of all terms up to the smaller guaranteed order."""
         if self.valid == self.cutoff == other.valid == other.cutoff:
             return self.terms == other.terms  # no stored term lies above the bound
         bound = min(self.valid, other.valid)
-        a = {e: c for e, c in self.terms.items() if e <= bound}
-        b = {e: c for e, c in other.terms.items() if e <= bound}
+        a, b = ({k: c for k, c in s.terms.items() if max(s._parts(k)) <= bound}
+                for s in (self, other))
         return a == b
 
     # -- arithmetic --------------------------------------------------------
@@ -105,46 +133,97 @@ class QSeries:
             raise CutoffMismatchError(
                 f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
 
-    def __add__(self, other: "QSeries") -> "QSeries":
+    def __add__(self, other):
         self._check_cutoff(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+        for k, c in other.terms.items():
+            s = terms.get(k, 0) + c
             if s:
-                terms[e] = s
+                terms[k] = s
             else:
-                terms.pop(e, None)
-        return QSeries(terms, self.cutoff, min(self.valid, other.valid))
+                terms.pop(k, None)
+        return type(self)(terms, self.cutoff, min(self.valid, other.valid))
 
-    def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.terms.items()},
-                       self.cutoff, self.valid)
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()},
+                          self.cutoff, self.valid)
 
-    def __sub__(self, other: "QSeries") -> "QSeries":
+    def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor) -> "QSeries":
-        return QSeries({e: factor * c for e, c in self.terms.items()},
-                       self.cutoff, self.valid)
+    def scale(self, factor):
+        return type(self)({k: factor * c for k, c in self.terms.items()},
+                          self.cutoff, self.valid)
 
-    def __mul__(self, other: "QSeries") -> "QSeries":
+    def __mul__(self, other):
         self._check_cutoff(other)
         cutoff = self.cutoff
         valid = min(self.valid + other.min_exponent(),
                     other.valid + self.min_exponent(),
                     cutoff)
+        add, parts = self._add, self._parts
         terms: dict = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                if e > cutoff:
+        for ka, ca in self.terms.items():
+            for kb, cb in other.terms.items():
+                k = add(ka, kb)
+                if max(parts(k)) > cutoff:
                     continue
-                s = terms.get(e, 0) + ca * cb
+                s = terms.get(k, 0) + ca * cb
                 if s:
-                    terms[e] = s
+                    terms[k] = s
                 else:
-                    terms.pop(e, None)
-        return QSeries(terms, cutoff, valid)
+                    terms.pop(k, None)
+        return type(self)(terms, cutoff, valid)
+
+    def truncate(self, cutoff):
+        cutoff = _as_rational(cutoff)
+        if cutoff > self.cutoff:
+            raise CutoffMismatchError("cannot extend a truncated series")
+        return type(self)(self.terms, cutoff, min(self.valid, cutoff))
+
+    # -- numerics / io -----------------------------------------------------
+
+    def evaluate(self, *nomes) -> complex:
+        """The series at numeric nome values, given in the order of `_nomes`."""
+        if len(nomes) != len(self._nomes):
+            raise TypeError(f"{type(self).__name__}.evaluate takes the nomes "
+                            f"{', '.join(self._nomes)}")
+        return sum(complex(c) * math.prod(x ** float(e) for x, e in zip(nomes, self._parts(k)))
+                   for k, c in self.terms.items())
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms.items())
+
+    def to_json_obj(self) -> list:
+        return [{**{f"{n}exp": _frac_str(e) for n, e in zip(self._nomes, self._parts(k))},
+                 "coeff": _frac_str(c)}
+                for k, c in self.sorted_terms()]
+
+    def __repr__(self):
+        parts = ["*".join([str(c)] + [f"{n}^({e})" for n, e in zip(self._nomes, self._parts(k))])
+                 for k, c in self.sorted_terms()[:6]]
+        more = " + ..." if len(self.terms) > 6 else ""
+        return (f"{type(self).__name__}({' + '.join(parts) or '0'}{more}; "
+                f"cutoff={self.cutoff})")
+
+
+class QSeries(_Series):
+    """Truncated series sum_e c_e q^e with rational exponents e <= cutoff."""
+
+    __slots__ = ()
+    _nomes = ("q",)
+
+    @staticmethod
+    def _key(e) -> Fraction:
+        return _as_rational(e)
+
+    @staticmethod
+    def _parts(e) -> tuple:
+        return (e,)
+
+    @staticmethod
+    def _add(x: Fraction, y: Fraction) -> Fraction:
+        return x + y
 
     def shift(self, delta) -> "QSeries":
         """Multiply by the monomial q^delta (cutoff unchanged)."""
@@ -152,71 +231,28 @@ class QSeries:
         return QSeries({e + delta: c for e, c in self.terms.items()},
                        self.cutoff, min(self.valid + delta, self.cutoff))
 
-    def truncate(self, cutoff) -> "QSeries":
-        cutoff = _as_rational(cutoff)
-        if cutoff > self.cutoff:
-            raise CutoffMismatchError("cannot extend a truncated series")
-        return QSeries(self.terms, cutoff, min(self.valid, cutoff))
 
-    # -- numerics / io -----------------------------------------------------
-
-    def evaluate(self, q: complex) -> complex:
-        return sum(complex(c) * q ** float(e) for e, c in self.terms.items())
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items())
-
-    def to_json_obj(self) -> list:
-        return [{"qexp": _frac_str(e), "coeff": _frac_str(c)}
-                for e, c in self.sorted_terms()]
-
-    def __repr__(self):
-        parts = [f"{c}*q^({e})" for e, c in self.sorted_terms()[:6]]
-        more = " + ..." if len(self.terms) > 6 else ""
-        return f"QSeries({' + '.join(parts) or '0'}{more}; cutoff={self.cutoff})"
-
-
-class BiSeries:
+class BiSeries(_Series):
     """Truncated bivariate series sum c_{a,b} q^a qbar^b, both exponents <= cutoff.
 
-    The truncation window is the square a <= cutoff and b <= cutoff; ``valid``
-    bounds the window through which terms are guaranteed exact.
+    Keys are the pairs (a, b); the truncation window is the square
+    a <= cutoff and b <= cutoff.
     """
 
-    __slots__ = ("terms", "cutoff", "valid")
+    __slots__ = ()
+    _nomes = ("q", "qbar")
 
-    def __init__(self, terms: Mapping, cutoff, valid=None):
-        cutoff = _as_rational(cutoff)
-        clean = {}
-        for (a, b), c in terms.items():
-            a = _as_rational(a)
-            b = _as_rational(b)
-            if a <= cutoff and b <= cutoff and c:
-                clean[(a, b)] = c
-        self.terms = clean
-        self.cutoff = cutoff
-        self.valid = cutoff if valid is None else min(_as_rational(valid), cutoff)
+    @staticmethod
+    def _key(a, b) -> tuple:
+        return (_as_rational(a), _as_rational(b))
 
-    @classmethod
-    def _trusted(cls, terms: dict, cutoff: Fraction, valid: Fraction) -> "BiSeries":
-        """Adopt terms already known to be clean, skipping the per-term checks.
+    @staticmethod
+    def _parts(key) -> tuple:
+        return key
 
-        Every key must be a pair of Fractions <= cutoff, no coefficient may
-        be zero, and valid <= cutoff must be a Fraction.
-        """
-        out = object.__new__(cls)
-        out.terms = terms
-        out.cutoff = cutoff
-        out.valid = valid
-        return out
-
-    @classmethod
-    def zero(cls, cutoff) -> "BiSeries":
-        return cls({}, cutoff)
-
-    @classmethod
-    def one(cls, cutoff) -> "BiSeries":
-        return cls({(Fraction(0), Fraction(0)): Fraction(1)}, cutoff)
+    @staticmethod
+    def _add(x: tuple, y: tuple) -> tuple:
+        return (x[0] + y[0], x[1] + y[1])
 
     @classmethod
     def from_product(cls, left: QSeries, right: QSeries, cutoff=None) -> "BiSeries":
@@ -238,108 +274,10 @@ class BiSeries:
                     terms[(ea, eb)] = terms.get((ea, eb), 0) + c
         return cls(terms, cutoff, min(left.valid, right.valid, cutoff))
 
-    def coeff(self, a, b):
-        return self.terms.get((_as_rational(a), _as_rational(b)), Fraction(0))
-
-    def min_exponent(self) -> Fraction:
-        if not self.terms:
-            return _BIG
-        return min(min(a, b) for a, b in self.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.terms == other.terms and self.cutoff == other.cutoff
-
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.cutoff))
-
-    def matches(self, other: "BiSeries") -> bool:
-        """Exact equality of all terms up to the smaller guaranteed order."""
-        if self.valid == self.cutoff == other.valid == other.cutoff:
-            return self.terms == other.terms  # no stored term lies above the bound
-        bound = min(self.valid, other.valid)
-        a = {e: c for e, c in self.terms.items() if e[0] <= bound and e[1] <= bound}
-        b = {e: c for e, c in other.terms.items() if e[0] <= bound and e[1] <= bound}
-        return a == b
-
-    def _check_cutoff(self, other):
-        if self.cutoff != other.cutoff:
-            raise CutoffMismatchError(
-                f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._check_cutoff(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return BiSeries(terms, self.cutoff, min(self.valid, other.valid))
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries({e: -c for e, c in self.terms.items()},
-                        self.cutoff, self.valid)
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return self + (-other)
-
-    def scale(self, factor) -> "BiSeries":
-        return BiSeries({e: factor * c for e, c in self.terms.items()},
-                        self.cutoff, self.valid)
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        self._check_cutoff(other)
-        cutoff = self.cutoff
-        valid = min(self.valid + other.min_exponent(),
-                    other.valid + self.min_exponent(),
-                    cutoff)
-        terms: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                a = a1 + a2
-                b = b1 + b2
-                if a > cutoff or b > cutoff:
-                    continue
-                s = terms.get((a, b), 0) + c1 * c2
-                if s:
-                    terms[(a, b)] = s
-                else:
-                    terms.pop((a, b), None)
-        return BiSeries(terms, cutoff, valid)
-
     def swap(self) -> "BiSeries":
         """Exchange q and qbar."""
         return BiSeries._trusted({(b, a): c for (a, b), c in self.terms.items()},
                                  self.cutoff, self.valid)
-
-    def truncate(self, cutoff) -> "BiSeries":
-        cutoff = _as_rational(cutoff)
-        if cutoff > self.cutoff:
-            raise CutoffMismatchError("cannot extend a truncated series")
-        return BiSeries(self.terms, cutoff, min(self.valid, cutoff))
-
-    def evaluate(self, q: complex, qbar: complex) -> complex:
-        return sum(complex(c) * q ** float(a) * qbar ** float(b)
-                   for (a, b), c in self.terms.items())
-
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items())
-
-    def to_json_obj(self) -> list:
-        return [{"qexp": _frac_str(a), "qbarexp": _frac_str(b),
-                 "coeff": _frac_str(c)}
-                for (a, b), c in self.sorted_terms()]
-
-    def __repr__(self):
-        parts = [f"{c}*q^({a})*qb^({b})" for (a, b), c in self.sorted_terms()[:4]]
-        more = " + ..." if len(self.terms) > 4 else ""
-        return f"BiSeries({' + '.join(parts) or '0'}{more}; cutoff={self.cutoff})"
 
 
 def _frac_str(x) -> str:

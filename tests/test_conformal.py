@@ -162,10 +162,9 @@ def _integer_keys(theta):
 def test_dress_matches_product_reference(make_theta, K):
     """_dress equals the eta-inverse product on the padded window, truncated,
     and keeps no zero coefficient."""
-    from torusloop.characters import _PAD
     from torusloop.conformal import _double_eta_inverse, _dress
     from torusloop.qseries import BiSeries
-    work = K + _PAD
+    work = K + 2
     theta = make_theta(work)
     shifted = {(a - F(1, 24), b - F(1, 24)): c for (a, b), c in theta.items()}
     reference = (_double_eta_inverse(work) * BiSeries(shifted, work)).truncate(K)
@@ -246,6 +245,34 @@ def test_conformal_numeric_alpha2_equals_coulomb():
                 b = coulomb_Z_hv(F(p, pq), h, v, tau)
                 assert abs(b.imag) < 1e-12
                 assert math.isclose(a, b.real, rel_tol=1e-10)
+
+
+# |q| underflows to 0.0 from Im tau = 119 on
+LARGE_TAUS = (TauPoint(119j), TauPoint(complex(3, 200)))
+
+
+def test_numeric_sums_past_nome_underflow():
+    from torusloop.characters import u1_char_numeric
+    for tau in LARGE_TAUS:
+        # only the leading term q^{j^2/4n - 1/24} of kappa^3_1 is left
+        kappa = u1_char_numeric(3, 1, 1, tau)
+        lead = math.exp(-2 * math.pi * tau.tau.imag * (F(1, 12) - F(1, 24)))
+        assert math.isclose(abs(kappa), lead, rel_tol=1e-12)
+        a = conformal_Z_numeric(F(2, 3), 2.0, 0, 0, tau)
+        b = coulomb_Z_hv(F(2, 3), 0, 0, tau)
+        assert math.isfinite(a) and math.isfinite(abs(b))
+        assert abs(b.imag) < 1e-12 * abs(b)
+        assert math.isclose(a, b.real, rel_tol=1e-10)
+
+
+def test_conformal_numeric_keeps_sectors_far_below_the_tail():
+    """The h = 1 sectors of (2, 3) are O(1) where (0, 0) is ~e^{pi tau_i / 3}."""
+    g = F(2, 3)
+    assert math.isclose(conformal_Z_numeric(g, 2.0, 1, 0, TauPoint(80j)),
+                        conformal_Z_numeric(g, 2.0, 0, 1, TauPoint(1j / 80)),
+                        rel_tol=1e-10)
+    assert math.isclose(conformal_Z_numeric(g, 2.0, 1, 1, TauPoint(118j)), 2.0,
+                        rel_tol=1e-10)
 
 
 def test_conformal_numeric_refuses_alpha_beyond_two():

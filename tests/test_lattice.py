@@ -119,6 +119,20 @@ def test_sector_classifications_agree(kind, M, N):
             assert math.gcd(abs(i), j) == 1 and j >= 0
 
 
+def test_census_counter_refuses_disagreeing_sectors(monkeypatch):
+    """A census key whose cut-line h contradicts its windings raises."""
+    from torusloop import lattice
+    trace = lattice._trace
+
+    def flipped_h(N, grid):
+        n_beta, windings, code, h = trace(N, grid)
+        return n_beta, windings, code, 1 - h
+
+    monkeypatch.setattr(lattice, "_trace", flipped_h)
+    with pytest.raises(ArithmeticError):
+        lattice.census_counter.__wrapped__("dilute", 1, 2)  # past the cache
+
+
 def test_dense_sector_forced_by_parity():
     spec = spec_dense()
     for _, census in enumerate_configs(spec, 3, 2):

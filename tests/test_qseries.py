@@ -1,5 +1,6 @@
 """Exact series layer: multiplication contract, Euler products, eta."""
 
+import cmath
 from fractions import Fraction as F
 
 import pytest
@@ -40,25 +41,42 @@ def poly_product(factors, order):
     return {e: c for e, c in out.items() if c}
 
 
+# Both classes implement one truncation contract.  A BiSeries on the
+# diagonal q^e qbar^e multiplies, truncates and tracks `valid` exactly as the
+# QSeries q^e, so each contract test runs on both through `key`.
+KINDS = [(QSeries, lambda e: e), (BiSeries, lambda e: (e, e))]
+kinds = pytest.mark.parametrize("cls, key", KINDS, ids=["QSeries", "BiSeries"])
+
+
+def series(cls, key, terms, cutoff, valid=None):
+    """A `cls` series with the terms {key(e): c for e, c in terms}."""
+    return cls({key(F(e)): F(c) for e, c in terms.items()}, cutoff, valid)
+
+
 def test_mul_polynomial_identity():
     cutoff = F(5)
-    a = QSeries({F(0): F(1), F(1): F(1)}, cutoff)   # 1 + q
-    b = QSeries({F(0): F(1), F(1): F(-1)}, cutoff)  # 1 - q
-    prod = a * b
-    assert prod.terms == {F(0): F(1), F(2): F(-1)}
+    for cls, key in KINDS:
+        a = series(cls, key, {0: 1, 1: 1}, cutoff)   # 1 + q
+        b = series(cls, key, {0: 1, 1: -1}, cutoff)  # 1 - q
+        prod = a * b
+        assert prod.terms == {key(F(0)): F(1), key(F(2)): F(-1)}
 
 
 def test_mul_identity_element():
-    a = QSeries({F(1, 2): F(3), F(2): F(-7, 3)}, F(4))
-    one = QSeries.one(F(4))
-    assert (a * one).terms == a.terms
+    for cls, key in KINDS:
+        a = series(cls, key, {F(1, 2): 3, 2: F(-7, 3)}, F(4))
+        one = cls.one(F(4))
+        assert one.terms == {key(F(0)): F(1)}
+        assert (a * one).terms == a.terms
 
 
 def test_mul_cutoff_mismatch():
-    a = QSeries.one(F(3))
-    b = QSeries.one(F(4))
-    with pytest.raises(CutoffMismatchError):
-        a * b
+    for cls, _ in KINDS:
+        a = cls.one(F(3))
+        b = cls.one(F(4))
+        for combine in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(CutoffMismatchError):
+                combine(a, b)
 
 
 @pytest.mark.parametrize("n, expected", [(4, 5), (5, 7), (10, 42)])
@@ -110,23 +128,75 @@ def test_eta_inverse_matches_series_inverse():
 
 def test_valid_order_tracking_with_negative_exponents():
     K = F(4)
-    a = QSeries({F(-1, 2): F(1)}, K)    # q^{-1/2}
-    b = QSeries({F(0): F(1), F(4): F(1)}, K)
-    prod = a * b
-    # exact only through K - 1/2: the q^{4} term of b paired with any term of a
-    # beyond the window could be missing
-    assert prod.valid == K - F(1, 2)
-    assert prod.coeff(F(7, 2)) == F(1)
+    for cls, key in KINDS:
+        a = series(cls, key, {F(-1, 2): 1}, K)    # q^{-1/2}
+        b = series(cls, key, {0: 1, 4: 1}, K)
+        prod = a * b
+        # exact only through K - 1/2: the q^{4} term of b paired with any term
+        # of a beyond the window could be missing
+        assert prod.valid == K - F(1, 2)
+        assert prod.terms[key(F(7, 2))] == F(1)
 
 
 def test_shift_and_truncate():
     a = QSeries({F(0): F(1), F(3): F(2)}, F(4))
     shifted = a.shift(F(2))
     assert shifted.terms == {F(2): F(1)}  # 3+2 exceeds the cutoff
-    tr = a.truncate(F(2))
-    assert tr.terms == {F(0): F(1)}
-    with pytest.raises(CutoffMismatchError):
-        a.truncate(F(9))
+    for cls, key in KINDS:
+        a = series(cls, key, {0: 1, 3: 2}, F(4), valid=3)
+        tr = a.truncate(F(2))
+        assert tr.terms == {key(F(0)): F(1)}
+        assert (tr.cutoff, tr.valid) == (2, 2)
+        assert a.truncate(F(7, 2)).valid == 3
+        with pytest.raises(CutoffMismatchError):
+            a.truncate(F(9))
+
+
+@kinds
+def test_add_cancels_terms(cls, key):
+    K = F(4)
+    a = series(cls, key, {0: 1, 1: 2}, K, valid=3)
+    b = series(cls, key, {1: -2, 2: 3}, K)
+    total = a + b
+    assert total.terms == {key(F(0)): F(1), key(F(2)): F(3)}
+    assert total.valid == 3
+    assert not a + (-a)
+
+
+@kinds
+def test_neg_sub_and_scale(cls, key):
+    K = F(4)
+    a = series(cls, key, {0: 1, F(1, 2): -3}, K, valid=2)
+    b = series(cls, key, {F(1, 2): 1, 3: 5}, K)
+    assert (-a).terms == {key(F(0)): F(-1), key(F(1, 2)): F(3)}
+    assert (-a).valid == 2
+    diff = a - b
+    assert diff.terms == {key(F(0)): F(1), key(F(1, 2)): F(-4), key(F(3)): F(-5)}
+    assert diff.valid == 2
+    assert not a - a
+    scaled = a.scale(F(2, 3))
+    assert scaled.terms == {key(F(0)): F(2, 3), key(F(1, 2)): F(-2)}
+    assert scaled.valid == 2
+    assert not a.scale(0)
+
+
+def test_qseries_never_equals_biseries():
+    K = F(3)
+    assert QSeries.zero(K) != BiSeries.zero(K)
+    assert QSeries.one(K) != BiSeries.one(K)
+    assert QSeries.one(K) == QSeries.one(K)
+    assert BiSeries.one(K) == BiSeries.one(K)
+
+
+def test_evaluate_takes_one_value_per_nome():
+    q, qbar = 0.5 + 0.1j, 0.25 - 0.2j
+    assert cmath.isclose(QSeries({F(1): F(3)}, F(2)).evaluate(q), 3 * q)
+    bi = BiSeries({(F(1), F(2)): F(3)}, F(2))
+    assert cmath.isclose(bi.evaluate(q, qbar), 3 * q * qbar ** 2)
+    with pytest.raises(TypeError):
+        bi.evaluate(q)
+    with pytest.raises(TypeError):
+        QSeries.one(F(2)).evaluate(q, qbar)
 
 
 small_polys = st.dictionaries(
@@ -140,22 +210,24 @@ small_polys = st.dictionaries(
 @given(small_polys, small_polys, small_polys)
 def test_mul_commutative_associative(ta, tb, tc):
     K = F(8)
-    a, b, c = QSeries(ta, K), QSeries(tb, K), QSeries(tc, K)
-    assert (a * b).terms == (b * a).terms
-    assert ((a * b) * c).terms == (a * (b * c)).terms
+    for cls, key in KINDS:
+        a, b, c = (series(cls, key, t, K) for t in (ta, tb, tc))
+        assert (a * b).terms == (b * a).terms
+        assert ((a * b) * c).terms == (a * (b * c)).terms
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_polys, small_polys)
 def test_mul_matches_brute_convolution(ta, tb):
     K = F(8)
-    prod = QSeries(ta, K) * QSeries(tb, K)
     brute = {}
     for ea, ca in ta.items():
         for eb, cb in tb.items():
             brute[ea + eb] = brute.get(ea + eb, F(0)) + ca * cb
     brute = {e: c for e, c in brute.items() if c and e <= K}
-    assert prod.terms == brute
+    for cls, key in KINDS:
+        prod = series(cls, key, ta, K) * series(cls, key, tb, K)
+        assert prod.terms == {key(e): c for e, c in brute.items()}
 
 
 def test_biseries_product_and_swap():
@@ -207,6 +279,8 @@ def test_json_serialization_sorted_exact():
         {"qexp": "0/1", "qbarexp": "1/1", "coeff": "2/1"},
         {"qexp": "1/2", "qbarexp": "0/1", "coeff": "-3/7"},
     ]
+    assert QSeries({F(1, 2): F(-3, 7)}, F(2)).to_json_obj() == [
+        {"qexp": "1/2", "coeff": "-3/7"}]
 
 
 def test_rerun_bit_identical():
