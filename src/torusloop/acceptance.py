@@ -19,7 +19,7 @@ from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
                         expand_terms, modular_rep_check)
 from .conformal import full_Z_series, on_series
 from .lattice import lattice_Z
-from .model import ModelSpec
+from .model import SECTORS as ALL_HV, ModelSpec, torus_sectors
 from .transfer import effective_central_charge, markov_Z
 
 ORACLE_TOL = 1e-9
@@ -33,7 +33,6 @@ DENSE_SIZES = ((2, 2), (2, 4), (3, 3), (4, 4), (3, 4))
 DILUTE_SIZES = ((1, 2), (2, 2), (2, 3), (3, 3))
 ORACLE_PQ = ((1, 2), (2, 3), (3, 4))
 SERIES_PQ = ((1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5))
-ALL_HV = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def scaled_error(a: float, b: float) -> float:
@@ -71,11 +70,10 @@ def criterion_1_oracle():
         for (p, pq) in ORACLE_PQ:
             for (M, N) in sizes:
                 for iso in (True, False):
-                    spec = ModelSpec(kind, p, pq, 0.37, alpha=1.0)
+                    spec = ModelSpec(kind, p, pq, 0.37)
                     if iso:
                         spec = spec.isotropic()
-                    sectors = ((N % 2, M % 2),) if kind == "dense" else ALL_HV
-                    for hv in sectors:
+                    for hv in torus_sectors(kind, M, N):
                         for alpha in (1.0, 2.0, 0.6):
                             lz = lattice_Z(spec, M, N, sector=hv, alpha=alpha)
                             mz = markov_Z(spec, M, N, hv[0], hv[1], alpha=alpha)
@@ -204,7 +202,7 @@ def criterion_9_scaling(sizes=(6, 8, 10)):
     (p, p'); the criterion text quotes 0.  Non-gating either way: the
     measured value and both comparisons are reported.
     """
-    spec = ModelSpec("dense", 2, 3, 0.0, alpha=2.0)
+    spec = ModelSpec("dense", 2, 3, 0.0)
     c_eff = effective_central_charge(spec, sizes)
     detail = (f"measured c_eff = {c_eff:.4f}; |c_eff - 1| = {abs(c_eff - 1):.4f} "
               f"(conjecture value 1), |c_eff - 0| = {abs(c_eff):.4f} "

@@ -73,32 +73,6 @@ def divisors(n: int) -> tuple:
     return tuple(sorted(out))
 
 
-class ArithCache:
-    """Memoized mu, phi and divisor lists up to a bound, with definitional checks."""
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.mu = {n: mobius(n) for n in range(1, bound + 1)}
-        self.phi = {n: totient(n) for n in range(1, bound + 1)}
-        self.divs = {n: divisors(n) for n in range(1, bound + 1)}
-
-    def selfcheck(self) -> bool:
-        for n in range(1, self.bound + 1):
-            squarefree = all(n % (p * p) for p in range(2, int(n**0.5) + 1))
-            if not squarefree:
-                if self.mu[n] != 0:
-                    return False
-            else:
-                nprimes = len(prime_factors(n))
-                if self.mu[n] != (-1) ** nprimes:
-                    return False
-            if self.phi[n] != sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1):
-                return False
-            if self.divs[n] != tuple(d for d in range(1, n + 1) if n % d == 0):
-                return False
-        return True
-
-
 def chebyshev_T(k: int, x):
     """T_k(x) of the first kind via the recurrence; exact on exact inputs."""
     if k < 0:

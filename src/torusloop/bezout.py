@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .model import check_sector
+
 
 @dataclass(frozen=True)
 class BezoutContext:
@@ -39,8 +41,7 @@ class BezoutContext:
         p, pq = self.p, self.pq
         if not (0 < p < pq and math.gcd(p, pq) == 1):
             raise ValueError("need coprime 0 < p < p'")
-        if self.h not in (0, 1) or self.v not in (0, 1):
-            raise ValueError("h and v must be 0 or 1")
+        check_sector((self.h, self.v))
         n = p * pq
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "hprime", 1 if (p % 2 and self.h) else 0)

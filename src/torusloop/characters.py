@@ -113,44 +113,6 @@ class TauPoint:
         return TauPoint(-1 / self.tau)
 
 
-@dataclass(frozen=True)
-class U1CharIndex:
-    """A normalized affine u(1) character index.
-
-    The label j (integer or half-integer) is stored doubled so modular
-    reductions stay in integer arithmetic; normalization folds it into
-    [0, P) with P = 2n at z = +1 and 4n at z = -1.
-    """
-
-    n: int
-    twice_label: int
-    zsign: int
-
-    def __post_init__(self):
-        if self.zsign not in (1, -1):
-            raise ValueError("zsign must be +1 or -1")
-        object.__setattr__(self, "twice_label",
-                           self.twice_label % (2 * self.period))
-
-    @classmethod
-    def from_label(cls, n: int, label, zsign: int = 1) -> "U1CharIndex":
-        label = Fraction(label)
-        if label.denominator not in (1, 2):
-            raise ValueError("labels are integers or half-integers")
-        return cls(n, int(2 * label), zsign)
-
-    @property
-    def period(self) -> int:
-        return 2 * self.n if self.zsign == 1 else 4 * self.n
-
-    @property
-    def label(self) -> Fraction:
-        return Fraction(self.twice_label, 2)
-
-    def char(self, cutoff) -> QSeries:
-        return u1_char(self.n, self.label, self.zsign, cutoff)
-
-
 def theta_series(j: Fraction, n: int, z: int, cutoff: Fraction) -> QSeries:
     """Theta-like sum sum_k z^k q^{(j + 2kn)^2/4n} truncated at `cutoff`."""
     if z not in (1, -1):

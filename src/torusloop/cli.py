@@ -21,7 +21,7 @@ from .characters import TauPoint
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
                         modular_rep_check, render_appendix_form)
 from .lattice import census_counter, lattice_Z
-from .model import ModelSpec
+from .model import SECTORS, ModelSpec, torus_sectors
 from .transfer import C_coefficients, markov_Z
 
 
@@ -45,13 +45,15 @@ def _add_model_args(sub):
 
 
 def _model_from(args) -> ModelSpec:
-    spec = ModelSpec(args.kind, args.p, args.pq, args.u or 0.0, alpha=args.alpha)
+    spec = ModelSpec(args.kind, args.p, args.pq, args.u or 0.0)
     if args.u is None:
         spec = spec.isotropic()
     return spec
 
 
 def cmd_enumerate(args) -> int:
+    if args.sector and not args.with_z:
+        raise ValueError("--sector restricts Z and needs --with-z")
     spec = _model_from(args)
     counter = census_counter(spec.kind, args.M, args.N)
     lines = ["count,n_beta,class_i,class_j,n_wind,"
@@ -65,8 +67,7 @@ def cmd_enumerate(args) -> int:
             f"{mult},{n_beta},{ci},{cj},{nw},"
             + ",".join(str(c) for c in counts) + f",{h},{v}")
     if args.with_z:
-        z = lattice_Z(spec, args.M, args.N,
-                      sector=tuple(args.sector) if args.sector else None)
+        z = lattice_Z(spec, args.M, args.N, sector=args.sector, alpha=args.alpha)
         lines.append(f"# Z = {z!r}")
     _write(args, "\n".join(lines))
     return 0
@@ -83,11 +84,8 @@ def cmd_transfer(args) -> int:
         for j in range(-args.M, args.M + 1):
             if C[j]:
                 table.append({"d": d, "j": j, "value": repr(C[j])})
-    sectors = {}
-    hvs = [(args.N % 2, args.M % 2)] if spec.kind == "dense" else \
-        [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for (h, v) in hvs:
-        sectors[f"({h},{v})"] = repr(markov_Z(spec, args.M, args.N, h, v))
+    sectors = {f"({h},{v})": repr(markov_Z(spec, args.M, args.N, h, v, args.alpha))
+               for (h, v) in torus_sectors(spec.kind, args.M, args.N)}
     _write(args, json.dumps({"C": table, "Z": sectors}, indent=2, sort_keys=True))
     return 0
 
@@ -142,10 +140,10 @@ def cmd_modular(args) -> int:
 
 
 def cmd_appendixc(args) -> int:
+    if (args.h is None) != (args.v is None):
+        raise ValueError("--h and --v select one sector together; give both or neither")
     blocks = []
-    hvs = [(args.h, args.v)] if args.h is not None and args.v is not None else \
-        [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for (h, v) in hvs:
+    for (h, v) in SECTORS if args.h is None else [(args.h, args.v)]:
         blocks.append(f"Z({args.p},{args.pq}) sector ({h},{v}):")
         blocks.append(render_appendix_form(appendix_c_form(args.p, args.pq, h, v)))
     _write(args, "\n".join(blocks))

@@ -32,11 +32,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import IMAG_TOL, chebyshev_T, gamma_dm_cospoly, gcd_conv, lambda_fsz_cospoly
+from .arith import IMAG_TOL, chebyshev_T, gamma_dm_cospoly, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
 from .characters import (NUMERIC_TAIL, KacData, TauPoint, eta_numeric, modular_S_residual,
                          t_sign_exact)
 from .cyclo import CycloField, cospoly_to_cyclo
+from .model import SECTORS, check_sector
 from .qseries import BiSeries, euler_inverse
 
 
@@ -199,6 +200,7 @@ def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float
     sector is.  The bound holds only while |T_k(alpha/2)| <= 1, so
     |alpha| > 2 is refused.
     """
+    check_sector((h, v))
     if abs(alpha) > 2:
         raise ValueError("the numeric sector sum needs |alpha| <= 2")
     g4 = float(g) / 4.0
@@ -218,6 +220,7 @@ def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float
 
 def coulomb_Z_hv(g, h: int, v: int, tau: TauPoint) -> complex:
     """Generalized Coulomb partition function as a truncated double theta sum."""
+    check_sector((h, v))
     g = float(g)
     etas = eta_numeric(tau, "q") * eta_numeric(tau, "qbar")
     xmax = tau.tail_order
@@ -237,7 +240,6 @@ def coulomb_Z_hv(g, h: int, v: int, tau: TauPoint) -> complex:
 
 MODULAR_S4 = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
 MODULAR_T4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-SECTOR_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _mat_mul(A, Bm):
@@ -251,11 +253,11 @@ def _mat_eq_identity(A):
 
 def _sector_map(A) -> dict:
     """hv -> the sector whose column holds the 1 in row hv of the 0/1
-    matrix `A` over SECTOR_ORDER."""
-    return {hv: SECTOR_ORDER[row.index(1)] for hv, row in zip(SECTOR_ORDER, A, strict=True)}
+    matrix `A` over SECTORS."""
+    return {hv: SECTORS[row.index(1)] for hv, row in zip(SECTORS, A, strict=True)}
 
 
-def modular_rep_check(taus=None, g_values=(Fraction(1, 2),)) -> dict:
+def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
     """Verify the modular structure; returns a report of exact and numeric checks.
 
     * the 4-dimensional S, T permutation matrices satisfy
@@ -266,8 +268,6 @@ def modular_rep_check(taus=None, g_values=(Fraction(1, 2),)) -> dict:
     * the character-level S transform holds numerically at levels 2 and 6,
       and the T-phase on odd level-4n labels is the sign (-1)^j, exactly.
     """
-    if taus is None:
-        taus = (TauPoint(complex(0.1, 0.9)), TauPoint(complex(-0.4, 1.3)))
     report: dict = {}
     S2 = _mat_mul(MODULAR_S4, MODULAR_S4)
     T2 = _mat_mul(MODULAR_T4, MODULAR_T4)
@@ -297,9 +297,9 @@ def modular_rep_check(taus=None, g_values=(Fraction(1, 2),)) -> dict:
     for tau in taus:
         for g in g_values:
             for alpha in (2.0, 1.2):
-                vals = {hv: conformal_Z_numeric(g, alpha, *hv, tau) for hv in SECTOR_ORDER}
+                vals = {hv: conformal_Z_numeric(g, alpha, *hv, tau) for hv in SECTORS}
                 for image, perm in images:
-                    for hv in SECTOR_ORDER:
+                    for hv in SECTORS:
                         ref = vals[perm[hv]]
                         moved = conformal_Z_numeric(g, alpha, *hv, image(tau))
                         worst_sector = max(worst_sector,
@@ -321,6 +321,7 @@ def modular_rep_check(taus=None, g_values=(Fraction(1, 2),)) -> dict:
 def Z_hv_direct(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
     """Direct double sum (1/eta etabar) sum_{r, s+h/2} (-1)^{vr} q^... qbar^...."""
     KacData(p, pq)  # rejects a pair that is not coprime 0 < p < p'
+    check_sector((h, v))
     cutoff, work = _window(cutoff)
     # over den = 2: R = 2 r and S = 2 s runs over the integers of parity h
     D, root = _kac_window(p, pq, 2, work)
@@ -380,6 +381,7 @@ def _u1_pairs(p: int, pq: int, h: int, v: int):
 
     JL = 2 jl and JR = 2 jr are the doubled labels p' r -+ p (s + h/2).
     """
+    check_sector((h, v))
     n = p * pq
     z = -1 if (p * v) % 2 else 1
     for r in range(p):
@@ -484,14 +486,11 @@ def render_appendix_form(terms: list) -> str:
 # full partition function vs the O(n) form
 
 
-def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff,
-                  use_lambda: bool = False) -> BiSeries:
+def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff) -> BiSeries:
     """Full (sector-summed) partition function as an exact sesquilinear series.
 
     Coefficients are exact cyclotomic numbers: the winding weights are
     rational combinations of cos(k gamma) evaluated at gamma = pi * e0.
-    With use_lambda the divisor-sum weight (1/2) Lambda(d, d/gcd(m,d))
-    replaces the residue-sum weight; the series must be unchanged.
     """
     e0 = Fraction(gamma_over_pi)
     field = CycloField(2 * e0.denominator)
@@ -511,13 +510,8 @@ def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff,
 
     # d > 0 blocks: 2 sum_t Gamma_{d, t mod d} q^{Delta(2t/d, d/2)} qbar^{Delta(2t/d, -d/2)}
     for d in range(1, d_max + 1):
-        weights = []
-        for m in range(d):
-            if use_lambda:
-                poly = lambda_fsz_cospoly(d, d // gcd_conv(m, d))
-            else:
-                poly = gamma_dm_cospoly(d, m)
-            weights.append(2 * cospoly_to_cyclo(poly, e0.numerator, e0.denominator, field))
+        weights = [2 * cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator,
+                                        e0.denominator, field) for m in range(d)]
         for t, a, b in _kac_run(p, pq, root, 0, 2 * den // d, d * den // 2):
             theta[(a, b)] = theta.get((a, b), field.zero()) + weights[t % d]
 

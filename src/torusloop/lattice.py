@@ -44,7 +44,7 @@ from itertools import compress
 from typing import Iterator, Mapping, NamedTuple
 
 from .model import (B, DENSE_TILES, DILUTE_TILES, L, R, T, TILE_EDGES, TILE_PARTNER,
-                    ModelSpec, face_weights)
+                    ModelSpec, check_sector, face_weights, torus_sectors)
 
 SIZE_GUARD = {"dense": 36, "dilute": 20}
 # Row tables held by an M >= 2 torus before its first configuration.  A table
@@ -335,32 +335,27 @@ def census_counter(kind: str, M: int, N: int) -> tuple:
     return tuple(sorted(census))
 
 
-def lattice_Z(spec: ModelSpec, M: int, N: int, sector: tuple | None = None,
-              alpha: float | None = None, alphas: Mapping | None = None) -> float:
+def lattice_Z(spec: ModelSpec, M: int, N: int, sector: tuple | None = None, *,
+              alpha: float, alphas: Mapping | None = None) -> float:
     """Partition function, optionally restricted to a boundary sector (h, v).
 
     Per-configuration weight: beta^{#contractible} * prod alpha_{i,j}^{n_{i,j}}
     * prod rho_t^{n_t}.  Non-contractible loops of class (i, j) take their
-    weight from `alphas` when given, else the uniform alpha.
+    fugacity from `alphas` when it has the class, else the uniform `alpha`.
+    A sector outside `torus_sectors(spec.kind, M, N)` raises ValueError.
     """
-    if spec.kind == "dense" and sector is not None:
-        forced = (N % 2, M % 2)
-        if tuple(sector) != forced:
-            raise ValueError(
-                f"dense {M}x{N} torus lies in sector {forced}, not {tuple(sector)}")
-    if alpha is None:
-        alpha = spec.alpha
+    if sector is not None:
+        sector = tuple(sector)
+        check_sector(sector, torus_sectors(spec.kind, M, N))
+    alphas = alphas or {}
     rho = face_weights(spec)
     total = 0.0
     for (n_beta, winds, counts, h, v), mult in census_counter(spec.kind, M, N):
-        if sector is not None and (h, v) != tuple(sector):
+        if sector is not None and (h, v) != sector:
             continue
         w = spec.beta ** n_beta
         for cls, n in winds:
-            a = alphas.get(cls, alpha) if alphas is not None else alpha
-            if a is None:
-                raise ValueError("no fugacity given for non-contractible loops")
-            w *= a ** n
+            w *= alphas.get(cls, alpha) ** n
         for t in range(9):
             n = counts[t]
             if n:

@@ -53,6 +53,27 @@ for _t, _links in TILE_LINKS.items():
     TILE_PARTNER[_t] = part
 
 
+# the boundary sectors (h, v): the parities of the loop crossings of a horizontal
+# resp. vertical cut line, in the row order of the modular S and T matrices
+SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def torus_sectors(kind: str, M: int, N: int) -> tuple:
+    """The sectors an M x N torus of this kind can lie in.
+
+    Dense tiles occupy all four edges, so N strands cross each horizontal
+    cut line and M each vertical one: a dense torus lies in (N mod 2, M mod 2)
+    alone.  A dilute torus reaches all four sectors.
+    """
+    return ((N % 2, M % 2),) if kind == "dense" else SECTORS
+
+
+def check_sector(hv: tuple, sectors: tuple = SECTORS) -> None:
+    """Raise ValueError unless the pair hv = (h, v) is one of `sectors`."""
+    if tuple(hv) not in sectors:
+        raise ValueError(f"sector {tuple(hv)} is not one of {', '.join(map(str, sectors))}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A loop model at a root-of-unity point.
@@ -60,16 +81,15 @@ class ModelSpec:
     kind is "dense" or "dilute"; p, pq are the coprime integers p < p' with
     crossing parameter lambda = pi (p'-p)/p' (dense) or pi (2p'-p)/(4p')
     (dilute), and contractible-loop fugacity beta = 2 cos(pi (p'-p)/p').
-    The non-contractible fugacity alpha may be given directly or through
-    gamma with alpha = 2 cos(gamma).
+    The non-contractible fugacity alpha is not part of the model: neither the
+    lattice census nor the transfer traces depend on it, so it is passed
+    where loops are weighed (`lattice_Z`, `markov_Z`).
     """
 
     kind: str
     p: int
     pq: int
     u: float
-    alpha: float | None = None
-    gamma: float | None = None
     lam: float = field(init=False)
     beta: float = field(init=False)
 
@@ -90,11 +110,6 @@ class ModelSpec:
                 raise ArithmeticError("dilute parameterisation disagrees on beta")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "beta", beta)
-        if self.gamma is not None:
-            a = 2.0 * math.cos(self.gamma)
-            if self.alpha is not None and abs(self.alpha - a) > 1e-12:
-                raise ValueError("alpha and gamma are inconsistent")
-            object.__setattr__(self, "alpha", a)
 
     @property
     def tiles(self) -> tuple:
@@ -103,7 +118,7 @@ class ModelSpec:
     def isotropic(self) -> "ModelSpec":
         """The same model at its isotropic point u = lambda/2 resp. 3 lambda/2."""
         u = self.lam / 2 if self.kind == "dense" else 3 * self.lam / 2
-        return ModelSpec(self.kind, self.p, self.pq, u, self.alpha, self.gamma)
+        return ModelSpec(self.kind, self.p, self.pq, u)
 
 
 def face_weights(spec: ModelSpec) -> tuple:

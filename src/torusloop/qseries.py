@@ -31,8 +31,6 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-Rational = Fraction
-
 _BIG = Fraction(10**9)  # stands in for "no constraint" when a factor is zero
 
 

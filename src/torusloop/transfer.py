@@ -66,7 +66,7 @@ import numpy as np
 
 from .arith import chebyshev_T, gcd_conv
 from .model import (B, L, R, T, TILE_EDGES, TILE_LINKS, TILE_PARTNER,
-                    ModelSpec, face_weights)
+                    ModelSpec, check_sector, face_weights, torus_sectors)
 
 TRANSFER_SITE_GUARD = {"dense": 12, "dilute": 8}
 
@@ -482,28 +482,21 @@ def C_coefficients(spec: ModelSpec, N: int, M: int, d: int) -> Mapping:
     return MappingProxyType(C)
 
 
-def markov_Z(spec: ModelSpec, M: int, N: int, h: int, v: int,
-             alpha: float | None = None) -> float:
+def markov_Z(spec: ModelSpec, M: int, N: int, h: int, v: int, alpha: float) -> float:
     """Torus partition function in sector (h, v) via the Markov trace.
 
     Z^{(h,v)} = sum_{d >= 0, d = h mod 2} mult(d) sum_{j = v mod 2}
                 T_{gcd(d,|j|)}(alpha/2) C_{d,j},
     with mult(d) = 1 for d = 0 and 2 for d > 0 (the d and -d modules carry
     equal weight since C_{-d,j} = C_{d,-j} and the Chebyshev factor is even).
+    The traces do not depend on alpha; it enters only through T_{gcd}.  A
+    sector outside `torus_sectors(spec.kind, M, N)` raises ValueError; a
+    dense torus has h = N mod 2, so d keeps the parity of N as it must.
     """
-    if alpha is None:
-        alpha = spec.alpha
-    if alpha is None:
-        raise ValueError("no non-contractible fugacity given")
-    if spec.kind == "dense":
-        if (h, v) != (N % 2, M % 2):
-            raise ValueError(
-                f"dense {M}x{N} torus lies in sector {(N % 2, M % 2)}, not {(h, v)}")
+    check_sector((h, v), torus_sectors(spec.kind, M, N))
     half = alpha / 2.0
     total = 0.0
-    for d in range(h % 2, N + 1, 2):
-        if spec.kind == "dense" and (N - d) % 2:
-            continue
+    for d in range(h, N + 1, 2):
         C = C_coefficients(spec, N, M, d)
         mult = 1.0 if d == 0 else 2.0
         s = 0.0

@@ -8,7 +8,6 @@ from fractions import Fraction as F
 import pytest
 
 from torusloop.arith import (
-    ArithCache,
     chebyshev_T,
     divisors,
     gamma_dm,
@@ -20,6 +19,7 @@ from torusloop.arith import (
     lambda_fsz,
     lambda_fsz_cospoly,
     lambda_prime_form,
+    mobius,
     ramanujan_sum,
     totient,
     verify_master,
@@ -36,7 +36,14 @@ def test_gcd_conventions():
 
 
 def test_arith_cache_definitional():
-    assert ArithCache(60).selfcheck()
+    """The cached mobius, totient and divisors against their definitions."""
+    for n in range(1, 61):
+        primes = [p for p in range(2, n + 1)
+                  if n % p == 0 and all(p % k for k in range(2, p))]
+        squarefree = all(n % (p * p) for p in primes)
+        assert mobius(n) == ((-1) ** len(primes) if squarefree else 0)
+        assert totient(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+        assert divisors(n) == tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
 def test_chebyshev_small():

@@ -152,16 +152,6 @@ def test_modular_S_small_levels():
 
 
 def test_u1_char_index_normalization():
-    from torusloop.characters import U1CharIndex
-    idx = U1CharIndex.from_label(6, F(49, 2), -1)   # period 4n = 24
-    assert idx.label == F(1, 2)
-    assert idx.period == 24
-    idx2 = U1CharIndex.from_label(6, 14, 1)          # period 2n = 12
-    assert idx2.label == 2
-    # characters agree with the unreduced label by periodicity
-    assert idx.char(F(4)).matches(u1_char(6, F(49, 2), -1, F(4)))
-    assert idx2.char(F(4)).matches(u1_char(6, 14, 1, F(4)))
-    with pytest.raises(ValueError):
-        U1CharIndex.from_label(6, F(1, 3))
-    with pytest.raises(ValueError):
-        U1CharIndex(6, 1, 0)
+    # a label reduces modulo the period: 4n = 24 at z = -1, 2n = 12 at z = +1
+    assert u1_char(6, F(1, 2), -1, F(4)).matches(u1_char(6, F(49, 2), -1, F(4)))
+    assert u1_char(6, 2, 1, F(4)).matches(u1_char(6, 14, 1, F(4)))

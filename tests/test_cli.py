@@ -117,6 +117,14 @@ def test_bad_arguments_exit_2(capsys):
     # the removed knobs are argument errors
     assert main(["modular", "--cutoff", "40"]) == 2
     assert main(["accept", "--suite", "core"]) == 2
+    # half a sector, or a sector with no Z to restrict, is not silently dropped
+    assert main(["appendixc", "--p", "1", "--pq", "2", "--h", "1"]) == 2
+    assert main(["appendixc", "--p", "1", "--pq", "2", "--v", "0"]) == 2
+    assert main(["enumerate", "--kind", "dilute", "--p", "1", "--pq", "2",
+                 "--M", "2", "--N", "2", "--sector", "1", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--with-z" in captured.err and "--h and --v" in captured.err
 
 
 def test_output_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -19,12 +20,12 @@ from torusloop.lattice import (
 from torusloop.model import DILUTE_TILES, ModelSpec, face_weights
 
 
-def spec_dense(p=2, pq=3, u=0.37, alpha=1.0):
-    return ModelSpec("dense", p, pq, u, alpha=alpha)
+def spec_dense(p=2, pq=3, u=0.37):
+    return ModelSpec("dense", p, pq, u)
 
 
-def spec_dilute(p=2, pq=3, u=0.37, alpha=1.0):
-    return ModelSpec("dilute", p, pq, u, alpha=alpha)
+def spec_dilute(p=2, pq=3, u=0.37):
+    return ModelSpec("dilute", p, pq, u)
 
 
 def test_face_weights_dense_special_points():
@@ -50,8 +51,8 @@ def test_modelspec_validation():
         ModelSpec("dense", 2, 4, 0.1)
     with pytest.raises(ValueError):
         ModelSpec("sparse", 1, 2, 0.1)
-    s = ModelSpec("dilute", 1, 2, 0.3, gamma=0.7)
-    assert math.isclose(s.alpha, 2 * math.cos(0.7))
+    # the non-contractible fugacity is not part of the model
+    assert [f.name for f in fields(ModelSpec) if f.init] == ["kind", "p", "pq", "u"]
 
 
 def test_dense_2x2_has_16_configs():
@@ -138,28 +139,28 @@ def test_dense_sector_forced_by_parity():
     for _, census in enumerate_configs(spec, 3, 2):
         assert census.sector_from_cuts() == (0, 1)
     with pytest.raises(ValueError):
-        lattice_Z(spec, 3, 2, sector=(0, 0))
+        lattice_Z(spec, 3, 2, sector=(0, 0), alpha=1.0)
 
 
 def test_sectors_partition_the_configurations():
-    spec = spec_dilute(u=0.53, alpha=0.8)
-    total = lattice_Z(spec, 2, 3)
-    sectors = sum(lattice_Z(spec, 2, 3, sector=hv)
+    spec = spec_dilute(u=0.53)
+    total = lattice_Z(spec, 2, 3, alpha=0.8)
+    sectors = sum(lattice_Z(spec, 2, 3, sector=hv, alpha=0.8)
                   for hv in [(0, 0), (0, 1), (1, 0), (1, 1)])
     assert math.isclose(total, sectors, rel_tol=1e-12)
 
 
 def test_beta_zero_kills_contractible_loops():
     # (1,2): beta = 0; configurations with a contractible loop must not count
-    spec = ModelSpec("dense", 1, 2, 0.4, alpha=1.0)
+    spec, alpha = ModelSpec("dense", 1, 2, 0.4), 1.0
     assert spec.beta == pytest.approx(0.0, abs=1e-15)
-    z = lattice_Z(spec, 2, 2)
+    z = lattice_Z(spec, 2, 2, alpha=alpha)
     by_hand = 0.0
     rho = face_weights(spec)
     for grid, census in enumerate_configs(spec, 2, 2):
         if census.n_beta:
             continue
-        w = 1.0 * spec.alpha ** census.n_noncontractible
+        w = 1.0 * alpha ** census.n_noncontractible
         for t, n in zip(range(1, 10), census.tile_counts):
             w *= rho[t - 1] ** n
         by_hand += w
@@ -178,7 +179,7 @@ def test_dilute_2x2_fixture_against_slow_reference():
     slow = slow_partition_functions("dilute", 2, 2, spec.beta, 1.0, face_weights(spec))
     for hv, val in golden.items():
         assert math.isclose(slow[hv], val, rel_tol=1e-12)
-        assert math.isclose(lattice_Z(spec, 2, 2, sector=hv), val, rel_tol=1e-10)
+        assert math.isclose(lattice_Z(spec, 2, 2, sector=hv, alpha=1.0), val, rel_tol=1e-10)
     assert math.isclose(sum(slow.values()), 79.01234567901244, rel_tol=1e-12)
 
 
@@ -203,18 +204,18 @@ REFERENCE_CASES = [  # kind, M, N, u, alpha, (p, p')
                  + ("" if case[5] == (2, 3) else "-pq{}{}".format(*case[5])))
     for case in REFERENCE_CASES])
 def test_fast_matches_slow_reference(kind, M, N, u, alpha, pq):
-    spec = ModelSpec(kind, *pq, u, alpha=alpha)
+    spec = ModelSpec(kind, *pq, u)
     slow = slow_partition_functions(kind, M, N, spec.beta, alpha, face_weights(spec))
     for hv, val in slow.items():
         if kind == "dense" and hv != (N % 2, M % 2):
             assert val == 0.0
             continue
-        assert math.isclose(lattice_Z(spec, M, N, sector=hv), val,
+        assert math.isclose(lattice_Z(spec, M, N, sector=hv, alpha=alpha), val,
                             rel_tol=1e-11, abs_tol=1e-13)
 
 
 def test_per_class_fugacity_map():
-    spec = spec_dilute(alpha=1.0)
+    spec = spec_dilute()
     # give horizontal-type loops a different weight from everything else
     z_map = lattice_Z(spec, 2, 2, alphas={(1, 0): 3.0}, alpha=1.0)
     by_hand = 0.0

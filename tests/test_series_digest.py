@@ -45,7 +45,7 @@ def _pinned_series():
         for e0 in FULL_E0:
             yield full_Z_series(p, pq, e0, FULL_CUTOFF)
             yield on_series(F(p, pq), e0, FULL_CUTOFF)
-    yield full_Z_series(2, 3, F(2, 5), FULL_CUTOFF, use_lambda=True)
+    yield full_Z_series(2, 3, F(2, 5), FULL_CUTOFF)
     for K in SECTOR_CUTOFFS:
         for (kind, eps) in (("dense", 0), ("dense", 1), ("dilute", 0)):
             for g0 in VERMA_G0:

@@ -11,16 +11,19 @@ import pytest
 from reference_enum import _valid
 import torusloop
 from torusloop.arith import ImaginaryResidueError, gamma_v
-from torusloop.conformal import Z_hv_bezout, Z_hv_direct, Z_hv_u1
-from torusloop.lattice import enumerate_configs
+from torusloop.characters import TauPoint
+from torusloop.conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
+                                 conformal_Z_numeric, coulomb_Z_hv)
+from torusloop.lattice import enumerate_configs, lattice_Z
 from torusloop.model import ModelSpec
+from torusloop.transfer import markov_Z
 from torusloop.qseries import euler_inverse
 
 
 @pytest.mark.parametrize("kind, M, N", [("dense", 3, 3), ("dilute", 2, 3)])
 def test_enumerator_output_revalidated_edge_by_edge(kind, M, N):
     """Fast enumerator output passes the independent adjacency check."""
-    spec = ModelSpec(kind, 2, 3, 0.4, alpha=1.0)
+    spec = ModelSpec(kind, 2, 3, 0.4)
     count = 0
     for grid, _ in enumerate_configs(spec, M, N):
         rows = [list(grid.tiles[r * N:(r + 1) * N]) for r in range(M)]
@@ -41,6 +44,36 @@ def test_enumeration_is_complete_and_ordered(kind, M, N):
             if _valid([a[r * N:(r + 1) * N] for r in range(M)], M, N)}
     assert set(got) == want
     assert all(a < b for a, b in zip(got, got[1:]))
+
+
+SPEC = ModelSpec("dilute", 2, 3, 0.4)
+TAU = TauPoint(complex(0.1, 0.9))
+SECTOR_TAKERS = {
+    "lattice_Z": lambda h, v: lattice_Z(SPEC, 2, 2, sector=(h, v), alpha=1.0),
+    "markov_Z": lambda h, v: markov_Z(SPEC, 2, 2, h, v, alpha=1.0),
+    "Z_hv_direct": lambda h, v: Z_hv_direct(2, 3, h, v, F(2)),
+    "Z_hv_u1": lambda h, v: Z_hv_u1(2, 3, h, v, F(2)),
+    "conformal_Z_numeric": lambda h, v: conformal_Z_numeric(F(2, 3), 2.0, h, v, TAU),
+    "coulomb_Z_hv": lambda h, v: coulomb_Z_hv(F(2, 3), h, v, TAU),
+    "appendix_c_form": lambda h, v: appendix_c_form(2, 3, h, v),
+}
+
+
+@pytest.mark.parametrize("hv", [(2, 0), (0, 2), (-1, 0)])
+@pytest.mark.parametrize("name", sorted(SECTOR_TAKERS))
+def test_sector_outside_the_four_raises(name, hv):
+    """Every function that takes a sector refuses one outside {0, 1}^2 in
+    place of reading it modulo 2 or as an empty sector."""
+    with pytest.raises(ValueError, match="is not one of"):
+        SECTOR_TAKERS[name](*hv)
+
+
+def test_fugacity_is_an_argument():
+    """alpha is passed where loops are weighed, never read from the model."""
+    with pytest.raises(TypeError):
+        lattice_Z(SPEC, 2, 2, sector=(0, 0))
+    with pytest.raises(TypeError):
+        markov_Z(SPEC, 2, 2, 0, 0)
 
 
 # module invariant: the triple identity holds for every coprime pair with

@@ -403,7 +403,7 @@ DILUTE_SIZES = [(1, 2), (2, 2), (2, 3)]
 def test_markov_equals_lattice_dense(p, pq):
     for (M, N) in DENSE_SIZES:
         for iso in (True, False):
-            spec = ModelSpec("dense", p, pq, 0.37, alpha=1.0)
+            spec = ModelSpec("dense", p, pq, 0.37)
             if iso:
                 spec = spec.isotropic()
             hv = (N % 2, M % 2)
@@ -417,7 +417,7 @@ def test_markov_equals_lattice_dense(p, pq):
 def test_markov_equals_lattice_dilute(p, pq):
     for (M, N) in DILUTE_SIZES:
         for iso in (True, False):
-            spec = ModelSpec("dilute", p, pq, 0.37, alpha=1.0)
+            spec = ModelSpec("dilute", p, pq, 0.37)
             if iso:
                 spec = spec.isotropic()
             for hv in [(0, 0), (0, 1), (1, 0), (1, 1)]:
@@ -452,21 +452,21 @@ def test_chebyshev_gcd_convention_in_markov():
 
 
 def test_dense_markov_rejects_wrong_sector():
-    spec = ModelSpec("dense", 2, 3, 0.37, alpha=1.0)
+    spec = ModelSpec("dense", 2, 3, 0.37)
     with pytest.raises(ValueError):
-        markov_Z(spec, 2, 2, 1, 0)
+        markov_Z(spec, 2, 2, 1, 0, alpha=1.0)
 
 
 # -- informational scaling check --------------------------------------------
 
 def test_leading_eigenvalue_positive():
-    spec = ModelSpec("dense", 2, 3, 0.0, alpha=2.0)
+    spec = ModelSpec("dense", 2, 3, 0.0)
     lam = leading_eigenvalue(spec.isotropic(), 6)
     assert lam > 0
 
 
 def test_effective_central_charge_runs():
-    spec = ModelSpec("dense", 2, 3, 0.0, alpha=2.0)
+    spec = ModelSpec("dense", 2, 3, 0.0)
     c = effective_central_charge(spec, sizes=(4, 6, 8))
     assert math.isfinite(c)
 
@@ -478,7 +478,7 @@ def test_markov_equals_lattice_wider_modules(kind, M, N):
     """Oracle coverage for wider rows, where link states with several
     seam-crossing arcs and odd-width dense modules appear."""
     for (p, pq) in [(2, 3), (3, 4)]:
-        spec = ModelSpec(kind, p, pq, 0.37, alpha=1.0)
+        spec = ModelSpec(kind, p, pq, 0.37)
         sectors = [(N % 2, M % 2)] if kind == "dense" else \
             [(0, 0), (0, 1), (1, 0), (1, 1)]
         for hv in sectors:
