@@ -30,7 +30,7 @@ MODULAR_TAUS = (TauPoint(complex(0.1, 0.9)), TauPoint(complex(-0.4, 1.3)),
                 TauPoint(complex(0.5, 0.5)))
 
 DENSE_SIZES = ((2, 2), (2, 4), (3, 3), (4, 4), (3, 4))
-DILUTE_SIZES = ((1, 2), (2, 2), (2, 3), (3, 3))
+DILUTE_SIZES = ((1, 2), (2, 2), (2, 3), (3, 3), (3, 4))
 ORACLE_PQ = ((1, 2), (2, 3), (3, 4))
 SERIES_PQ = ((1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5))
 

@@ -21,7 +21,7 @@ from .characters import TauPoint
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
                         modular_rep_check, render_appendix_form)
 from .lattice import census_counter, lattice_Z
-from .model import SECTORS, ModelSpec, torus_sectors
+from .model import SECTORS, ModelSpec, defect_numbers, torus_sectors
 from .transfer import C_coefficients, markov_Z
 
 
@@ -77,9 +77,8 @@ def cmd_transfer(args) -> int:
     spec = _model_from(args)
     table = []
     dmax = args.N if args.d is None else args.d
-    dvals = range(args.N % 2 if spec.kind == "dense" else 0, dmax + 1,
-                  2 if spec.kind == "dense" else 1)
-    for d in dvals:
+    allowed = defect_numbers(spec.kind, args.N)
+    for d in range(allowed.start, dmax + 1, allowed.step):
         C = C_coefficients(spec, args.N, args.M, d)
         for j in range(-args.M, args.M + 1):
             if C[j]:

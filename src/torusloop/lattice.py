@@ -17,8 +17,20 @@ For M >= 2 the tables are built once per call and grouped by bottom
 occupancy; a row sits on another when its bottom occupancy equals the
 other's top occupancy, and the last row must close the torus against the
 first row's bottom occupancy.  A one-row torus takes its rows straight from
-the tiles whose top and bottom edges agree and makes each row's table as the
-row is yielded, keeping none, so that tori like 1 x 12 stay lazy.
+the tiles whose top and bottom edges agree and makes a row's table only
+when the row is yielded, keeping none, so that tori like 1 x 12 stay lazy.
+
+The census is invariant under the M N torus translations (row shifts times
+column shifts), so `census_counter` traces one configuration per orbit (the
+lexicographically least translate) and counts it M N / |stabiliser| times.
+The stacking search serves both: rows are numbered in lexicographic order,
+the first row must be least among its column turns and every later row's
+least turn at least the first row, and a full comparison with the
+translates that start with the first row decides each candidate and gives
+its stabiliser.  A one-row torus compares a row with its N turns.  Without
+orbits the same search yields every configuration in lexicographic order:
+`enumerate_configs` is the exhaustive reference the orbit census is tested
+against.
 
 Loops are traced from row to row across the MN horizontal edges only, adding
 each row's column-seam crossings and counting the row seam (between rows M-1
@@ -49,8 +61,10 @@ from .model import (B, DENSE_TILES, DILUTE_TILES, L, R, T, TILE_EDGES, TILE_PART
 SIZE_GUARD = {"dense": 36, "dilute": 20}
 # Row tables held by an M >= 2 torus before its first configuration.  A table
 # costs 10-25 us and 0.5-0.7 kB (dilute N = 7, 8; dense N = 14), so 200,000
-# rows take a few seconds and about 100-140 MB.  Dilute N = 8 (187,457 rows)
-# passes; dilute N = 9 (855,095) and dense N = 18 (262,144) do not.
+# rows take a few seconds and about 100-140 MB; the census adds N + 1 row
+# indices per row for its turns (a dilute 2x8 census peaks at about 146 MB).
+# Dilute N = 8 (187,457 rows) passes; dilute N = 9 (855,095) and dense N = 18
+# (262,144) do not.
 ROW_GUARD = 200_000
 
 # bits per count in a row's packed tile code; no count exceeds M N <= 36
@@ -183,33 +197,91 @@ def _occupancy(row: tuple, edge: int) -> int:
     return sum(1 << c for c, t in enumerate(row) if edge in TILE_EDGES[t])
 
 
-def _enumerate_grids(kind: str, M: int, N: int) -> Iterator[tuple]:
-    """Every no-free-end configuration as a stack of M row tables, bottom to
-    top, in lexicographic order of the tile assignments."""
+def _enumerate_grids(kind: str, M: int, N: int, orbits: bool) -> Iterator[tuple]:
+    """Configurations as (stack of M row tables, bottom to top, weight).
+
+    With `orbits` false: every no-free-end configuration, weight 1, in
+    lexicographic order of the tile assignments.  With `orbits` true: one
+    configuration per orbit of the M N torus translations, the one least
+    among its translates, weighted by the orbit size M N / |stabiliser|.
+    """
     tiles = DENSE_TILES if kind == "dense" else DILUTE_TILES
     if M == 1:
         # each tile's top edge is its own bottom edge; filtering the tiles
         # avoids building every periodic row when few of them close
         for row in _rows(tuple(t for t in tiles
                                if (B in TILE_EDGES[t]) == (T in TILE_EDGES[t])), N):
-            yield (_row_table(row),)
+            weight = _turn_weight(row) if orbits else 1
+            if weight:
+                yield (_row_table(row),), weight
         return
-    rows = [(_row_table(row), _occupancy(row, B), _occupancy(row, T))
-            for row in _rows(tiles, N)]
-    above: dict = {}  # bottom occupancy -> [(table, top occupancy)]
-    for table, bottom, top in rows:
-        above.setdefault(bottom, []).append((table, top))
+    rows = list(_rows(tiles, N))
+    tables = [_row_table(row) for row in rows]
+    bottoms = [_occupancy(row, B) for row in rows]
+    tops = [_occupancy(row, T) for row in rows]
+    above: dict = {}  # bottom occupancy -> [(row index, top occupancy)]
+    for j, bottom in enumerate(bottoms):
+        above.setdefault(bottom, []).append((j, tops[j]))
+    # turns[s][j]: the index of row j turned s columns; least[j]: the least
+    # index of its turns.  Without orbits every row is its own class.
+    turns = [range(len(rows))]
+    if orbits:
+        index = {row: j for j, row in enumerate(rows)}
+        turn = [index[row[1:] + row[:1]] for row in rows]
+        del index
+        for _ in range(1, N):
+            turns.append([turn[j] for j in turns[-1]])
+    least = [min(js) for js in zip(*turns)]
 
-    def stack(grid: tuple, top: int, closing: int, m: int) -> Iterator[tuple]:
-        """Stacks that extend the m rows of `grid` to M rows."""
-        for table, row_top in above.get(top, ()):
+    def weight(stack: tuple) -> int:
+        """M N / |stabiliser| if `stack` is least among its translates, else 0.
+
+        Every row's least turn is at least stack[0] (the search keeps only
+        such rows), so a translate can tie or undercut `stack` only if its
+        first row is stack[0]; only those translates are compared.
+        """
+        first, fixed = stack[0], 0
+        for a, j in enumerate(stack):
+            if least[j] != first:
+                continue
+            shifted = stack[a:] + stack[:a]
+            for turned in turns:
+                if turned[j] == first:
+                    translate = tuple(map(turned.__getitem__, shifted))
+                    if translate < stack:
+                        return 0
+                    fixed += translate == stack
+        return M * N // fixed
+
+    def stack(grid: tuple, top: int, closing: int, floor: int, m: int) -> Iterator[tuple]:
+        """Stacks that extend the m rows `grid` to M rows, each further row's
+        class at least `floor`."""
+        for j, row_top in above.get(top, ()):
+            if least[j] < floor:
+                continue
             if m + 1 < M:
-                yield from stack(grid + (table,), row_top, closing, m + 1)
+                yield from stack(grid + (j,), row_top, closing, floor, m + 1)
             elif row_top == closing:
-                yield grid + (table,)
+                yield grid + (j,)
 
-    for table, bottom, top in rows:
-        yield from stack((table,), top, bottom, 1)
+    for i in range(len(rows)):
+        if least[i] != i:
+            continue  # a translate starting with a smaller row exists
+        for grid in stack((i,), tops[i], bottoms[i], i if orbits else 0, 1):
+            w = weight(grid) if orbits else 1
+            if w:
+                yield tuple(map(tables.__getitem__, grid)), w
+
+
+def _turn_weight(row: tuple) -> int:
+    """N / |stabiliser| if `row` is least among its N turns, else 0."""
+    N, fixed = len(row), 0
+    for s in range(N):
+        turned = row[s:] + row[:s]
+        if turned < row:
+            return 0
+        fixed += turned == row
+    return N // fixed
 
 
 def _trace(N: int, grid: tuple) -> tuple:
@@ -277,7 +349,7 @@ def _unpack(code: int) -> tuple:
 def enumerate_configs(spec: ModelSpec, M: int, N: int) -> Iterator[tuple]:
     """Yield (TileGrid, LoopCensus) for every valid configuration."""
     _check_size(spec.kind, M, N)
-    for grid in _enumerate_grids(spec.kind, M, N):
+    for grid, _ in _enumerate_grids(spec.kind, M, N, orbits=False):
         n_beta, windings, _, _ = _trace(N, grid)
         counts, V = _unpack(sum(table.code for table in grid))
         yield (TileGrid(M, N, sum((table.tiles for table in grid), ())),
@@ -322,7 +394,9 @@ def census_counter(kind: str, M: int, N: int) -> tuple:
     disagreement raises ArithmeticError.
     """
     _check_size(kind, M, N)
-    traced = Counter(_trace(N, grid) for grid in _enumerate_grids(kind, M, N))
+    traced: Counter = Counter()
+    for grid, weight in _enumerate_grids(kind, M, N, orbits=True):
+        traced[_trace(N, grid)] += weight
     census = []
     for (n_beta, windings, code, h), mult in traced.items():
         tile_counts, v = _unpack(code)

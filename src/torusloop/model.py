@@ -68,6 +68,15 @@ def torus_sectors(kind: str, M: int, N: int) -> tuple:
     return ((N % 2, M % 2),) if kind == "dense" else SECTORS
 
 
+def defect_numbers(kind: str, N: int) -> range:
+    """The defect numbers d of the standard modules on N sites.
+
+    A dense site is always occupied, so the N - d sites that are not defects
+    pair into arcs: d = N mod 2.  A dilute module has every 0 <= d <= N.
+    """
+    return range(N % 2, N + 1, 2) if kind == "dense" else range(N + 1)
+
+
 def check_sector(hv: tuple, sectors: tuple = SECTORS) -> None:
     """Raise ValueError unless the pair hv = (h, v) is one of `sectors`."""
     if tuple(hv) not in sectors:

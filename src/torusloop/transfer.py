@@ -66,7 +66,7 @@ import numpy as np
 
 from .arith import chebyshev_T, gcd_conv
 from .model import (B, L, R, T, TILE_EDGES, TILE_LINKS, TILE_PARTNER,
-                    ModelSpec, check_sector, face_weights, torus_sectors)
+                    ModelSpec, check_sector, defect_numbers, face_weights, torus_sectors)
 
 TRANSFER_SITE_GUARD = {"dense": 12, "dilute": 8}
 
@@ -127,7 +127,7 @@ def link_states(kind: str, N: int, d: int) -> tuple:
     """All canonical link words with d defects, sorted defects-leftmost first."""
     if not 0 <= d <= N:
         raise ValueError("need 0 <= d <= N")
-    if kind == "dense" and (N - d) % 2:
+    if d not in defect_numbers(kind, N):
         raise ValueError("dense model needs d = N mod 2")
     found = []
     for defects in combinations(range(N), d):
@@ -326,7 +326,7 @@ def build_transfer(spec: ModelSpec, N: int, d: int) -> TransferOperator:
     Only the first word of each rotation orbit is joined; the other columns
     of the orbit are its rotations (see the module docstring).
     """
-    if spec.kind == "dense" and (N - d) % 2:
+    if (d - N) % defect_numbers(spec.kind, N).step:  # parity; link_states checks 0 <= d <= N
         raise ValueError("dense model needs d = N mod 2")
     if N > TRANSFER_SITE_GUARD[spec.kind]:
         raise TransferSizeError(

@@ -11,6 +11,7 @@ from torusloop.lattice import (
     SizeGuardError,
     _census_key,
     _check_size,
+    _enumerate_grids,
     _row_count,
     _rows,
     census_counter,
@@ -252,15 +253,39 @@ def test_row_count_is_trace_of_tile_matrix_power():
 
 @pytest.mark.parametrize("kind, M, N", [
     ("dense", 3, 3), ("dilute", 2, 3), ("dilute", 1, 4), ("dilute", 4, 1),
-    ("dilute", 2, 2),
+    ("dilute", 2, 2), ("dense", 2, 2), ("dense", 2, 4), ("dilute", 1, 6),
+    ("dilute", 5, 1), ("dilute", 3, 4),
 ])
 def test_census_counter_collapses_enumerate_configs(kind, M, N):
-    """Both views come from one tracer; dilute 2x2 has in-row horizontal loops."""
+    """The orbit census equals the exhaustive enumeration; dilute 2x2 has
+    in-row horizontal loops, and the small tori have large stabilisers."""
     spec = spec_dense() if kind == "dense" else spec_dilute()
     census = [c for _, c in enumerate_configs(spec, M, N)]
     assert Counter(_census_key(c) for c in census) == dict(census_counter(kind, M, N))
+    assert sum(w for _, w in _enumerate_grids(kind, M, N, orbits=True)) == len(census)
     if (kind, M, N) == ("dilute", 2, 2):
         assert any(c.windings == (((1, 0), 2),) for c in census)
+
+
+@pytest.mark.parametrize("kind, M, N, orbits", [
+    ("dense", 2, 2, 7), ("dense", 3, 4, 352), ("dilute", 3, 3, 493), ("dilute", 1, 6, 144),
+])
+def test_orbit_census_traces_one_configuration_per_orbit(kind, M, N, orbits):
+    """The orbit census yields the least translate of each orbit once, as
+    canonicalising every enumerated configuration finds them."""
+    spec = spec_dense() if kind == "dense" else spec_dilute()
+
+    def translates(tiles):
+        rows = [tiles[r * N:(r + 1) * N] for r in range(M)]
+        for a in range(M):
+            for s in range(N):
+                yield sum((row[s:] + row[:s] for row in rows[a:] + rows[:a]), ())
+
+    least = {min(translates(grid.tiles)) for grid, _ in enumerate_configs(spec, M, N)}
+    got = [sum((table.tiles for table in grid), ())
+           for grid, _ in _enumerate_grids(kind, M, N, orbits=True)]
+    assert len(least) == orbits
+    assert sorted(got) == sorted(least)
 
 
 def _reflect_diagonal(key):
