@@ -41,18 +41,6 @@ def scaled_error(a: float, b: float) -> float:
     return abs(a - b) / scale if scale else 0.0
 
 
-def gamma_lambda_worst(dmax: int) -> float:
-    """Largest |gamma_dm - Lambda(d, d/gcd(m, d))/2| over d <= dmax and sampled g."""
-    worst = 0.0
-    for d in range(1, dmax + 1):
-        for m in range(1, d + 1):
-            n = d // math.gcd(m, d)
-            for g in (0.0, 0.3, 1.0, 2.6, math.pi - 0.1):
-                diff = abs(gamma_dm(d, m, g) - 0.5 * lambda_fsz(d, n, g / math.pi))
-                worst = max(worst, diff)
-    return worst
-
-
 def modular_ok(rep: dict) -> bool:
     """Pass predicate of a ``modular_rep_check`` report."""
     return bool(rep["S2_is_identity"] and rep["T2_is_identity"]
@@ -110,7 +98,12 @@ def criterion_3_appendix_forms(golden_forms: dict):
 
 def criterion_4_gamma_lambda():
     """gamma_dm = (1/2) Lambda plus the supporting index-set and Moebius lemmas."""
-    worst = gamma_lambda_worst(30)
+    worst = 0.0
+    for d in range(1, 31):
+        for m in range(1, d + 1):
+            n = d // math.gcd(m, d)
+            for g in (0.0, 0.3, 1.0, 2.6, math.pi - 0.1):
+                worst = max(worst, abs(gamma_dm(d, m, g) - 0.5 * lambda_fsz(d, n, g / math.pi)))
     if worst >= GAMMA_LAMBDA_TOL:
         return False, f"gamma vs Lambda worst {worst:.3e}"
     for d in range(1, 13):
@@ -194,7 +187,7 @@ def criterion_8_characters():
     return True, "levels 2, 6, 12, 15, 20, exact"
 
 
-def criterion_9_scaling(sizes=(6, 8, 10)):
+def criterion_9_scaling():
     """Informational: effective central charge from the leading eigenvalues.
 
     The scaling conjecture puts the dominant state of the alpha = 2, twist
@@ -203,14 +196,14 @@ def criterion_9_scaling(sizes=(6, 8, 10)):
     measured value and both comparisons are reported.
     """
     spec = ModelSpec("dense", 2, 3, 0.0)
-    c_eff = effective_central_charge(spec, sizes)
+    c_eff = effective_central_charge(spec, (6, 8, 10))
     detail = (f"measured c_eff = {c_eff:.4f}; |c_eff - 1| = {abs(c_eff - 1):.4f} "
               f"(conjecture value 1), |c_eff - 0| = {abs(c_eff):.4f} "
               f"(criterion text); non-gating")
     return True, detail
 
 
-def run_suite(golden_forms: dict, table_cells: dict, out=print) -> bool:
+def run_suite(golden_forms: dict, table_cells: dict) -> bool:
     """Run every criterion; returns overall pass/fail."""
     steps = [
         ("1 oracle markov=lattice", criterion_1_oracle),
@@ -229,5 +222,5 @@ def run_suite(golden_forms: dict, table_cells: dict, out=print) -> bool:
         t0 = time.perf_counter()
         ok, detail = fn()
         all_ok &= ok
-        out(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({time.perf_counter() - t0:.1f}s)")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({time.perf_counter() - t0:.1f}s)")
     return all_ok

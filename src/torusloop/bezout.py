@@ -18,12 +18,11 @@ integer arithmetic mod 2P.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import check_sector
+from .model import check_pair, check_sector
 
 
 @dataclass(frozen=True)
@@ -38,11 +37,10 @@ class BezoutContext:
     kappa: int = field(init=False)
 
     def __post_init__(self):
-        p, pq = self.p, self.pq
-        if not (0 < p < pq and math.gcd(p, pq) == 1):
-            raise ValueError("need coprime 0 < p < p'")
+        p = self.p
+        check_pair(p, self.pq)
         check_sector((self.h, self.v))
-        n = p * pq
+        n = p * self.pq
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "hprime", 1 if (p % 2 and self.h) else 0)
         object.__setattr__(self, "P", 4 * n if (p * self.v) % 2 else 2 * n)

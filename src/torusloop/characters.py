@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import ModelSpec
+from .model import ModelSpec, check_pair
 from .qseries import QSeries, eta_inverse
 
 # every numeric sum drops the terms whose size falls below this, relative to 1
@@ -34,8 +34,7 @@ class KacData:
     pq: int
 
     def __post_init__(self):
-        if not (0 < self.p < self.pq and math.gcd(self.p, self.pq) == 1):
-            raise ValueError("need coprime 0 < p < p'")
+        check_pair(self.p, self.pq)
 
     @property
     def c(self) -> Fraction:
@@ -150,9 +149,8 @@ def u1_char(n: int, j, z: int, cutoff) -> QSeries:
     return product.truncate(cutoff)
 
 
-def u1_char_numeric(n: int, j, z: int, tau: TauPoint, side: str = "q") -> complex:
-    """kappa^n_j(z, .) evaluated at the nome of `tau` (or its conjugate)."""
-    power = tau.q_power if side == "q" else tau.qbar_power
+def u1_char_numeric(n: int, j, z: int, tau: TauPoint) -> complex:
+    """kappa^n_j(z, q) evaluated at the nome q of `tau`."""
     j = float(j)
     # terms q^x with x beyond tau.tail_order fall below NUMERIC_TAIL
     reach = math.sqrt(tau.tail_order * 4 * n)
@@ -161,9 +159,9 @@ def u1_char_numeric(n: int, j, z: int, tau: TauPoint, side: str = "q") -> comple
     total = 0.0 + 0.0j
     for k in range(k_lo, k_hi + 1):
         sign = -1.0 if (z == -1 and k % 2) else 1.0
-        total += sign * power((j + 2 * k * n) ** 2 / (4 * n))
+        total += sign * tau.q_power((j + 2 * k * n) ** 2 / (4 * n))
     # 1/(q^{1/24} (q)_inf) = 1/eta
-    return total / eta_numeric(tau, side)
+    return total / eta_numeric(tau, "q")
 
 
 @lru_cache(maxsize=512)

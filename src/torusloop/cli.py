@@ -13,15 +13,13 @@ import json
 import sys
 from fractions import Fraction
 
-from .acceptance import (GAMMA_LAMBDA_TOL, MODULAR_TAUS, gamma_lambda_worst, modular_ok,
-                         run_suite)
-from .arith import verify_master, verify_s1_s2
+from .acceptance import MODULAR_TAUS, criterion_4_gamma_lambda, modular_ok, run_suite
 from .bezout import BezoutContext, kac_table_text, table_json_obj
 from .characters import TauPoint
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
                         modular_rep_check, render_appendix_form)
 from .lattice import census_counter, lattice_Z
-from .model import SECTORS, ModelSpec, defect_numbers, torus_sectors
+from .model import KIND_TILES, SECTORS, ModelSpec, defect_numbers, torus_sectors
 from .transfer import C_coefficients, markov_Z
 
 
@@ -34,7 +32,7 @@ def _write(args, text: str):
 
 
 def _add_model_args(sub):
-    sub.add_argument("--kind", choices=("dense", "dilute"), default="dilute")
+    sub.add_argument("--kind", choices=tuple(KIND_TILES), default="dilute")
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--pq", type=int, required=True,
                      help="the coprime integer p' > p")
@@ -97,27 +95,9 @@ def cmd_series(args) -> int:
 
 
 def cmd_identity(args) -> int:
-    failures = []
-    if args.check in ("gamma-lambda", "all"):
-        worst = gamma_lambda_worst(args.dmax)
-        ok = worst < GAMMA_LAMBDA_TOL
-        print(f"gamma-lambda: worst residual {worst!r} -> {'ok' if ok else 'FAIL'}")
-        if not ok:
-            failures.append("gamma-lambda")
-    if args.check in ("s1s2", "all"):
-        bad = [d for d in range(1, args.dmax + 1) if not verify_s1_s2(d, args.window)]
-        print(f"s1s2: d <= {args.dmax}, window {args.window} -> "
-              + ("ok" if not bad else f"FAIL at {bad}"))
-        if bad:
-            failures.append("s1s2")
-    if args.check in ("master", "all"):
-        bad = [(a, l) for a in range(1, args.amax + 1)
-               for l in range(1, args.lmax + 1) if not verify_master(a, l)]
-        print(f"master: a <= {args.amax}, l <= {args.lmax} -> "
-              + ("ok" if not bad else f"FAIL at {bad[:5]}"))
-        if bad:
-            failures.append("master")
-    return 1 if failures else 0
+    ok, detail = criterion_4_gamma_lambda()
+    print(f"[{'PASS' if ok else 'FAIL'}] gamma = Lambda/2 and number theory: {detail}")
+    return 0 if ok else 1
 
 
 def cmd_bezout(args) -> int:
@@ -191,13 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ser.add_argument("--out", default=None)
     p_ser.set_defaults(func=cmd_series)
 
-    p_id = subs.add_parser("identity", help="number-theoretic identity checks")
-    p_id.add_argument("--check", choices=("gamma-lambda", "s1s2", "master", "all"),
-                      default="all")
-    p_id.add_argument("--dmax", type=int, default=12)
-    p_id.add_argument("--window", type=int, default=25)
-    p_id.add_argument("--amax", type=int, default=10)
-    p_id.add_argument("--lmax", type=int, default=50)
+    p_id = subs.add_parser("identity",
+                           help="number-theoretic identity checks (acceptance criterion 4)")
     p_id.set_defaults(func=cmd_identity)
 
     p_bz = subs.add_parser("bezout", help="Bezout conjugate tables")

@@ -34,10 +34,9 @@ import numpy as np
 
 from .arith import IMAG_TOL, chebyshev_T, gamma_dm_cospoly, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
-from .characters import (NUMERIC_TAIL, KacData, TauPoint, eta_numeric, modular_S_residual,
-                         t_sign_exact)
+from .characters import NUMERIC_TAIL, TauPoint, eta_numeric, modular_S_residual, t_sign_exact
 from .cyclo import CycloField, cospoly_to_cyclo
-from .model import SECTORS, check_sector
+from .model import SECTORS, check_kind, check_pair, check_sector
 from .qseries import BiSeries, euler_inverse
 
 
@@ -51,6 +50,18 @@ def _window(cutoff) -> tuple:
     if cutoff < Fraction(-1, 24):
         raise ValueError("cutoff must be >= -1/24")
     return cutoff, cutoff + Fraction(1, 24)
+
+
+def _exact_twist(gamma_over_pi) -> Fraction:
+    """The twist angle gamma/pi of an exact series as a Fraction.
+
+    A float is refused: its denominator 2^k would size the cyclotomic field
+    and the summation window.
+    """
+    if isinstance(gamma_over_pi, float):
+        raise TypeError("exact series need a rational gamma/pi; "
+                        "use the numeric route for generic twists")
+    return Fraction(gamma_over_pi)
 
 
 def _run(start: int, step: int, reach: int) -> range:
@@ -151,13 +162,9 @@ def verma_trace_series(kind: str, p: int, pq: int, d: int, gamma_over_pi,
     gamma_over_pi is the twist angle in units of pi and must be rational for
     the exact series (the numeric route handles arbitrary twists).
     """
-    if kind not in ("dense", "dilute"):
-        raise ValueError("kind must be dense or dilute")
-    if isinstance(gamma_over_pi, float):
-        raise TypeError("exact series need a rational gamma/pi; "
-                        "use the numeric route for generic twists")
-    g0 = Fraction(gamma_over_pi)
-    KacData(p, pq)  # rejects a pair that is not coprime 0 < p < p'
+    check_kind(kind)
+    check_pair(p, pq)
+    g0 = _exact_twist(gamma_over_pi)
     cutoff, work = _window(cutoff)
     # over den = 2 g0.denominator: R = 2 g0.numerator - l step and S = d den / 2
     D, root = _kac_window(p, pq, 2 * g0.denominator, work)
@@ -242,15 +249,6 @@ MODULAR_S4 = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
 MODULAR_T4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
 
-def _mat_mul(A, Bm):
-    return tuple(tuple(sum(A[i][k] * Bm[k][j] for k in range(4)) for j in range(4))
-                 for i in range(4))
-
-
-def _mat_eq_identity(A):
-    return all(A[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
-
-
 def _sector_map(A) -> dict:
     """hv -> the sector whose column holds the 1 in row hv of the 0/1
     matrix `A` over SECTORS."""
@@ -269,13 +267,10 @@ def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
       and the T-phase on odd level-4n labels is the sign (-1)^j, exactly.
     """
     report: dict = {}
-    S2 = _mat_mul(MODULAR_S4, MODULAR_S4)
-    T2 = _mat_mul(MODULAR_T4, MODULAR_T4)
-    ST = _mat_mul(MODULAR_S4, MODULAR_T4)
-    ST3 = _mat_mul(_mat_mul(ST, ST), ST)
-    report["S2_is_identity"] = _mat_eq_identity(S2)
-    report["T2_is_identity"] = _mat_eq_identity(T2)
-    report["ST3_is_identity"] = _mat_eq_identity(ST3)
+    S, T, one = np.array(MODULAR_S4), np.array(MODULAR_T4), np.eye(4, dtype=int)
+    report["S2_is_identity"] = bool(np.array_equal(S @ S, one))
+    report["T2_is_identity"] = bool(np.array_equal(T @ T, one))
+    report["ST3_is_identity"] = bool(np.array_equal(np.linalg.matrix_power(S @ T, 3), one))
 
     worst_gauss = 0.0
     for tau in taus:
@@ -320,7 +315,7 @@ def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
 
 def Z_hv_direct(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
     """Direct double sum (1/eta etabar) sum_{r, s+h/2} (-1)^{vr} q^... qbar^...."""
-    KacData(p, pq)  # rejects a pair that is not coprime 0 < p < p'
+    check_pair(p, pq)
     check_sector((h, v))
     cutoff, work = _window(cutoff)
     # over den = 2: R = 2 r and S = 2 s runs over the integers of parity h
@@ -381,6 +376,7 @@ def _u1_pairs(p: int, pq: int, h: int, v: int):
 
     JL = 2 jl and JR = 2 jr are the doubled labels p' r -+ p (s + h/2).
     """
+    check_pair(p, pq)
     check_sector((h, v))
     n = p * pq
     z = -1 if (p * v) % 2 else 1
@@ -492,9 +488,9 @@ def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff) -> BiSeries:
     Coefficients are exact cyclotomic numbers: the winding weights are
     rational combinations of cos(k gamma) evaluated at gamma = pi * e0.
     """
-    e0 = Fraction(gamma_over_pi)
+    check_pair(p, pq)
+    e0 = _exact_twist(gamma_over_pi)
     field = CycloField(2 * e0.denominator)
-    KacData(p, pq)  # rejects a pair that is not coprime 0 < p < p'
     cutoff, work = _window(cutoff)
     # the d-block reaches the window iff (p d/2)^2 / (4 p p') <= work
     d_max = math.isqrt(math.floor(16 * pq * work / p))
@@ -523,14 +519,16 @@ def on_series(g, e0, cutoff) -> BiSeries:
 
     (1/eta etabar) [ sum_P (q qbar)^{h_{e0+2P,0}} + sum_{M,N|M,P coprime N}
     Lambda(M,N) q^{h_{2P/N, M/2}} qbar^{hbar_{2P/N, M/2}} ],
-    with h_{r,s} = (r + g s)^2/(4g) and hbar its reflection.
+    with h_{r,s} = (r + g s)^2/(4g) and hbar its reflection.  g = p/p' must
+    reduce to a coprime pair 0 < p < p'.
     """
     g = Fraction(g)
-    e0 = Fraction(e0)
-    field = CycloField(2 * e0.denominator)
-    cutoff, work = _window(cutoff)
     # h_{r,s} is delta_exp(r, -s) of (p, p') = (g.numerator, g.denominator)
     gp, gq = g.numerator, g.denominator
+    check_pair(gp, gq)
+    e0 = _exact_twist(e0)
+    field = CycloField(2 * e0.denominator)
+    cutoff, work = _window(cutoff)
     # the M-block reaches the window iff g M^2 / 16 <= work
     M_max = math.isqrt(math.floor(16 * work / g))
     # r = e0 + 2P and r = 2P/N, s = M/2 over den = lcm(2, e0.denominator, 1..M_max)

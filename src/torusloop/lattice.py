@@ -55,8 +55,8 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterator, Mapping, NamedTuple
 
-from .model import (B, DENSE_TILES, DILUTE_TILES, L, R, T, TILE_EDGES, TILE_PARTNER,
-                    ModelSpec, check_sector, face_weights, torus_sectors)
+from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_PARTNER, ModelSpec, check_kind,
+                    check_sector, face_weights, torus_sectors)
 
 SIZE_GUARD = {"dense": 36, "dilute": 20}
 # Row tables held by an M >= 2 torus before its first configuration.  A table
@@ -205,7 +205,7 @@ def _enumerate_grids(kind: str, M: int, N: int, orbits: bool) -> Iterator[tuple]
     configuration per orbit of the M N torus translations, the one least
     among its translates, weighted by the orbit size M N / |stabiliser|.
     """
-    tiles = DENSE_TILES if kind == "dense" else DILUTE_TILES
+    tiles = KIND_TILES[kind]
     if M == 1:
         # each tile's top edge is its own bottom edge; filtering the tiles
         # avoids building every periodic row when few of them close
@@ -359,7 +359,7 @@ def enumerate_configs(spec: ModelSpec, M: int, N: int) -> Iterator[tuple]:
 def _row_count(kind: str, N: int) -> int:
     """Number of periodic rows of N tiles: trace(A^N), where A[a][b] counts
     the tiles whose L and R edges are occupied as a and b."""
-    tiles = DENSE_TILES if kind == "dense" else DILUTE_TILES
+    tiles = KIND_TILES[kind]
     A = [[sum((L in TILE_EDGES[t], R in TILE_EDGES[t]) == (a, b) for t in tiles)
           for b in (False, True)] for a in (False, True)]
     P = [[1, 0], [0, 1]]
@@ -369,6 +369,7 @@ def _row_count(kind: str, N: int) -> int:
 
 
 def _check_size(kind: str, M: int, N: int):
+    check_kind(kind)
     if M < 1 or N < 1:
         raise ValueError("lattice dimensions must be positive")
     if M * N > SIZE_GUARD[kind]:

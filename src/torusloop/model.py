@@ -42,6 +42,8 @@ TILE_EDGES: dict[int, frozenset] = {
 
 DENSE_TILES = (8, 9)
 DILUTE_TILES = (1, 2, 3, 4, 5, 6, 7, 8, 9)
+# the model kinds and the tiles their faces may hold
+KIND_TILES = {"dense": DENSE_TILES, "dilute": DILUTE_TILES}
 
 # tile partner lookup: TILE_PARTNER[t][e] is the edge connected to e, or None
 TILE_PARTNER: dict[int, dict] = {}
@@ -65,6 +67,7 @@ def torus_sectors(kind: str, M: int, N: int) -> tuple:
     cut line and M each vertical one: a dense torus lies in (N mod 2, M mod 2)
     alone.  A dilute torus reaches all four sectors.
     """
+    check_kind(kind)
     return ((N % 2, M % 2),) if kind == "dense" else SECTORS
 
 
@@ -74,6 +77,7 @@ def defect_numbers(kind: str, N: int) -> range:
     A dense site is always occupied, so the N - d sites that are not defects
     pair into arcs: d = N mod 2.  A dilute module has every 0 <= d <= N.
     """
+    check_kind(kind)
     return range(N % 2, N + 1, 2) if kind == "dense" else range(N + 1)
 
 
@@ -81,6 +85,18 @@ def check_sector(hv: tuple, sectors: tuple = SECTORS) -> None:
     """Raise ValueError unless the pair hv = (h, v) is one of `sectors`."""
     if tuple(hv) not in sectors:
         raise ValueError(f"sector {tuple(hv)} is not one of {', '.join(map(str, sectors))}")
+
+
+def check_kind(kind: str) -> None:
+    """Raise ValueError unless `kind` is one of the model kinds of KIND_TILES."""
+    if kind not in KIND_TILES:
+        raise ValueError(f"unknown model kind {kind!r}: need one of {', '.join(KIND_TILES)}")
+
+
+def check_pair(p: int, pq: int) -> None:
+    """Raise ValueError unless p, pq are coprime integers 0 < p < p'."""
+    if not (0 < p < pq and math.gcd(p, pq) == 1):
+        raise ValueError(f"(p, p') = ({p}, {pq}) is not a coprime pair 0 < p < p'")
 
 
 @dataclass(frozen=True)
@@ -103,11 +119,9 @@ class ModelSpec:
     beta: float = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in ("dense", "dilute"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+        check_kind(self.kind)
+        check_pair(self.p, self.pq)
         p, pq = self.p, self.pq
-        if not (0 < p < pq and math.gcd(p, pq) == 1):
-            raise ValueError("need coprime integers 0 < p < p'")
         if self.kind == "dense":
             lam = math.pi * (pq - p) / pq
         else:
@@ -122,7 +136,7 @@ class ModelSpec:
 
     @property
     def tiles(self) -> tuple:
-        return DENSE_TILES if self.kind == "dense" else DILUTE_TILES
+        return KIND_TILES[self.kind]
 
     def isotropic(self) -> "ModelSpec":
         """The same model at its isotropic point u = lambda/2 resp. 3 lambda/2."""

@@ -125,9 +125,10 @@ def _word_sort_key(word: str) -> tuple:
 @lru_cache(maxsize=None)
 def link_states(kind: str, N: int, d: int) -> tuple:
     """All canonical link words with d defects, sorted defects-leftmost first."""
+    allowed = defect_numbers(kind, N)  # refuses an unknown kind
     if not 0 <= d <= N:
         raise ValueError("need 0 <= d <= N")
-    if d not in defect_numbers(kind, N):
+    if d not in allowed:
         raise ValueError("dense model needs d = N mod 2")
     found = []
     for defects in combinations(range(N), d):

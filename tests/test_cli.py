@@ -84,10 +84,14 @@ def test_transfer_json(capsys):
 
 
 def test_identity_subcommand(capsys):
-    code, out = run_cli(capsys, "identity", "--check", "master",
-                        "--amax", "4", "--lmax", "10")
+    """`identity` prints acceptance criterion 4's verdict and detail."""
+    from torusloop.acceptance import criterion_4_gamma_lambda
+
+    code, out = run_cli(capsys, "identity")
     assert code == 0
-    assert "master" in out and "ok" in out
+    _, detail = criterion_4_gamma_lambda()
+    assert out == f"[PASS] gamma = Lambda/2 and number theory: {detail}\n"
+    assert "S1=S2 d<=12" in out and "master a<=10,l<=50" in out
 
 
 def test_appendixc_text(capsys):
@@ -117,6 +121,10 @@ def test_bad_arguments_exit_2(capsys):
     # the removed knobs are argument errors
     assert main(["modular", "--cutoff", "40"]) == 2
     assert main(["accept", "--suite", "core"]) == 2
+    assert main(["identity", "--dmax", "12"]) == 2
+    # every series form and the folded forms refuse a pair that is not coprime 0 < p < p'
+    assert main(["series", "--form", "u1", "--p", "2", "--pq", "4", "--h", "0", "--v", "0"]) == 2
+    assert main(["appendixc", "--p", "4", "--pq", "2"]) == 2
     # half a sector, or a sector with no Z to restrict, is not silently dropped
     assert main(["appendixc", "--p", "1", "--pq", "2", "--h", "1"]) == 2
     assert main(["appendixc", "--p", "1", "--pq", "2", "--v", "0"]) == 2
@@ -125,6 +133,8 @@ def test_bad_arguments_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--with-z" in captured.err and "--h and --v" in captured.err
+    assert "(p, p') = (2, 4) is not a coprime pair" in captured.err
+    assert "(p, p') = (4, 2) is not a coprime pair" in captured.err
 
 
 def test_output_file(tmp_path, capsys):

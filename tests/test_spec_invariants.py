@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
@@ -11,12 +12,14 @@ import pytest
 from reference_enum import _valid
 import torusloop
 from torusloop.arith import ImaginaryResidueError, gamma_v
-from torusloop.characters import TauPoint
+from torusloop.bezout import BezoutContext
+from torusloop.characters import KacData, TauPoint
 from torusloop.conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
-                                 conformal_Z_numeric, coulomb_Z_hv)
-from torusloop.lattice import enumerate_configs, lattice_Z
-from torusloop.model import ModelSpec
-from torusloop.transfer import markov_Z
+                                 conformal_Z_numeric, coulomb_Z_hv, full_Z_series, on_series,
+                                 verma_trace_series)
+from torusloop.lattice import census_counter, enumerate_configs, lattice_Z
+from torusloop.model import ModelSpec, defect_numbers, torus_sectors
+from torusloop.transfer import link_states, markov_Z
 from torusloop.qseries import euler_inverse
 
 
@@ -66,6 +69,67 @@ def test_sector_outside_the_four_raises(name, hv):
     place of reading it modulo 2 or as an empty sector."""
     with pytest.raises(ValueError, match="is not one of"):
         SECTOR_TAKERS[name](*hv)
+
+
+PAIR_TAKERS = {
+    "ModelSpec": lambda p, pq: ModelSpec("dilute", p, pq, 0.4),
+    "KacData": lambda p, pq: KacData(p, pq),
+    "BezoutContext": lambda p, pq: BezoutContext(p, pq, 0, 0),
+    "verma_trace_series": lambda p, pq: verma_trace_series("dense", p, pq, 0, F(0), 0, F(2)),
+    "Z_hv_direct": lambda p, pq: Z_hv_direct(p, pq, 0, 0, F(2)),
+    "Z_hv_u1": lambda p, pq: Z_hv_u1(p, pq, 0, 0, F(2)),
+    "Z_hv_bezout": lambda p, pq: Z_hv_bezout(p, pq, 0, 0, F(2)),
+    "appendix_c_form": lambda p, pq: appendix_c_form(p, pq, 0, 0),
+    "full_Z_series": lambda p, pq: full_Z_series(p, pq, F(0), F(2)),
+}
+
+
+@pytest.mark.parametrize("pair", [(2, 4), (3, 2), (0, 3)])
+@pytest.mark.parametrize("name", sorted(PAIR_TAKERS))
+def test_pair_outside_the_coprime_rule_raises(name, pair):
+    """Every function that takes (p, p') refuses a pair that is not coprime
+    0 < p < p', with the one message of `check_pair`."""
+    with pytest.raises(ValueError, match=re.escape(f"(p, p') = {pair} is not a coprime pair")):
+        PAIR_TAKERS[name](*pair)
+
+
+@pytest.mark.parametrize("g", [F(3, 2), F(0), F(1)])
+def test_on_series_refuses_a_ratio_outside_the_pair_rule(g):
+    """on_series reads (p, p') from g = p/p' and applies the same rule."""
+    with pytest.raises(ValueError, match="is not a coprime pair"):
+        on_series(g, F(0), F(2))
+
+
+KIND_TAKERS = {
+    "ModelSpec": lambda kind: ModelSpec(kind, 2, 3, 0.4),
+    "verma_trace_series": lambda kind: verma_trace_series(kind, 2, 3, 0, F(0), 0, F(2)),
+    "torus_sectors": lambda kind: torus_sectors(kind, 2, 2),
+    "defect_numbers": lambda kind: defect_numbers(kind, 4),
+    "census_counter": lambda kind: census_counter(kind, 2, 2),
+    "link_states": lambda kind: link_states(kind, 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KIND_TAKERS))
+def test_unknown_kind_raises(name):
+    """Every function that takes a model kind refuses one that is not dense or
+    dilute, in place of reading it as dilute."""
+    with pytest.raises(ValueError, match="unknown model kind 'Dense': need one of dense, dilute"):
+        KIND_TAKERS[name]("Dense")
+
+
+def test_exact_forms_refuse_a_float_twist():
+    """The three exact twisted forms raise one TypeError for a float gamma/pi,
+    before a binary denominator sizes their cyclotomic field."""
+    forms = (lambda: verma_trace_series("dilute", 1, 2, 0, 0.4, 0, F(2)),
+             lambda: full_Z_series(1, 2, 0.4, F(2)),
+             lambda: on_series(F(1, 2), 0.4, F(2)))
+    messages = set()
+    for form in forms:
+        with pytest.raises(TypeError, match="rational gamma/pi") as info:
+            form()
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_fugacity_is_an_argument():
