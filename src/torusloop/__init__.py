@@ -21,7 +21,7 @@ from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm,
                         expand_terms, full_Z_series, modular_rep_check,
                         on_series, render_appendix_form, verma_trace_series)
 from .lattice import LoopCensus, TileGrid, enumerate_configs, lattice_Z
-from .model import ModelSpec, face_weights
+from .model import ModelSpec, Weights
 from .qseries import (BiSeries, QSeries, dedekind_eta, euler_inverse,
                       euler_product)
 from .transfer import (TransferOperator, build_transfer,
@@ -32,12 +32,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BezoutContext", "BiSeries", "KacData", "LoopCensus", "ModelSpec",
-    "QSeries", "TauPoint", "TileGrid", "TransferOperator",
+    "QSeries", "TauPoint", "TileGrid", "TransferOperator", "Weights",
     "Z_hv_bezout", "Z_hv_direct", "Z_hv_u1", "Zmm", "appendix_c_form",
     "bezout_conjugator", "bezout_table", "build_transfer", "chebyshev_T",
     "conformal_Z_numeric", "coulomb_Z_hv", "dedekind_eta",
     "effective_central_charge", "enumerate_configs", "euler_inverse",
-    "euler_product", "expand_terms", "face_weights", "full_Z_series",
+    "euler_product", "expand_terms", "full_Z_series",
     "gamma_dm", "gamma_v", "gcd_conv", "kac_table_text", "lambda_fsz",
     "lattice_Z", "link_states", "markov_Z", "modular_rep_check", "mu_shift",
     "on_series", "render_appendix_form", "rho_j", "trace_TM",

@@ -9,6 +9,7 @@ fixed here and nowhere else.
 from __future__ import annotations
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
                         expand_terms, modular_rep_check)
 from .conformal import full_Z_series, on_series
 from .lattice import lattice_Z
-from .model import SECTORS as ALL_HV, ModelSpec, torus_sectors
+from .model import SECTORS as ALL_HV, ModelSpec, Weights, torus_sectors
 from .transfer import effective_central_charge, markov_Z
 
 ORACLE_TOL = 1e-9
@@ -33,6 +34,11 @@ DENSE_SIZES = ((2, 2), (2, 4), (3, 3), (4, 4), (3, 4))
 DILUTE_SIZES = ((1, 2), (2, 2), (2, 3), (3, 3), (3, 4))
 ORACLE_PQ = ((1, 2), (2, 3), (3, 4))
 SERIES_PQ = ((1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5))
+# criterion 1's exact leg: integer weights, at which both routes sum integers
+# and must agree bit for bit while every value stays below EXACT_BOUND
+EXACT_SEED = 57
+EXACT_ALPHAS = (2, 0, -2)
+EXACT_BOUND = 2 ** 53  # a float holds every integer below this exactly
 
 
 def scaled_error(a: float, b: float) -> float:
@@ -50,8 +56,26 @@ def modular_ok(rep: dict) -> bool:
                 and rep["character_S_residual"] < MODULAR_TOL)
 
 
+def integer_weights(kind: str) -> tuple:
+    """Three integer `Weights` of `kind`: rho_t in 1..3 and beta in {2, 3}.
+
+    Drawn from EXACT_SEED, which is chosen so that the nine tiles get nine
+    distinct weight vectors across the three draws of each kind: swapping
+    any two tiles changes at least one draw.  The physical weights cannot
+    show such a swap where rho_2 = rho_3, rho_4 = rho_5 or rho_6 = rho_7.
+    No weighting shows a swap 2 <-> 3 or 4 <-> 5: every closed configuration
+    has n_2 = n_3 and n_4 = n_5, so Z reads only rho_2 rho_3 and rho_4 rho_5.
+    """
+    rng = random.Random(EXACT_SEED)
+    draws = {k: tuple(Weights(k, tuple(rng.randint(1, 3) for _ in range(9)),
+                              rng.choice((2, 3))) for _ in range(3))
+             for k in ("dense", "dilute")}
+    return draws[kind]
+
+
 def criterion_1_oracle():
-    """Markov trace equals lattice enumeration at every tested point."""
+    """Markov trace equals lattice enumeration at every tested point: within
+    ORACLE_TOL at the physical weights, and exactly at integer weights."""
     worst = 0.0
     checks = 0
     for kind, sizes in (("dense", DENSE_SIZES), ("dilute", DILUTE_SIZES)):
@@ -67,7 +91,23 @@ def criterion_1_oracle():
                             mz = markov_Z(spec, M, N, hv[0], hv[1], alpha=alpha)
                             worst = max(worst, scaled_error(mz, lz))
                             checks += 1
-    return worst < ORACLE_TOL, f"{checks} points, worst scaled error {worst:.3e}"
+    exact, largest = 0, 0.0
+    for kind, sizes in (("dense", DENSE_SIZES), ("dilute", DILUTE_SIZES)):
+        for weights in integer_weights(kind):
+            for (M, N) in sizes:
+                for hv in torus_sectors(kind, M, N):
+                    for alpha in EXACT_ALPHAS:
+                        lz = lattice_Z(weights, M, N, sector=hv, alpha=alpha)
+                        mz = markov_Z(weights, M, N, hv[0], hv[1], alpha=alpha)
+                        largest = max(largest, abs(lz), abs(mz))
+                        if largest >= EXACT_BOUND or lz != mz:
+                            why = "|Z| reaches 2^53" if largest >= EXACT_BOUND else "unequal"
+                            return False, (f"{why}: markov_Z {mz!r}, lattice_Z {lz!r} at "
+                                           f"{weights}, {M}x{N}, sector {hv}, alpha = {alpha}")
+                        exact += 1
+    return worst < ORACLE_TOL, (f"{checks} points, worst scaled error {worst:.3e}; "
+                                f"{exact} integer points equal exactly, "
+                                f"largest |Z| {largest:.3e} < 2^53")
 
 
 def criterion_2_triple_identity():

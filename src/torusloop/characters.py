@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import ModelSpec, check_pair
+from .model import ModelSpec, check_pair, check_ratio
 from .qseries import QSeries, eta_inverse
 
 # every numeric sum drops the terms whose size falls below this, relative to 1
@@ -54,7 +54,8 @@ class KacData:
 
 
 def delta_from_ratio(g: Fraction, r, s) -> Fraction:
-    """Conformal weight written through the ratio g = p/p' alone."""
+    """Conformal weight written through the ratio g = p/p' > 0 alone."""
+    check_ratio(g)
     g = Fraction(g)
     r = Fraction(r)
     s = Fraction(s)

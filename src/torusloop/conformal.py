@@ -36,7 +36,7 @@ from .arith import IMAG_TOL, chebyshev_T, gamma_dm_cospoly, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
 from .characters import NUMERIC_TAIL, TauPoint, eta_numeric, modular_S_residual, t_sign_exact
 from .cyclo import CycloField, cospoly_to_cyclo
-from .model import SECTORS, check_kind, check_pair, check_sector
+from .model import SECTORS, check_kind, check_pair, check_ratio, check_sector
 from .qseries import BiSeries, euler_inverse
 
 
@@ -52,16 +52,17 @@ def _window(cutoff) -> tuple:
     return cutoff, cutoff + Fraction(1, 24)
 
 
-def _exact_twist(gamma_over_pi) -> Fraction:
-    """The twist angle gamma/pi of an exact series as a Fraction.
+def _exact(value, what: str) -> Fraction:
+    """A parameter of an exact series (the twist gamma/pi or the ratio g) as a
+    Fraction.
 
-    A float is refused: its denominator 2^k would size the cyclotomic field
-    and the summation window.
+    A float is refused: its denominator 2^k would size the cyclotomic field,
+    the Kac lattice and the summation window.
     """
-    if isinstance(gamma_over_pi, float):
-        raise TypeError("exact series need a rational gamma/pi; "
-                        "use the numeric route for generic twists")
-    return Fraction(gamma_over_pi)
+    if isinstance(value, float):
+        raise TypeError(f"exact series need a rational {what}; "
+                        f"use the numeric route for generic values")
+    return Fraction(value)
 
 
 def _run(start: int, step: int, reach: int) -> range:
@@ -164,7 +165,7 @@ def verma_trace_series(kind: str, p: int, pq: int, d: int, gamma_over_pi,
     """
     check_kind(kind)
     check_pair(p, pq)
-    g0 = _exact_twist(gamma_over_pi)
+    g0 = _exact(gamma_over_pi, "gamma/pi")
     cutoff, work = _window(cutoff)
     # over den = 2 g0.denominator: R = 2 g0.numerator - l step and S = d den / 2
     D, root = _kac_window(p, pq, 2 * g0.denominator, work)
@@ -185,6 +186,7 @@ def Zmm(g, m, mp, tau: TauPoint):
 
     Integers m, mp give a float; integer numpy arrays that broadcast together,
     an array."""
+    check_ratio(g)
     g = float(g)
     ti = tau.tau.imag
     etas = eta_numeric(tau, "q") * eta_numeric(tau, "qbar")
@@ -210,6 +212,7 @@ def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float
     check_sector((h, v))
     if abs(alpha) > 2:
         raise ValueError("the numeric sector sum needs |alpha| <= 2")
+    check_ratio(g)
     g4 = float(g) / 4.0
     tr, ti = tau.tau.real, tau.tau.imag
     # |d tau - j|^2 = (d tr - j)^2 + d^2 ti^2 <= reach^2 inside the tail
@@ -228,6 +231,7 @@ def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float
 def coulomb_Z_hv(g, h: int, v: int, tau: TauPoint) -> complex:
     """Generalized Coulomb partition function as a truncated double theta sum."""
     check_sector((h, v))
+    check_ratio(g)
     g = float(g)
     etas = eta_numeric(tau, "q") * eta_numeric(tau, "qbar")
     xmax = tau.tail_order
@@ -489,7 +493,7 @@ def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff) -> BiSeries:
     rational combinations of cos(k gamma) evaluated at gamma = pi * e0.
     """
     check_pair(p, pq)
-    e0 = _exact_twist(gamma_over_pi)
+    e0 = _exact(gamma_over_pi, "gamma/pi")
     field = CycloField(2 * e0.denominator)
     cutoff, work = _window(cutoff)
     # the d-block reaches the window iff (p d/2)^2 / (4 p p') <= work
@@ -520,13 +524,14 @@ def on_series(g, e0, cutoff) -> BiSeries:
     (1/eta etabar) [ sum_P (q qbar)^{h_{e0+2P,0}} + sum_{M,N|M,P coprime N}
     Lambda(M,N) q^{h_{2P/N, M/2}} qbar^{hbar_{2P/N, M/2}} ],
     with h_{r,s} = (r + g s)^2/(4g) and hbar its reflection.  g = p/p' must
-    reduce to a coprime pair 0 < p < p'.
+    be a rational (a float raises TypeError) that reduces to a coprime pair
+    0 < p < p'.
     """
-    g = Fraction(g)
+    g = _exact(g, "g = p/p'")
     # h_{r,s} is delta_exp(r, -s) of (p, p') = (g.numerator, g.denominator)
     gp, gq = g.numerator, g.denominator
     check_pair(gp, gq)
-    e0 = _exact_twist(e0)
+    e0 = _exact(e0, "gamma/pi")
     field = CycloField(2 * e0.denominator)
     cutoff, work = _window(cutoff)
     # the M-block reaches the window iff g M^2 / 16 <= work

@@ -55,8 +55,8 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterator, Mapping, NamedTuple
 
-from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_PARTNER, ModelSpec, check_kind,
-                    check_sector, face_weights, torus_sectors)
+from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_PARTNER, ModelSpec, Weights,
+                    check_kind, check_sector, torus_sectors)
 
 SIZE_GUARD = {"dense": 36, "dilute": 20}
 # Row tables held by an M >= 2 torus before its first configuration.  A table
@@ -410,25 +410,27 @@ def census_counter(kind: str, M: int, N: int) -> tuple:
     return tuple(sorted(census))
 
 
-def lattice_Z(spec: ModelSpec, M: int, N: int, sector: tuple | None = None, *,
+def lattice_Z(spec: ModelSpec | Weights, M: int, N: int, sector: tuple | None = None, *,
               alpha: float, alphas: Mapping | None = None) -> float:
     """Partition function, optionally restricted to a boundary sector (h, v).
 
     Per-configuration weight: beta^{#contractible} * prod alpha_{i,j}^{n_{i,j}}
-    * prod rho_t^{n_t}.  Non-contractible loops of class (i, j) take their
-    fugacity from `alphas` when it has the class, else the uniform `alpha`.
-    A sector outside `torus_sectors(spec.kind, M, N)` raises ValueError.
+    * prod rho_t^{n_t}, with kind, rho and beta read from `spec`, a
+    `ModelSpec` (the physical weights) or any `Weights`.  Non-contractible
+    loops of class (i, j) take their fugacity from `alphas` when it has the
+    class, else the uniform `alpha`.  A sector outside
+    `torus_sectors(spec.kind, M, N)` raises ValueError.
     """
     if sector is not None:
         sector = tuple(sector)
         check_sector(sector, torus_sectors(spec.kind, M, N))
     alphas = alphas or {}
-    rho = face_weights(spec)
+    rho, beta = spec.rho, spec.beta
     total = 0.0
     for (n_beta, winds, counts, h, v), mult in census_counter(spec.kind, M, N):
         if sector is not None and (h, v) != sector:
             continue
-        w = spec.beta ** n_beta
+        w = beta ** n_beta
         for cls, n in winds:
             w *= alphas.get(cls, alpha) ** n
         for t in range(9):

@@ -1,4 +1,4 @@
-"""Loop-model definition: tile set, face weights, and model parameters.
+"""Loop-model definition: tile set, model parameters and configuration weights.
 
 Faces of the square lattice are decorated with one of nine tiles.  A tile is
 a non-crossing pairing of a subset of its four edge midpoints; the dense
@@ -99,6 +99,37 @@ def check_pair(p: int, pq: int) -> None:
         raise ValueError(f"(p, p') = ({p}, {pq}) is not a coprime pair 0 < p < p'")
 
 
+def check_ratio(g) -> None:
+    """Raise ValueError unless the ratio g = p/p' (the Coulomb coupling) is positive."""
+    if not g > 0:
+        raise ValueError(f"the ratio g = {g} must be positive")
+
+
+@dataclass(frozen=True)
+class Weights:
+    """A weighting of the configurations of one model kind.
+
+    A configuration with n_t faces of tile t and n_beta contractible loops
+    weighs beta^n_beta prod_t rho_t^n_t (times the fugacities of its
+    non-contractible loops, passed where loops are weighed).  The lattice and
+    transfer routes read only `kind`, `rho` and `beta`, so both compute the
+    same polynomial in these values: `ModelSpec` supplies the physical ones,
+    and a Weights any others, such as integers at which the two routes must
+    agree exactly.  A dense weighting reads only rho_8 and rho_9.
+    """
+
+    kind: str
+    rho: tuple      # the tile weights rho_1..rho_9
+    beta: float
+
+    def __post_init__(self):
+        check_kind(self.kind)
+        rho = tuple(self.rho)
+        if len(rho) != 9:
+            raise ValueError(f"need nine tile weights rho_1..rho_9, got {len(rho)}")
+        object.__setattr__(self, "rho", rho)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A loop model at a root-of-unity point.
@@ -106,6 +137,8 @@ class ModelSpec:
     kind is "dense" or "dilute"; p, pq are the coprime integers p < p' with
     crossing parameter lambda = pi (p'-p)/p' (dense) or pi (2p'-p)/(4p')
     (dilute), and contractible-loop fugacity beta = 2 cos(pi (p'-p)/p').
+    rho holds the nine tile weights rho_1..rho_9 at the spectral parameter u;
+    with kind and beta they are the physical `Weights` of the model.
     The non-contractible fugacity alpha is not part of the model: neither the
     lattice census nor the transfer traces depend on it, so it is passed
     where loops are weighed (`lattice_Z`, `markov_Z`).
@@ -117,6 +150,8 @@ class ModelSpec:
     u: float
     lam: float = field(init=False)
     beta: float = field(init=False)
+    # a function of (kind, lam, u): kept out of repr, == and the hash
+    rho: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_kind(self.kind)
@@ -133,10 +168,7 @@ class ModelSpec:
                 raise ArithmeticError("dilute parameterisation disagrees on beta")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "beta", beta)
-
-    @property
-    def tiles(self) -> tuple:
-        return KIND_TILES[self.kind]
+        object.__setattr__(self, "rho", _tile_weights(self.kind, lam, self.u))
 
     def isotropic(self) -> "ModelSpec":
         """The same model at its isotropic point u = lambda/2 resp. 3 lambda/2."""
@@ -144,9 +176,9 @@ class ModelSpec:
         return ModelSpec(self.kind, self.p, self.pq, u)
 
 
-def face_weights(spec: ModelSpec) -> tuple:
-    """The nine tile weights rho_1..rho_9 at the spectral parameter of `spec`."""
-    lam, u = spec.lam, spec.u
+def _tile_weights(kind: str, lam: float, u: float) -> tuple:
+    """The nine tile weights rho_1..rho_9 at crossing parameter lam and
+    spectral parameter u."""
     sl = math.sin(lam)
     if abs(sl) < 1e-15:
         raise ValueError("crossing parameter is a multiple of pi")
@@ -154,7 +186,7 @@ def face_weights(spec: ModelSpec) -> tuple:
     def s(x: float) -> float:
         return math.sin(x) / sl
 
-    if spec.kind == "dense":
+    if kind == "dense":
         return (0.0,) * 7 + (s(lam - u), s(u))
     r1 = s(2 * lam) * s(3 * lam) + s(u) * s(3 * lam - u)
     r23 = s(2 * lam) * s(3 * lam - u)

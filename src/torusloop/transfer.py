@@ -11,7 +11,9 @@ module is binom(N, (N-d)/2).
 The one-row transfer matrix acts by stacking a row of faces on a link state
 and reading off the top.  Scalars produced while contracting:
 
-  * each contractible closed loop contributes beta;
+  * each face contributes its tile weight rho_t and each contractible closed
+    loop beta, both read from the model value: a ``ModelSpec`` or any
+    ``Weights``;
   * for d = 0, each loop closing around the periodic direction contributes
     omega + 1/omega (the twist-parameterised non-contractible fugacity);
   * each defect strand contributes omega^{+1} per rightward crossing of the
@@ -65,8 +67,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .arith import chebyshev_T, gcd_conv
-from .model import (B, L, R, T, TILE_EDGES, TILE_LINKS, TILE_PARTNER,
-                    ModelSpec, check_sector, defect_numbers, face_weights, torus_sectors)
+from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_LINKS, TILE_PARTNER,
+                    ModelSpec, Weights, check_sector, defect_numbers, torus_sectors)
 
 TRANSFER_SITE_GUARD = {"dense": 12, "dilute": 8}
 
@@ -291,7 +293,7 @@ class TransferOperator:
     first use.
     """
 
-    def __init__(self, spec: ModelSpec, N: int, d: int, basis: tuple, kmin: int,
+    def __init__(self, spec: ModelSpec | Weights, N: int, d: int, basis: tuple, kmin: int,
                  tensor: np.ndarray):
         tensor.setflags(write=False)
         self.spec, self.N, self.d, self.basis = spec, N, d, basis
@@ -321,11 +323,14 @@ class TransferOperator:
 
 
 @lru_cache(maxsize=256)
-def build_transfer(spec: ModelSpec, N: int, d: int) -> TransferOperator:
+def build_transfer(spec: ModelSpec | Weights, N: int, d: int) -> TransferOperator:
     """Assemble the transfer operator of `spec` on the (N, d) standard module.
 
-    Only the first word of each rotation orbit is joined; the other columns
-    of the orbit are its rotations (see the module docstring).
+    Of `spec`, a `ModelSpec` (the physical weights) or any `Weights`, only
+    kind, rho and beta are read; the operator is cached per value.  Tiles of
+    weight zero are left out of the rows.  Only the first word of each
+    rotation orbit is joined; the other columns of the orbit are its
+    rotations (see the module docstring).
     """
     if (d - N) % defect_numbers(spec.kind, N).step:  # parity; link_states checks 0 <= d <= N
         raise ValueError("dense model needs d = N mod 2")
@@ -336,8 +341,8 @@ def build_transfer(spec: ModelSpec, N: int, d: int) -> TransferOperator:
     dim = len(basis)
     index = {w: i for i, w in enumerate(basis)}
     arcs_of = {w: arc_crossings(w) for w in basis}
-    rho = face_weights(spec)
-    diagrams = _row_diagrams(N, tuple(t for t in spec.tiles if rho[t - 1] != 0.0))
+    rho, beta = spec.rho, spec.beta
+    diagrams = _row_diagrams(N, tuple(t for t in KIND_TILES[spec.kind] if rho[t - 1] != 0.0))
     # one rotation w -> w[-1] + w[:-1] as an index map, and the defect it
     # carries across the seam
     rot = np.array([index[w[-1] + w[:-1]] for w in basis], dtype=np.intp)
@@ -357,7 +362,7 @@ def build_transfer(spec: ModelSpec, N: int, d: int) -> TransferOperator:
         for row_weight, k, n_alpha, n_beta, new_word in _join(word, rows, weights[occupancy],
                                                               arcs_of):
             i = index[new_word]
-            c = row_weight * spec.beta ** n_beta
+            c = row_weight * beta ** n_beta
             # (omega + 1/omega)^n_alpha
             for m in range(n_alpha + 1):
                 key = (k + n_alpha - 2 * m, i)
@@ -431,7 +436,7 @@ def matrix_power_trace(op: TransferOperator, M: int) -> Mapping:
     return MappingProxyType(_fsum_nonzero(buckets))
 
 
-def trace_TM(spec: ModelSpec, N: int, M: int, d: int) -> Mapping:
+def trace_TM(spec: ModelSpec | Weights, N: int, M: int, d: int) -> Mapping:
     """tr T(u)^M on the (N, d) standard module: sum_j omega^{-j} C_{d,j},
     as the mapping {-j: C_{d,j}} of its nonzero coefficients."""
     return matrix_power_trace(build_transfer(spec, N, d), M)
@@ -450,7 +455,7 @@ def _slice_product(P: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def C_coefficients(spec: ModelSpec, N: int, M: int, d: int) -> Mapping:
+def C_coefficients(spec: ModelSpec | Weights, N: int, M: int, d: int) -> Mapping:
     """The coefficients C_{d,j} for j in [-M, M], as a read-only mapping.
 
     tr T^M = sum_j omega^{-j} C_{d,j} is formed on the coefficient slices
@@ -483,14 +488,16 @@ def C_coefficients(spec: ModelSpec, N: int, M: int, d: int) -> Mapping:
     return MappingProxyType(C)
 
 
-def markov_Z(spec: ModelSpec, M: int, N: int, h: int, v: int, alpha: float) -> float:
+def markov_Z(spec: ModelSpec | Weights, M: int, N: int, h: int, v: int, alpha: float) -> float:
     """Torus partition function in sector (h, v) via the Markov trace.
 
     Z^{(h,v)} = sum_{d >= 0, d = h mod 2} mult(d) sum_{j = v mod 2}
                 T_{gcd(d,|j|)}(alpha/2) C_{d,j},
     with mult(d) = 1 for d = 0 and 2 for d > 0 (the d and -d modules carry
     equal weight since C_{-d,j} = C_{d,-j} and the Chebyshev factor is even).
-    The traces do not depend on alpha; it enters only through T_{gcd}.  A
+    The traces do not depend on alpha; it enters only through T_{gcd}.  They
+    read kind, rho and beta of `spec`, a `ModelSpec` or any `Weights`, as
+    `lattice_Z` does, so the two routes agree at every such value.  A
     sector outside `torus_sectors(spec.kind, M, N)` raises ValueError; a
     dense torus has h = N mod 2, so d keeps the parity of N as it must.
     """

@@ -5,8 +5,13 @@ pass/fail line so `pytest -s tests/test_acceptance.py` doubles as the
 acceptance report.
 """
 
+import pytest
+
 from torusloop import acceptance
 from torusloop.golden import GOLDEN_APPENDIX_FORMS, GOLDEN_TABLE_CELLS
+from torusloop.lattice import lattice_Z
+from torusloop.model import ModelSpec, Weights
+from torusloop.transfer import markov_Z
 
 
 def _report(name, fn):
@@ -18,6 +23,41 @@ def _report(name, fn):
 def test_criterion_1_oracle_equivalence():
     ok, detail = _report("1 oracle markov=lattice", acceptance.criterion_1_oracle)
     assert ok, detail
+
+
+@pytest.mark.parametrize("kind", ["dense", "dilute"])
+def test_integer_draws_tell_every_tile_apart(kind):
+    """The exact leg's draws give the nine tiles nine distinct weight
+    vectors, so a swap of any two tiles changes some draw."""
+    draws = acceptance.integer_weights(kind)
+    assert len(draws) == 3 and all(w.kind == kind for w in draws)
+    assert {w.beta for w in draws} <= {2, 3}
+    assert {r for w in draws for r in w.rho} <= {1, 2, 3}
+    assert len(set(zip(*(w.rho for w in draws)))) == 9
+
+
+def _swap_6_7(rho):
+    return rho[:5] + (rho[6], rho[5]) + rho[7:]
+
+
+def test_exact_leg_sees_a_tile_swap_the_physical_weights_hide():
+    """Tiles 6 and 7 swapped in route 2 only: at an integer draw markov_Z
+    differs exactly from lattice_Z, while at the physical dilute weights
+    rho_6 = rho_7 and the swapped value passes the physical leg."""
+    M, N, hv, alpha = 2, 3, (0, 0), 0
+    weights = next(w for w in acceptance.integer_weights("dilute") if w.rho[5] != w.rho[6])
+    swapped = Weights("dilute", _swap_6_7(weights.rho), weights.beta)
+    lz = lattice_Z(weights, M, N, sector=hv, alpha=alpha)
+    assert markov_Z(weights, M, N, *hv, alpha=alpha) == lz
+    assert markov_Z(swapped, M, N, *hv, alpha=alpha) != lz
+
+    spec = ModelSpec("dilute", 2, 3, 0.37)
+    hidden = Weights("dilute", _swap_6_7(spec.rho), spec.beta)
+    assert hidden.rho == spec.rho
+    for alpha in (1.0, 2.0, 0.6):
+        error = acceptance.scaled_error(markov_Z(hidden, M, N, *hv, alpha=alpha),
+                                        lattice_Z(spec, M, N, sector=hv, alpha=alpha))
+        assert error < acceptance.ORACLE_TOL
 
 
 def test_criterion_2_exact_triple_identity():

@@ -18,7 +18,7 @@ from torusloop.lattice import (
     enumerate_configs,
     lattice_Z,
 )
-from torusloop.model import DILUTE_TILES, ModelSpec, face_weights
+from torusloop.model import DILUTE_TILES, ModelSpec, Weights
 
 
 def spec_dense(p=2, pq=3, u=0.37):
@@ -31,17 +31,17 @@ def spec_dilute(p=2, pq=3, u=0.37):
 
 def test_face_weights_dense_special_points():
     s = ModelSpec("dense", 2, 3, 0.0)
-    w = face_weights(s)
+    w = s.rho
     assert w[:7] == (0.0,) * 7
     assert math.isclose(w[7], 1.0) and w[8] == 0.0
     iso = s.isotropic()
-    wi = face_weights(iso)
+    wi = iso.rho
     assert math.isclose(wi[7], wi[8])
 
 
 def test_face_weights_dilute_u0():
     s = ModelSpec("dilute", 2, 3, 0.0)
-    w = face_weights(s)
+    w = s.rho
     assert w[8] == 0.0 and w[5] == w[6] == 0.0 and w[3] == w[4] == 0.0
     # the empty tile and both lower/upper corners 2,3 survive, plus tile 8
     assert w[0] != 0.0 and w[1] == w[2] != 0.0 and w[7] != 0.0
@@ -54,6 +54,22 @@ def test_modelspec_validation():
         ModelSpec("sparse", 1, 2, 0.1)
     # the non-contractible fugacity is not part of the model
     assert [f.name for f in fields(ModelSpec) if f.init] == ["kind", "p", "pq", "u"]
+
+
+def test_weights_validation():
+    with pytest.raises(ValueError, match="need nine tile weights rho_1..rho_9, got 8"):
+        Weights("dilute", (1,) * 8, 2)
+    # a list of weights is held as a tuple, so the value stays hashable
+    w = Weights("dilute", [1] * 9, 2)
+    assert w.rho == (1,) * 9 and hash(w) == hash(Weights("dilute", (1,) * 9, 2))
+
+
+@pytest.mark.parametrize("M, N", [(1, 3), (2, 3), (3, 3), (3, 4)])
+def test_corner_tiles_come_in_pairs(M, N):
+    """Occupied edges pair up (L with R, B with T), which forces n_2 = n_3 and
+    n_4 = n_5 in every configuration: Z reads rho_2 rho_3 and rho_4 rho_5."""
+    for (_, _, counts, _, _), _ in census_counter("dilute", M, N):
+        assert counts[1] == counts[2] and counts[3] == counts[4]
 
 
 def test_dense_2x2_has_16_configs():
@@ -157,7 +173,7 @@ def test_beta_zero_kills_contractible_loops():
     assert spec.beta == pytest.approx(0.0, abs=1e-15)
     z = lattice_Z(spec, 2, 2, alpha=alpha)
     by_hand = 0.0
-    rho = face_weights(spec)
+    rho = spec.rho
     for grid, census in enumerate_configs(spec, 2, 2):
         if census.n_beta:
             continue
@@ -177,7 +193,7 @@ def test_dilute_2x2_fixture_against_slow_reference():
         (1, 0): 19.753086419753107,
         (1, 1): 19.75308641975311,
     }
-    slow = slow_partition_functions("dilute", 2, 2, spec.beta, 1.0, face_weights(spec))
+    slow = slow_partition_functions("dilute", 2, 2, spec.beta, 1.0, spec.rho)
     for hv, val in golden.items():
         assert math.isclose(slow[hv], val, rel_tol=1e-12)
         assert math.isclose(lattice_Z(spec, 2, 2, sector=hv, alpha=1.0), val, rel_tol=1e-10)
@@ -206,7 +222,7 @@ REFERENCE_CASES = [  # kind, M, N, u, alpha, (p, p')
     for case in REFERENCE_CASES])
 def test_fast_matches_slow_reference(kind, M, N, u, alpha, pq):
     spec = ModelSpec(kind, *pq, u)
-    slow = slow_partition_functions(kind, M, N, spec.beta, alpha, face_weights(spec))
+    slow = slow_partition_functions(kind, M, N, spec.beta, alpha, spec.rho)
     for hv, val in slow.items():
         if kind == "dense" and hv != (N % 2, M % 2):
             assert val == 0.0
@@ -220,7 +236,7 @@ def test_per_class_fugacity_map():
     # give horizontal-type loops a different weight from everything else
     z_map = lattice_Z(spec, 2, 2, alphas={(1, 0): 3.0}, alpha=1.0)
     by_hand = 0.0
-    rho = face_weights(spec)
+    rho = spec.rho
     for _, census in enumerate_configs(spec, 2, 2):
         w = spec.beta ** census.n_beta
         for cls, n in census.windings:

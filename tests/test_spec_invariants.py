@@ -13,12 +13,12 @@ from reference_enum import _valid
 import torusloop
 from torusloop.arith import ImaginaryResidueError, gamma_v
 from torusloop.bezout import BezoutContext
-from torusloop.characters import KacData, TauPoint
-from torusloop.conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
+from torusloop.characters import KacData, TauPoint, delta_from_ratio
+from torusloop.conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm, appendix_c_form,
                                  conformal_Z_numeric, coulomb_Z_hv, full_Z_series, on_series,
                                  verma_trace_series)
 from torusloop.lattice import census_counter, enumerate_configs, lattice_Z
-from torusloop.model import ModelSpec, defect_numbers, torus_sectors
+from torusloop.model import KIND_TILES, ModelSpec, Weights, defect_numbers, torus_sectors
 from torusloop.transfer import link_states, markov_Z
 from torusloop.qseries import euler_inverse
 
@@ -43,7 +43,7 @@ def test_enumeration_is_complete_and_ordered(kind, M, N):
     each once, in strictly increasing lexicographic order."""
     spec = ModelSpec(kind, 2, 3, 0.4)
     got = [grid.tiles for grid, _ in enumerate_configs(spec, M, N)]
-    want = {a for a in product(spec.tiles, repeat=M * N)
+    want = {a for a in product(KIND_TILES[spec.kind], repeat=M * N)
             if _valid([a[r * N:(r + 1) * N] for r in range(M)], M, N)}
     assert set(got) == want
     assert all(a < b for a, b in zip(got, got[1:]))
@@ -102,6 +102,7 @@ def test_on_series_refuses_a_ratio_outside_the_pair_rule(g):
 
 KIND_TAKERS = {
     "ModelSpec": lambda kind: ModelSpec(kind, 2, 3, 0.4),
+    "Weights": lambda kind: Weights(kind, (1,) * 9, 2),
     "verma_trace_series": lambda kind: verma_trace_series(kind, 2, 3, 0, F(0), 0, F(2)),
     "torus_sectors": lambda kind: torus_sectors(kind, 2, 2),
     "defect_numbers": lambda kind: defect_numbers(kind, 4),
@@ -120,7 +121,9 @@ def test_unknown_kind_raises(name):
 
 def test_exact_forms_refuse_a_float_twist():
     """The three exact twisted forms raise one TypeError for a float gamma/pi,
-    before a binary denominator sizes their cyclotomic field."""
+    before a binary denominator sizes their cyclotomic field; on_series
+    refuses a float ratio g the same way, in place of reading 0.4 as
+    3602879701896397/2^53."""
     forms = (lambda: verma_trace_series("dilute", 1, 2, 0, 0.4, 0, F(2)),
              lambda: full_Z_series(1, 2, 0.4, F(2)),
              lambda: on_series(F(1, 2), 0.4, F(2)))
@@ -130,6 +133,26 @@ def test_exact_forms_refuse_a_float_twist():
             form()
         messages.add(str(info.value))
     assert len(messages) == 1
+    with pytest.raises(TypeError, match="rational g = p/p'") as info:
+        on_series(0.4, F(0), F(2))
+    assert str(info.value) == messages.pop().replace("gamma/pi", "g = p/p'")
+
+
+RATIO_TAKERS = {
+    "Zmm": lambda g: Zmm(g, 0, 1, TAU),
+    "conformal_Z_numeric": lambda g: conformal_Z_numeric(g, 2.0, 0, 0, TAU),
+    "coulomb_Z_hv": lambda g: coulomb_Z_hv(g, 0, 0, TAU),
+    "delta_from_ratio": lambda g: delta_from_ratio(g, 1, 1),
+}
+
+
+@pytest.mark.parametrize("g", [F(0), F(-1), -0.5])
+@pytest.mark.parametrize("name", sorted(RATIO_TAKERS))
+def test_ratio_outside_the_positive_rule_raises(name, g):
+    """The numeric Coulomb layer refuses g <= 0 with one ValueError, in place
+    of a ZeroDivisionError, a math domain error or a silent 0."""
+    with pytest.raises(ValueError, match=re.escape(f"the ratio g = {g} must be positive")):
+        RATIO_TAKERS[name](g)
 
 
 def test_fugacity_is_an_argument():
@@ -359,7 +382,7 @@ def _raises_assertion_error(node: ast.Raise) -> bool:
 def test_no_assert_statements_in_package():
     """Invariants raise real exceptions: `python -O` strips assert statements,
     and a broken invariant raises ArithmeticError, not AssertionError."""
-    sources = sorted(Path(torusloop.__file__).parent.glob("*.py"))
+    sources = sorted(Path(torusloop.__file__).parent.rglob("*.py"))
     assert sources
     found = [f"{path.name}:{node.lineno}" for path in sources
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

@@ -8,7 +8,7 @@ import pytest
 from torusloop import transfer
 from torusloop.acceptance import ORACLE_TOL, scaled_error
 from torusloop.lattice import lattice_Z
-from torusloop.model import ModelSpec, face_weights
+from torusloop.model import KIND_TILES, ModelSpec
 from torusloop.transfer import (
     C_coefficients,
     TransferOperator,
@@ -83,7 +83,7 @@ def test_link_states_equal_the_full_word_filter(kind, N):
 
 def test_dense_two_defect_scalar_row():
     spec = ModelSpec("dense", 2, 3, 0.37)
-    rho = face_weights(spec)
+    rho = spec.rho
     op = build_transfer(spec, 2, 2)
     assert op.dim == 1
     entry = op.matrix[0][0]
@@ -92,7 +92,7 @@ def test_dense_two_defect_scalar_row():
 
 def test_dense_n2_d0_trace():
     spec = ModelSpec("dense", 2, 3, 0.37)
-    rho = face_weights(spec)
+    rho = spec.rho
     tr = trace_TM(spec, 2, 1, 0)
     # the omega^0 coefficient is exactly zero and left out
     assert tr == pytest.approx({-1: 2 * rho[7] * rho[8], 1: 2 * rho[7] * rho[8]})
@@ -102,7 +102,7 @@ def test_dense_n2_d0_trace():
 
 def test_dilute_n1_rows():
     spec = ModelSpec("dilute", 2, 3, 0.37)
-    rho = face_weights(spec)
+    rho = spec.rho
     tr0 = trace_TM(spec, 1, 1, 0)
     assert tr0 == pytest.approx({0: rho[0], 1: rho[5], -1: rho[5]})
     tr1 = trace_TM(spec, 1, 1, 1)
@@ -114,11 +114,11 @@ def test_dilute_vacuum_tile_only():
     # away from u = 0 the horizontal-segment tile also closes (as a
     # non-contractible loop), certified against the lattice by the oracle
     spec = ModelSpec("dilute", 3, 4, 0.0)
-    rho = face_weights(spec)
+    rho = spec.rho
     op = build_transfer(spec, 1, 0)
     assert op.matrix[0][0] == pytest.approx({0: rho[0]})
     spec2 = ModelSpec("dilute", 3, 4, 0.42)
-    rho2 = face_weights(spec2)
+    rho2 = spec2.rho
     entry = build_transfer(spec2, 1, 0).matrix[0][0]
     assert entry == pytest.approx({0: rho2[0], 1: rho2[5], -1: rho2[5]})
 
@@ -130,7 +130,7 @@ def test_u0_transfer_is_one_site_shift(kind, Nmax, p, pq):
     labelling fixed in model.py): one entry per column, rho_8^N times
     omega^-1 when the defect at site 0 crosses the seam."""
     spec = ModelSpec(kind, p, pq, 0.0)
-    rho8 = face_weights(spec)[7]
+    rho8 = spec.rho[7]
     for N, d in _modules(kind, Nmax):
         op = build_transfer(spec, N, d)
         for j, w in enumerate(op.basis):
@@ -324,8 +324,9 @@ def _full_join_transfer(spec, N, d):
     basis = link_states(spec.kind, N, d)
     index = {w: i for i, w in enumerate(basis)}
     arcs_of = {w: transfer.arc_crossings(w) for w in basis}
-    rho = face_weights(spec)
-    diagrams = transfer._row_diagrams(N, tuple(t for t in spec.tiles if rho[t - 1] != 0.0))
+    rho = spec.rho
+    tiles = tuple(t for t in KIND_TILES[spec.kind] if rho[t - 1] != 0.0)
+    diagrams = transfer._row_diagrams(N, tiles)
     entries = {}  # (k, i, j) -> omega^k coefficient of entry (i, j)
     for j, word in enumerate(basis):
         rows = diagrams.get(tuple(ch != "." for ch in word), ())
