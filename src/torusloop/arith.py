@@ -17,6 +17,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 IMAG_TOL = 1e-12
 
 
@@ -92,10 +94,14 @@ def ramanujan_sum(q: int, m: int) -> int:
     return mobius(q // g) * totient(q) // totient(q // g)
 
 
-def _real_part(z: complex) -> float:
-    if abs(z.imag) > IMAG_TOL * max(1.0, abs(z.real)):
-        raise ImaginaryResidueError(f"imaginary residue {z.imag!r}")
-    return z.real
+def _real_part(z):
+    """The real part of a complex number (as a float) or numpy array, by the
+    one realness rule: an imaginary part above IMAG_TOL relative to
+    max(1, |real part|) raises ImaginaryResidueError."""
+    residue = np.abs(np.imag(z))
+    if np.any(residue > IMAG_TOL * np.maximum(1.0, np.abs(np.real(z)))):
+        raise ImaginaryResidueError(f"imaginary residue up to {float(np.max(residue))!r}")
+    return np.real(z) if np.ndim(z) else float(np.real(z))
 
 
 def gamma_v(d: int, m: int, alpha: float, v: int) -> float:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .model import ModelSpec, check_pair, check_ratio
-from .qseries import QSeries, eta_inverse
+from .qseries import QSeries, eta_inverse, exact
 
 # every numeric sum drops the terms whose size falls below this, relative to 1
 NUMERIC_TAIL = 1e-18
@@ -41,24 +41,19 @@ class KacData:
         return 1 - Fraction(6 * (self.p - self.pq) ** 2, self.p * self.pq)
 
     def delta(self, r, s) -> Fraction:
-        r = Fraction(r)
-        s = Fraction(s)
-        return ((self.pq * r - self.p * s) ** 2 - (self.p - self.pq) ** 2) \
-            / (4 * self.p * self.pq)
+        return self.delta_exp(r, s) + (self.c - 1) / 24
 
     def delta_exp(self, r, s) -> Fraction:
         """delta(r, s) - c/24 + 1/24 = (p' r - p s)^2 / (4 p p')."""
-        r = Fraction(r)
-        s = Fraction(s)
+        r, s = exact(r, "label r"), exact(s, "label s")
         return (self.pq * r - self.p * s) ** 2 / Fraction(4 * self.p * self.pq)
 
 
 def delta_from_ratio(g: Fraction, r, s) -> Fraction:
     """Conformal weight written through the ratio g = p/p' > 0 alone."""
     check_ratio(g)
-    g = Fraction(g)
-    r = Fraction(r)
-    s = Fraction(s)
+    g = exact(g, "g = p/p'")
+    r, s = exact(r, "label r"), exact(s, "label s")
     return ((r - g * s) ** 2 - (1 - g) ** 2) / (4 * g)
 
 
@@ -117,7 +112,7 @@ def theta_series(j: Fraction, n: int, z: int, cutoff: Fraction) -> QSeries:
     """Theta-like sum sum_k z^k q^{(j + 2kn)^2/4n} truncated at `cutoff`."""
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
-    j = Fraction(j)
+    j, cutoff = exact(j, "label"), exact(cutoff, "cutoff")
     terms: dict = {}
     if cutoff < 0:
         return QSeries(terms, cutoff)
@@ -142,9 +137,9 @@ def u1_char(n: int, j, z: int, cutoff) -> QSeries:
     exponent below 0 and 1/eta none below -1/24, so by the product rule the
     product is exact through cutoff.
     """
-    cutoff = Fraction(cutoff)
+    cutoff = exact(cutoff, "cutoff")
     work = cutoff + Fraction(1, 24)
-    product = eta_inverse(work) * theta_series(Fraction(j), n, z, work)
+    product = eta_inverse(work) * theta_series(j, n, z, work)
     if product.valid < cutoff:
         raise ArithmeticError(f"character exact only through {product.valid} < {cutoff}")
     return product.truncate(cutoff)
@@ -179,7 +174,7 @@ def eta_numeric(tau: TauPoint, side: str = "q") -> complex:
 
 def level_weight(n: int, j: Fraction) -> Fraction:
     """Affine conformal weight min(j^2, (2n - j)^2) / 4n for 0 <= j <= 2n."""
-    j = Fraction(j)
+    j = exact(j, "label")
     return min(j ** 2, (2 * n - j) ** 2) / Fraction(4 * n)
 
 

@@ -32,12 +32,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import IMAG_TOL, chebyshev_T, gamma_dm_cospoly, lambda_fsz_cospoly
+from .arith import _real_part, chebyshev_T, gamma_dm_cospoly, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
 from .characters import NUMERIC_TAIL, TauPoint, eta_numeric, modular_S_residual, t_sign_exact
 from .cyclo import CycloField, cospoly_to_cyclo
 from .model import SECTORS, check_kind, check_pair, check_ratio, check_sector
-from .qseries import BiSeries, euler_inverse
+from .qseries import BiSeries, euler_inverse, exact
 
 
 def _window(cutoff) -> tuple:
@@ -46,23 +46,10 @@ def _window(cutoff) -> tuple:
     work = cutoff + 1/24 is exactly the window `_dress` reads; a theta term
     with an exponent above it only feeds exponents above cutoff.
     """
-    cutoff = Fraction(cutoff)
+    cutoff = exact(cutoff, "cutoff")
     if cutoff < Fraction(-1, 24):
         raise ValueError("cutoff must be >= -1/24")
     return cutoff, cutoff + Fraction(1, 24)
-
-
-def _exact(value, what: str) -> Fraction:
-    """A parameter of an exact series (the twist gamma/pi or the ratio g) as a
-    Fraction.
-
-    A float is refused: its denominator 2^k would size the cyclotomic field,
-    the Kac lattice and the summation window.
-    """
-    if isinstance(value, float):
-        raise TypeError(f"exact series need a rational {what}; "
-                        f"use the numeric route for generic values")
-    return Fraction(value)
 
 
 def _run(start: int, step: int, reach: int) -> range:
@@ -165,7 +152,7 @@ def verma_trace_series(kind: str, p: int, pq: int, d: int, gamma_over_pi,
     """
     check_kind(kind)
     check_pair(p, pq)
-    g0 = _exact(gamma_over_pi, "gamma/pi")
+    g0 = exact(gamma_over_pi, "gamma/pi")
     cutoff, work = _window(cutoff)
     # over den = 2 g0.denominator: R = 2 g0.numerator - l step and S = d den / 2
     D, root = _kac_window(p, pq, 2 * g0.denominator, work)
@@ -192,9 +179,7 @@ def Zmm(g, m, mp, tau: TauPoint):
     etas = eta_numeric(tau, "q") * eta_numeric(tau, "qbar")
     w = m * tau.tau - mp
     val = math.sqrt(g / ti) * np.exp(-math.pi * g * np.abs(w) ** 2 / ti) / etas
-    if np.any(np.abs(val.imag) > IMAG_TOL * np.maximum(1.0, np.abs(val.real))):
-        raise ArithmeticError("Z_{m,m'} should be real")
-    return val.real if np.ndim(val) else float(val.real)
+    return _real_part(val)
 
 
 def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float:
@@ -334,7 +319,7 @@ def Z_hv_direct(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
 
 def _doubled(label) -> int:
     """2 j for an integer or half-integer u(1) label j."""
-    twice = 2 * Fraction(label)
+    twice = 2 * exact(label, "label")
     if twice.denominator != 1:
         raise ValueError("labels are integers or half-integers")
     return twice.numerator
@@ -493,7 +478,7 @@ def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff) -> BiSeries:
     rational combinations of cos(k gamma) evaluated at gamma = pi * e0.
     """
     check_pair(p, pq)
-    e0 = _exact(gamma_over_pi, "gamma/pi")
+    e0 = exact(gamma_over_pi, "gamma/pi")
     field = CycloField(2 * e0.denominator)
     cutoff, work = _window(cutoff)
     # the d-block reaches the window iff (p d/2)^2 / (4 p p') <= work
@@ -527,11 +512,11 @@ def on_series(g, e0, cutoff) -> BiSeries:
     be a rational (a float raises TypeError) that reduces to a coprime pair
     0 < p < p'.
     """
-    g = _exact(g, "g = p/p'")
+    g = exact(g, "g = p/p'")
     # h_{r,s} is delta_exp(r, -s) of (p, p') = (g.numerator, g.denominator)
     gp, gq = g.numerator, g.denominator
     check_pair(gp, gq)
-    e0 = _exact(e0, "gamma/pi")
+    e0 = exact(e0, "gamma/pi")
     field = CycloField(2 * e0.denominator)
     cutoff, work = _window(cutoff)
     # the M-block reaches the window iff g M^2 / 16 <= work

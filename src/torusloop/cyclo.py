@@ -14,6 +14,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .arith import _real_part
+from .qseries import exact
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple:
@@ -59,7 +62,7 @@ class CycloField:
         return cls._instances[m]
 
     def element(self, coeffs) -> "CycloNum":
-        vec = [Fraction(c) for c in coeffs]
+        vec = [exact(c, "coefficient") for c in coeffs]
         return CycloNum(self, self._reduce(vec))
 
     def zero(self) -> "CycloNum":
@@ -68,7 +71,7 @@ class CycloField:
     def rational(self, x) -> "CycloNum":
         vec = [Fraction(0)] * self.degree
         if self.degree:
-            vec[0] = Fraction(x)
+            vec[0] = exact(x, "coefficient")
         return CycloNum(self, tuple(vec))
 
     def zeta_power(self, k: int) -> "CycloNum":
@@ -195,10 +198,7 @@ class CycloNum:
         return sum(complex(c) * zeta**k for k, c in enumerate(self.coeffs))
 
     def __float__(self):
-        z = complex(self)
-        if abs(z.imag) > 1e-9 * max(1.0, abs(z.real)):
-            raise ArithmeticError("not a real cyclotomic number")
-        return z.real
+        return _real_part(complex(self))
 
     def __repr__(self):
         return f"CycloNum({self.coeffs}, zeta_{self.field.m})"

@@ -39,6 +39,10 @@ of rightward column-seam and upward row-seam crossings, oriented so that
 j > 0, or j = 0 and i > 0.  Loops are counted into a census; partition
 functions follow by weighting the census.
 
+One guard, `_check_size`, refuses a torus with more than CENSUS_GUARD
+configurations, counted over the short side's periodic rows before any row
+table is built, and quotes the count.
+
 Boundary sectors: a configuration lies in sector (h, v) = (H mod 2, V mod 2)
 where H and V count loop-segment crossings of the dual cut lines between
 rows 0/1 and columns 0/1.  Equivalently the (i, j)-parity of the (common)
@@ -53,22 +57,23 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_PARTNER, ModelSpec, Weights,
                     check_kind, check_sector, torus_sectors)
 
-SIZE_GUARD = {"dense": 36, "dilute": 20}
-# Row tables held by an M >= 2 torus before its first configuration.  A table
-# costs 10-25 us and 0.5-0.7 kB (dilute N = 7, 8; dense N = 14), so 200,000
-# rows take a few seconds and about 100-140 MB; the census adds N + 1 row
-# indices per row for its turns (a dilute 2x8 census peaks at about 146 MB).
-# Dilute N = 8 (187,457 rows) passes; dilute N = 9 (855,095) and dense N = 18
-# (262,144) do not.
-ROW_GUARD = 200_000
+# Configurations a census may trace: about 6 us each on a one-row torus, at
+# most 3 us on a taller one.  Cold census_counter on 2 cores: dense 1x21
+# (2,097,152) 12-19 s, dilute 1x13 (1,602,515) 9-12 s, dilute 2x8 (2,070,243;
+# 146 MB) 4-8 s, dense 7x3 3-4 s, dilute 4x4 1.1-1.5 s, dense 4x5 0.6-1 s.
+# Refused: dilute 1x14 (4,799,353) took 20.5 s and dense 1x22 27.6 s.
+CENSUS_GUARD = 2 ** 21
+# the two dense tiles fill any face, so a torus of more faces than this has
+# over CENSUS_GUARD configurations and is refused without counting
+_GUARD_FACES = CENSUS_GUARD.bit_length() - 1
 
-# bits per count in a row's packed tile code; no count exceeds M N <= 36
-_FIELD = max(SIZE_GUARD.values()).bit_length()
+# bits per count in a row's packed tile code; no count exceeds M N <= 21
+_FIELD = _GUARD_FACES.bit_length()
 _MASK = (1 << _FIELD) - 1
 _V_SHIFT = 9 * _FIELD   # the column-1 L bit sits above the nine tile counts
 _PARITY = (1 << _V_SHIFT + 1) - 1   # keeps the tile counts and V mod 2
@@ -356,30 +361,33 @@ def enumerate_configs(spec: ModelSpec, M: int, N: int) -> Iterator[tuple]:
                LoopCensus(n_beta, windings, counts, len(grid[1 % M].starts), V))
 
 
-def _row_count(kind: str, N: int) -> int:
-    """Number of periodic rows of N tiles: trace(A^N), where A[a][b] counts
-    the tiles whose L and R edges are occupied as a and b."""
-    tiles = KIND_TILES[kind]
-    A = [[sum((L in TILE_EDGES[t], R in TILE_EDGES[t]) == (a, b) for t in tiles)
-          for b in (False, True)] for a in (False, True)]
-    P = [[1, 0], [0, 1]]
-    for _ in range(N):
-        P = [[P[a][0] * A[0][b] + P[a][1] * A[1][b] for b in (0, 1)] for a in (0, 1)]
-    return P[0][0] + P[1][1]
+def _config_count(kind: str, M: int, N: int) -> int:
+    """Configurations of an M x N torus: trace(W^L), where W[b][t] counts the
+    periodic rows of the short side S by bottom and top occupancy and L is
+    the long side (a quarter turn maps each tile set onto itself)."""
+    S, L = sorted((M, N))
+    W = [[0] * (1 << S) for _ in range(1 << S)]
+    for row in _rows(KIND_TILES[kind], S):
+        W[_occupancy(row, B)][_occupancy(row, T)] += 1
+    P, columns = W, list(zip(*W))
+    for _ in range(L - 1):
+        P = [[sum(map(int.__mul__, line, col)) for col in columns] for line in P]
+    return sum(P[b][b] for b in range(1 << S))
 
 
 def _check_size(kind: str, M: int, N: int):
+    """Refuse a torus with more than CENSUS_GUARD configurations."""
     check_kind(kind)
     if M < 1 or N < 1:
         raise ValueError("lattice dimensions must be positive")
-    if M * N > SIZE_GUARD[kind]:
-        raise SizeGuardError(
-            f"{kind} lattice {M}x{N} exceeds the enumeration guard "
-            f"({SIZE_GUARD[kind]} faces)")
-    if M >= 2 and (rows := _row_count(kind, N)) > ROW_GUARD:
-        raise SizeGuardError(
-            f"{kind} lattice {M}x{N} needs {rows:,} periodic row tables, "
-            f"more than the enumeration guard ({ROW_GUARD:,})")
+    if M * N > _GUARD_FACES:
+        count = f"at least 2^{M * N}"
+    elif (n := _config_count(kind, M, N)) > CENSUS_GUARD:
+        count = f"{n:,}"
+    else:
+        return
+    raise SizeGuardError(f"{kind} lattice {M}x{N} has {count} configurations, "
+                         f"more than the enumeration guard ({CENSUS_GUARD:,})")
 
 
 def _census_key(census: LoopCensus) -> tuple:
@@ -411,28 +419,25 @@ def census_counter(kind: str, M: int, N: int) -> tuple:
 
 
 def lattice_Z(spec: ModelSpec | Weights, M: int, N: int, sector: tuple | None = None, *,
-              alpha: float, alphas: Mapping | None = None) -> float:
+              alpha: float) -> float:
     """Partition function, optionally restricted to a boundary sector (h, v).
 
-    Per-configuration weight: beta^{#contractible} * prod alpha_{i,j}^{n_{i,j}}
+    Per-configuration weight: beta^{#contractible} * alpha^{#non-contractible}
     * prod rho_t^{n_t}, with kind, rho and beta read from `spec`, a
-    `ModelSpec` (the physical weights) or any `Weights`.  Non-contractible
-    loops of class (i, j) take their fugacity from `alphas` when it has the
-    class, else the uniform `alpha`.  A sector outside
+    `ModelSpec` (the physical weights) or any `Weights`.  A sector outside
     `torus_sectors(spec.kind, M, N)` raises ValueError.
     """
     if sector is not None:
         sector = tuple(sector)
         check_sector(sector, torus_sectors(spec.kind, M, N))
-    alphas = alphas or {}
     rho, beta = spec.rho, spec.beta
     total = 0.0
     for (n_beta, winds, counts, h, v), mult in census_counter(spec.kind, M, N):
         if sector is not None and (h, v) != sector:
             continue
         w = beta ** n_beta
-        for cls, n in winds:
-            w *= alphas.get(cls, alpha) ** n
+        for _, n in winds:
+            w *= alpha ** n
         for t in range(9):
             n = counts[t]
             if n:

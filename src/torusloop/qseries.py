@@ -38,14 +38,18 @@ class CutoffMismatchError(ValueError):
     """Raised when combining series truncated at different cutoffs."""
 
 
-def _as_rational(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational, got {type(x).__name__}")
+def exact(value, what: str) -> Fraction:
+    """`value` as a Fraction, the one exactness rule of every exact entry point.
+
+    A float is refused, not read as its binary value: its denominator 2^k
+    would size the cyclotomic field, the Kac lattice and the summation window.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (float, complex)):
+        raise TypeError(f"exact series need a rational {what}; "
+                        f"use the numeric route for generic values")
+    return Fraction(value)
 
 
 class _Series:
@@ -60,7 +64,7 @@ class _Series:
     _nomes: tuple = ()
 
     def __init__(self, terms: Mapping, cutoff, valid=None):
-        cutoff = _as_rational(cutoff)
+        cutoff = exact(cutoff, "cutoff")
         clean = {}
         for k, c in terms.items():
             k = self._key(*self._parts(k))
@@ -68,7 +72,7 @@ class _Series:
                 clean[k] = c
         self.terms = clean
         self.cutoff = cutoff
-        self.valid = cutoff if valid is None else min(_as_rational(valid), cutoff)
+        self.valid = cutoff if valid is None else min(exact(valid, "order"), cutoff)
 
     @classmethod
     def _trusted(cls, terms: dict, cutoff: Fraction, valid: Fraction):
@@ -174,7 +178,7 @@ class _Series:
         return type(self)(terms, cutoff, valid)
 
     def truncate(self, cutoff):
-        cutoff = _as_rational(cutoff)
+        cutoff = exact(cutoff, "cutoff")
         if cutoff > self.cutoff:
             raise CutoffMismatchError("cannot extend a truncated series")
         return type(self)(self.terms, cutoff, min(self.valid, cutoff))
@@ -213,7 +217,7 @@ class QSeries(_Series):
 
     @staticmethod
     def _key(e) -> Fraction:
-        return _as_rational(e)
+        return exact(e, "exponent")
 
     @staticmethod
     def _parts(e) -> tuple:
@@ -225,7 +229,7 @@ class QSeries(_Series):
 
     def shift(self, delta) -> "QSeries":
         """Multiply by the monomial q^delta (cutoff unchanged)."""
-        delta = _as_rational(delta)
+        delta = exact(delta, "exponent")
         return QSeries({e + delta: c for e, c in self.terms.items()},
                        self.cutoff, min(self.valid + delta, self.cutoff))
 
@@ -242,7 +246,7 @@ class BiSeries(_Series):
 
     @staticmethod
     def _key(a, b) -> tuple:
-        return (_as_rational(a), _as_rational(b))
+        return (exact(a, "exponent"), exact(b, "exponent"))
 
     @staticmethod
     def _parts(key) -> tuple:
@@ -260,7 +264,7 @@ class BiSeries(_Series):
                 raise CutoffMismatchError("cutoff mismatch in outer product")
             cutoff = left.cutoff
         terms: dict = {}
-        cutoff = _as_rational(cutoff)
+        cutoff = exact(cutoff, "cutoff")
         for ea, ca in left.terms.items():
             if ea > cutoff:
                 continue
@@ -285,7 +289,7 @@ def _frac_str(x) -> str:
 
 def euler_product(cutoff) -> QSeries:
     """(q)_inf = prod_{n>=1} (1 - q^n), by Euler's pentagonal number theorem."""
-    cutoff = _as_rational(cutoff)
+    cutoff = exact(cutoff, "cutoff")
     terms = {}
     k = 0
     while True:
@@ -303,7 +307,7 @@ def euler_product(cutoff) -> QSeries:
 
 def euler_inverse(cutoff) -> QSeries:
     """1/(q)_inf; the coefficient of q^n is the partition number p(n)."""
-    cutoff = _as_rational(cutoff)
+    cutoff = exact(cutoff, "cutoff")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     nmax = int(cutoff)
@@ -317,7 +321,7 @@ def euler_inverse(cutoff) -> QSeries:
 
 def dedekind_eta(cutoff) -> QSeries:
     """eta(q) = q^{1/24} (q)_inf as an exact series."""
-    cutoff = _as_rational(cutoff)
+    cutoff = exact(cutoff, "cutoff")
     if cutoff < Fraction(1, 24):
         raise ValueError("cutoff must be >= 1/24")
     return euler_product(cutoff - Fraction(1, 24)).shift(Fraction(1, 24))
@@ -325,6 +329,6 @@ def dedekind_eta(cutoff) -> QSeries:
 
 def eta_inverse(cutoff) -> QSeries:
     """1/eta(q) = q^{-1/24} / (q)_inf, exact through `cutoff`."""
-    cutoff = _as_rational(cutoff)
+    cutoff = exact(cutoff, "cutoff")
     inv = euler_inverse(cutoff + Fraction(1, 24))
     return QSeries(inv.shift(Fraction(-1, 24)).terms, cutoff)

@@ -66,7 +66,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .arith import chebyshev_T, gcd_conv
+from .arith import _real_part, chebyshev_T, gcd_conv
 from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_LINKS, TILE_PARTNER,
                     ModelSpec, Weights, check_sector, defect_numbers, torus_sectors)
 
@@ -529,10 +529,7 @@ def leading_eigenvalue(spec: ModelSpec, N: int, d: int = 0, omega: complex = 1.0
     """Largest-magnitude transfer eigenvalue at a fixed twist."""
     mat = build_transfer(spec, N, d).to_numeric(omega)
     eigs = np.linalg.eigvals(mat)
-    lead = eigs[np.argmax(np.abs(eigs))]
-    if abs(lead.imag) > 1e-8 * max(1.0, abs(lead.real)):
-        raise ArithmeticError("leading eigenvalue is not real")
-    return float(lead.real)
+    return _real_part(eigs[np.argmax(np.abs(eigs))])
 
 
 def effective_central_charge(spec: ModelSpec, sizes: tuple = (6, 8, 10)) -> float:

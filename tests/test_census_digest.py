@@ -10,7 +10,7 @@ reproduce it exactly.
 
 import hashlib
 
-from torusloop.lattice import census_counter
+from torusloop.lattice import _config_count, census_counter
 
 EXTRA_TORI = (("dense", 4, 4), ("dilute", 3, 4), ("dilute", 4, 3))
 MAX_FACES = {"dense": 12, "dilute": 9}
@@ -41,3 +41,10 @@ def test_pinned_tori():
 
 def test_census_output_is_pinned():
     assert census_digest() == PINNED
+
+
+def test_guard_count_is_the_census_total():
+    """The size guard's configuration count equals the census multiplicity
+    sum on every pinned torus."""
+    for kind, M, N in _pinned_tori():
+        assert _config_count(kind, M, N) == sum(m for _, m in census_counter(kind, M, N))

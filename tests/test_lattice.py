@@ -1,6 +1,8 @@
 """Lattice enumeration: censuses, sectors, and partition functions."""
 
 import math
+import re
+import time
 from collections import Counter
 from dataclasses import fields
 
@@ -11,14 +13,13 @@ from torusloop.lattice import (
     SizeGuardError,
     _census_key,
     _check_size,
+    _config_count,
     _enumerate_grids,
-    _row_count,
-    _rows,
     census_counter,
     enumerate_configs,
     lattice_Z,
 )
-from torusloop.model import DILUTE_TILES, ModelSpec, Weights
+from torusloop.model import ModelSpec, Weights
 
 
 def spec_dense(p=2, pq=3, u=0.37):
@@ -231,40 +232,38 @@ def test_fast_matches_slow_reference(kind, M, N, u, alpha, pq):
                             rel_tol=1e-11, abs_tol=1e-13)
 
 
-def test_per_class_fugacity_map():
-    spec = spec_dilute()
-    # give horizontal-type loops a different weight from everything else
-    z_map = lattice_Z(spec, 2, 2, alphas={(1, 0): 3.0}, alpha=1.0)
-    by_hand = 0.0
-    rho = spec.rho
-    for _, census in enumerate_configs(spec, 2, 2):
-        w = spec.beta ** census.n_beta
-        for cls, n in census.windings:
-            w *= (3.0 if cls == (1, 0) else 1.0) ** n
-        for t, n in zip(range(1, 10), census.tile_counts):
-            w *= rho[t - 1] ** n
-        by_hand += w
-    assert math.isclose(z_map, by_hand, rel_tol=1e-12)
-
-
 def test_size_guard():
-    with pytest.raises(SizeGuardError):
-        list(enumerate_configs(spec_dilute(), 3, 7))
-    with pytest.raises(SizeGuardError):
-        list(enumerate_configs(spec_dense(), 6, 7))
-    # within the face guard, but 3,900,561 periodic rows to tabulate
-    with pytest.raises(SizeGuardError, match="3,900,561"):
-        census_counter("dilute", 2, 10)
-    with pytest.raises(SizeGuardError, match="3,900,561"):
-        next(enumerate_configs(spec_dilute(), 2, 10))
-    _check_size("dilute", 2, 8)     # 187,457 rows: still enumerable
-    _check_size("dilute", 1, 20)    # a one-row torus keeps no rows
+    """A torus with more than CENSUS_GUARD configurations is refused, its
+    count (or the bound 2^(M N)) quoted, before any row table is built; the
+    tori at the guard whose cold census finishes in seconds are admitted."""
+    for kind, M, N, count in (("dense", 6, 6, "at least 2^36"),
+                              ("dilute", 1, 20, "3,487,832,977"),
+                              ("dilute", 1, 14, "4,799,353"),
+                              ("dense", 1, 22, "at least 2^22"),
+                              ("dilute", 2, 9, "12,030,823")):
+        for call in (lambda: census_counter(kind, M, N),
+                     lambda: next(enumerate_configs(ModelSpec(kind, 2, 3, 0.37), M, N))):
+            start = time.perf_counter()
+            message = f"{kind} lattice {M}x{N} has {count} configurations"
+            with pytest.raises(SizeGuardError, match=re.escape(message)):
+                call()
+            assert time.perf_counter() - start < 0.1
+    for kind, M, N in (("dense", 1, 21), ("dilute", 2, 8), ("dilute", 4, 4), ("dense", 4, 5)):
+        _check_size(kind, M, N)
 
 
-def test_row_count_is_trace_of_tile_matrix_power():
-    assert [_row_count("dilute", n) for n in range(1, 9)] == [
-        sum(1 for _ in _rows(DILUTE_TILES, n)) for n in range(1, 9)]
-    assert [_row_count("dense", n) for n in range(1, 9)] == [2 ** n for n in range(1, 9)]
+def test_config_count_closed_forms():
+    """2^(M N) dense configurations (either dense tile fills any face), and
+    3^N + 2^N dilute 1 x N ones: a one-row torus admits the tiles whose top
+    and bottom edges agree, and a periodic row of them leaves every L and R
+    edge empty (tiles 1, 7) or fills every one (tiles 6, 8, 9).  The count is
+    symmetric in M and N."""
+    for M in range(1, 6):
+        for N in range(1, 21 // M + 1):
+            assert _config_count("dense", M, N) == 2 ** (M * N)
+            assert _config_count("dilute", M, N) == _config_count("dilute", N, M)
+    for N in range(1, 14):
+        assert _config_count("dilute", 1, N) == 3 ** N + 2 ** N
 
 
 @pytest.mark.parametrize("kind, M, N", [

@@ -7,20 +7,23 @@ from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reference_enum import _valid
 import torusloop
 from torusloop.arith import ImaginaryResidueError, gamma_v
 from torusloop.bezout import BezoutContext
-from torusloop.characters import KacData, TauPoint, delta_from_ratio
-from torusloop.conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm, appendix_c_form,
-                                 conformal_Z_numeric, coulomb_Z_hv, full_Z_series, on_series,
-                                 verma_trace_series)
+from torusloop.characters import (KacData, TauPoint, delta_from_ratio, level_weight,
+                                  theta_series, u1_char)
+from torusloop.conformal import (SesquiTerm, Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm,
+                                 appendix_c_form, conformal_Z_numeric, coulomb_Z_hv,
+                                 expand_terms, full_Z_series, on_series, verma_trace_series)
+from torusloop.cyclo import CycloField
 from torusloop.lattice import census_counter, enumerate_configs, lattice_Z
 from torusloop.model import KIND_TILES, ModelSpec, Weights, defect_numbers, torus_sectors
 from torusloop.transfer import link_states, markov_Z
-from torusloop.qseries import euler_inverse
+from torusloop.qseries import QSeries, euler_inverse
 
 
 @pytest.mark.parametrize("kind, M, N", [("dense", 3, 3), ("dilute", 2, 3)])
@@ -138,6 +141,38 @@ def test_exact_forms_refuse_a_float_twist():
     assert str(info.value) == messages.pop().replace("gamma/pi", "g = p/p'")
 
 
+# every exact entry point: (call with one value, what the message names)
+EXACT_TAKERS = {
+    "QSeries cutoff": (lambda x: QSeries({}, x), "cutoff"),
+    "QSeries exponent": (lambda x: QSeries({x: 1}, F(2)), "exponent"),
+    "euler_inverse": (lambda x: euler_inverse(x), "cutoff"),
+    "Z_hv_direct": (lambda x: Z_hv_direct(2, 3, 0, 0, x), "cutoff"),
+    "expand_terms label": (lambda x: expand_terms([SesquiTerm(1, x, F(0), 1, 2)], F(2)),
+                           "label"),
+    "u1_char cutoff": (lambda x: u1_char(2, 1, 1, x), "cutoff"),
+    "u1_char label": (lambda x: u1_char(2, x, 1, F(2)), "label"),
+    "theta_series": (lambda x: theta_series(x, 2, 1, F(2)), "label"),
+    "level_weight": (lambda x: level_weight(2, x), "label"),
+    "KacData.delta": (lambda x: KacData(2, 3).delta(x, 1), "label r"),
+    "KacData.delta_exp": (lambda x: KacData(2, 3).delta_exp(1, x), "label s"),
+    "delta_from_ratio": (lambda x: delta_from_ratio(x, 2, 1), "g = p/p'"),
+    "on_series": (lambda x: on_series(x, F(0), F(2)), "g = p/p'"),
+    "verma_trace_series": (lambda x: verma_trace_series("dense", 2, 3, 0, x, 0, F(2)),
+                           "gamma/pi"),
+    "CycloField.rational": (lambda x: CycloField(4).rational(x), "coefficient"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_TAKERS))
+def test_exact_entry_points_refuse_a_float(name):
+    """Every exact entry point refuses a float with the one message of
+    `qseries.exact`, in place of reading 0.1 as 3602879701896397/2^55."""
+    call, what = EXACT_TAKERS[name]
+    with pytest.raises(TypeError, match=re.escape(
+            f"exact series need a rational {what}; use the numeric route for generic values")):
+        call(0.1)
+
+
 RATIO_TAKERS = {
     "Zmm": lambda g: Zmm(g, 0, 1, TAU),
     "conformal_Z_numeric": lambda g: conformal_Z_numeric(g, 2.0, 0, 0, TAU),
@@ -216,6 +251,20 @@ def test_gamma_v_imaginary_residue_guard():
         for m in range(2 * d):
             for v in (0, 1):
                 gamma_v(d, m, 1.3, v)
+
+
+def test_one_realness_rule():
+    """Numbers and numpy arrays pass one rule: an imaginary part above
+    IMAG_TOL relative to max(1, |real part|) raises; a number comes back as
+    a float.  A cyclotomic number that is not real is refused by it too."""
+    from torusloop.arith import IMAG_TOL, _real_part
+    assert _real_part(np.array([1 + 0.5 * IMAG_TOL * 1j, 4 + 3 * IMAG_TOL * 1j])).tolist() \
+        == [1.0, 4.0]
+    with pytest.raises(ImaginaryResidueError):
+        _real_part(np.array([[1 + 0j], [2 + 3 * IMAG_TOL * 1j]]))
+    assert type(_real_part(np.complex128(3))) is float
+    with pytest.raises(ImaginaryResidueError):
+        float(CycloField(4).zeta_power(1))
 
 
 def test_euler_inverse_negative_cutoff_rejected():
