@@ -19,9 +19,11 @@ D = 4 p p' den^2 for the Kac-lattice forms, whose exponents are
 delta_exp(R/den, S/den) = (p' R - p S)^2 / D with den a common denominator of
 the labels r and s, and D = 16 n for the u(1) character forms, whose doubled
 labels J = 2j give (J + 4kn)^2 / 16n.  The one kernel `_dress` takes those
-integer keys, dresses them with the eta factors and makes each exponent a
-Fraction once, at the end.  `KacData.delta_exp` and `theta_series` remain the
-Fraction references the tests rebuild the forms from.
+integer keys, reads their coefficients as integer coordinates over one
+denominator, dresses them with the eta factors and makes each exponent a
+Fraction and each coefficient a Fraction or a CycloNum once, at the end.
+`KacData.delta_exp` and `theta_series` remain the Fraction references the
+tests rebuild the forms from.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .arith import _real_part, chebyshev_T, gamma_dm_cospoly, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
 from .characters import NUMERIC_TAIL, TauPoint, eta_numeric, modular_S_residual, t_sign_exact
-from .cyclo import CycloField, cospoly_to_cyclo
+from .cyclo import CycloField, CycloNum, cospoly_to_cyclo
 from .model import SECTORS, check_kind, check_pair, check_ratio, check_sector
 from .qseries import BiSeries, euler_inverse, exact
 
@@ -80,34 +82,36 @@ def _kac_window(p: int, pq: int, den: int, work: Fraction) -> tuple:
 def _spread_swap(grid: dict, steps: list, lim: int, D: int) -> dict:
     """Convolve the first exponent of each key with the steps (k D, p(k)).
 
-    Keys are integer exponent numerators (x, y) with x <= lim; zero terms
-    are dropped, only x + k D <= lim is kept, and every key comes back
-    swapped, so two passes spread both axes.
+    Keys are integer exponent numerators (x, y) with x <= lim and values are
+    ints; zero terms are dropped, only x + k D <= lim is kept, and every key
+    comes back swapped, so two passes spread both axes.
     """
     spread: dict = {}
     for (x, y), c in grid.items():
-        if not c:
-            continue
-        for s, p in steps[:(lim - x) // D + 1]:
-            t = c if p == 1 else c * p
-            key = (y, x + s)
-            old = spread.get(key)
-            spread[key] = t if old is None else old + t
+        if c:
+            for s, p in steps[:(lim - x) // D + 1]:
+                key = (y, x + s)
+                spread[key] = spread.get(key, 0) + c * p
     return spread
 
 
 def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
     """(q qbar)^{-1/24} / ((q)_inf (qbar)_inf) times the theta sum.
 
-    theta maps integer pairs (A, B) >= 0 to coefficients, for the term
+    theta maps integer pairs (A, B) >= 0 to int, Fraction or CycloNum
+    coefficients (cyclotomic ones all of one field), for the term
     q^{A/D} qbar^{B/D}; it must hold every term with both exponents <=
     top = cutoff + 1/24, and the result is exact through cutoff.  D is
     lifted to L = lcm(D, 24, denominator of top) by one integer factor per
     key, so 1/(q)_inf is a convolution with the partition numbers p(k) in
-    integer steps k L along each axis in turn.  Each distinct output
-    exponent becomes the Fraction (A - L/24) / L once, at the end; int
-    coefficients become Fractions there too.  Every key lies in the window
-    by construction, so the BiSeries skips its per-term checks.
+    integer steps k L along each axis in turn.  Each coefficient is read as
+    integer coordinates over one common denominator Q: one coordinate for a
+    rational coefficient, field.degree for a cyclotomic one.  The integer
+    `_spread_swap` runs twice per coordinate, and at the end each output
+    exponent becomes the Fraction (A - L/24) / L once and each distinct
+    output coordinate vector v the Fraction v / Q or one CycloNum once.
+    Every key lies in the window by construction, so the BiSeries skips its
+    per-term checks.
     """
     top = cutoff + Fraction(1, 24)
     L = math.lcm(D, 24, top.denominator)
@@ -115,18 +119,42 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
     lim = top.numerator * (L // top.denominator)
     inv = euler_inverse(top)
     steps = [(k * L, inv.coeff(k).numerator) for k in range(math.floor(top) + 1)]
+    field = next((c.field for c in theta.values() if isinstance(c, CycloNum)), None)
+    width = field.degree if field else 1
     grid = {}
     for (A, B), c in theta.items():
         A *= lift
         B *= lift
         if A <= lim and B <= lim:
-            grid[(A, B)] = c
-    grid = _spread_swap(_spread_swap(grid, steps, lim, L), steps, lim, L)
+            grid[(A, B)] = _coordinates(c, field, width)
+    Q = math.lcm(*(den for _, den in grid.values()))
+    spread = [_spread_swap(_spread_swap({key: nums[i] * (Q // den)
+                                         for key, (nums, den) in grid.items()},
+                                        steps, lim, L), steps, lim, L)
+              for i in range(width)]
     shift = L // 24
-    exps = {x: Fraction(x - shift, L) for ab in grid for x in ab}
-    terms = {(exps[A], exps[B]): Fraction(c) if type(c) is int else c
-             for (A, B), c in grid.items() if c}
+    keys = dict.fromkeys(key for coordinate in spread for key in coordinate)
+    exps = {x: Fraction(x - shift, L) for ab in keys for x in ab}
+    columns = [[coordinate.get(key, 0) for key in keys] for coordinate in spread]
+    make = (lambda v: Fraction(v[0], Q)) if field is None else (lambda v: CycloNum(field, v, Q))
+    built: dict = {}
+    terms = {}
+    for (A, B), v in zip(keys, zip(*columns)):
+        if any(v):
+            c = built.get(v)
+            if c is None:
+                c = built[v] = make(v)
+            terms[(exps[A], exps[B])] = c
     return BiSeries._trusted(terms, cutoff, cutoff)
+
+
+def _coordinates(c, field, width: int) -> tuple:
+    """(integer numerators, denominator) of an int, Fraction or CycloNum of field."""
+    if isinstance(c, CycloNum):
+        if c.field is not field:
+            raise ValueError("mixed cyclotomic fields")
+        return c.nums, c.den
+    return (c.numerator,) + (0,) * (width - 1), c.denominator
 
 
 def _double_eta_inverse(cutoff: Fraction) -> BiSeries:

@@ -5,6 +5,12 @@ combinations of cos(k*gamma) with gamma a rational multiple of pi.  For
 gamma = pi*a/b these live in the real subfield of Q(zeta_{2b}); representing
 them as polynomials in zeta reduced modulo the cyclotomic polynomial makes
 equality testing exact, so the identity can be checked with zero tolerance.
+
+An element is stored as integer numerators over one positive denominator, in
+lowest terms.  Every Phi_m is monic with integer coefficients, so reduction
+mod Phi_m subtracts integer multiples and never divides: sums, products and
+comparisons work on ints, and the Fraction coefficients are built only when
+read through `CycloNum.coeffs`.
 """
 
 from __future__ import annotations
@@ -20,24 +26,23 @@ from .qseries import exact
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m: int) -> tuple:
-    """Coefficients (ascending) of the m-th cyclotomic polynomial, exact."""
+    """Integer coefficients (ascending) of the m-th cyclotomic polynomial."""
     if m < 1:
         raise ValueError("m must be >= 1")
     # x^m - 1 divided by the product of Phi_d for proper divisors d
-    poly = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            poly = _polydiv_exact(poly, list(cyclotomic_poly(d)))
+            poly = _polydiv_exact(poly, cyclotomic_poly(d))
     return tuple(poly)
 
 
-def _polydiv_exact(num: list, den: list) -> list:
-    """Exact polynomial division (remainder must vanish)."""
+def _polydiv_exact(num: list, den: tuple) -> list:
+    """Exact division of integer polynomials by a monic den (remainder must vanish)."""
     num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    out = [0] * (len(num) - len(den) + 1)
     for i in range(len(out) - 1, -1, -1):
-        coeff = num[i + len(den) - 1] / den[-1]
-        out[i] = coeff
+        coeff = out[i] = num[i + len(den) - 1]
         if coeff:
             for j, dc in enumerate(den):
                 num[i + j] -= coeff * dc
@@ -47,11 +52,14 @@ def _polydiv_exact(num: list, den: list) -> list:
 
 
 class CycloField:
-    """The field Q(zeta_m), elements as coefficient tuples mod Phi_m."""
+    """The field Q(zeta_m); an element is integer numerators mod Phi_m over one
+    denominator."""
 
     _instances: dict = {}
 
     def __new__(cls, m: int):
+        if type(m) is not int:
+            raise TypeError(f"the cyclotomic order m must be an int, not {m!r}")
         if m not in cls._instances:
             inst = super().__new__(cls)
             inst.m = m
@@ -63,23 +71,21 @@ class CycloField:
 
     def element(self, coeffs) -> "CycloNum":
         vec = [exact(c, "coefficient") for c in coeffs]
-        return CycloNum(self, self._reduce(vec))
+        den = math.lcm(*(c.denominator for c in vec))
+        return CycloNum(self, self._reduce([c.numerator * (den // c.denominator)
+                                            for c in vec]), den)
 
     def zero(self) -> "CycloNum":
-        return CycloNum(self, (Fraction(0),) * self.degree)
+        return CycloNum(self, (0,) * self.degree)
 
     def rational(self, x) -> "CycloNum":
-        vec = [Fraction(0)] * self.degree
-        if self.degree:
-            vec[0] = exact(x, "coefficient")
-        return CycloNum(self, tuple(vec))
+        x = exact(x, "coefficient")
+        return CycloNum(self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator)
 
     def zeta_power(self, k: int) -> "CycloNum":
         """zeta^k as a field element."""
         k %= self.m
-        vec = [Fraction(0)] * (k + 1)
-        vec[k] = Fraction(1)
-        return CycloNum(self, self._reduce(vec))
+        return CycloNum(self, self._reduce([0] * k + [1]))
 
     def cos_pi_multiple(self, num: int, den: int) -> "CycloNum":
         """cos(pi * num / den) as a field element; needs 2*den to divide m.
@@ -87,6 +93,8 @@ class CycloField:
         Memoised per field on k = (num mod 2 den) m / (2 den), the angle in
         units of 2 pi / m, so equal angles share one cached element.
         """
+        if den <= 0:
+            raise ValueError(f"cos(pi*{num}/{den}) needs a positive denominator")
         if self.m % (2 * den):
             raise ValueError(f"cos(pi*{num}/{den}) does not live in Q(zeta_{self.m})")
         k = (num % (2 * den)) * (self.m // (2 * den))
@@ -96,7 +104,7 @@ class CycloField:
         return self._cos[k]
 
     def _reduce(self, vec: list) -> tuple:
-        """Reduce a coefficient vector modulo Phi_m."""
+        """Reduce an integer coefficient vector modulo the monic Phi_m."""
         vec = list(vec)
         n = self.degree
         phi = self.phi
@@ -106,7 +114,7 @@ class CycloField:
                 for j in range(n + 1):
                     vec[i - n + j] -= c * phi[j]
         vec = vec[:n]
-        vec += [Fraction(0)] * (n - len(vec))
+        vec += [0] * (n - len(vec))
         return tuple(vec)
 
     def __repr__(self):
@@ -114,13 +122,28 @@ class CycloField:
 
 
 class CycloNum:
-    """An element of Q(zeta_m) in canonical reduced form."""
+    """An element of Q(zeta_m): integer numerators `nums`, reduced mod Phi_m,
+    over one denominator `den` > 0, with gcd(den, *nums) = 1.
 
-    __slots__ = ("field", "coeffs")
+    The constructor takes reduced nums and a positive den and brings them to
+    lowest terms, so equal elements of one field have equal (nums, den).
+    """
 
-    def __init__(self, field: CycloField, coeffs: tuple):
+    __slots__ = ("field", "nums", "den")
+
+    def __init__(self, field: CycloField, nums: tuple, den: int = 1):
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(a // g for a in nums)
+            den //= g
         self.field = field
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of 1, zeta, ..., zeta^(degree-1), as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     def _coerce(self, other):
         if isinstance(other, CycloNum):
@@ -135,13 +158,15 @@ class CycloNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        den = math.lcm(self.den, other.den)
+        f1, f2 = den // self.den, den // other.den
         return CycloNum(self.field,
-                        tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+                        tuple(a * f1 + b * f2 for a, b in zip(self.nums, other.nums)), den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloNum(self.field, tuple(-a for a in self.coeffs))
+        return CycloNum(self.field, tuple(-a for a in self.nums), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -154,44 +179,51 @@ class CycloNum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            # every coefficient is a Fraction, so a * other stays one
-            return CycloNum(self.field, tuple(a * other if a else a for a in self.coeffs))
+            return CycloNum(self.field, tuple(a * other.numerator for a in self.nums),
+                            self.den * other.denominator)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         n = self.field.degree
-        prod = [Fraction(0)] * (2 * n)
-        for i, a in enumerate(self.coeffs):
+        prod = [0] * (2 * n)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums):
                     if b:
                         prod[i + j] += a * b
-        return CycloNum(self.field, self.field._reduce(prod))
+        return CycloNum(self.field, self.field._reduce(prod), self.den * other.den)
 
     __rmul__ = __mul__
 
+    def _rational_value(self):
+        """The Fraction this element equals, or None if it is irrational."""
+        if any(self.nums[1:]):
+            return None
+        return Fraction(self.nums[0], self.den)
+
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other):
         """Equal elements of one field are equal; across fields only rational
         elements compare, by value, like the int or Fraction they equal.  An
         irrational element never equals one of another field, even where
         both are the same complex number (zeta_4 and zeta_8^2)."""
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        if not isinstance(other, CycloNum):
+        if isinstance(other, CycloNum) and self.field is other.field:
+            return self.nums == other.nums and self.den == other.den
+        if isinstance(other, CycloNum):
+            other = other._rational_value()
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if self.field is other.field:
-            return self.coeffs == other.coeffs
-        return not any(self.coeffs[1:]) and not any(other.coeffs[1:]) \
-            and self.coeffs[0] == other.coeffs[0]
+        value = self._rational_value()
+        return value is not None and other is not None and value == other
 
     def __hash__(self):
         # a rational element equals its value, so it hashes like it
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
-        return hash((self.field.m, self.coeffs))
+        value = self._rational_value()
+        if value is not None:
+            return hash(value)
+        return hash((self.field.m, self.nums, self.den))
 
     def __complex__(self):
         zeta = cmath.exp(2j * math.pi / self.field.m)
@@ -210,7 +242,7 @@ def cospoly_to_cyclo(cospoly: dict, a: int, b: int, field: CycloField | None = N
         field = CycloField(2 * b)
     out = field.zero()
     for k, c in cospoly.items():
-        out = out + field.cos_pi_multiple(k * a, b) * Fraction(c)
+        out = out + field.cos_pi_multiple(k * a, b) * exact(c, "coefficient")
     return out
 
 

@@ -1,0 +1,104 @@
+"""Integer-numerator cyclotomic arithmetic against the Fraction-tuple reference.
+
+Seeded random elements of Q(zeta_m) go through every operation of `CycloNum`
+and of `reference_cyclo`; the results must agree coefficient by coefficient,
+stay canonical, and compare and hash like the reference values.
+"""
+
+import math
+import random
+from fractions import Fraction as F
+from itertools import product
+
+import pytest
+
+import reference_cyclo as ref
+from torusloop.cyclo import CycloField, cyclotomic_poly
+
+ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15)
+SCALARS = (0, 1, -3, 7, F(0), F(-2, 7), F(5, 3), F(1, 12))
+
+
+def _draw(rng, length):
+    """A coefficient list of the given length: small Fractions and zeros, and
+    sometimes only a rational part."""
+    if rng.random() < 0.2:
+        return [F(rng.randint(-9, 9), rng.randint(1, 6))] + [0] * (length - 1)
+    return [F(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < 0.7 else 0
+            for _ in range(length)]
+
+
+def _elements(m, count=10):
+    """(CycloNum, reference tuple) pairs of Q(zeta_m); some from vectors
+    longer than the degree, so the reduction mod Phi_m is exercised."""
+    rng = random.Random(1800 + m)
+    field = CycloField(m)
+    n = field.degree
+    out = []
+    for i in range(count):
+        vec = _draw(rng, n if i % 2 else rng.randint(n, 2 * n + 1))
+        out.append((field.element(vec), ref.reduce(vec, m)))
+    return out
+
+
+def _canonical(x):
+    return (len(x.nums) == x.field.degree and x.den > 0
+            and math.gcd(x.den, *x.nums) == 1
+            and all(type(a) is int for a in x.nums) and type(x.den) is int)
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_phi_matches_the_reference(m):
+    assert cyclotomic_poly(m) == ref.phi(m)
+    assert all(type(c) is int for c in cyclotomic_poly(m))
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_arithmetic_matches_the_reference(m):
+    """+, -, unary -, * and scaling by an int or a Fraction agree with the
+    Fraction-tuple reference, and every result is canonical."""
+    elements = _elements(m)
+    for x, rx in elements:
+        assert x.coeffs == rx and _canonical(x)
+        assert all(type(c) is F for c in x.coeffs)
+        got = -x
+        assert got.coeffs == ref.neg(rx) and _canonical(got)
+        for k in SCALARS:
+            for got in (x * k, k * x):
+                assert got.coeffs == ref.scale(rx, k) and _canonical(got)
+            for got in (x + k, k + x):
+                assert got.coeffs == ref.add(rx, ref.reduce([k], m)) and _canonical(got)
+    for (x, rx), (y, ry) in product(elements, repeat=2):
+        for got, want in ((x + y, ref.add(rx, ry)),
+                          (x - y, ref.add(rx, ref.neg(ry))),
+                          (x * y, ref.mul(rx, ry, m))):
+            assert got.coeffs == want and _canonical(got)
+
+
+@pytest.mark.parametrize("m", ORDERS)
+def test_equality_and_hash_match_the_reference(m):
+    """== agrees with the reference, equal values hash alike and have equal
+    (nums, den), and a rational element hashes like its Fraction."""
+    elements = _elements(m)
+    # the same values again, each rebuilt another way
+    elements += [((x * 3 + x) * F(1, 4), rx) for x, rx in elements[:4]]
+    elements += [(x * y - y * x + x, rx) for (x, rx), (y, _) in zip(elements, elements[1:5])]
+    for (x, rx), (y, ry) in product(elements, repeat=2):
+        assert (x == y) == (rx == ry)
+        if rx == ry:
+            assert (x.nums, x.den) == (y.nums, y.den)
+            assert hash(x) == hash(y)
+    for x, rx in elements:
+        if not any(rx[1:]):
+            assert x == rx[0] and hash(x) == hash(rx[0])
+        else:
+            assert x != rx[0]
+
+
+def test_equality_across_fields_matches_the_reference():
+    """Across fields only rational elements compare, by value, as in the reference."""
+    drawn = [(m, x, rx) for m in ORDERS for x, rx in _elements(m, 6)]
+    for (m, x, rx), (n, y, ry) in product(drawn, repeat=2):
+        assert (x == y) == ref.equal(rx, m, ry, n)
+        if x == y:
+            assert hash(x) == hash(y)

@@ -19,7 +19,7 @@ from torusloop.characters import (KacData, TauPoint, delta_from_ratio, level_wei
 from torusloop.conformal import (SesquiTerm, Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm,
                                  appendix_c_form, conformal_Z_numeric, coulomb_Z_hv,
                                  expand_terms, full_Z_series, on_series, verma_trace_series)
-from torusloop.cyclo import CycloField
+from torusloop.cyclo import CycloField, cospoly_to_cyclo
 from torusloop.lattice import census_counter, enumerate_configs, lattice_Z
 from torusloop.model import KIND_TILES, ModelSpec, Weights, defect_numbers, torus_sectors
 from torusloop.transfer import link_states, markov_Z
@@ -160,6 +160,7 @@ EXACT_TAKERS = {
     "verma_trace_series": (lambda x: verma_trace_series("dense", 2, 3, 0, x, 0, F(2)),
                            "gamma/pi"),
     "CycloField.rational": (lambda x: CycloField(4).rational(x), "coefficient"),
+    "cospoly_to_cyclo": (lambda x: cospoly_to_cyclo({1: x}, 1, 5), "coefficient"),
 }
 
 
@@ -171,6 +172,25 @@ def test_exact_entry_points_refuse_a_float(name):
     with pytest.raises(TypeError, match=re.escape(
             f"exact series need a rational {what}; use the numeric route for generic values")):
         call(0.1)
+
+
+@pytest.mark.parametrize("m", [2.0, F(4), "6", True])
+def test_cyclo_field_refuses_a_non_int_order(m):
+    """CycloField(m) refuses any m that is not an int with one message, in
+    place of a TypeError from inside the polynomial arithmetic, or of
+    returning the field of the equal int."""
+    CycloField(2)
+    with pytest.raises(TypeError, match=re.escape(
+            f"the cyclotomic order m must be an int, not {m!r}")):
+        CycloField(m)
+
+
+@pytest.mark.parametrize("den", [0, -5])
+def test_cos_pi_multiple_refuses_a_non_positive_denominator(den):
+    """cos(pi num / den) needs den > 0: den = 0 raised ZeroDivisionError."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"cos(pi*1/{den}) needs a positive denominator")):
+        CycloField(10).cos_pi_multiple(1, den)
 
 
 RATIO_TAKERS = {
