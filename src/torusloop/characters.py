@@ -109,23 +109,25 @@ class TauPoint:
 
 
 def theta_series(j: Fraction, n: int, z: int, cutoff: Fraction) -> QSeries:
-    """Theta-like sum sum_k z^k q^{(j + 2kn)^2/4n} truncated at `cutoff`."""
+    """Theta-like sum sum_k z^k q^{(j + 2kn)^2/4n} truncated at `cutoff`.
+
+    With j = a/b the exponents are the integers (a + 2knb)^2 over 4 n b^2.
+    """
     if z not in (1, -1):
         raise ValueError("z must be +1 or -1")
     j, cutoff = exact(j, "label"), exact(cutoff, "cutoff")
     terms: dict = {}
     if cutoff < 0:
         return QSeries(terms, cutoff)
-    # (j + 2kn)^2 <= 4n*cutoff bounds the summation index exactly
-    reach = math.isqrt(int(4 * n * cutoff)) + 1
-    k_lo = math.floor((-reach - j) / (2 * n)) - 1
-    k_hi = math.ceil((reach - j) / (2 * n)) + 1
-    for k in range(k_lo, k_hi + 1):
-        e = (j + 2 * k * n) ** 2 / Fraction(4 * n)
-        if e <= cutoff:
-            coeff = Fraction(-1 if (z == -1 and k % 2) else 1)
-            terms[e] = terms.get(e, Fraction(0)) + coeff
-    return QSeries({e: c for e, c in terms.items() if c}, cutoff)
+    a, b = j.numerator, j.denominator
+    den = 4 * n * b * b
+    # |a + 2knb| <= reach bounds the summation index exactly
+    reach = math.isqrt(math.floor(cutoff * den))
+    for k in range(-((reach + a) // (2 * n * b)), (reach - a) // (2 * n * b) + 1):
+        e = (a + 2 * k * n * b) ** 2
+        terms[e] = terms.get(e, 0) + (-1 if z == -1 and k % 2 else 1)
+    return QSeries._trusted({e: Fraction(c) for e, c in terms.items() if c},
+                            cutoff, cutoff, den)
 
 
 def u1_char(n: int, j, z: int, cutoff) -> QSeries:

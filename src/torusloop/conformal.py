@@ -20,10 +20,11 @@ delta_exp(R/den, S/den) = (p' R - p S)^2 / D with den a common denominator of
 the labels r and s, and D = 16 n for the u(1) character forms, whose doubled
 labels J = 2j give (J + 4kn)^2 / 16n.  The one kernel `_dress` takes those
 integer keys, reads their coefficients as integer coordinates over one
-denominator, dresses them with the eta factors and makes each exponent a
-Fraction and each coefficient a Fraction or a CycloNum once, at the end.
-`KacData.delta_exp` and `theta_series` remain the Fraction references the
-tests rebuild the forms from.
+denominator and dresses them with the eta factors.  The exponents stay
+integers all the way into the BiSeries, which stores them over one
+denominator; each coefficient becomes a Fraction or a CycloNum once, at the
+end.  `KacData.delta_exp` and `theta_series` remain the references the tests
+rebuild the forms from.
 """
 
 from __future__ import annotations
@@ -107,9 +108,10 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
     integer steps k L along each axis in turn.  Each coefficient is read as
     integer coordinates over one common denominator Q: one coordinate for a
     rational coefficient, field.degree for a cyclotomic one.  The integer
-    `_spread_swap` runs twice per coordinate, and at the end each output
-    exponent becomes the Fraction (A - L/24) / L once and each distinct
-    output coordinate vector v the Fraction v / Q or one CycloNum once.
+    `_spread_swap` runs twice per coordinate.  At the end each output key
+    (A, B) becomes the BiSeries key (A - L/24, B - L/24) over L, which the
+    BiSeries reduces to its least denominator, and each distinct output
+    coordinate vector v becomes the Fraction v / Q or one CycloNum once.
     Every key lies in the window by construction, so the BiSeries skips its
     per-term checks.
     """
@@ -134,7 +136,6 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
               for i in range(width)]
     shift = L // 24
     keys = dict.fromkeys(key for coordinate in spread for key in coordinate)
-    exps = {x: Fraction(x - shift, L) for ab in keys for x in ab}
     columns = [[coordinate.get(key, 0) for key in keys] for coordinate in spread]
     make = (lambda v: Fraction(v[0], Q)) if field is None else (lambda v: CycloNum(field, v, Q))
     built: dict = {}
@@ -144,8 +145,8 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
             c = built.get(v)
             if c is None:
                 c = built[v] = make(v)
-            terms[(exps[A], exps[B])] = c
-    return BiSeries._trusted(terms, cutoff, cutoff)
+            terms[(A - shift, B - shift)] = c
+    return BiSeries._trusted(terms, cutoff, cutoff, L)
 
 
 def _coordinates(c, field, width: int) -> tuple:

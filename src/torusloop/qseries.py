@@ -16,9 +16,20 @@ minimal exponents e_a, e_b that are exact through v_a, v_b is exact through
 was available.  Comparisons between series only look at exponents up to the
 smaller ``valid``.
 
-The contract has one implementation, `_Series`, over an exponent key: a
-Fraction for `QSeries`, a pair of Fractions for `BiSeries`.  Each class says
-only how to build a key from its exponents, read them back and add two keys.
+Exponents are integers over one denominator
+-------------------------------------------
+The contract has one implementation, `_Series`.  Its ``terms`` map integer
+keys to coefficients: an int x for `QSeries`, the term q^(x/den), and a pair
+(x, y) for `BiSeries`, the term q^(x/den) qbar^(y/den).  ``den`` is the
+least common denominator of the stored exponents (1 when there are none),
+so equal series have equal ``(terms, den)``.  Sums, products, comparisons,
+truncation, shifts and swaps work on ints: two series over different
+denominators are lifted to their lcm by one integer factor per key, and a
+key is in the window when its integers are <= floor(cutoff den).  The
+public constructor takes Fraction exponents; `coeff`, `min_exponent`,
+`sorted_terms`, `to_json_obj`, `evaluate` and ``repr`` read them back as
+Fractions.  Each class says only how to split a key into its integers, join
+them back and rescale the keys of a term dict.
 
 Coefficients are usually ``fractions.Fraction`` but any exact commutative
 ring element works (addition, multiplication, bool for zero-testing); the
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping
 
 _BIG = Fraction(10**9)  # stands in for "no constraint" when a factor is zero
@@ -52,40 +64,78 @@ def exact(value, what: str) -> Fraction:
     return Fraction(value)
 
 
+def _floor(x: Fraction, den: int) -> int:
+    """floor(x den): the largest key numerator over den at or below x."""
+    return x.numerator * den // x.denominator
+
+
 class _Series:
     """Truncated series sum_k c_k (nome monomial of k), every exponent <= cutoff.
 
-    A subclass names its nomes and defines the exponent key: `_key` builds a
-    normalised key from exponents, `_parts` reads them back in nome order and
-    `_add` adds two keys (the exponents of a product of monomials).
+    Keys are integer numerators over `den`.  A subclass names its nomes and
+    says how a key splits into one integer per nome (`_split`), how such
+    integers join back into a key (`_join`) and how every key of a term dict
+    is rescaled, x -> x mul // div (`_rescaled`).  Public exponent keys
+    (Fractions and pairs of them) split and join the same way.
     """
 
-    __slots__ = ("terms", "cutoff", "valid")
+    __slots__ = ("terms", "cutoff", "valid", "den")
     _nomes: tuple = ()
 
     def __init__(self, terms: Mapping, cutoff, valid=None):
         cutoff = exact(cutoff, "cutoff")
+        exps = [([exact(e, "exponent") for e in self._split(k)], c) for k, c in terms.items()]
+        den = math.lcm(*(e.denominator for es, _ in exps for e in es))
+        top = _floor(cutoff, den)
+        seen: set = set()
         clean = {}
-        for k, c in terms.items():
-            k = self._key(*self._parts(k))
-            if max(self._parts(k)) <= cutoff and c:
-                clean[k] = c
-        self.terms = clean
-        self.cutoff = cutoff
-        self.valid = cutoff if valid is None else min(exact(valid, "order"), cutoff)
+        for es, c in exps:
+            key = self._join([e.numerator * (den // e.denominator) for e in es])
+            if key in seen:
+                raise ValueError(f"two keys name the exponents "
+                                 f"({', '.join(map(str, es))})")
+            seen.add(key)
+            if c and max(self._split(key)) <= top:
+                clean[key] = c
+        self._adopt(clean, cutoff,
+                    cutoff if valid is None else min(exact(valid, "order"), cutoff), den)
 
     @classmethod
-    def _trusted(cls, terms: dict, cutoff: Fraction, valid: Fraction):
-        """Adopt terms already known to be clean, skipping the per-term checks.
+    def _trusted(cls, terms: dict, cutoff: Fraction, valid: Fraction, den: int):
+        """Adopt integer keys over den that are already clean, skipping the
+        per-term checks.
 
-        Every key must be a normalised key with all exponents <= cutoff, no
+        Every key must have all its integers <= floor(cutoff den), no
         coefficient may be zero, and valid <= cutoff must be a Fraction.
+        den need not be the least one: it is reduced here.
         """
         out = object.__new__(cls)
-        out.terms = terms
-        out.cutoff = cutoff
-        out.valid = valid
+        out._adopt(terms, cutoff, valid, den)
         return out
+
+    def _adopt(self, terms: dict, cutoff: Fraction, valid: Fraction, den: int):
+        """Set the slots, dividing keys and den by their common factor."""
+        if den > 1:
+            g = math.gcd(den, *chain.from_iterable(map(self._split, terms)))
+            if g > 1:
+                terms = self._rescaled(terms, 1, g)
+                den //= g
+        self.terms = terms
+        self.cutoff = cutoff
+        self.valid = valid
+        self.den = den
+
+    def _common(self, other) -> tuple:
+        """(den, terms of self, terms of other), both over one den: the lcm."""
+        if self.den == other.den:
+            return self.den, self.terms, other.terms
+        den = math.lcm(self.den, other.den)
+        return (den, self._rescaled(self.terms, den // self.den, 1),
+                self._rescaled(other.terms, den // other.den, 1))
+
+    def _exponents(self, key) -> list:
+        """The Fraction exponents of an integer key, in nome order."""
+        return [Fraction(x, self.den) for x in self._split(key)]
 
     # -- constructors ------------------------------------------------------
 
@@ -95,18 +145,27 @@ class _Series:
 
     @classmethod
     def one(cls, cutoff):
-        return cls({cls._key(*(0,) * len(cls._nomes)): Fraction(1)}, cutoff)
+        return cls({cls._join([0] * len(cls._nomes)): Fraction(1)}, cutoff)
 
     # -- inspection --------------------------------------------------------
 
     def coeff(self, *exponents):
-        return self.terms.get(self._key(*exponents), Fraction(0))
+        """The coefficient at the given exponents; 0 off the stored lattice."""
+        if len(exponents) != len(self._nomes):
+            raise TypeError(f"{type(self).__name__}.coeff takes one exponent per nome")
+        xs = []
+        for e in exponents:
+            e = exact(e, "exponent")
+            if self.den % e.denominator:
+                return Fraction(0)
+            xs.append(e.numerator * (self.den // e.denominator))
+        return self.terms.get(self._join(xs), Fraction(0))
 
     def min_exponent(self) -> Fraction:
         """The smallest exponent of any stored term in any nome."""
         if not self.terms:
             return _BIG
-        return min(min(self._parts(k)) for k in self.terms)
+        return Fraction(min(min(self._split(k)) for k in self.terms), self.den)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -114,18 +173,21 @@ class _Series:
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self.terms == other.terms and self.cutoff == other.cutoff
+        return (self.den == other.den and self.terms == other.terms
+                and self.cutoff == other.cutoff)
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.cutoff))
+        return hash((frozenset(self.terms.items()), self.den, self.cutoff))
 
     def matches(self, other) -> bool:
         """Exact equality of all terms up to the smaller guaranteed order."""
         if self.valid == self.cutoff == other.valid == other.cutoff:
-            return self.terms == other.terms  # no stored term lies above the bound
-        bound = min(self.valid, other.valid)
-        a, b = ({k: c for k, c in s.terms.items() if max(s._parts(k)) <= bound}
-                for s in (self, other))
+            # no stored term lies above the bound, and both dens are least
+            return self.den == other.den and self.terms == other.terms
+        den, a, b = self._common(other)
+        bound = _floor(min(self.valid, other.valid), den)
+        split = self._split
+        a, b = ({k: c for k, c in t.items() if max(split(k)) <= bound} for t in (a, b))
         return a == b
 
     # -- arithmetic --------------------------------------------------------
@@ -137,25 +199,26 @@ class _Series:
 
     def __add__(self, other):
         self._check_cutoff(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
+        den, a, b = self._common(other)
+        terms = dict(a)
+        for k, c in b.items():
             s = terms.get(k, 0) + c
             if s:
                 terms[k] = s
             else:
                 terms.pop(k, None)
-        return type(self)(terms, self.cutoff, min(self.valid, other.valid))
+        return self._trusted(terms, self.cutoff, min(self.valid, other.valid), den)
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()},
-                          self.cutoff, self.valid)
+        return self._trusted({k: -c for k, c in self.terms.items()},
+                             self.cutoff, self.valid, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, factor):
-        return type(self)({k: factor * c for k, c in self.terms.items()},
-                          self.cutoff, self.valid)
+        terms = {k: s for k, c in self.terms.items() if (s := factor * c)}
+        return self._trusted(terms, self.cutoff, self.valid, self.den)
 
     def __mul__(self, other):
         self._check_cutoff(other)
@@ -163,25 +226,32 @@ class _Series:
         valid = min(self.valid + other.min_exponent(),
                     other.valid + self.min_exponent(),
                     cutoff)
-        add, parts = self._add, self._parts
+        den, a, b = self._common(other)
+        top = _floor(cutoff, den)
+        split, join = self._split, self._join
+        b = [(split(k), c) for k, c in b.items()]
         terms: dict = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = add(ka, kb)
-                if max(parts(k)) > cutoff:
+        for ka, ca in a.items():
+            xa = split(ka)
+            for xb, cb in b:
+                xs = [x + y for x, y in zip(xa, xb)]
+                if max(xs) > top:
                     continue
+                k = join(xs)
                 s = terms.get(k, 0) + ca * cb
                 if s:
                     terms[k] = s
                 else:
                     terms.pop(k, None)
-        return type(self)(terms, cutoff, valid)
+        return self._trusted(terms, cutoff, valid, den)
 
     def truncate(self, cutoff):
         cutoff = exact(cutoff, "cutoff")
         if cutoff > self.cutoff:
             raise CutoffMismatchError("cannot extend a truncated series")
-        return type(self)(self.terms, cutoff, min(self.valid, cutoff))
+        top = _floor(cutoff, self.den)
+        terms = {k: c for k, c in self.terms.items() if max(self._split(k)) <= top}
+        return self._trusted(terms, cutoff, min(self.valid, cutoff), self.den)
 
     # -- numerics / io -----------------------------------------------------
 
@@ -190,19 +260,21 @@ class _Series:
         if len(nomes) != len(self._nomes):
             raise TypeError(f"{type(self).__name__}.evaluate takes the nomes "
                             f"{', '.join(self._nomes)}")
-        return sum(complex(c) * math.prod(x ** float(e) for x, e in zip(nomes, self._parts(k)))
+        return sum(complex(c) * math.prod(x ** float(e)
+                                          for x, e in zip(nomes, self._exponents(k)))
                    for k, c in self.terms.items())
 
     def sorted_terms(self) -> list:
-        return sorted(self.terms.items())
+        """(Fraction exponent key, coefficient) pairs in increasing key order."""
+        return [(self._join(self._exponents(k)), c) for k, c in sorted(self.terms.items())]
 
     def to_json_obj(self) -> list:
-        return [{**{f"{n}exp": _frac_str(e) for n, e in zip(self._nomes, self._parts(k))},
-                 "coeff": _frac_str(c)}
+        return [{**{f"{n}exp": _frac_str(e) for n, e in zip(self._nomes, self._split(k))},
+                 "coeff": _coeff_json(c)}
                 for k, c in self.sorted_terms()]
 
     def __repr__(self):
-        parts = ["*".join([str(c)] + [f"{n}^({e})" for n, e in zip(self._nomes, self._parts(k))])
+        parts = ["*".join([str(c)] + [f"{n}^({e})" for n, e in zip(self._nomes, self._split(k))])
                  for k, c in self.sorted_terms()[:6]]
         more = " + ..." if len(self.terms) > 6 else ""
         return (f"{type(self).__name__}({' + '.join(parts) or '0'}{more}; "
@@ -210,51 +282,57 @@ class _Series:
 
 
 class QSeries(_Series):
-    """Truncated series sum_e c_e q^e with rational exponents e <= cutoff."""
+    """Truncated series sum_e c_e q^e with rational exponents e <= cutoff.
+
+    A key is one integer x, the exponent x/den.
+    """
 
     __slots__ = ()
     _nomes = ("q",)
 
     @staticmethod
-    def _key(e) -> Fraction:
-        return exact(e, "exponent")
+    def _split(key) -> tuple:
+        return (key,)
 
     @staticmethod
-    def _parts(e) -> tuple:
-        return (e,)
+    def _join(xs):
+        return xs[0]
 
     @staticmethod
-    def _add(x: Fraction, y: Fraction) -> Fraction:
-        return x + y
+    def _rescaled(terms: dict, mul: int, div: int) -> dict:
+        return {x * mul // div: c for x, c in terms.items()}
 
     def shift(self, delta) -> "QSeries":
         """Multiply by the monomial q^delta (cutoff unchanged)."""
         delta = exact(delta, "exponent")
-        return QSeries({e + delta: c for e, c in self.terms.items()},
-                       self.cutoff, min(self.valid + delta, self.cutoff))
+        den = math.lcm(self.den, delta.denominator)
+        lift, step = den // self.den, delta.numerator * (den // delta.denominator)
+        top = _floor(self.cutoff, den)
+        terms = {x: c for k, c in self.terms.items() if (x := k * lift + step) <= top}
+        return QSeries._trusted(terms, self.cutoff, min(self.valid + delta, self.cutoff), den)
 
 
 class BiSeries(_Series):
     """Truncated bivariate series sum c_{a,b} q^a qbar^b, both exponents <= cutoff.
 
-    Keys are the pairs (a, b); the truncation window is the square
-    a <= cutoff and b <= cutoff.
+    A key is the integer pair (x, y), the exponents (x/den, y/den); the
+    truncation window is the square a <= cutoff and b <= cutoff.
     """
 
     __slots__ = ()
     _nomes = ("q", "qbar")
 
     @staticmethod
-    def _key(a, b) -> tuple:
-        return (exact(a, "exponent"), exact(b, "exponent"))
-
-    @staticmethod
-    def _parts(key) -> tuple:
+    def _split(key) -> tuple:
         return key
 
     @staticmethod
-    def _add(x: tuple, y: tuple) -> tuple:
-        return (x[0] + y[0], x[1] + y[1])
+    def _join(xs) -> tuple:
+        return tuple(xs)
+
+    @staticmethod
+    def _rescaled(terms: dict, mul: int, div: int) -> dict:
+        return {(x * mul // div, y * mul // div): c for (x, y), c in terms.items()}
 
     @classmethod
     def from_product(cls, left: QSeries, right: QSeries, cutoff=None) -> "BiSeries":
@@ -263,23 +341,18 @@ class BiSeries(_Series):
             if left.cutoff != right.cutoff:
                 raise CutoffMismatchError("cutoff mismatch in outer product")
             cutoff = left.cutoff
-        terms: dict = {}
         cutoff = exact(cutoff, "cutoff")
-        for ea, ca in left.terms.items():
-            if ea > cutoff:
-                continue
-            for eb, cb in right.terms.items():
-                if eb > cutoff:
-                    continue
-                c = ca * cb
-                if c:
-                    terms[(ea, eb)] = terms.get((ea, eb), 0) + c
-        return cls(terms, cutoff, min(left.valid, right.valid, cutoff))
+        den, a, b = left._common(right)
+        top = _floor(cutoff, den)
+        b = [(y, cb) for y, cb in b.items() if y <= top]
+        terms = {(x, y): c for x, ca in a.items() if x <= top
+                 for y, cb in b if (c := ca * cb)}
+        return cls._trusted(terms, cutoff, min(left.valid, right.valid, cutoff), den)
 
     def swap(self) -> "BiSeries":
         """Exchange q and qbar."""
-        return BiSeries._trusted({(b, a): c for (a, b), c in self.terms.items()},
-                                 self.cutoff, self.valid)
+        return BiSeries._trusted({(y, x): c for (x, y), c in self.terms.items()},
+                                 self.cutoff, self.valid, self.den)
 
 
 def _frac_str(x) -> str:
@@ -287,22 +360,32 @@ def _frac_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _coeff_json(c):
+    """A rational coefficient as "n/d"; a cyclotomic one as its field order
+    m and its coefficients of 1, zeta_m, ..., each as "n/d"."""
+    field = getattr(c, "field", None)
+    if field is None:
+        return _frac_str(c)
+    return {"m": field.m, "coeffs": [_frac_str(x) for x in c.coeffs]}
+
+
 def euler_product(cutoff) -> QSeries:
     """(q)_inf = prod_{n>=1} (1 - q^n), by Euler's pentagonal number theorem."""
     cutoff = exact(cutoff, "cutoff")
+    top = math.floor(cutoff)
     terms = {}
     k = 0
     while True:
         placed = False
         for kk in ((k, -k) if k else (0,)):
-            e = Fraction(kk * (3 * kk - 1), 2)
-            if e <= cutoff:
+            e = kk * (3 * kk - 1) // 2
+            if e <= top:
                 terms[e] = Fraction((-1) ** (kk % 2))
                 placed = True
         if not placed and k > 0:
             break
         k += 1
-    return QSeries(terms, cutoff)
+    return QSeries._trusted(terms, cutoff, cutoff, 1)
 
 
 def euler_inverse(cutoff) -> QSeries:
@@ -310,13 +393,13 @@ def euler_inverse(cutoff) -> QSeries:
     cutoff = exact(cutoff, "cutoff")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    nmax = int(cutoff)
+    nmax = math.floor(cutoff)
     p = [0] * (nmax + 1)
     p[0] = 1
     for part in range(1, nmax + 1):
         for n in range(part, nmax + 1):
             p[n] += p[n - part]
-    return QSeries({Fraction(n): Fraction(p[n]) for n in range(nmax + 1)}, cutoff)
+    return QSeries._trusted({n: Fraction(p[n]) for n in range(nmax + 1)}, cutoff, cutoff, 1)
 
 
 def dedekind_eta(cutoff) -> QSeries:
@@ -330,5 +413,4 @@ def dedekind_eta(cutoff) -> QSeries:
 def eta_inverse(cutoff) -> QSeries:
     """1/eta(q) = q^{-1/24} / (q)_inf, exact through `cutoff`."""
     cutoff = exact(cutoff, "cutoff")
-    inv = euler_inverse(cutoff + Fraction(1, 24))
-    return QSeries(inv.shift(Fraction(-1, 24)).terms, cutoff)
+    return euler_inverse(cutoff + Fraction(1, 24)).shift(Fraction(-1, 24)).truncate(cutoff)

@@ -1,6 +1,7 @@
 """Exact series layer: multiplication contract, Euler products, eta."""
 
 import cmath
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -59,15 +60,15 @@ def test_mul_polynomial_identity():
         a = series(cls, key, {0: 1, 1: 1}, cutoff)   # 1 + q
         b = series(cls, key, {0: 1, 1: -1}, cutoff)  # 1 - q
         prod = a * b
-        assert prod.terms == {key(F(0)): F(1), key(F(2)): F(-1)}
+        assert dict(prod.sorted_terms()) == {key(F(0)): F(1), key(F(2)): F(-1)}
 
 
 def test_mul_identity_element():
     for cls, key in KINDS:
         a = series(cls, key, {F(1, 2): 3, 2: F(-7, 3)}, F(4))
         one = cls.one(F(4))
-        assert one.terms == {key(F(0)): F(1)}
-        assert (a * one).terms == a.terms
+        assert dict(one.sorted_terms()) == {key(F(0)): F(1)}
+        assert (a * one).sorted_terms() == a.sorted_terms()
 
 
 def test_mul_cutoff_mismatch():
@@ -87,13 +88,13 @@ def test_euler_inverse_partition_numbers(n, expected):
 
 
 def test_euler_inverse_cutoff_zero():
-    assert euler_inverse(F(0)).terms == {F(0): F(1)}
+    assert dict(euler_inverse(F(0)).sorted_terms()) == {F(0): F(1)}
 
 
 def test_euler_inverse_times_product_is_one():
     K = F(20)
     prod = euler_inverse(K) * euler_product(K)
-    assert prod.terms == {F(0): F(1)}
+    assert dict(prod.sorted_terms()) == {F(0): F(1)}
 
 
 def test_euler_product_against_direct_multiplication():
@@ -102,7 +103,7 @@ def test_euler_product_against_direct_multiplication():
     factors = [{0: F(1), n: F(-1)} for n in range(1, order + 1)]
     direct = poly_product(factors, order)
     pent = euler_product(F(order))
-    assert {int(e): c for e, c in pent.terms.items()} == direct
+    assert {int(e): c for e, c in pent.sorted_terms()} == direct
 
 
 def test_dedekind_eta_leading_and_low_orders():
@@ -118,10 +119,10 @@ def test_dedekind_eta_leading_and_low_orders():
 
 def test_eta_inverse_matches_series_inverse():
     K = F(6)
-    prod = eta_inverse(K) * QSeries(dedekind_eta(K + 1).terms, K)
+    prod = eta_inverse(K) * QSeries(dict(dedekind_eta(K + 1).sorted_terms()), K)
     # valid order shrinks by the eta-inverse pole at -1/24
     assert prod.coeff(F(0)) == F(1)
-    for e, c in prod.terms.items():
+    for e, c in prod.sorted_terms():
         if e != 0 and e <= prod.valid:
             assert c == 0
 
@@ -135,17 +136,17 @@ def test_valid_order_tracking_with_negative_exponents():
         # exact only through K - 1/2: the q^{4} term of b paired with any term
         # of a beyond the window could be missing
         assert prod.valid == K - F(1, 2)
-        assert prod.terms[key(F(7, 2))] == F(1)
+        assert dict(prod.sorted_terms())[key(F(7, 2))] == F(1)
 
 
 def test_shift_and_truncate():
     a = QSeries({F(0): F(1), F(3): F(2)}, F(4))
     shifted = a.shift(F(2))
-    assert shifted.terms == {F(2): F(1)}  # 3+2 exceeds the cutoff
+    assert dict(shifted.sorted_terms()) == {F(2): F(1)}  # 3+2 exceeds the cutoff
     for cls, key in KINDS:
         a = series(cls, key, {0: 1, 3: 2}, F(4), valid=3)
         tr = a.truncate(F(2))
-        assert tr.terms == {key(F(0)): F(1)}
+        assert dict(tr.sorted_terms()) == {key(F(0)): F(1)}
         assert (tr.cutoff, tr.valid) == (2, 2)
         assert a.truncate(F(7, 2)).valid == 3
         with pytest.raises(CutoffMismatchError):
@@ -158,7 +159,7 @@ def test_add_cancels_terms(cls, key):
     a = series(cls, key, {0: 1, 1: 2}, K, valid=3)
     b = series(cls, key, {1: -2, 2: 3}, K)
     total = a + b
-    assert total.terms == {key(F(0)): F(1), key(F(2)): F(3)}
+    assert dict(total.sorted_terms()) == {key(F(0)): F(1), key(F(2)): F(3)}
     assert total.valid == 3
     assert not a + (-a)
 
@@ -168,14 +169,14 @@ def test_neg_sub_and_scale(cls, key):
     K = F(4)
     a = series(cls, key, {0: 1, F(1, 2): -3}, K, valid=2)
     b = series(cls, key, {F(1, 2): 1, 3: 5}, K)
-    assert (-a).terms == {key(F(0)): F(-1), key(F(1, 2)): F(3)}
+    assert dict((-a).sorted_terms()) == {key(F(0)): F(-1), key(F(1, 2)): F(3)}
     assert (-a).valid == 2
     diff = a - b
-    assert diff.terms == {key(F(0)): F(1), key(F(1, 2)): F(-4), key(F(3)): F(-5)}
+    assert dict(diff.sorted_terms()) == {key(F(0)): F(1), key(F(1, 2)): F(-4), key(F(3)): F(-5)}
     assert diff.valid == 2
     assert not a - a
     scaled = a.scale(F(2, 3))
-    assert scaled.terms == {key(F(0)): F(2, 3), key(F(1, 2)): F(-2)}
+    assert dict(scaled.sorted_terms()) == {key(F(0)): F(2, 3), key(F(1, 2)): F(-2)}
     assert scaled.valid == 2
     assert not a.scale(0)
 
@@ -199,6 +200,13 @@ def test_evaluate_takes_one_value_per_nome():
         QSeries.one(F(2)).evaluate(q, qbar)
 
 
+def test_coeff_takes_one_exponent_per_nome():
+    with pytest.raises(TypeError):
+        QSeries.one(F(2)).coeff(0, 0)
+    with pytest.raises(TypeError):
+        BiSeries.one(F(2)).coeff(0)
+
+
 small_polys = st.dictionaries(
     st.integers(min_value=0, max_value=4).map(F),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -212,8 +220,8 @@ def test_mul_commutative_associative(ta, tb, tc):
     K = F(8)
     for cls, key in KINDS:
         a, b, c = (series(cls, key, t, K) for t in (ta, tb, tc))
-        assert (a * b).terms == (b * a).terms
-        assert ((a * b) * c).terms == (a * (b * c)).terms
+        assert (a * b).sorted_terms() == (b * a).sorted_terms()
+        assert ((a * b) * c).sorted_terms() == (a * (b * c)).sorted_terms()
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,7 +235,7 @@ def test_mul_matches_brute_convolution(ta, tb):
     brute = {e: c for e, c in brute.items() if c and e <= K}
     for cls, key in KINDS:
         prod = series(cls, key, ta, K) * series(cls, key, tb, K)
-        assert prod.terms == {key(e): c for e, c in brute.items()}
+        assert dict(prod.sorted_terms()) == {key(e): c for e, c in brute.items()}
 
 
 def test_biseries_product_and_swap():
@@ -245,7 +253,7 @@ def test_biseries_window_truncation():
     K = F(2)
     bi = BiSeries({(F(1), F(5)): F(1), (F(1), F(2)): F(3)}, K)
     # the (1,5) term falls outside the square window
-    assert bi.terms == {(F(1), F(2)): F(3)}
+    assert dict(bi.sorted_terms()) == {(F(1), F(2)): F(3)}
 
 
 def _partly_valid(cls, key, K, tail):
@@ -266,10 +274,11 @@ def test_matches_compares_through_smaller_valid(cls, key):
     assert not a.matches(_partly_valid(cls, key, K, F(1)))
     assert not a.matches(cls({key(F(1, 2)): F(2), key(K - 1): F(5)}, K, valid=1))
     # fully valid with equal terms: a match, and unequal terms anywhere: none
-    full = cls(a.terms, K)
+    terms = dict(a.sorted_terms())
+    full = cls(terms, K)
     assert full.valid == full.cutoff
-    assert full.matches(cls(dict(a.terms), K))
-    assert not full.matches(cls({**a.terms, key(K): F(1)}, K))
+    assert full.matches(cls(dict(terms), K))
+    assert not full.matches(cls({**terms, key(K): F(1)}, K))
 
 
 def test_json_serialization_sorted_exact():
@@ -281,6 +290,30 @@ def test_json_serialization_sorted_exact():
     ]
     assert QSeries({F(1, 2): F(-3, 7)}, F(2)).to_json_obj() == [
         {"qexp": "1/2", "coeff": "-3/7"}]
+
+
+def test_cyclotomic_coefficients_serialize_to_json():
+    """A cyclotomic coefficient is written as its field order and its
+    coefficients as "n/d" strings, which read back exactly."""
+    from torusloop.conformal import full_Z_series
+
+    full = full_Z_series(1, 2, F(2, 5), 1)
+    obj = json.loads(json.dumps(full.to_json_obj()))
+    assert len(obj) == len(full.terms)
+    for row, ((a, b), c) in zip(obj, full.sorted_terms()):
+        assert (F(row["qexp"]), F(row["qbarexp"])) == (a, b)
+        assert row["coeff"]["m"] == c.field.m == 10
+        assert tuple(F(x) for x in row["coeff"]["coeffs"]) == c.coeffs
+
+
+@pytest.mark.parametrize("cls, keys", [
+    (QSeries, ("1/2", F(1, 2))),
+    (QSeries, (1, "2/2")),
+    (BiSeries, ((F(1, 2), 0), ("1/2", F(0)))),
+])
+def test_two_keys_naming_one_exponent_are_refused(cls, keys):
+    with pytest.raises(ValueError, match="two keys"):
+        cls({keys[0]: F(1), keys[1]: F(2)}, F(2))
 
 
 def test_rerun_bit_identical():

@@ -64,6 +64,6 @@ def test_dense_trace_fourier_gives_projected_gaussian(eps, d, j):
 def test_exact_series_sums_to_gaussian_sectors(hv):
     s = Z_hv_direct(2, 3, hv[0], hv[1], F(26))
     val = sum(float(c) * (TAU.q_power(float(a)) * TAU.qbar_power(float(b))).real
-              for (a, b), c in s.terms.items())
+              for (a, b), c in s.sorted_terms())
     gauss = conformal_Z_numeric(F(2, 3), 2.0, hv[0], hv[1], TAU)
     assert abs(val - gauss) < 1e-8 * max(1.0, abs(gauss))

@@ -254,7 +254,7 @@ def test_exponent_denominators_bounded():
         z = Z_hv_direct(p, pq, 1, 1, F(5))
         bound = 24 * 4 * n
         lcm = 1
-        for (a, b) in z.terms:
+        for (a, b), _ in z.sorted_terms():
             for x in (a, b):
                 lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
         assert lcm <= bound
@@ -314,7 +314,7 @@ def test_series_lattice_sums_are_range_stable():
             theta[key] = theta.get(key, F(0)) + (-1 if (v and r % 2) else 1)
     brute = (_double_eta_inverse(work)
              * BiSeries({k: c for k, c in theta.items() if c}, work)).truncate(K)
-    assert Z_hv_direct(p, pq, h, v, K).terms == brute.terms
+    assert Z_hv_direct(p, pq, h, v, K).sorted_terms() == brute.sorted_terms()
 
 
 # e0 and g0 over denominators 1, 5 and 7, negative and above 1.  The cutoffs
@@ -357,7 +357,7 @@ def test_verma_series_matches_delta_exp_reference(kind, eps, g0, K):
             sign = -1 if kind == "dense" and eps and ell % 2 else 1
             _add(theta, (kac.delta_exp(r, F(d, 2)), kac.delta_exp(r, F(-d, 2))), F(sign))
         series = verma_trace_series(kind, p, pq, d, g0, eps, K)
-        assert series.terms == _brute_dress(theta, K).terms
+        assert series.sorted_terms() == _brute_dress(theta, K).sorted_terms()
         assert series.valid == series.cutoff == K
 
 
@@ -383,7 +383,7 @@ def test_full_series_matches_delta_exp_reference(e0, K):
             r = F(2 * t, d)
             _add(theta, (kac.delta_exp(r, F(d, 2)), kac.delta_exp(r, F(-d, 2))), weights[t % d])
     series = full_Z_series(p, pq, e0, K)
-    assert series.terms == _brute_dress(theta, K).terms
+    assert series.sorted_terms() == _brute_dress(theta, K).sorted_terms()
     assert series.valid == series.cutoff == K
 
 
@@ -412,7 +412,7 @@ def test_on_series_matches_delta_exp_reference(e0, K):
                     r = F(2 * Pn, N)
                     _add(theta, (kac.delta_exp(r, F(-M, 2)), kac.delta_exp(r, F(M, 2))), lam)
     series = on_series(g, e0, K)
-    assert series.terms == _brute_dress(theta, K).terms
+    assert series.sorted_terms() == _brute_dress(theta, K).sorted_terms()
     assert series.valid == series.cutoff == K
 
 
