@@ -9,6 +9,9 @@ They satisfy periodicity and folding relations in j (period 2n at z = +1 and
 4n at z = -1, reflections at n and 2n) and the Z_2 intertwining with the
 level-4n characters; all of these are exercised in the test-suite and the
 acceptance run.
+
+Every float theta sum goes through `TauPoint.nome_sum`, which reads tau, never
+a nome, and keeps the terms within `tail_order` of the sum's leading term.
 """
 
 from __future__ import annotations
@@ -19,10 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .model import ModelSpec, check_pair, check_ratio
+import numpy as np
+
+from .model import ModelSpec, check_character, check_pair, check_ratio
 from .qseries import QSeries, eta_inverse, exact
 
-# every numeric sum drops the terms whose size falls below this, relative to 1
+# every numeric sum drops the terms whose size falls below this, relative to
+# the sum's leading term
 NUMERIC_TAIL = 1e-18
 
 
@@ -59,10 +65,7 @@ def delta_from_ratio(g: Fraction, r, s) -> Fraction:
 
 @dataclass(frozen=True)
 class TauPoint:
-    """A modular parameter with its nome pair.
-
-    q = exp(2 pi i tau) and qbar = exp(-2 pi i conj(tau)); Im tau > 0.
-    """
+    """A modular parameter tau, Im tau > 0, with q = exp(2 pi i tau) and qbar = conj(q)."""
 
     tau: complex
 
@@ -82,23 +85,17 @@ class TauPoint:
             theta /= 3.0
         return cls(-delta * cmath.exp(-1j * theta))
 
-    @property
-    def q(self) -> complex:
-        return cmath.exp(2j * math.pi * self.tau)
-
-    @property
-    def qbar(self) -> complex:
-        return cmath.exp(-2j * math.pi * self.tau.conjugate())
-
-    def q_power(self, x: float) -> complex:
-        return cmath.exp(2j * math.pi * self.tau * float(x))
-
-    def qbar_power(self, x: float) -> complex:
-        return cmath.exp(-2j * math.pi * self.tau.conjugate() * float(x))
+    def nome_sum(self, a, b, w) -> complex:
+        """sum w q^a qbar^b over real exponents a, b and weights w that broadcast,
+        each term exp(2 pi i (tau a - conj(tau) b)): no nome power, so no branch."""
+        c = 2j * math.pi * self.tau
+        exps = c * np.asarray(a, dtype=float) + c.conjugate() * np.asarray(b, dtype=float)
+        return complex(np.sum(np.asarray(w) * np.exp(exps)))
 
     @property
     def tail_order(self) -> float:
-        """The x beyond which |q|^x = |qbar|^x = e^{-2 pi x Im tau} < NUMERIC_TAIL."""
+        """The x beyond which e^{-2 pi x Im tau} < NUMERIC_TAIL: a numeric sum keeps
+        the terms q^a qbar^b whose a + b is within x of its leading term's."""
         return -math.log(NUMERIC_TAIL) / (2 * math.pi * self.tau.imag)
 
     def shift(self) -> "TauPoint":
@@ -113,8 +110,7 @@ def theta_series(j: Fraction, n: int, z: int, cutoff: Fraction) -> QSeries:
 
     With j = a/b the exponents are the integers (a + 2knb)^2 over 4 n b^2.
     """
-    if z not in (1, -1):
-        raise ValueError("z must be +1 or -1")
+    check_character(n, z)
     j, cutoff = exact(j, "label"), exact(cutoff, "cutoff")
     terms: dict = {}
     if cutoff < 0:
@@ -148,30 +144,24 @@ def u1_char(n: int, j, z: int, cutoff) -> QSeries:
 
 
 def u1_char_numeric(n: int, j, z: int, tau: TauPoint) -> complex:
-    """kappa^n_j(z, q) evaluated at the nome q of `tau`."""
+    """kappa^n_j(z, q) at `tau`: the terms z^k q^{(j + 2kn)^2/4n}, the leading
+    one at |j + 2kn| = min(j mod 2n, 2n - j mod 2n), as one `nome_sum`."""
+    check_character(n, z)
     j = float(j)
-    # terms q^x with x beyond tau.tail_order fall below NUMERIC_TAIL
-    reach = math.sqrt(tau.tail_order * 4 * n)
-    k_lo = math.floor((-reach - j) / (2 * n)) - 1
-    k_hi = math.ceil((reach - j) / (2 * n)) + 1
-    total = 0.0 + 0.0j
-    for k in range(k_lo, k_hi + 1):
-        sign = -1.0 if (z == -1 and k % 2) else 1.0
-        total += sign * tau.q_power((j + 2 * k * n) ** 2 / (4 * n))
+    r = j % (2 * n)
+    reach = math.sqrt(min(r, 2 * n - r) ** 2 + 4 * n * tau.tail_order)
+    k = np.arange(math.ceil((-reach - j) / (2 * n)), math.floor((reach - j) / (2 * n)) + 1)
+    signs = np.where(k % 2, z, 1)
     # 1/(q^{1/24} (q)_inf) = 1/eta
-    return total / eta_numeric(tau, "q")
+    return tau.nome_sum((j + 2 * n * k) ** 2 / (4 * n), 0.0, signs) / eta_numeric(tau)
 
 
 @lru_cache(maxsize=512)
-def eta_numeric(tau: TauPoint, side: str = "q") -> complex:
-    power = tau.q_power if side == "q" else tau.qbar_power
-    out = power(Fraction(1, 24))
-    nmax = 1
-    while abs(power(nmax)) > NUMERIC_TAIL:
-        nmax += 1
-    for k in range(1, nmax + 1):
-        out *= 1 - power(k)
-    return out
+def eta_numeric(tau: TauPoint) -> complex:
+    """eta(tau) = q^{1/24} prod_{k >= 1} (1 - q^k), keeping the factors k <= tau.tail_order."""
+    c = 2j * math.pi * tau.tau
+    k = np.arange(1, math.floor(tau.tail_order) + 1)
+    return cmath.exp(c / 24) * complex(np.prod(1 - np.exp(c * k)))
 
 
 def level_weight(n: int, j: Fraction) -> Fraction:

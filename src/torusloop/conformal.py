@@ -10,8 +10,9 @@ and the full partition function compared against the O(n) form.
 
 All series are exact.  Floats appear only in the numeric layer: the Gaussian
 blocks Z_{m,m'}(g), evaluated on a whole integer grid at once; their sector
-sums, truncated where the Gaussian factor drops below NUMERIC_TAIL; the
-Poisson-dual Coulomb reference; and modular covariance at sampled tau.
+sums, truncated where the Gaussian factor drops below NUMERIC_TAIL relative to
+the sector's own point; the Poisson-dual Coulomb reference, one
+`TauPoint.nome_sum`; and modular covariance at sampled tau.
 
 Every exact series form collects its theta sum as integer exponent
 numerators over one denominator D that it knows before the sum starts:
@@ -205,10 +206,9 @@ def Zmm(g, m, mp, tau: TauPoint):
     check_ratio(g)
     g = float(g)
     ti = tau.tau.imag
-    etas = eta_numeric(tau, "q") * eta_numeric(tau, "qbar")
     w = m * tau.tau - mp
-    val = math.sqrt(g / ti) * np.exp(-math.pi * g * np.abs(w) ** 2 / ti) / etas
-    return _real_part(val)
+    val = math.sqrt(g / ti) * np.exp(-math.pi * g * np.abs(w) ** 2 / ti)
+    return _real_part(val / abs(eta_numeric(tau)) ** 2)
 
 
 def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float:
@@ -242,25 +242,25 @@ def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float
     return float(np.sum(cheb[k] * Zmm(g4, d, j, tau)))
 
 
-def coulomb_Z_hv(g, h: int, v: int, tau: TauPoint) -> complex:
-    """Generalized Coulomb partition function as a truncated double theta sum."""
+def coulomb_Z_hv(g, h: int, v: int, tau: TauPoint) -> float:
+    """Generalized Coulomb partition function (1/|eta|^2) sum_{r, s in Z + h/2}
+    (-1)^{vr} q^a qbar^b, a, b = (r/sqrt g -+ s sqrt g)^2/4, as one `nome_sum`.
+
+    a + b = (r^2/g + s^2 g)/2 is least, g h^2/8, at (r, s) = (0, h/2)."""
     check_sector((h, v))
     check_ratio(g)
     g = float(g)
-    etas = eta_numeric(tau, "q") * eta_numeric(tau, "qbar")
-    xmax = tau.tail_order
-    rmax = int(math.sqrt(xmax * 4 * g)) + 2
-    smax = int(math.sqrt(xmax * 4 / g)) + 2
-    total = 0.0 + 0.0j
-    for r in range(-rmax, rmax + 1):
-        for ss in range(-2 * smax, 2 * smax + 1):
-            s = ss + h / 2.0
-            a = (r / math.sqrt(g) - s * math.sqrt(g)) ** 2 / 4.0
-            b = (r / math.sqrt(g) + s * math.sqrt(g)) ** 2 / 4.0
-            if min(a, b) > xmax:
-                continue
-            total += (-1) ** (v * r) * tau.q_power(a) * tau.qbar_power(b)
-    return total / etas
+    top = 2 * (g * h * h / 8 + tau.tail_order)  # bound on r^2/g + s^2 g
+    rmax = math.floor(math.sqrt(top * g))
+    smax = math.sqrt(top / g)
+    s = h / 2 + np.arange(math.ceil(-smax - h / 2), math.floor(smax - h / 2) + 1)
+    r, s = np.meshgrid(np.arange(-rmax, rmax + 1), s, indexing="ij")
+    keep = r * r / g + s * s * g <= top
+    r, s = r[keep], s[keep]
+    a = (r / math.sqrt(g) - s * math.sqrt(g)) ** 2 / 4.0
+    b = (r / math.sqrt(g) + s * math.sqrt(g)) ** 2 / 4.0
+    total = tau.nome_sum(a, b, np.where(v * r % 2, -1, 1))
+    return _real_part(total / abs(eta_numeric(tau)) ** 2)
 
 
 MODULAR_S4 = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))

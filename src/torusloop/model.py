@@ -105,6 +105,14 @@ def check_ratio(g) -> None:
         raise ValueError(f"the ratio g = {g} must be positive")
 
 
+def check_character(n, z) -> None:
+    """Raise ValueError unless n is an int level >= 1 and z is +1 or -1: the
+    input rule of the affine u(1) characters kappa^n_j(z, q)."""
+    if type(n) is not int or n < 1 or z not in (1, -1):
+        raise ValueError(f"a u(1) character needs an int level n >= 1 and z = +1 or -1, "
+                         f"not n = {n!r}, z = {z!r}")
+
+
 @dataclass(frozen=True)
 class Weights:
     """A weighting of the configurations of one model kind.

@@ -27,9 +27,9 @@ truncation, shifts and swaps work on ints: two series over different
 denominators are lifted to their lcm by one integer factor per key, and a
 key is in the window when its integers are <= floor(cutoff den).  The
 public constructor takes Fraction exponents; `coeff`, `min_exponent`,
-`sorted_terms`, `to_json_obj`, `evaluate` and ``repr`` read them back as
-Fractions.  Each class says only how to split a key into its integers, join
-them back and rescale the keys of a term dict.
+`sorted_terms`, `to_json_obj` and ``repr`` read them back as Fractions, and
+`evaluate` as floats.  Each class says only how to split a key into its
+integers, join them back and rescale the keys of a term dict.
 
 Coefficients are usually ``fractions.Fraction`` but any exact commutative
 ring element works (addition, multiplication, bool for zero-testing); the
@@ -255,14 +255,12 @@ class _Series:
 
     # -- numerics / io -----------------------------------------------------
 
-    def evaluate(self, *nomes) -> complex:
-        """The series at numeric nome values, given in the order of `_nomes`."""
-        if len(nomes) != len(self._nomes):
-            raise TypeError(f"{type(self).__name__}.evaluate takes the nomes "
-                            f"{', '.join(self._nomes)}")
-        return sum(complex(c) * math.prod(x ** float(e)
-                                          for x, e in zip(nomes, self._exponents(k)))
-                   for k, c in self.terms.items())
+    def evaluate(self, tau) -> complex:
+        """The series at a modular point: anything with the `nome_sum` of a
+        `characters.TauPoint`.  A QSeries key (x,) is read as the pair (x, 0)."""
+        keys = [self._split(k) + (0,) for k in self.terms]
+        return tau.nome_sum([x[0] / self.den for x in keys], [x[1] / self.den for x in keys],
+                            [complex(c) for c in self.terms.values()])
 
     def sorted_terms(self) -> list:
         """(Fraction exponent key, coefficient) pairs in increasing key order."""
@@ -403,11 +401,11 @@ def euler_inverse(cutoff) -> QSeries:
 
 
 def dedekind_eta(cutoff) -> QSeries:
-    """eta(q) = q^{1/24} (q)_inf as an exact series."""
+    """eta(q) = q^{1/24} (q)_inf, exact through `cutoff`."""
     cutoff = exact(cutoff, "cutoff")
     if cutoff < Fraction(1, 24):
         raise ValueError("cutoff must be >= 1/24")
-    return euler_product(cutoff - Fraction(1, 24)).shift(Fraction(1, 24))
+    return euler_product(cutoff).shift(Fraction(1, 24))
 
 
 def eta_inverse(cutoff) -> QSeries:

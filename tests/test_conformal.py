@@ -258,11 +258,14 @@ def test_numeric_sums_past_nome_underflow():
         kappa = u1_char_numeric(3, 1, 1, tau)
         lead = math.exp(-2 * math.pi * tau.tau.imag * (F(1, 12) - F(1, 24)))
         assert math.isclose(abs(kappa), lead, rel_tol=1e-12)
-        a = conformal_Z_numeric(F(2, 3), 2.0, 0, 0, tau)
-        b = coulomb_Z_hv(F(2, 3), 0, 0, tau)
-        assert math.isfinite(a) and math.isfinite(abs(b))
-        assert abs(b.imag) < 1e-12 * abs(b)
-        assert math.isclose(a, b.real, rel_tol=1e-10)
+        # the h = 1 sectors lie a factor e^{-pi g tau_i / 4} below (0, 0), under a tail taken from 1
+        for g in (F(1, 2), F(2, 3), F(3, 4)):
+            for (h, v) in ALL_HV:
+                a = conformal_Z_numeric(g, 2.0, h, v, tau)
+                b = coulomb_Z_hv(g, h, v, tau)
+                assert math.isfinite(a) and math.isfinite(abs(b))
+                assert abs(b.imag) < 1e-12 * abs(b)
+                assert math.isclose(a, b.real, rel_tol=1e-10)
 
 
 def test_conformal_numeric_keeps_sectors_far_below_the_tail():

@@ -2,12 +2,14 @@
 
 import cmath
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torusloop.characters import TauPoint
 from torusloop.qseries import (
     BiSeries,
     CutoffMismatchError,
@@ -119,7 +121,7 @@ def test_dedekind_eta_leading_and_low_orders():
 
 def test_eta_inverse_matches_series_inverse():
     K = F(6)
-    prod = eta_inverse(K) * QSeries(dict(dedekind_eta(K + 1).sorted_terms()), K)
+    prod = eta_inverse(K) * dedekind_eta(K)
     # valid order shrinks by the eta-inverse pole at -1/24
     assert prod.coeff(F(0)) == F(1)
     for e, c in prod.sorted_terms():
@@ -190,14 +192,16 @@ def test_qseries_never_equals_biseries():
 
 
 def test_evaluate_takes_one_value_per_nome():
-    q, qbar = 0.5 + 0.1j, 0.25 - 0.2j
-    assert cmath.isclose(QSeries({F(1): F(3)}, F(2)).evaluate(q), 3 * q)
+    tau = TauPoint(complex(0.7, 0.4))
+    q = cmath.exp(2j * math.pi * tau.tau)
+    assert cmath.isclose(QSeries({F(1): F(3)}, F(2)).evaluate(tau), 3 * q)
     bi = BiSeries({(F(1), F(2)): F(3)}, F(2))
-    assert cmath.isclose(bi.evaluate(q, qbar), 3 * q * qbar ** 2)
+    assert cmath.isclose(bi.evaluate(tau), 3 * q * q.conjugate() ** 2)
+    # one modular point carries both nomes: a second value is refused
     with pytest.raises(TypeError):
-        bi.evaluate(q)
+        bi.evaluate(tau, tau)
     with pytest.raises(TypeError):
-        QSeries.one(F(2)).evaluate(q, qbar)
+        QSeries.one(F(2)).evaluate(q, q.conjugate())
 
 
 def test_coeff_takes_one_exponent_per_nome():

@@ -15,7 +15,7 @@ import torusloop
 from torusloop.arith import ImaginaryResidueError, gamma_v
 from torusloop.bezout import BezoutContext
 from torusloop.characters import (KacData, TauPoint, delta_from_ratio, level_weight,
-                                  theta_series, u1_char)
+                                  theta_series, u1_char, u1_char_numeric)
 from torusloop.conformal import (SesquiTerm, Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm,
                                  appendix_c_form, conformal_Z_numeric, coulomb_Z_hv,
                                  expand_terms, full_Z_series, on_series, verma_trace_series)
@@ -208,6 +208,25 @@ def test_ratio_outside_the_positive_rule_raises(name, g):
     of a ZeroDivisionError, a math domain error or a silent 0."""
     with pytest.raises(ValueError, match=re.escape(f"the ratio g = {g} must be positive")):
         RATIO_TAKERS[name](g)
+
+
+CHARACTER_TAKERS = {
+    "theta_series": lambda n, z: theta_series(F(1), n, z, F(2)),
+    "u1_char": lambda n, z: u1_char(n, 1, z, F(2)),
+    "u1_char_numeric": lambda n, z: u1_char_numeric(n, 1, z, TAU),
+}
+
+
+@pytest.mark.parametrize("n, z", [(0, 1), (-2, 1), (2.0, 1), (2, 5), (2, 0)])
+@pytest.mark.parametrize("name", sorted(CHARACTER_TAKERS))
+def test_character_outside_the_input_rule_raises(name, n, z):
+    """Every character refuses a level that is not an int >= 1 or a z other
+    than +1 and -1 with one ValueError, in place of reading z = 5 as +1, a
+    ZeroDivisionError or a math domain error."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"a u(1) character needs an int level n >= 1 and z = +1 or -1, "
+            f"not n = {n!r}, z = {z!r}")):
+        CHARACTER_TAKERS[name](n, z)
 
 
 def test_fugacity_is_an_argument():
