@@ -17,7 +17,7 @@ from .bezout import (BezoutContext, bezout_conjugator, bezout_table,
                      kac_table_text, mu_shift, rho_j)
 from .characters import KacData, TauPoint, u1_char
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm,
-                        appendix_c_form, conformal_Z_numeric, coulomb_Z_hv,
+                        appendix_c_form, conformal_Z_numeric,
                         expand_terms, full_Z_series, modular_rep_check,
                         on_series, render_appendix_form, verma_trace_series)
 from .lattice import LoopCensus, TileGrid, enumerate_configs, lattice_Z
@@ -35,7 +35,7 @@ __all__ = [
     "QSeries", "TauPoint", "TileGrid", "TransferOperator", "Weights",
     "Z_hv_bezout", "Z_hv_direct", "Z_hv_u1", "Zmm", "appendix_c_form",
     "bezout_conjugator", "bezout_table", "build_transfer", "chebyshev_T",
-    "conformal_Z_numeric", "coulomb_Z_hv", "dedekind_eta",
+    "conformal_Z_numeric", "dedekind_eta",
     "effective_central_charge", "enumerate_configs", "euler_inverse",
     "euler_product", "expand_terms", "full_Z_series",
     "gamma_dm", "gamma_v", "gcd_conv", "kac_table_text", "lambda_fsz",

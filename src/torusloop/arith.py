@@ -2,8 +2,8 @@
 polynomials, and the winding-weight functions that attach Chebyshev loop
 fugacities to lattice winding sectors.
 
-Two families of weights appear.  The sector-resolved weights take a complex
-exponential sum over residues and a parity projector; the sector-summed
+Two families of weights appear.  The sector-resolved weights of a row are one
+inverse DFT of its parity-projected Chebyshev sequence; the sector-summed
 weights reduce to rational combinations of cos(k*gamma) with Ramanujan-sum
 integer coefficients, which is what makes the exact series pipeline possible.
 An equivalent divisor-sum form (with Moebius/totient data) is implemented
@@ -104,25 +104,20 @@ def _real_part(z):
     return np.real(z) if np.ndim(z) else float(np.real(z))
 
 
-def gamma_v(d: int, m: int, alpha: float, v: int) -> float:
-    """Sector-resolved winding weight for d != 0.
+def gamma_v(d: int, alpha: float, v: int) -> np.ndarray:
+    """The 2|d| sector-resolved winding weights of a row d != 0, indexed by m.
 
-    (1/|2d|) sum_{j} (1 + (-1)^{j+v} + (-1)^m + (-1)^{m+j+d+v})
-                e^{i pi j m / d} T_{gcd(d,j)}(alpha/2),
-    with j running over d consecutive integers starting at 0 (downwards for
-    negative d).  Real by construction; the imaginary residue is certified.
+    Entry m is (1/2|d|) sum_{j mod 2|d|} [j = v mod 2] 2 T_{gcd(d,j)}(alpha/2)
+    e^{i pi j m / |d|}: one inverse DFT of that 2|d|-periodic sequence.  The
+    sequence is even in j, so the weights are even in m and depend on |d|
+    only.  Real by construction; the imaginary residue is certified.
     """
     if d == 0:
         raise ValueError("d must be nonzero")
-    js = range(0, d, 1 if d > 0 else -1)
-    total = 0j
-    half = alpha / 2.0
-    for j in js:
-        proj = 1 + (-1) ** ((j + v) % 2) + (-1) ** (m % 2) + (-1) ** ((m + j + d + v) % 2)
-        if proj == 0:
-            continue
-        total += proj * cmath.exp(1j * math.pi * j * m / d) * chebyshev_T(gcd_conv(d, abs(j)), half)
-    return _real_part(total / abs(2 * d))
+    j = np.arange(2 * abs(d))
+    # T_k(x) = cos(k arccos x) for every real x, with the complex arccos beyond |x| = 1
+    cheb = np.cos(np.gcd(d, j) * cmath.acos(alpha / 2.0))
+    return _real_part(np.fft.ifft(np.where((j - v) % 2, 0.0, 2.0 * cheb)))
 
 
 def gamma_dm(d: int, m: int, gamma: float) -> float:

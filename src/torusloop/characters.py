@@ -190,6 +190,7 @@ def modular_S_residual(n: int, tau: TauPoint) -> float:
 
     kappa^n_j(-1/tau) = (1/sqrt(2n)) sum_k exp(-pi i j k / n) kappa^n_k(tau).
     """
+    check_character(n, 1)
     stau = tau.invert()
     worst = 0.0
     values = [u1_char_numeric(n, k, 1, tau) for k in range(2 * n)]

@@ -9,10 +9,9 @@ folded sesquilinear forms printed in the worked examples, the Coulomb sums,
 and the full partition function compared against the O(n) form.
 
 All series are exact.  Floats appear only in the numeric layer: the Gaussian
-blocks Z_{m,m'}(g), evaluated on a whole integer grid at once; their sector
-sums, truncated where the Gaussian factor drops below NUMERIC_TAIL relative to
-the sector's own point; the Poisson-dual Coulomb reference, one
-`TauPoint.nome_sum`; and modular covariance at sampled tau.
+blocks Z_{m,m'}(g) on integer grids; the sector sums, each one
+`TauPoint.nome_sum` in the electric (Poisson-dual) frame at tau carried into
+the fundamental domain; and modular covariance at sampled tau.
 
 Every exact series form collects its theta sum as integer exponent
 numerators over one denominator D that it knows before the sum starts:
@@ -36,9 +35,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _real_part, chebyshev_T, gamma_dm_cospoly, lambda_fsz_cospoly
+from .arith import _real_part, gamma_dm_cospoly, gamma_v, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
-from .characters import NUMERIC_TAIL, TauPoint, eta_numeric, modular_S_residual, t_sign_exact
+from .characters import TauPoint, eta_numeric, modular_S_residual, t_sign_exact
 from .cyclo import CycloField, CycloNum, cospoly_to_cyclo
 from .model import SECTORS, check_kind, check_pair, check_ratio, check_sector
 from .qseries import BiSeries, euler_inverse, exact
@@ -211,58 +210,6 @@ def Zmm(g, m, mp, tau: TauPoint):
     return _real_part(val / abs(eta_numeric(tau)) ** 2)
 
 
-def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float:
-    """Sector partition function sum 2 T_{gcd(d,j)}(alpha/2) Z_{d,j}(g/4).
-
-    g is the model ratio p/p'; the Gaussian coupling is g/4.  d runs over the
-    integers of parity h (so d = 0 enters only for h = 0) and j over those of
-    parity v.  The sum keeps every (d, j) whose Gaussian factor
-    exp(-pi (g/4) |d tau - j|^2 / tau_i) is at least NUMERIC_TAIL times that of
-    (d, j) = (h, v).  That point lies in the sector, so the tail is measured
-    from the sector's own leading term or below it, however small the whole
-    sector is.  The bound holds only while |T_k(alpha/2)| <= 1, so
-    |alpha| > 2 is refused.
-    """
-    check_sector((h, v))
-    if abs(alpha) > 2:
-        raise ValueError("the numeric sector sum needs |alpha| <= 2")
-    check_ratio(g)
-    g4 = float(g) / 4.0
-    tr, ti = tau.tau.real, tau.tau.imag
-    # |d tau - j|^2 = (d tr - j)^2 + d^2 ti^2 <= reach^2 inside the tail
-    reach = math.sqrt(abs(h * tau.tau - v) ** 2
-                      - math.log(NUMERIC_TAIL) * ti / (math.pi * g4))
-    dmax = int(reach / ti)
-    d = np.arange((dmax + h) % 2 - dmax, dmax + 1, 2)[:, None]
-    # each row's j of parity v: the nearest to d tr, and reach + 1 either side of it
-    half = math.ceil((reach + 1) / 2)
-    j = v + 2 * (np.rint((d * tr - v) / 2).astype(int) + np.arange(-half, half + 1))
-    k = np.gcd(d, j)
-    cheb = np.array([2.0 * chebyshev_T(n, alpha / 2.0) for n in range(k.max(initial=0) + 1)])
-    return float(np.sum(cheb[k] * Zmm(g4, d, j, tau)))
-
-
-def coulomb_Z_hv(g, h: int, v: int, tau: TauPoint) -> float:
-    """Generalized Coulomb partition function (1/|eta|^2) sum_{r, s in Z + h/2}
-    (-1)^{vr} q^a qbar^b, a, b = (r/sqrt g -+ s sqrt g)^2/4, as one `nome_sum`.
-
-    a + b = (r^2/g + s^2 g)/2 is least, g h^2/8, at (r, s) = (0, h/2)."""
-    check_sector((h, v))
-    check_ratio(g)
-    g = float(g)
-    top = 2 * (g * h * h / 8 + tau.tail_order)  # bound on r^2/g + s^2 g
-    rmax = math.floor(math.sqrt(top * g))
-    smax = math.sqrt(top / g)
-    s = h / 2 + np.arange(math.ceil(-smax - h / 2), math.floor(smax - h / 2) + 1)
-    r, s = np.meshgrid(np.arange(-rmax, rmax + 1), s, indexing="ij")
-    keep = r * r / g + s * s * g <= top
-    r, s = r[keep], s[keep]
-    a = (r / math.sqrt(g) - s * math.sqrt(g)) ** 2 / 4.0
-    b = (r / math.sqrt(g) + s * math.sqrt(g)) ** 2 / 4.0
-    total = tau.nome_sum(a, b, np.where(v * r % 2, -1, 1))
-    return _real_part(total / abs(eta_numeric(tau)) ** 2)
-
-
 MODULAR_S4 = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
 MODULAR_T4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
@@ -273,14 +220,70 @@ def _sector_map(A) -> dict:
     return {hv: SECTORS[row.index(1)] for hv, row in zip(SECTORS, A, strict=True)}
 
 
+def _electric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float:
+    """Sector (h, v) in the electric frame, (1/|eta|^2) sum w q^D qbar^Dbar, one `nome_sum`.
+
+    With g' = g/4 and d = h mod 2, D, Dbar = (n/sqrt g' +- d sqrt g')^2/4; n runs
+    over -m/(2d) + Z with weight gamma_v(d, alpha, v)[m] for d != 0, and over
+    (+-gamma + s pi)/(2 pi) + Z with weight (-1)^{sv}/2 for d = 0, s in {0, 1} and
+    alpha = 2 cos gamma.  The least D + Dbar over all cosets is at most g'/2 for h = 1
+    and min(1/(32 g'), 2 g') for h = 0; every term within tail_order of that is kept.
+    """
+    g4 = float(g) / 4.0
+    top = 2 * ((g4 / 2 if h else min(1 / (32 * g4), 2 * g4)) + tau.tail_order)
+    # one row (d, shift, weight) per coset n = shift + Z; every shift lies in [-1, 1]
+    cosets = []
+    if h == 0:
+        s = np.array([0, 0, 1, 1])
+        shifts = (np.array([1, -1, 1, -1]) * math.acos(alpha / 2.0) / math.pi + s) / 2
+        cosets.append((np.zeros(4), shifts, np.where(s * v, -0.5, 0.5)))
+    for d in range(2 - h, math.isqrt(math.floor(top / g4)) + 1, 2):
+        m = np.arange(2 * d)
+        for sd in (d, -d):
+            cosets.append((np.full(2 * d, sd), -m / (2 * sd), gamma_v(d, alpha, v)))
+    d, shift, w = (np.concatenate(column)[:, None] for column in zip(*cosets))
+    reach = math.ceil(math.sqrt(top * g4)) + 1
+    d, w, n = np.broadcast_arrays(d, w, shift + np.arange(-reach, reach + 1))
+    keep = n * n / g4 + d * d * g4 <= top
+    x, y = n[keep] / math.sqrt(g4), d[keep] * math.sqrt(g4)
+    total = tau.nome_sum((x + y) ** 2 / 4, (x - y) ** 2 / 4, w[keep])
+    return _real_part(total / abs(eta_numeric(tau)) ** 2)
+
+
+def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float:
+    """Sector partition function sum 2 T_{gcd(d,j)}(alpha/2) Z_{d,j}(g/4).
+
+    g is the model ratio p/p'; d runs over the integers of parity h and j over
+    those of parity v.  tau is carried into |Re tau| <= 1/2, |tau| >= 1 by T and
+    S, each step moving (h, v) by the sector map of MODULAR_T4 or MODULAR_S4, and
+    the sector is summed there by `_electric`, whose terms fall off at least as
+    e^{-pi sqrt 3 (D + Dbar)}: accurate at every tau, however small the sector.
+    |alpha| > 2 is refused: gamma is real and the weights bounded only within it.
+    """
+    check_sector((h, v))
+    if abs(alpha) > 2:
+        raise ValueError("the numeric sector sum needs |alpha| <= 2")
+    check_ratio(g)
+    shift, invert = _sector_map(MODULAR_T4), _sector_map(MODULAR_S4)
+    t, hv = tau.tau, (h, v)
+    while True:
+        k = round(t.real)
+        t, hv = t - k, shift[hv] if k % 2 else hv
+        # the margin keeps a point on the unit circle from being inverted back and forth
+        if abs(t) >= 1 - 1e-12:
+            return _electric(g, alpha, *hv, TauPoint(t))
+        t, hv = -1 / t, invert[hv]
+
+
 def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
     """Verify the modular structure; returns a report of exact and numeric checks.
 
     * the 4-dimensional S, T permutation matrices satisfy
       S^2 = (S T)^3 = T^2 = I exactly;
     * Z_{d,j}(tau+1) = Z_{d,j-d}(tau) and Z_{d,j}(-1/tau) = Z_{j,-d}(tau);
-    * the sector functions at alpha = 2 and 1.2 transform under S and T by
-      the stated permutations, for each ratio g in g_values;
+    * the electric sums at alpha = 2 and 1.2, at tau and its images unreduced
+      (a Poisson identity, not the reduction), transform under S and T by the
+      stated permutations, for each ratio g in g_values;
     * the character-level S transform holds numerically at levels 2 and 6,
       and the T-phase on odd level-4n labels is the sign (-1)^j, exactly.
     """
@@ -310,11 +313,11 @@ def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
     for tau in taus:
         for g in g_values:
             for alpha in (2.0, 1.2):
-                vals = {hv: conformal_Z_numeric(g, alpha, *hv, tau) for hv in SECTORS}
+                vals = {hv: _electric(g, alpha, *hv, tau) for hv in SECTORS}
                 for image, perm in images:
                     for hv in SECTORS:
                         ref = vals[perm[hv]]
-                        moved = conformal_Z_numeric(g, alpha, *hv, image(tau))
+                        moved = _electric(g, alpha, *hv, image(tau))
                         worst_sector = max(worst_sector,
                                            abs(moved - ref) / max(1.0, abs(ref)))
     report["sector_covariance_residual"] = worst_sector

@@ -8,10 +8,21 @@ sums are truncated where a term falls below NUMERIC_TAIL relative to 1, with
 ad-hoc margins on the index ranges.  Kept deliberately plain, and valid only
 where that absolute tail reaches below the sum's leading term (moderate
 Im tau); used to certify the package's sums there.
+
+`conformal_Z_grid` is the sector sum the package made in the magnetic frame,
+on the integer grid of Gaussian blocks `Zmm`, before it summed the electric
+frame.  At alpha = 2 every weight is positive and it is accurate at every
+tau; for alpha < 2 its weights oscillate and it cancels away from Im tau ~ 1.
 """
 
 import cmath
 import math
+
+import numpy as np
+
+from torusloop.arith import chebyshev_T
+from torusloop.conformal import Zmm
+from torusloop.model import check_ratio, check_sector
 
 NUMERIC_TAIL = 1e-18
 
@@ -70,3 +81,34 @@ def coulomb_Z_hv(g, h, v, tau):
                 continue
             total += (-1) ** (v * r) * q_power(tau, a) * qbar_power(tau, b)
     return total / etas
+
+
+def conformal_Z_grid(g, alpha, h, v, tau):
+    """Sector partition function sum 2 T_{gcd(d,j)}(alpha/2) Z_{d,j}(g/4).
+
+    g is the model ratio p/p'; the Gaussian coupling is g/4.  d runs over the
+    integers of parity h (so d = 0 enters only for h = 0) and j over those of
+    parity v.  The sum keeps every (d, j) whose Gaussian factor
+    exp(-pi (g/4) |d tau - j|^2 / tau_i) is at least NUMERIC_TAIL times that of
+    (d, j) = (h, v).  That point lies in the sector, so the tail is measured
+    from the sector's own leading term or below it, however small the whole
+    sector is.  The bound holds only while |T_k(alpha/2)| <= 1, so
+    |alpha| > 2 is refused.
+    """
+    check_sector((h, v))
+    if abs(alpha) > 2:
+        raise ValueError("the numeric sector sum needs |alpha| <= 2")
+    check_ratio(g)
+    g4 = float(g) / 4.0
+    tr, ti = tau.tau.real, tau.tau.imag
+    # |d tau - j|^2 = (d tr - j)^2 + d^2 ti^2 <= reach^2 inside the tail
+    reach = math.sqrt(abs(h * tau.tau - v) ** 2
+                      - math.log(NUMERIC_TAIL) * ti / (math.pi * g4))
+    dmax = int(reach / ti)
+    d = np.arange((dmax + h) % 2 - dmax, dmax + 1, 2)[:, None]
+    # each row's j of parity v: the nearest to d tr, and reach + 1 either side of it
+    half = math.ceil((reach + 1) / 2)
+    j = v + 2 * (np.rint((d * tr - v) / 2).astype(int) + np.arange(-half, half + 1))
+    k = np.gcd(d, j)
+    cheb = np.array([2.0 * chebyshev_T(n, alpha / 2.0) for n in range(k.max(initial=0) + 1)])
+    return float(np.sum(cheb[k] * Zmm(g4, d, j, tau)))

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import reference_numeric as ref
 from torusloop.acceptance import MODULAR_TAUS, modular_ok
 from torusloop.characters import KacData, TauPoint
 from torusloop.conformal import (
@@ -18,7 +19,6 @@ from torusloop.conformal import (
     Zmm,
     appendix_c_form,
     conformal_Z_numeric,
-    coulomb_Z_hv,
     expand_terms,
     full_Z_series,
     modular_rep_check,
@@ -238,13 +238,27 @@ SMALL_TAU = TauPoint(complex(0.3, 0.04))
 
 
 def test_conformal_numeric_alpha2_equals_coulomb():
-    for tau in (TAU, SMALL_TAU):
-        for (p, pq) in [(1, 2), (1, 3), (2, 3), (3, 4)]:
+    """At alpha = 2 every weight of the grid reference is positive, so it is
+    accurate even where a sector lies far below the others: (4, 5), sector
+    (0, 1) at 0.02i, about 5e-14 of sector (0, 0)."""
+    for tau in (TAU, SMALL_TAU, TauPoint(0.02j)):
+        for (p, pq) in [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)]:
             for (h, v) in ALL_HV:
                 a = conformal_Z_numeric(F(p, pq), 2.0, h, v, tau)
-                b = coulomb_Z_hv(F(p, pq), h, v, tau)
+                b = ref.conformal_Z_grid(F(p, pq), 2.0, h, v, tau)
                 assert abs(b.imag) < 1e-12
                 assert math.isclose(a, b.real, rel_tol=1e-10)
+    assert math.isclose(conformal_Z_numeric(F(4, 5), 2.0, 0, 1, TauPoint(0.02j)),
+                        0.0106431309576011, rel_tol=1e-12)
+
+
+def test_conformal_numeric_below_alpha2_far_from_im_tau_1():
+    """(2, 3), alpha = 1.2, sector (0, 0) against an 80-digit sum of the
+    Gaussian grid: the grid's oscillating weights cancel in float64 there."""
+    for tau, want in ((40j, 91.9753931595761), (1j / 40, 91.9753931595761),
+                      (118j, 620628.015803191), (1j / 118, 620628.015803191)):
+        got = conformal_Z_numeric(F(2, 3), 1.2, 0, 0, TauPoint(tau))
+        assert math.isclose(got, want, rel_tol=1e-12), tau
 
 
 # |q| underflows to 0.0 from Im tau = 119 on
@@ -262,7 +276,7 @@ def test_numeric_sums_past_nome_underflow():
         for g in (F(1, 2), F(2, 3), F(3, 4)):
             for (h, v) in ALL_HV:
                 a = conformal_Z_numeric(g, 2.0, h, v, tau)
-                b = coulomb_Z_hv(g, h, v, tau)
+                b = ref.conformal_Z_grid(g, 2.0, h, v, tau)
                 assert math.isfinite(a) and math.isfinite(abs(b))
                 assert abs(b.imag) < 1e-12 * abs(b)
                 assert math.isclose(a, b.real, rel_tol=1e-10)
@@ -283,25 +297,13 @@ def test_conformal_numeric_refuses_alpha_beyond_two():
         conformal_Z_numeric(F(1, 2), 2.5, 0, 0, TAU)
 
 
-def test_coulomb_real_on_imaginary_axis():
-    tau = TauPoint(1.3j)
-    val = coulomb_Z_hv(F(1, 2), 0, 0, tau)
-    assert abs(val.imag) < 1e-14
-
-
-def test_coulomb_full_is_00_sector():
-    # Z_Coul(g) is by definition the (0,0) sector sum
-    val = coulomb_Z_hv(F(3, 8), 0, 0, TAU)
-    assert val.real > 0
-
-
 def test_sector_sum_alpha2_is_twice_coulomb_quarter_coupling():
     for tau in (TAU, SMALL_TAU):
         for (p, pq) in [(1, 2), (2, 3)]:
             total = sum(conformal_Z_numeric(F(p, pq), 2.0, h, v, tau)
                         for (h, v) in ALL_HV)
-            ref = 2 * coulomb_Z_hv(F(p, 4 * pq), 0, 0, tau).real
-            assert math.isclose(total, ref, rel_tol=1e-10)
+            want = 2 * ref.conformal_Z_grid(F(p, 4 * pq), 2.0, 0, 0, tau)
+            assert math.isclose(total, want, rel_tol=1e-10)
 
 
 def test_modular_report():
