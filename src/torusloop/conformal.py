@@ -18,13 +18,13 @@ numerators over one denominator D that it knows before the sum starts:
 D = 4 p p' den^2 for the Kac-lattice forms, whose exponents are
 delta_exp(R/den, S/den) = (p' R - p S)^2 / D with den a common denominator of
 the labels r and s, and D = 16 n for the u(1) character forms, whose doubled
-labels J = 2j give (J + 4kn)^2 / 16n.  The one kernel `_dress` takes those
-integer keys, reads their coefficients as integer coordinates over one
-denominator and dresses them with the eta factors.  The exponents stay
-integers all the way into the BiSeries, which stores them over one
-denominator; each coefficient becomes a Fraction or a CycloNum once, at the
-end.  `KacData.delta_exp` and `theta_series` remain the references the tests
-rebuild the forms from.
+labels J = 2j give (J + 4kn)^2 / 16n.  The one kernel `_dress` dresses those
+integer keys with the eta factors as one integer block product per residue
+class of keys, P X P^T with P the triangular matrix of the partition
+numbers.  The exponents stay Python ints all the way into the BiSeries and
+arrive over their least denominator; each coefficient becomes a Fraction or
+a CycloNum once, at the end.  `KacData.delta_exp` and `theta_series` remain
+the references the tests rebuild the forms from.
 """
 
 from __future__ import annotations
@@ -80,73 +80,77 @@ def _kac_window(p: int, pq: int, den: int, work: Fraction) -> tuple:
     return D, math.isqrt(math.floor(work * D))
 
 
-def _spread_swap(grid: dict, steps: list, lim: int, D: int) -> dict:
-    """Convolve the first exponent of each key with the steps (k D, p(k)).
-
-    Keys are integer exponent numerators (x, y) with x <= lim and values are
-    ints; zero terms are dropped, only x + k D <= lim is kept, and every key
-    comes back swapped, so two passes spread both axes.
-    """
-    spread: dict = {}
-    for (x, y), c in grid.items():
-        if c:
-            for s, p in steps[:(lim - x) // D + 1]:
-                key = (y, x + s)
-                spread[key] = spread.get(key, 0) + c * p
-    return spread
-
-
 def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
     """(q qbar)^{-1/24} / ((q)_inf (qbar)_inf) times the theta sum.
 
     theta maps integer pairs (A, B) >= 0 to int, Fraction or CycloNum
     coefficients (cyclotomic ones all of one field), for the term
     q^{A/D} qbar^{B/D}; it must hold every term with both exponents <=
-    top = cutoff + 1/24, and the result is exact through cutoff.  D is
-    lifted to L = lcm(D, 24, denominator of top) by one integer factor per
-    key, so 1/(q)_inf is a convolution with the partition numbers p(k) in
-    integer steps k L along each axis in turn.  Each coefficient is read as
-    integer coordinates over one common denominator Q: one coordinate for a
-    rational coefficient, field.degree for a cyclotomic one.  The integer
-    `_spread_swap` runs twice per coordinate.  At the end each output key
-    (A, B) becomes the BiSeries key (A - L/24, B - L/24) over L, which the
-    BiSeries reduces to its least denominator, and each distinct output
-    coordinate vector v becomes the Fraction v / Q or one CycloNum once.
-    Every key lies in the window by construction, so the BiSeries skips its
-    per-term checks.
+    top = cutoff + 1/24, and the result is exact through cutoff.  Keys are
+    lifted to L = lcm(D, 24, denominator of top).  1/(q)_inf only adds
+    exponents k L, so each residue class (r_A, r_B) = (A mod L, B mod L) is
+    one block X[class, coordinate, a, b] over (A div L, B div L) in 0..K,
+    K = floor(top), holding each coefficient as integer coordinates over one
+    denominator Q (one for a rational coefficient, field.degree for a
+    cyclotomic one).  Both eta products are P X P^T, P the lower-triangular
+    Toeplitz matrix of p(0..K); P is triangular, so one mask at the end,
+    a <= (lim - r_A) div L and b <= (lim - r_B) div L, keeps the window.
+    The product runs in int64 when max|X| (p(0) + ... + p(K))^2 < 2^62
+    bounds every entry, else on Python ints (object dtype); L and the
+    exponents never enter numpy.  An output entry becomes the key
+    (r_A + a L - L/24, r_B + b L - L/24) divided by g = gcd(L, r - L/24)
+    over the residues of the output, so the keys arrive over their least
+    denominator L/g; each distinct coordinate vector v becomes the Fraction
+    v / Q or one CycloNum once.  Every key lies in the window by
+    construction, so the BiSeries skips its per-term checks.
     """
     top = cutoff + Fraction(1, 24)
     L = math.lcm(D, 24, top.denominator)
     lift = L // D
     lim = top.numerator * (L // top.denominator)
-    inv = euler_inverse(top)
-    steps = [(k * L, inv.coeff(k).numerator) for k in range(math.floor(top) + 1)]
+    K = math.floor(top)
     field = next((c.field for c in theta.values() if isinstance(c, CycloNum)), None)
     width = field.degree if field else 1
-    grid = {}
+    classes: dict = {}
+    cells = []
     for (A, B), c in theta.items():
         A *= lift
         B *= lift
         if A <= lim and B <= lim:
-            grid[(A, B)] = _coordinates(c, field, width)
-    Q = math.lcm(*(den for _, den in grid.values()))
-    spread = [_spread_swap(_spread_swap({key: nums[i] * (Q // den)
-                                         for key, (nums, den) in grid.items()},
-                                        steps, lim, L), steps, lim, L)
-              for i in range(width)]
-    shift = L // 24
-    keys = dict.fromkeys(key for coordinate in spread for key in coordinate)
-    columns = [[coordinate.get(key, 0) for key in keys] for coordinate in spread]
+            a, rA = divmod(A, L)
+            b, rB = divmod(B, L)
+            cells.append((classes.setdefault((rA, rB), len(classes)), a, b)
+                         + _coordinates(c, field, width))
+    if not cells:
+        return BiSeries._trusted({}, cutoff, cutoff, 1)
+    Q = math.lcm(*(den for *_, den in cells))
+    coords = [[x * (Q // den) for x in nums] for *_, nums, den in cells]
+    inv = euler_inverse(top)
+    parts = [inv.coeff(k).numerator for k in range(K + 1)]
+    big = max(abs(x) for row in coords for x in row) * sum(parts) ** 2
+    dtype = np.int64 if big < 2 ** 62 else object
+    idx = np.arange(K + 1)
+    P = np.tril(np.array(parts, dtype)[np.subtract.outer(idx, idx)])
+    X = np.zeros((len(classes), width, K + 1, K + 1), dtype)
+    at, a, b = (np.array(col) for col in zip(*(cell[:3] for cell in cells)))
+    if min(a.min(), b.min()) < 0:  # a negative index would wrap silently
+        raise ValueError("theta exponents must be >= 0")
+    X[at, :, a, b] = np.array(coords, dtype)
+    Z = P @ X @ P.T
+    reach = np.array([((lim - rA) // L, (lim - rB) // L) for rA, rB in classes])
+    keep = (idx[:, None] <= reach[:, None, None, 0]) & (idx <= reach[:, None, None, 1])
+    at, a, b = np.nonzero((Z != 0).any(axis=1) & keep)
+    rows = list(map(tuple, Z[at, :, a, b].tolist()))
     make = (lambda v: Fraction(v[0], Q)) if field is None else (lambda v: CycloNum(field, v, Q))
-    built: dict = {}
-    terms = {}
-    for (A, B), v in zip(keys, zip(*columns)):
-        if any(v):
-            c = built.get(v)
-            if c is None:
-                c = built[v] = make(v)
-            terms[(A - shift, B - shift)] = c
-    return BiSeries._trusted(terms, cutoff, cutoff, L)
+    built = {v: make(v) for v in set(rows)}
+    residues = list(classes)
+    shift = L // 24
+    g = math.gcd(L, *(r - shift for i in set(at.tolist()) for r in residues[i]))
+    step = L // g
+    bx, by = ([(r - shift) // g for r in axis] for axis in zip(*residues))
+    terms = {(bx[i] + x * step, by[i] + y * step): built[v]
+             for i, x, y, v in zip(at.tolist(), a.tolist(), b.tolist(), rows)}
+    return BiSeries._trusted(terms, cutoff, cutoff, step)
 
 
 def _coordinates(c, field, width: int) -> tuple:
@@ -156,12 +160,6 @@ def _coordinates(c, field, width: int) -> tuple:
             raise ValueError("mixed cyclotomic fields")
         return c.nums, c.den
     return (c.numerator,) + (0,) * (width - 1), c.denominator
-
-
-def _double_eta_inverse(cutoff: Fraction) -> BiSeries:
-    """1/((q)_inf (qbar)_inf) as a BiSeries: the product reference for `_dress`."""
-    one_sided = euler_inverse(cutoff)
-    return BiSeries.from_product(one_sided, one_sided, cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,25 @@
-"""Reference truncated series, independent of the package's qseries module.
+"""Reference truncated series and references of the dressing kernel.
 
-A series is a dict from exponent keys to coefficients, with a cutoff and the
+`RefSeries` is independent of the package's qseries module.  A series is a dict from exponent keys to coefficients, with a cutoff and the
 order `valid` through which it is exact: a key is one Fraction for a series
 in q and a pair of Fractions for a series in q and qbar.  This is the
 Fraction-keyed arithmetic the package used before it stored exponents as
 integers over one denominator; kept deliberately plain, and used to certify
 that representation.
+
+The module also keeps the references of the dressing kernel
+`conformal._dress`: `double_eta_inverse`, the eta-inverse product built from
+the package's own series, and `dress_dict`, the kernel as it was before it
+became one block product per residue class, which convolves each integer
+coordinate with the partition numbers in dict steps.
 """
 
+import math
 from fractions import Fraction
+
+from torusloop.conformal import _coordinates
+from torusloop.cyclo import CycloNum
+from torusloop.qseries import BiSeries, euler_inverse
 
 BIG = Fraction(10**9)  # the minimal exponent of an empty series
 
@@ -95,3 +106,82 @@ def from_product(left, right, cutoff):
     terms = {(a, b): ca * cb for a, ca in left.terms.items() if a <= cutoff
              for b, cb in right.terms.items() if b <= cutoff}
     return RefSeries(terms, cutoff, min(left.valid, right.valid, cutoff), nomes=2)
+
+
+# ---------------------------------------------------------------------------
+# references of the dressing kernel
+
+
+def double_eta_inverse(cutoff: Fraction) -> BiSeries:
+    """1/((q)_inf (qbar)_inf) as a BiSeries: the product reference for `_dress`."""
+    one_sided = euler_inverse(cutoff)
+    return BiSeries.from_product(one_sided, one_sided, cutoff)
+
+
+def _spread_swap(grid: dict, steps: list, lim: int, D: int) -> dict:
+    """Convolve the first exponent of each key with the steps (k D, p(k)).
+
+    Keys are integer exponent numerators (x, y) with x <= lim and values are
+    ints; zero terms are dropped, only x + k D <= lim is kept, and every key
+    comes back swapped, so two passes spread both axes.
+    """
+    spread: dict = {}
+    for (x, y), c in grid.items():
+        if c:
+            for s, p in steps[:(lim - x) // D + 1]:
+                key = (y, x + s)
+                spread[key] = spread.get(key, 0) + c * p
+    return spread
+
+
+def dress_dict(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
+    """(q qbar)^{-1/24} / ((q)_inf (qbar)_inf) times the theta sum.
+
+    theta maps integer pairs (A, B) >= 0 to int, Fraction or CycloNum
+    coefficients (cyclotomic ones all of one field), for the term
+    q^{A/D} qbar^{B/D}; it must hold every term with both exponents <=
+    top = cutoff + 1/24, and the result is exact through cutoff.  D is
+    lifted to L = lcm(D, 24, denominator of top) by one integer factor per
+    key, so 1/(q)_inf is a convolution with the partition numbers p(k) in
+    integer steps k L along each axis in turn.  Each coefficient is read as
+    integer coordinates over one common denominator Q: one coordinate for a
+    rational coefficient, field.degree for a cyclotomic one.  The integer
+    `_spread_swap` runs twice per coordinate.  At the end each output key
+    (A, B) becomes the BiSeries key (A - L/24, B - L/24) over L, which the
+    BiSeries reduces to its least denominator, and each distinct output
+    coordinate vector v becomes the Fraction v / Q or one CycloNum once.
+    Every key lies in the window by construction, so the BiSeries skips its
+    per-term checks.
+    """
+    top = cutoff + Fraction(1, 24)
+    L = math.lcm(D, 24, top.denominator)
+    lift = L // D
+    lim = top.numerator * (L // top.denominator)
+    inv = euler_inverse(top)
+    steps = [(k * L, inv.coeff(k).numerator) for k in range(math.floor(top) + 1)]
+    field = next((c.field for c in theta.values() if isinstance(c, CycloNum)), None)
+    width = field.degree if field else 1
+    grid = {}
+    for (A, B), c in theta.items():
+        A *= lift
+        B *= lift
+        if A <= lim and B <= lim:
+            grid[(A, B)] = _coordinates(c, field, width)
+    Q = math.lcm(*(den for _, den in grid.values()))
+    spread = [_spread_swap(_spread_swap({key: nums[i] * (Q // den)
+                                         for key, (nums, den) in grid.items()},
+                                        steps, lim, L), steps, lim, L)
+              for i in range(width)]
+    shift = L // 24
+    keys = dict.fromkeys(key for coordinate in spread for key in coordinate)
+    columns = [[coordinate.get(key, 0) for key in keys] for coordinate in spread]
+    make = (lambda v: Fraction(v[0], Q)) if field is None else (lambda v: CycloNum(field, v, Q))
+    built: dict = {}
+    terms = {}
+    for (A, B), v in zip(keys, zip(*columns)):
+        if any(v):
+            c = built.get(v)
+            if c is None:
+                c = built[v] = make(v)
+            terms[(A - shift, B - shift)] = c
+    return BiSeries._trusted(terms, cutoff, cutoff, L)

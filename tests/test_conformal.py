@@ -77,8 +77,8 @@ def test_verma_depends_on_ratio_only():
         b = delta_from_ratio(g, r, F(-d, 2)) - c_over_24
         if a <= work and b <= work:
             theta[(a, b)] = theta.get((a, b), F(0)) + 1
-    from torusloop.conformal import _double_eta_inverse
-    rebuilt = (_double_eta_inverse(work) * BiSeries(theta, work)).truncate(K)
+    from reference_series import double_eta_inverse
+    rebuilt = (double_eta_inverse(work) * BiSeries(theta, work)).truncate(K)
     assert direct.matches(rebuilt)
 
 
@@ -162,12 +162,13 @@ def _integer_keys(theta):
 def test_dress_matches_product_reference(make_theta, K):
     """_dress equals the eta-inverse product on the padded window, truncated,
     and keeps no zero coefficient."""
-    from torusloop.conformal import _double_eta_inverse, _dress
+    from reference_series import double_eta_inverse
+    from torusloop.conformal import _dress
     from torusloop.qseries import BiSeries
     work = K + 2
     theta = make_theta(work)
     shifted = {(a - F(1, 24), b - F(1, 24)): c for (a, b), c in theta.items()}
-    reference = (_double_eta_inverse(work) * BiSeries(shifted, work)).truncate(K)
+    reference = (double_eta_inverse(work) * BiSeries(shifted, work)).truncate(K)
     dressed = _dress(*_integer_keys(theta), K)
     assert reference.terms
     assert all(dressed.terms.values())
@@ -210,6 +211,71 @@ def test_series_cutoff_at_eta_pole_keeps_leading_term(form, K):
     z = form(K)
     assert dict(z.sorted_terms()) == {(F(-1, 24), F(-1, 24)): 1}
     assert z.cutoff == z.valid == K
+
+
+def _dress_inputs(monkeypatch, build) -> list:
+    """The (theta, D, cutoff) of every `_dress` call that build() makes."""
+    import torusloop.conformal as conformal
+    real, calls = conformal._dress, []
+
+    def spy(theta, D, cutoff):
+        calls.append((theta, D, cutoff))
+        return real(theta, D, cutoff)
+
+    monkeypatch.setattr(conformal, "_dress", spy)
+    build()
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+def _assert_dress_matches_dict(theta, D, cutoff):
+    from reference_series import dress_dict
+    from torusloop.conformal import _dress
+    got, want = _dress(theta, D, cutoff), dress_dict(theta, D, cutoff)
+    assert (got.terms, got.den, got.cutoff, got.valid) \
+        == (want.terms, want.den, want.cutoff, want.valid)
+    assert [type(c) for c in got.terms.values()] == [type(want.terms[k]) for k in got.terms]
+
+
+DRESS_BUILDS = [(form, K) for form in SERIES_FORMS for K in (F(4), F(7, 3), F(-1, 24))] + [
+    (lambda K: full_Z_series(3, 4, F(2, 5), K), F(8)),
+    (lambda K: on_series(F(3, 4), F(2, 5), K), F(8)),
+]
+
+
+@pytest.mark.parametrize("build, K", DRESS_BUILDS)
+def test_dress_matches_dict_reference_on_the_forms(monkeypatch, build, K):
+    """The block product equals the per-coordinate dict convolution on the
+    theta sum of every series form, down to the one block of K = 0."""
+    for call in _dress_inputs(monkeypatch, lambda: build(K)):
+        _assert_dress_matches_dict(*call)
+
+
+def _cyclo(nums, den=1):
+    from torusloop.cyclo import CycloField, CycloNum
+    return CycloNum(CycloField(10), tuple(nums), den)
+
+
+@pytest.mark.parametrize("theta, D, K", [
+    ({}, 24, F(4)),                                        # nothing to dress
+    ({(200, 0): 1, (0, 97): F(1, 2), (99, 99): 3}, 24, F(3)),  # every key above the window
+    ({(0, 0): 1, (1, 0): -2, (0, 5): F(1, 3)}, 24, F(-1, 24)),  # K = 0
+    ({(0, 0): F(3 ** 50, 7), (24, 48): -1, (5, 29): 2}, 24, F(4)),  # past int64 itself
+    ({(0, 0): 2 ** 60, (24, 0): -(2 ** 60), (5, 29): 1}, 24, F(4)),  # past int64 once dressed
+    ({(0, 0): _cyclo((2 ** 70 + 1, -(2 ** 69), 3, 0), 5),
+      (7, 31): _cyclo((1, 2, 0, -1)), (48, 24): _cyclo((0, 0, 2 ** 69, 1))}, 24, F(7, 3)),
+])
+def test_dress_matches_dict_reference_at_the_edges(theta, D, K):
+    """Empty and out-of-window theta sums, the single block of K = 0, and
+    coefficients whose dressed entries need more than int64."""
+    _assert_dress_matches_dict(theta, D, K)
+
+
+def test_dress_refuses_negative_exponents():
+    from torusloop.conformal import _dress
+    with pytest.raises(ValueError, match="theta exponents must be >= 0"):
+        _dress({(0, 0): 1, (-24, 5): 1}, 24, F(4))
 
 
 # -- Gaussian numerics -------------------------------------------------------
