@@ -239,7 +239,7 @@ def criterion_9_scaling():
     measured value and both comparisons are reported.
     """
     spec = ModelSpec("dense", 2, 3, 0.0)
-    c_eff = effective_central_charge(spec, (6, 8, 10))
+    c_eff = effective_central_charge(spec)
     detail = (f"measured c_eff = {c_eff:.4f}; |c_eff - 1| = {abs(c_eff - 1):.4f} "
               f"(conjecture value 1), |c_eff - 0| = {abs(c_eff):.4f} "
               f"(criterion text); non-gating")

@@ -3,7 +3,7 @@
 Everything in the continuum: the conjectured scaling form of transfer
 traces as Verma-type sesquilinear series, the Gaussian building blocks
 Z_{m,m'}(g) with their modular covariance, the alpha = 2 partition functions
-in three equivalent guises (direct double theta sum, the p x 2p' grid of
+in three equivalent guises (a Markov sum of trace lines, the p x 2p' grid of
 affine u(1) character products, and the Bezout-indexed single sum), the
 folded sesquilinear forms printed in the worked examples, the Coulomb sums,
 and the full partition function compared against the O(n) form.
@@ -166,6 +166,20 @@ def _coordinates(c, field, width: int) -> tuple:
 # scaling limit of the transfer traces
 
 
+def _trace_line(theta: dict, kind: str, p: int, pq: int, root: int, den: int,
+                start: int, d: int, eps: int, weight) -> None:
+    """Add weight times the d-defect trace line at twist g0 = start/den to theta.
+
+    Labels are over den: R = start + k step and S = d den / 2, so R/den = g0 - l;
+    dense steps by den with the sign (-1)^{eps k}, dilute by 2 den unsigned.
+    Keys are numerators over D = 4 p p' den^2 within root (`_kac_window`).
+    """
+    dense = kind == "dense"
+    for k, a, b in _kac_run(p, pq, root, start, den if dense else 2 * den, d * den // 2):
+        c = -weight if dense and eps and k % 2 else weight
+        theta[(a, b)] = theta[(a, b)] + c if (a, b) in theta else c
+
+
 def verma_trace_series(kind: str, p: int, pq: int, d: int, gamma_over_pi,
                        eps: int, cutoff) -> BiSeries:
     """Conjectured scaling form of tr T^M on the d-defect module.
@@ -174,20 +188,17 @@ def verma_trace_series(kind: str, p: int, pq: int, d: int, gamma_over_pi,
             q^{Delta(g0 - l, d/2)} qbar^{Delta(g0 - l, -d/2)},
     dilute: the same with l restricted to even steps and no sign.
 
-    gamma_over_pi is the twist angle in units of pi and must be rational for
-    the exact series (the numeric route handles arbitrary twists).
+    One `_trace_line` over den = 2 g0.denominator; gamma_over_pi, the twist in
+    units of pi, must be rational here (the numeric route takes any twist).
     """
     check_kind(kind)
     check_pair(p, pq)
     g0 = exact(gamma_over_pi, "gamma/pi")
     cutoff, work = _window(cutoff)
-    # over den = 2 g0.denominator: R = 2 g0.numerator - l step and S = d den / 2
-    D, root = _kac_window(p, pq, 2 * g0.denominator, work)
-    step = 2 * g0.denominator * (1 if kind == "dense" else 2)
+    den = 2 * g0.denominator
+    D, root = _kac_window(p, pq, den, work)
     theta: dict = {}
-    for k, a, b in _kac_run(p, pq, root, 2 * g0.numerator, step, d * g0.denominator):
-        sign = -1 if kind == "dense" and eps and k % 2 else 1
-        theta[(a, b)] = theta.get((a, b), 0) + sign
+    _trace_line(theta, kind, p, pq, root, den, 2 * g0.numerator, d, eps, 1)
     return _dress(theta, D, cutoff)
 
 
@@ -333,17 +344,20 @@ def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
 
 
 def Z_hv_direct(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
-    """Direct double sum (1/eta etabar) sum_{r, s+h/2} (-1)^{vr} q^... qbar^...."""
+    """Direct double sum (1/eta etabar) sum_{r, s+h/2} (-1)^{vr} q^... qbar^....
+
+    The Markov sum over d = h (mod 2) of mult(d) [Z_d(0) + (-1)^v Z_d(1)], dilute
+    lines over den = 2; mult(d > 0) = 2, as row S = -d repeats S = d at R -> -R.
+    """
     check_pair(p, pq)
     check_sector((h, v))
     cutoff, work = _window(cutoff)
-    # over den = 2: R = 2 r and S = 2 s runs over the integers of parity h
     D, root = _kac_window(p, pq, 2, work)
     theta: dict = {}
-    for S in (h + 2 * m for m in _run(h, 2, root // p)):
-        for r, a, b in _kac_run(p, pq, root, 0, 2, S):
-            sign = -1 if v and r % 2 else 1
-            theta[(a, b)] = theta.get((a, b), 0) + sign
+    for d in range(h, root // p + 1, 2):
+        mult = 2 if d else 1
+        _trace_line(theta, "dilute", p, pq, root, 2, 0, d, 0, mult)
+        _trace_line(theta, "dilute", p, pq, root, 2, 2, d, 0, -mult if v else mult)
     return _dress(theta, D, cutoff)
 
 
@@ -472,10 +486,8 @@ def appendix_c_form(p: int, pq: int, h: int, v: int) -> list:
     Starts from the p x 2p' character grid and reduces all labels into
     [0, n] with the sign-carrying folding at z = -1.
     """
-    n = p * pq
-    z = -1 if (p * v) % 2 else 1
     collected: dict = {}
-    for _, JL, JR, _, coeff in _u1_pairs(p, pq, h, v):
+    for n, JL, JR, z, coeff in _u1_pairs(p, pq, h, v):
         fl, sl = _fold_label(Fraction(JL, 2), n, z)
         fr, sr = _fold_label(Fraction(JR, 2), n, z)
         key = (fl, fr)
@@ -504,32 +516,26 @@ def render_appendix_form(terms: list) -> str:
 def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff) -> BiSeries:
     """Full (sector-summed) partition function as an exact sesquilinear series.
 
-    Coefficients are exact cyclotomic numbers: the winding weights are
-    rational combinations of cos(k gamma) evaluated at gamma = pi * e0.
+    The Markov sum Z_0(e0) + sum_{d >= 1, m < d} 2 Gamma_{d,m} Z_d(2m/d) of dilute
+    trace lines; the weights are exact cyclotomic numbers, rational combinations
+    of cos(k gamma) at gamma = pi * e0.
     """
     check_pair(p, pq)
     e0 = exact(gamma_over_pi, "gamma/pi")
     field = CycloField(2 * e0.denominator)
     cutoff, work = _window(cutoff)
-    # the d-block reaches the window iff (p d/2)^2 / (4 p p') <= work
+    # the d-line reaches the window iff (p d/2)^2 / (4 p p') <= work
     d_max = math.isqrt(math.floor(16 * pq * work / p))
-    # r = e0 - 2l and r = 2t/d, s = d/2 over den = lcm(2, e0.denominator, 1..d_max)
+    # twists e0 and 2m/d with S = d/2, all over den = lcm(2, e0.denominator, 1..d_max)
     den = math.lcm(2, e0.denominator, *range(1, d_max + 1))
     D, root = _kac_window(p, pq, den, work)
-    one = field.rational(1)
     theta: dict = {}
-
-    # d = 0 block: sum_l (q qbar)^{Delta(e0 - 2l, 0)}
-    for _, a, _ in _kac_run(p, pq, root, e0.numerator * (den // e0.denominator), 2 * den, 0):
-        theta[(a, a)] = theta.get((a, a), field.zero()) + one
-
-    # d > 0 blocks: 2 sum_t Gamma_{d, t mod d} q^{Delta(2t/d, d/2)} qbar^{Delta(2t/d, -d/2)}
+    _trace_line(theta, "dilute", p, pq, root, den, e0.numerator * (den // e0.denominator),
+                0, 0, field.rational(1))
     for d in range(1, d_max + 1):
-        weights = [2 * cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator,
-                                        e0.denominator, field) for m in range(d)]
-        for t, a, b in _kac_run(p, pq, root, 0, 2 * den // d, d * den // 2):
-            theta[(a, b)] = theta.get((a, b), field.zero()) + weights[t % d]
-
+        for m in range(d):
+            weight = cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator, e0.denominator, field)
+            _trace_line(theta, "dilute", p, pq, root, den, 2 * m * den // d, d, 0, 2 * weight)
     return _dress(theta, D, cutoff)
 
 

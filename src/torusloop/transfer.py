@@ -532,24 +532,16 @@ def leading_eigenvalue(spec: ModelSpec, N: int, d: int = 0, omega: complex = 1.0
     return _real_part(eigs[np.argmax(np.abs(eigs))])
 
 
-def effective_central_charge(spec: ModelSpec, sizes: tuple = (6, 8, 10)) -> float:
+def effective_central_charge(spec: ModelSpec) -> float:
     """Finite-size estimate of c_eff from -ln Lambda_N / N = f - pi c_eff / (6 N^2).
 
-    Pairs of consecutive sizes give c_eff estimates; the two estimates are
-    Richardson-extrapolated in 1/N^2.
+    The sizes N = 6, 8, 10 give one c_eff estimate per consecutive pair; the
+    two estimates are Richardson-extrapolated in 1/N^2, at the midpoint scale
+    1/(n1 n2) of each pair.
     """
-    fs = {}
-    for N in sizes:
-        lam = leading_eigenvalue(spec.isotropic(), N, d=0, omega=1.0)
-        fs[N] = -math.log(lam) / N
-    ests = []
-    pairs = list(zip(sizes, sizes[1:]))
-    for n1, n2 in pairs:
-        c = 6 * (fs[n2] - fs[n1]) / (math.pi * (1 / n1**2 - 1 / n2**2))
-        ests.append(c)
-    if len(ests) == 1:
-        return ests[0]
-    # extrapolate the pair estimates (midpoint scale 1/(n1*n2)) to zero
-    x1 = 1.0 / (pairs[0][0] * pairs[0][1])
-    x2 = 1.0 / (pairs[1][0] * pairs[1][1])
-    return ests[1] + (ests[1] - ests[0]) * x2 / (x1 - x2)
+    sizes = (6, 8, 10)
+    fs = {N: -math.log(leading_eigenvalue(spec.isotropic(), N, d=0, omega=1.0)) / N
+          for N in sizes}
+    (c1, x1), (c2, x2) = ((6 * (fs[n2] - fs[n1]) / (math.pi * (1 / n1**2 - 1 / n2**2)),
+                           1.0 / (n1 * n2)) for n1, n2 in zip(sizes, sizes[1:]))
+    return c2 + (c2 - c1) * x2 / (x1 - x2)

@@ -12,14 +12,21 @@ The module also keeps the references of the dressing kernel
 the package's own series, and `dress_dict`, the kernel as it was before it
 became one block product per residue class, which convolves each integer
 coordinate with the partition numbers in dict steps.
+
+Last, the theta sums of two route-3 forms as their own Kac loops built them
+before both became Markov sums of `conformal._trace_line`: `direct_theta`,
+the double loop over S and r of `Z_hv_direct`, and `full_theta`, the d = 0
+block and the d > 0 blocks of `full_Z_series`.
 """
 
 import math
 from fractions import Fraction
 
-from torusloop.conformal import _coordinates
-from torusloop.cyclo import CycloNum
-from torusloop.qseries import BiSeries, euler_inverse
+from torusloop.arith import gamma_dm_cospoly
+from torusloop.conformal import _coordinates, _kac_run, _kac_window, _run, _window
+from torusloop.cyclo import CycloField, CycloNum, cospoly_to_cyclo
+from torusloop.model import check_pair, check_sector
+from torusloop.qseries import BiSeries, euler_inverse, exact
 
 BIG = Fraction(10**9)  # the minimal exponent of an empty series
 
@@ -185,3 +192,50 @@ def dress_dict(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
                 c = built[v] = make(v)
             terms[(A - shift, B - shift)] = c
     return BiSeries._trusted(terms, cutoff, cutoff, L)
+
+
+# ---------------------------------------------------------------------------
+# references of the route-3 theta sums
+
+
+def direct_theta(p: int, pq: int, h: int, v: int, cutoff) -> tuple:
+    """(theta, D) that `Z_hv_direct` dresses, from the double loop over S and r."""
+    check_pair(p, pq)
+    check_sector((h, v))
+    cutoff, work = _window(cutoff)
+    # over den = 2: R = 2 r and S = 2 s runs over the integers of parity h
+    D, root = _kac_window(p, pq, 2, work)
+    theta: dict = {}
+    for S in (h + 2 * m for m in _run(h, 2, root // p)):
+        for r, a, b in _kac_run(p, pq, root, 0, 2, S):
+            sign = -1 if v and r % 2 else 1
+            theta[(a, b)] = theta.get((a, b), 0) + sign
+    return theta, D
+
+
+def full_theta(p: int, pq: int, gamma_over_pi, cutoff) -> tuple:
+    """(theta, D) that `full_Z_series` dresses, from its d = 0 and d > 0 blocks."""
+    check_pair(p, pq)
+    e0 = exact(gamma_over_pi, "gamma/pi")
+    field = CycloField(2 * e0.denominator)
+    cutoff, work = _window(cutoff)
+    # the d-block reaches the window iff (p d/2)^2 / (4 p p') <= work
+    d_max = math.isqrt(math.floor(16 * pq * work / p))
+    # r = e0 - 2l and r = 2t/d, s = d/2 over den = lcm(2, e0.denominator, 1..d_max)
+    den = math.lcm(2, e0.denominator, *range(1, d_max + 1))
+    D, root = _kac_window(p, pq, den, work)
+    one = field.rational(1)
+    theta: dict = {}
+
+    # d = 0 block: sum_l (q qbar)^{Delta(e0 - 2l, 0)}
+    for _, a, _ in _kac_run(p, pq, root, e0.numerator * (den // e0.denominator), 2 * den, 0):
+        theta[(a, a)] = theta.get((a, a), field.zero()) + one
+
+    # d > 0 blocks: 2 sum_t Gamma_{d, t mod d} q^{Delta(2t/d, d/2)} qbar^{Delta(2t/d, -d/2)}
+    for d in range(1, d_max + 1):
+        weights = [2 * cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator,
+                                        e0.denominator, field) for m in range(d)]
+        for t, a, b in _kac_run(p, pq, root, 0, 2 * den // d, d * den // 2):
+            theta[(a, b)] = theta.get((a, b), field.zero()) + weights[t % d]
+
+    return theta, D

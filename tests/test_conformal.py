@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference_numeric as ref
-from torusloop.acceptance import MODULAR_TAUS, modular_ok
+from torusloop.acceptance import MODULAR_TAUS, SERIES_PQ, modular_ok
 from torusloop.characters import KacData, TauPoint
 from torusloop.conformal import (
     MODULAR_S4,
@@ -276,6 +276,63 @@ def test_dress_refuses_negative_exponents():
     from torusloop.conformal import _dress
     with pytest.raises(ValueError, match="theta exponents must be >= 0"):
         _dress({(0, 0): 1, (-24, 5): 1}, 24, F(4))
+
+
+# -- route 3's trace lines ----------------------------------------------------
+
+def _assert_same_theta(monkeypatch, build, reference):
+    """The one theta sum that build() dresses equals reference, with its D,
+    its keys, its values and the type of every coefficient."""
+    (theta, D, _), = _dress_inputs(monkeypatch, build)
+    want, want_D = reference
+    assert D == want_D
+    assert theta == want
+    assert [type(c) for c in theta.values()] == [type(want[k]) for k in theta]
+
+
+@pytest.mark.parametrize("p, pq", SERIES_PQ)
+@pytest.mark.parametrize("hv", ALL_HV)
+def test_direct_lines_match_double_loop(monkeypatch, p, pq, hv):
+    """`Z_hv_direct`'s Markov sum of dilute lines collects the theta sum of
+    the double loop over S and r."""
+    from reference_series import direct_theta
+    for K in (F(-1, 24), F(0), F(7, 3), F(10)):
+        _assert_same_theta(monkeypatch, lambda: Z_hv_direct(p, pq, *hv, K),
+                           direct_theta(p, pq, *hv, K))
+
+
+@pytest.mark.parametrize("p, pq", [(1, 2), (2, 3), (3, 4), (3, 5)])
+@pytest.mark.parametrize("e0", [F(0), F(1, 3), F(2, 5), F(-3, 7), F(7, 5), F(1, 4)])
+def test_full_lines_match_block_loop(monkeypatch, p, pq, e0):
+    """`full_Z_series`'s Markov sum of dilute lines collects the theta sum of
+    the d = 0 block and the d > 0 blocks."""
+    from reference_series import full_theta
+    for K in (F(0), F(5), F(8)):
+        _assert_same_theta(monkeypatch, lambda: full_Z_series(p, pq, e0, K),
+                           full_theta(p, pq, e0, K))
+
+
+@pytest.mark.parametrize("p, pq", SERIES_PQ)
+@pytest.mark.parametrize("hv", ALL_HV)
+def test_dense_markov_sum_is_twice_the_dilute_one(p, pq, hv):
+    """The dense = dilute identity at alpha = 2, exactly.  At alpha = 2 the
+    Markov weights of row d are 1 at twist 0 and (-1)^v at twist 1, doubled
+    for d > 0; over dense lines with eps = v the sum is 2 `Z_hv_direct`, the
+    same sum over dilute lines."""
+    from torusloop.conformal import _dress, _kac_window, _trace_line, _window
+    h, v = hv
+    for K in (F(7, 3), F(10)):
+        cutoff, work = _window(K)
+        D, root = _kac_window(p, pq, 2, work)
+        theta = {}
+        for d in range(h, root // p + 1, 2):
+            mult = 2 if d else 1
+            _trace_line(theta, "dense", p, pq, root, 2, 0, d, v, mult)
+            _trace_line(theta, "dense", p, pq, root, 2, 2, d, v, -mult if v else mult)
+        dense = _dress(theta, D, cutoff)
+        twice = Z_hv_direct(p, pq, h, v, K).scale(2)
+        assert dense.terms
+        assert (dense, dense.valid) == (twice, twice.valid)
 
 
 # -- Gaussian numerics -------------------------------------------------------

@@ -468,7 +468,7 @@ def test_leading_eigenvalue_positive():
 
 def test_effective_central_charge_runs():
     spec = ModelSpec("dense", 2, 3, 0.0)
-    c = effective_central_charge(spec, sizes=(4, 6, 8))
+    c = effective_central_charge(spec)
     assert math.isfinite(c)
 
 
