@@ -270,39 +270,3 @@ def verify_master(a: int, l: int) -> bool:
     lhs = Fraction(a * l, totient(a * l)) * sum(
         Fraction(mobius(a * k), a * k) for k in divisors(l))
     return lhs == Fraction(mobius(a), totient(a))
-
-
-def gamma_via_mobius_inversion(d: int, n: int, gamma: float) -> float:
-    """Gamma_{d/n, d} from the Moebius-inverted divisor form, for n | d.
-
-    phi(n) Gamma_{d/n, d} = sum_{a|n} mu(a) (n/(a d)) sum_{l=1..a d/n}
-                            cos(gcd(a d/n, l) * (n/a) * gamma).
-    """
-    if d % n:
-        raise ValueError("n must divide d")
-    total = 0.0
-    for a in divisors(n):
-        mu = mobius(a)
-        if not mu:
-            continue
-        top = a * d // n
-        inner = sum(math.cos(math.gcd(top, l) * (n / a) * gamma)
-                    for l in range(1, top + 1))
-        total += mu * (n / (a * d)) * inner
-    return total / totient(n)
-
-
-def gamma_via_totient_form(d: int, n: int, gamma: float) -> float:
-    """Gamma_{d/n, d} from the fully reduced divisor/totient form, for n | d."""
-    if d % n:
-        raise ValueError("n must divide d")
-    total = 0.0
-    for a in divisors(n):
-        mu = mobius(a)
-        if not mu:
-            continue
-        top = a * d // n
-        inner = sum(totient(top // r) * math.cos((n * r / a) * gamma)
-                    for r in divisors(top))
-        total += mu / a * inner
-    return total * n / (totient(n) * d)

@@ -127,19 +127,6 @@ def mu_shift(ctx: BezoutContext, r: int, s: int) -> int:
     return (r - r0) % 2
 
 
-def check_shift_conjugation(ctx: BezoutContext) -> bool:
-    """Entry-wise: conj(j + h'/2) = w0 (j + h'/2) + mu P/2 mod P."""
-    w0, _ = bezout_conjugator(ctx)
-    for (r, s), (a, b) in bezout_table(ctx).items():
-        mu = mu_shift(ctx, r, s)
-        if (w0 * a + mu * ctx.P) % (2 * ctx.P) != b:
-            return False
-        # involution on doubled labels
-        if conjugate_of(ctx, b) != a:
-            return False
-    return True
-
-
 def rho_j(ctx: BezoutContext, j_doubled: int) -> Fraction:
     """rho_j = (j + h'/2 + conj(j + h'/2)) / (2 p'); an integer = r mod p*kappa."""
     conj = conjugate_of(ctx, j_doubled)

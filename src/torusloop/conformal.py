@@ -176,7 +176,7 @@ def _trace_line(theta: dict, kind: str, p: int, pq: int, root: int, den: int,
     """
     dense = kind == "dense"
     for k, a, b in _kac_run(p, pq, root, start, den if dense else 2 * den, d * den // 2):
-        c = -weight if dense and eps and k % 2 else weight
+        c = -weight if dense and eps % 2 and k % 2 else weight
         theta[(a, b)] = theta[(a, b)] + c if (a, b) in theta else c
 
 

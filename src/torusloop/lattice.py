@@ -11,26 +11,35 @@ the neighbouring row and how often it crossed the column seam (between
 columns N-1 and 0) on the way.  The table also holds the row's closed loops
 (only a row whose every tile links L to R has one, of class (1, 0)), its tile
 counts and column-1 L bit packed into one integer that adds over rows, and
-its bottom occupancy.
+its occupied bottom ends.
 
-For M >= 2 the tables are built once per call and grouped by bottom
-occupancy; a row sits on another when its bottom occupancy equals the
-other's top occupancy, and the last row must close the torus against the
-first row's bottom occupancy.  A one-row torus takes its rows straight from
-the tiles whose top and bottom edges agree and makes a row's table only
-when the row is yielded, keeping none, so that tori like 1 x 12 stay lazy.
+For M >= 2 the rows are grouped by bottom occupancy; a row sits on another
+when its bottom occupancy equals the other's top occupancy, and the last
+row must close the torus against the first row's bottom occupancy.  A row's
+table is made when a yielded stack first holds it and kept to the end of
+the call.  A one-row torus takes its rows straight from the tiles whose top
+and bottom edges agree and makes a row's table only when the row is
+yielded, keeping none, so that tori like 1 x 12 stay lazy.
 
-The census is invariant under the M N torus translations (row shifts times
-column shifts), so `census_counter` traces one configuration per orbit (the
-lexicographically least translate) and counts it M N / |stabiliser| times.
-The stacking search serves both: rows are numbered in lexicographic order,
-the first row must be least among its column turns and every later row's
-least turn at least the first row, and a full comparison with the
-translates that start with the first row decides each candidate and gives
-its stabiliser.  A one-row torus compares a row with its N turns.  Without
-orbits the same search yields every configuration in lexicographic order:
-`enumerate_configs` is the exhaustive reference the orbit census is tested
-against.
+The census is invariant under the 4 M N maps of the torus's translations
+(row shifts times column turns) times its point group {1, lr, bt, lr bt}:
+lr mirrors left and right, bt bottom and top, and both map each tile set
+onto itself.  Each maps rows to rows (lr reverses a row and mirrors its
+tiles, bt mirrors the tiles and reverses the order of the rows), so
+`census_counter` traces one configuration per orbit, the least among its
+images, weights it by the orbit size 4 M N / |stabiliser| and adds the
+census keys of its four point-group images in equal shares.  The stacking
+search serves both: rows are numbered in lexicographic order, each row's
+class is the set of its turns and mirror images, the first row must be the
+least of its class and every later row's class least at least the first
+row.  The search drops a branch as soon as a forward image that starts with
+the first row undercuts the rows placed so far, and a comparison with the
+other images that start with the first row decides each full candidate
+and gives its stabiliser.  A one-row torus compares a row with the N turns
+of it and of its mirror images.  Without orbits the same search yields
+every configuration in lexicographic order: `enumerate_configs` is the
+exhaustive reference the orbit census is tested against.  Quarter turns
+map rows to columns and are not used.
 
 Loops are traced from row to row across the MN horizontal edges only, adding
 each row's column-seam crossings and counting the row seam (between rows M-1
@@ -57,16 +66,18 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_PARTNER, ModelSpec, Weights,
                     check_kind, check_sector, torus_sectors)
 
-# Configurations a census may trace: about 6 us each on a one-row torus, at
-# most 3 us on a taller one.  Cold census_counter on 2 cores: dense 1x21
-# (2,097,152) 12-19 s, dilute 1x13 (1,602,515) 9-12 s, dilute 2x8 (2,070,243;
-# 146 MB) 4-8 s, dense 7x3 3-4 s, dilute 4x4 1.1-1.5 s, dense 4x5 0.6-1 s.
-# Refused: dilute 1x14 (4,799,353) took 20.5 s and dense 1x22 27.6 s.
+# Configurations a census may count: about 3-5 us each on a one-row torus,
+# at most 1 us on a taller one.  Cold census_counter on 2 cores, one run
+# each: dense 1x21 (2,097,152) 9.0 s, dilute 1x13 (1,602,515) 5.3 s, dilute
+# 2x8 (2,070,243; 90 MB) 1.9 s, dense 7x3 0.7 s, dilute 4x4 0.34 s, dense 4x5
+# 0.18 s.  Refused: the search and traces of dilute 1x14 (4,799,353) take
+# 14.6 s and those of dense 1x22 18.1 s.
 CENSUS_GUARD = 2 ** 21
 # the two dense tiles fill any face, so a torus of more faces than this has
 # over CENSUS_GUARD configurations and is refused without counting
@@ -81,7 +92,15 @@ _CODE = {t: 1 << _FIELD * (t - 1) for t in TILE_EDGES}
 # per tile: the edges linked to its L and R edges (None if unoccupied), and
 # whether it links B to T
 _SWEEP = {t: (part.get(L), part.get(R), part.get(B) == T) for t, part in TILE_PARTNER.items()}
-_BOTTOM = frozenset(t for t, edges in TILE_EDGES.items() if B in edges)
+# per edge, whether each tile holds it; column c's bit in an occupancy
+_HOLDS = {edge: {t: edge in edges for t, edges in TILE_EDGES.items()} for edge in (B, T)}
+_BITS = tuple(1 << c for c in range(_GUARD_FACES))
+# the tiles' mirror images: lr swaps the L and R edges, bt the B and T edges
+_LR = dict(zip(range(1, 10), (1, 4, 5, 2, 3, 6, 7, 9, 8)))
+_BT = dict(zip(range(1, 10), (1, 5, 4, 3, 2, 6, 7, 9, 8)))
+# a census key's tile counts 1..9 as its configuration's lr or bt image has them
+_LR_COUNTS = itemgetter(*(_LR[t] - 1 for t in range(1, 10)))
+_BT_COUNTS = itemgetter(*(_BT[t] - 1 for t in range(1, 10)))
 
 
 class SizeGuardError(ValueError):
@@ -183,7 +202,7 @@ def _row_table(row: tuple) -> _RowTable:
         link[a] = b + N if b < N else b - N
         link[b] = a + N if a < N else a - N
     return _RowTable(row, bytes(link), _cross(N, *seam),
-                     tuple(compress(range(N), map(_BOTTOM.__contains__, row))), loops,
+                     tuple(compress(range(N), map(_HOLDS[B].__getitem__, row))), loops,
                      sum(map(_CODE.__getitem__, row))
                      + ((L in TILE_EDGES[row[1 % N]]) << _V_SHIFT))
 
@@ -199,7 +218,8 @@ def _cross(N: int, a: int, b: int) -> tuple:
 
 
 def _occupancy(row: tuple, edge: int) -> int:
-    return sum(1 << c for c, t in enumerate(row) if edge in TILE_EDGES[t])
+    """The columns c whose tile holds `edge`, as the bits 1 << c."""
+    return sum(compress(_BITS, map(_HOLDS[edge].__getitem__, row)))
 
 
 def _enumerate_grids(kind: str, M: int, N: int, orbits: bool) -> Iterator[tuple]:
@@ -207,8 +227,9 @@ def _enumerate_grids(kind: str, M: int, N: int, orbits: bool) -> Iterator[tuple]
 
     With `orbits` false: every no-free-end configuration, weight 1, in
     lexicographic order of the tile assignments.  With `orbits` true: one
-    configuration per orbit of the M N torus translations, the one least
-    among its translates, weighted by the orbit size M N / |stabiliser|.
+    configuration per orbit of the M N torus translations times the point
+    group, the one least among its images, weighted by the orbit size
+    4 M N / |stabiliser|.
     """
     tiles = KIND_TILES[kind]
     if M == 1:
@@ -216,77 +237,164 @@ def _enumerate_grids(kind: str, M: int, N: int, orbits: bool) -> Iterator[tuple]
         # avoids building every periodic row when few of them close
         for row in _rows(tuple(t for t in tiles
                                if (B in TILE_EDGES[t]) == (T in TILE_EDGES[t])), N):
-            weight = _turn_weight(row) if orbits else 1
+            weight = _row_weight(row) if orbits else 1
             if weight:
                 yield (_row_table(row),), weight
         return
     rows = list(_rows(tiles, N))
-    tables = [_row_table(row) for row in rows]
-    bottoms = [_occupancy(row, B) for row in rows]
+    tables = [None] * len(rows)   # made as the yielded stacks need them
     tops = [_occupancy(row, T) for row in rows]
-    above: dict = {}  # bottom occupancy -> [(row index, top occupancy)]
-    for j, bottom in enumerate(bottoms):
-        above.setdefault(bottom, []).append((j, tops[j]))
-    # turns[s][j]: the index of row j turned s columns; least[j]: the least
-    # index of its turns.  Without orbits every row is its own class.
-    turns = [range(len(rows))]
+    above: dict = {}  # bottom occupancy -> the indices of the rows with it
+    for j, row in enumerate(rows):
+        above.setdefault(_occupancy(row, B), []).append(j)
+    # turns[s][j]: the index of row j turned s columns; lr[j], bt[j]: the
+    # index of its mirror image; least, lead and period as _row_classes
+    # makes them.  Without orbits every row is its own class.
+    least = range(len(rows))
     if orbits:
         index = {row: j for j, row in enumerate(rows)}
         turn = [index[row[1:] + row[:1]] for row in rows]
+        lr = [index[tuple(map(_LR.__getitem__, reversed(row)))] for row in rows]
+        bt = [index[tuple(map(_BT.__getitem__, row))] for row in rows]
         del index
-        for _ in range(1, N):
+        turns = [least, turn][:N]
+        for _ in range(2, N):
             turns.append([turn[j] for j in turns[-1]])
-    least = [min(js) for js in zip(*turns)]
+        least, lead, period = _row_classes(turns, lr, bt)
+        # the row maps of the point group, and whether each reverses the stack
+        mirrors = ((turns[0], False), (lr, False), (bt, True), ([lr[j] for j in bt], True))
 
-    def weight(stack: tuple) -> int:
-        """M N / |stabiliser| if `stack` is least among its translates, else 0.
+    def weight(stack: tuple, fixed: int) -> int:
+        """4 M N / |stabiliser| if `stack` is least among its images, else 0.
 
-        Every row's least turn is at least stack[0] (the search keeps only
-        such rows), so a translate can tie or undercut `stack` only if its
-        first row is stack[0]; only those translates are compared.
+        Every row's class least is at least stack[0] (the search keeps only
+        such rows), so only an image whose first row is stack[0] can tie or
+        undercut `stack`: one read from a row of stack[0]'s class, upward
+        (1, lr) or downward (bt, lr bt), turned so that row is stack[0].
+        The search has compared those read upward from stack[0] itself, and
+        `fixed` counts the ones equal to `stack`; the rest are compared
+        here, translations first, each on its second row before the whole.
         """
-        first, fixed = stack[0], 0
-        for a, j in enumerate(stack):
-            if least[j] != first:
-                continue
-            shifted = stack[a:] + stack[:a]
-            for turned in turns:
-                if turned[j] == first:
-                    translate = tuple(map(turned.__getitem__, shifted))
-                    if translate < stack:
+        first, second = stack[0], stack[1]
+        p = period[first]
+        starts = [a for a, j in enumerate(stack) if least[j] == first]
+        for mirror, down in mirrors:
+            for a in starts:
+                s = lead[mirror[stack[a]]]
+                if s < 0 or not (a or down):
+                    continue  # no turn of it is stack[0], or the search compared it
+                after = mirror[stack[a - 1] if down else stack[a + 1 - M]]
+                for turned in turns[s::p]:
+                    row = turned[after]
+                    if row < second:
                         return 0
-                    fixed += translate == stack
-        return M * N // fixed
+                    if row == second:
+                        seq = stack[a::-1] + stack[:a:-1] if down else stack[a:] + stack[:a]
+                        image = tuple(map(turned.__getitem__, map(mirror.__getitem__, seq)))
+                        if image < stack:
+                            return 0
+                        fixed += image == stack
+        return 4 * M * N // fixed
 
-    def stack(grid: tuple, top: int, closing: int, floor: int, m: int) -> Iterator[tuple]:
-        """Stacks that extend the m rows `grid` to M rows, each further row's
-        class at least `floor`."""
-        for j, row_top in above.get(top, ()):
+    def stack(grid: tuple, top: int, closing: int, floor: int, ties: list) -> Iterator[tuple]:
+        """(stack, ties) for the stacks that extend `grid` to M rows, each
+        further row's class at least `floor`.
+
+        `ties` holds the maps (turned, mirror) other than the identity that
+        take `grid` to itself: each takes a stack to a forward image that
+        starts at its first row.  A further row that such a map lowers makes
+        that image less than the stack and cuts the branch; one it raises
+        drops the map; the maps that fix every row come with the stack.
+        """
+        m = len(grid)
+        for j in above.get(top, ()):
             if least[j] < floor:
                 continue
+            kept = ties
+            if ties:
+                images = [turned[mirror[j]] for turned, mirror in ties]
+                if min(images) < j:
+                    continue
+                kept = [tie for tie, image in zip(ties, images) if image == j]
             if m + 1 < M:
-                yield from stack(grid + (j,), row_top, closing, floor, m + 1)
-            elif row_top == closing:
-                yield grid + (j,)
+                yield from stack(grid + (j,), tops[j], closing, floor, kept)
+            elif tops[j] == closing:
+                yield grid + (j,), kept
 
-    for i in range(len(rows)):
+    for i, row in enumerate(rows):
         if least[i] != i:
-            continue  # a translate starting with a smaller row exists
-        for grid in stack((i,), tops[i], bottoms[i], i if orbits else 0, 1):
-            w = weight(grid) if orbits else 1
+            continue  # an image starting with a smaller row exists
+        ties = [] if not orbits else [
+            (turned, mirror) for mirror in (turns[0], lr) if lead[mirror[i]] >= 0
+            for turned in turns[lead[mirror[i]]::period[i]]
+            if turned is not turns[0] or mirror is not turns[0]]
+        for grid, kept in stack((i,), tops[i], _occupancy(row, B),
+                                i if orbits else 0, ties):
+            w = weight(grid, 1 + len(kept)) if orbits else 1
             if w:
+                for j in grid:
+                    if tables[j] is None:
+                        tables[j] = _row_table(rows[j])
                 yield tuple(map(tables.__getitem__, grid)), w
 
 
-def _turn_weight(row: tuple) -> int:
-    """N / |stabiliser| if `row` is least among its N turns, else 0."""
-    N, fixed = len(row), 0
-    for s in range(N):
-        turned = row[s:] + row[:s]
-        if turned < row:
+def _row_classes(turns: list, lr: list, bt: list) -> tuple:
+    """(least, lead, period) for the rows that `turns`, `lr` and `bt` map.
+
+    least[j] is the least index in row j's class under all of them.
+    lead[j] is the least s with turns[s][j] == least[j], or -1 if no turn
+    of row j is its class least.  period[i], for each class least i, is
+    the number of distinct turns of row i.
+    """
+    maps, back = (turns[1 % len(turns)], lr, bt), turns[-1]   # back: one turn backward
+    least, lead, period = [-1] * len(lr), [-1] * len(lr), {}
+    for i in range(len(lr)):
+        if least[i] >= 0:
+            continue
+        least[i], todo = i, [i]  # i is the least of a class not met yet
+        while todo:
+            j = todo.pop()
+            for m in maps:
+                if least[m[j]] < 0:
+                    least[m[j]] = i
+                    todo.append(m[j])
+        j, s = i, 0
+        while lead[j] < 0:  # walk the turns of row i backward
+            lead[j] = s
+            j, s = back[j], s + 1
+        period[i] = s
+    return least, lead, period
+
+
+def _row_weight(row: tuple) -> int:
+    """4 N / |stabiliser| if the one-row torus `row` is least among the N
+    turns of it and of its three mirror images, else 0.  The mirror images
+    are made only for a row that no turn undercuts."""
+    fixed = _turns_equal(row, row)
+    if fixed < 0:
+        return 0
+    lr = tuple(map(_LR.__getitem__, reversed(row)))
+    for image in (lr, tuple(map(_BT.__getitem__, row)), tuple(map(_BT.__getitem__, lr))):
+        equal = _turns_equal(image, row)
+        if equal < 0:
             return 0
-        fixed += turned == row
-    return N // fixed
+        fixed += equal
+    return 4 * len(row) // fixed
+
+
+def _turns_equal(image: tuple, row: tuple) -> int:
+    """How many turns of `image` equal `row`, or -1 if one is less; only
+    the turns that start with row[0] are compared whole."""
+    first, N, equal = row[0], len(row), 0
+    if min(image) < first:
+        return -1
+    doubled = image + image
+    for s in compress(range(N), map(first.__eq__, image)):
+        turned = doubled[s:s + N]
+        if turned < row:
+            return -1
+        equal += turned == row
+    return equal
 
 
 def _trace(N: int, grid: tuple) -> tuple:
@@ -390,32 +498,56 @@ def _check_size(kind: str, M: int, N: int):
                          f"more than the enumeration guard ({CENSUS_GUARD:,})")
 
 
-def _census_key(census: LoopCensus) -> tuple:
-    return (census.n_beta, census.windings, census.tile_counts,
-            census.H % 2, census.V % 2)
-
-
 @lru_cache(maxsize=64)
 def census_counter(kind: str, M: int, N: int) -> tuple:
     """Collapsed census multiset of all configurations, cached per geometry.
 
-    Both sector classifications are compared once per distinct key; a
+    A traced orbit's configurations carry the census keys of its four point
+    group images in equal shares: the mirror images lr and bt permute the
+    tile counts and turn a winding (i, j) with j != 0 into (-i, j), and
+    keep n_beta, h and v.  Each distinct traced key is mapped once, and a
+    multiplicity that does not come out whole raises ArithmeticError.  Both
+    sector classifications are compared once per distinct traced key; a
     disagreement raises ArithmeticError.
     """
     _check_size(kind, M, N)
     traced: Counter = Counter()
     for grid, weight in _enumerate_grids(kind, M, N, orbits=True):
         traced[_trace(N, grid)] += weight
-    census = []
-    for (n_beta, windings, code, h), mult in traced.items():
+    census: Counter = Counter()
+    while traced:
+        (n_beta, windings, code, h), mult = traced.popitem()
         tile_counts, v = _unpack(code)
         loops = LoopCensus(n_beta, windings, tile_counts, h, v)
         if loops.sector_from_cuts() != loops.sector_from_windings():
             raise ArithmeticError(
                 f"cut-line sector {(h, v)} disagrees with the sector "
                 f"{loops.sector_from_windings()} of the windings {windings}")
-        census.append((_census_key(loops), mult))
-    return tuple(sorted(census))
+        mirrored = tuple(((-i, j) if j else (i, j), n) for (i, j), n in windings)
+        lr_counts = _LR_COUNTS(tile_counts)
+        for counts, winds in ((tile_counts, windings), (lr_counts, mirrored),
+                              (_BT_COUNTS(tile_counts), mirrored),
+                              (_BT_COUNTS(lr_counts), windings)):
+            census[n_beta, winds, counts, h, v] += mult
+    for key, mult in census.items():
+        if mult % 4:
+            raise ArithmeticError(f"census key {key} has {mult}/4 configurations")
+    return tuple(sorted((key, mult // 4) for key, mult in census.items()))
+
+
+@lru_cache(maxsize=256)
+def _sector_polynomials(spec: ModelSpec | Weights, M: int, N: int) -> dict:
+    """{(h, v): {n: c_n}}, c_n the summed weight beta^n_beta prod rho_t^n_t
+    of the configurations of sector (h, v) with n non-contractible loops;
+    cached per weighting and torus, like `transfer.build_transfer`."""
+    rho, beta = spec.rho, spec.beta
+    polys: dict = {}
+    for (n_beta, winds, counts, h, v), mult in census_counter(spec.kind, M, N):
+        poly = polys.setdefault((h, v), {})
+        n = sum(k for _, k in winds)
+        w = mult * beta ** n_beta * math.prod(map(pow, rho, counts))
+        poly[n] = poly.get(n, 0) + w
+    return polys
 
 
 def lattice_Z(spec: ModelSpec | Weights, M: int, N: int, sector: tuple | None = None, *,
@@ -424,23 +556,16 @@ def lattice_Z(spec: ModelSpec | Weights, M: int, N: int, sector: tuple | None = 
 
     Per-configuration weight: beta^{#contractible} * alpha^{#non-contractible}
     * prod rho_t^{n_t}, with kind, rho and beta read from `spec`, a
-    `ModelSpec` (the physical weights) or any `Weights`.  A sector outside
-    `torus_sectors(spec.kind, M, N)` raises ValueError.
+    `ModelSpec` (the physical weights) or any `Weights`; summed as
+    sum_n c_n alpha^n over the sector polynomials of `_sector_polynomials`.
+    A sector outside `torus_sectors(spec.kind, M, N)` raises ValueError.
     """
     if sector is not None:
         sector = tuple(sector)
         check_sector(sector, torus_sectors(spec.kind, M, N))
-    rho, beta = spec.rho, spec.beta
     total = 0.0
-    for (n_beta, winds, counts, h, v), mult in census_counter(spec.kind, M, N):
-        if sector is not None and (h, v) != sector:
-            continue
-        w = beta ** n_beta
-        for _, n in winds:
-            w *= alpha ** n
-        for t in range(9):
-            n = counts[t]
-            if n:
-                w *= rho[t] ** n
-        total += mult * w
+    for hv, poly in _sector_polynomials(spec, M, N).items():
+        if sector is None or hv == sector:
+            for n, c in poly.items():
+                total += c * alpha ** n
     return total

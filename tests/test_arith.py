@@ -13,8 +13,6 @@ from torusloop.arith import (
     gamma_dm,
     gamma_dm_cospoly,
     gamma_v,
-    gamma_via_mobius_inversion,
-    gamma_via_totient_form,
     gcd_conv,
     lambda_fsz,
     lambda_fsz_cospoly,
@@ -179,6 +177,42 @@ def test_sum_lambda_restructuring():
             lhs = sum(gamma_dm(d, k * d // n, g) for k in range(1, n + 1))
             rhs = sum(totient(n // r) * gamma_dm(d, r * d // n, g) for r in divisors(n))
             assert math.isclose(lhs, rhs, abs_tol=1e-10)
+
+
+def gamma_via_mobius_inversion(d: int, n: int, gamma: float) -> float:
+    """Gamma_{d/n, d} from the Moebius-inverted divisor form, for n | d.
+
+    phi(n) Gamma_{d/n, d} = sum_{a|n} mu(a) (n/(a d)) sum_{l=1..a d/n}
+                            cos(gcd(a d/n, l) * (n/a) * gamma).
+    """
+    if d % n:
+        raise ValueError("n must divide d")
+    total = 0.0
+    for a in divisors(n):
+        mu = mobius(a)
+        if not mu:
+            continue
+        top = a * d // n
+        inner = sum(math.cos(math.gcd(top, l) * (n / a) * gamma)
+                    for l in range(1, top + 1))
+        total += mu * (n / (a * d)) * inner
+    return total / totient(n)
+
+
+def gamma_via_totient_form(d: int, n: int, gamma: float) -> float:
+    """Gamma_{d/n, d} from the fully reduced divisor/totient form, for n | d."""
+    if d % n:
+        raise ValueError("n must divide d")
+    total = 0.0
+    for a in divisors(n):
+        mu = mobius(a)
+        if not mu:
+            continue
+        top = a * d // n
+        inner = sum(totient(top // r) * math.cos((n * r / a) * gamma)
+                    for r in divisors(top))
+        total += mu / a * inner
+    return total * n / (totient(n) * d)
 
 
 def test_mobius_inversion_forms_reproduce_gamma():

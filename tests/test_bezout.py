@@ -6,7 +6,6 @@ from torusloop.bezout import (
     BezoutContext,
     bezout_conjugator,
     bezout_table,
-    check_shift_conjugation,
     conjugate_of,
     index_pairs,
     kac_table_text,
@@ -114,6 +113,19 @@ def test_bijection_and_conjugator_sweep(p, pq, hv):
     w0, _ = bezout_conjugator(ctx)
     assert w0 % 2 == 1
     assert (w0 * w0) % ctx.P == 1 % ctx.P
+
+
+def check_shift_conjugation(ctx: BezoutContext) -> bool:
+    """Entry-wise: conj(j + h'/2) = w0 (j + h'/2) + mu P/2 mod P."""
+    w0, _ = bezout_conjugator(ctx)
+    for (r, s), (a, b) in bezout_table(ctx).items():
+        mu = mu_shift(ctx, r, s)
+        if (w0 * a + mu * ctx.P) % (2 * ctx.P) != b:
+            return False
+        # involution on doubled labels
+        if conjugate_of(ctx, b) != a:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("p, pq", [(1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])

@@ -59,6 +59,15 @@ def test_verma_dense_gamma_pi_shift_sign(eps):
     assert b.matches(expected)
 
 
+@pytest.mark.parametrize("eps", [2, 3, -1])
+def test_verma_dense_sign_reads_eps_mod_2(eps):
+    """The sign (-1)^{eps l} depends on eps mod 2 only: eps = 2 is eps = 0
+    and eps = 3 (or -1) is eps = 1, and the two parities differ."""
+    series = {e: verma_trace_series("dense", 2, 3, 2, F(1, 5), e, F(4)) for e in (eps, 0, 1)}
+    assert series[eps].matches(series[eps % 2])
+    assert not series[eps].matches(series[1 - eps % 2])
+
+
 def test_verma_depends_on_ratio_only():
     """The series is a function of g = p/p' alone: rebuild from delta(g)."""
     from torusloop.characters import delta_from_ratio

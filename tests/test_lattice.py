@@ -9,9 +9,11 @@ from dataclasses import fields
 import pytest
 
 from reference_enum import slow_partition_functions
+from torusloop import lattice
+from torusloop.acceptance import (DENSE_SIZES, DILUTE_SIZES, EXACT_ALPHAS, ORACLE_PQ,
+                                  integer_weights)
 from torusloop.lattice import (
     SizeGuardError,
-    _census_key,
     _check_size,
     _config_count,
     _enumerate_grids,
@@ -19,7 +21,7 @@ from torusloop.lattice import (
     enumerate_configs,
     lattice_Z,
 )
-from torusloop.model import ModelSpec, Weights
+from torusloop.model import TILE_LINKS, B, L, ModelSpec, R, T, Weights, torus_sectors
 
 
 def spec_dense(p=2, pq=3, u=0.37):
@@ -266,6 +268,11 @@ def test_config_count_closed_forms():
         assert _config_count("dilute", 1, N) == 3 ** N + 2 ** N
 
 
+def census_key(census):
+    """The census key of one enumerated configuration, as census_counter keys it."""
+    return (census.n_beta, census.windings, census.tile_counts, census.H % 2, census.V % 2)
+
+
 @pytest.mark.parametrize("kind, M, N", [
     ("dense", 3, 3), ("dilute", 2, 3), ("dilute", 1, 4), ("dilute", 4, 1),
     ("dilute", 2, 2), ("dense", 2, 2), ("dense", 2, 4), ("dilute", 1, 6),
@@ -276,27 +283,42 @@ def test_census_counter_collapses_enumerate_configs(kind, M, N):
     in-row horizontal loops, and the small tori have large stabilisers."""
     spec = spec_dense() if kind == "dense" else spec_dilute()
     census = [c for _, c in enumerate_configs(spec, M, N)]
-    assert Counter(_census_key(c) for c in census) == dict(census_counter(kind, M, N))
+    assert Counter(census_key(c) for c in census) == dict(census_counter(kind, M, N))
     assert sum(w for _, w in _enumerate_grids(kind, M, N, orbits=True)) == len(census)
     if (kind, M, N) == ("dilute", 2, 2):
         assert any(c.windings == (((1, 0), 2),) for c in census)
 
 
+def _mirror(swap: dict) -> dict:
+    """The tile map of a reflection that swaps the edges as `swap` does."""
+    links = {t: {frozenset(pair) for pair in pairs} for t, pairs in TILE_LINKS.items()}
+    return {t: next(s for s, other in links.items()
+                    if other == {frozenset(swap.get(e, e) for e in pair) for pair in pairs})
+            for t, pairs in links.items()}
+
+
+MIRROR_LR, MIRROR_BT = _mirror({L: R, R: L}), _mirror({B: T, T: B})
+
+
 @pytest.mark.parametrize("kind, M, N, orbits", [
-    ("dense", 2, 2, 7), ("dense", 3, 4, 352), ("dilute", 3, 3, 493), ("dilute", 1, 6, 144),
+    ("dense", 2, 2, 5), ("dense", 3, 4, 120), ("dilute", 3, 3, 182), ("dilute", 1, 6, 65),
 ])
 def test_orbit_census_traces_one_configuration_per_orbit(kind, M, N, orbits):
-    """The orbit census yields the least translate of each orbit once, as
-    canonicalising every enumerated configuration finds them."""
+    """The orbit census yields the least image of each orbit of translations
+    times the point group {1, lr, bt, lr bt} once, as canonicalising every
+    enumerated configuration finds them."""
     spec = spec_dense() if kind == "dense" else spec_dilute()
 
-    def translates(tiles):
+    def images(tiles):
         rows = [tiles[r * N:(r + 1) * N] for r in range(M)]
-        for a in range(M):
-            for s in range(N):
-                yield sum((row[s:] + row[:s] for row in rows[a:] + rows[:a]), ())
+        lr = [tuple(MIRROR_LR[t] for t in reversed(row)) for row in rows]
+        for grid in (rows, lr):
+            for mirrored in (grid, [tuple(MIRROR_BT[t] for t in row) for row in grid[::-1]]):
+                for a in range(M):
+                    for s in range(N):
+                        yield sum((row[s:] + row[:s] for row in mirrored[a:] + mirrored[:a]), ())
 
-    least = {min(translates(grid.tiles)) for grid, _ in enumerate_configs(spec, M, N)}
+    least = {min(images(grid.tiles)) for grid, _ in enumerate_configs(spec, M, N)}
     got = [sum((table.tiles for table in grid), ())
            for grid, _ in _enumerate_grids(kind, M, N, orbits=True)]
     assert len(least) == orbits
@@ -329,3 +351,60 @@ def test_census_diagonal_reflection(kind, M, N):
     for key, mult in census_counter(kind, M, N):
         reflected[_reflect_diagonal(key)] += mult
     assert reflected == dict(census_counter(kind, N, M))
+
+
+def per_key_lattice_Z(spec, M, N, sector, alpha):
+    """lattice_Z as a loop over the census keys, each weighed on its own:
+    the reference the cached sector polynomials are held to."""
+    rho, beta = spec.rho, spec.beta
+    total = 0.0
+    for (n_beta, winds, counts, h, v), mult in census_counter(spec.kind, M, N):
+        if sector is not None and (h, v) != sector:
+            continue
+        w = beta ** n_beta
+        for _, n in winds:
+            w *= alpha ** n
+        for t in range(9):
+            n = counts[t]
+            if n:
+                w *= rho[t] ** n
+        total += mult * w
+    return total
+
+
+ORACLE_TORI = [("dense", M, N) for M, N in DENSE_SIZES] + [("dilute", M, N) for M, N in DILUTE_SIZES]
+
+
+@pytest.mark.parametrize("kind, M, N", ORACLE_TORI)
+def test_sector_polynomials_equal_the_per_key_sum_at_integer_weights(kind, M, N):
+    """At integer weights both weightings sum integers: every sector, the
+    total, and every alpha of the exact leg agree exactly."""
+    for weights in integer_weights(kind):
+        for sector in torus_sectors(kind, M, N) + (None,):
+            for alpha in EXACT_ALPHAS:
+                assert (lattice_Z(weights, M, N, sector=sector, alpha=alpha)
+                        == per_key_lattice_Z(weights, M, N, sector, alpha))
+
+
+@pytest.mark.parametrize("kind, M, N", ORACLE_TORI)
+def test_sector_polynomials_match_the_per_key_sum_at_physical_weights(kind, M, N):
+    for p, pq in ORACLE_PQ:
+        spec = ModelSpec(kind, p, pq, 0.37)
+        for sector in torus_sectors(kind, M, N) + (None,):
+            for alpha in (1.0, 2.0, 0.6):
+                assert math.isclose(lattice_Z(spec, M, N, sector=sector, alpha=alpha),
+                                    per_key_lattice_Z(spec, M, N, sector, alpha), rel_tol=1e-13)
+
+
+def test_census_counter_refuses_a_fractional_multiplicity(monkeypatch):
+    """The four images of a traced key share its multiplicity; an orbit
+    weight off by one leaves a key a fraction of a configuration and raises."""
+    grids = lattice._enumerate_grids
+
+    def off_by_one(kind, M, N, orbits):
+        for grid, weight in grids(kind, M, N, orbits):
+            yield grid, weight + 1
+
+    monkeypatch.setattr(lattice, "_enumerate_grids", off_by_one)
+    with pytest.raises(ArithmeticError, match="/4 configurations"):
+        lattice.census_counter.__wrapped__("dilute", 2, 2)  # past the cache
