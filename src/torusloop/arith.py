@@ -13,9 +13,12 @@ independently and cross-checked.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -130,20 +133,17 @@ def gamma_dm(d: int, m: int, gamma: float) -> float:
     return _real_part(total / d)
 
 
-def gamma_dm_cospoly(d: int, m: int) -> dict:
+@lru_cache(maxsize=None)
+def gamma_dm_cospoly(d: int, m: int) -> Mapping:
     """gamma_dm as an exact map {k: Fraction} meaning sum_k c_k cos(k*gamma).
 
     Grouping j by g = gcd(d, j) turns the residue sum into a Ramanujan sum:
-    (1/d) sum_{g | d} c_{d/g}(m) cos(g*gamma).
+    (1/d) sum_{g | d} c_{d/g}(m) cos(g*gamma).  Cached, so the map is read-only.
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    out: dict = {}
-    for g in divisors(d):
-        c = ramanujan_sum(d // g, m)
-        if c:
-            out[g] = out.get(g, Fraction(0)) + Fraction(c, d)
-    return {k: v for k, v in out.items() if v}
+    out = {g: Fraction(ramanujan_sum(d // g, m), d) for g in divisors(d)}
+    return MappingProxyType({g: c for g, c in out.items() if c})
 
 
 def lambda_fsz_cospoly(M: int, N: int) -> dict:
@@ -176,34 +176,19 @@ def lambda_prime_form(M: int, N: int, e0: float) -> float:
     if M <= 0 or N <= 0 or M % N:
         raise ValueError("need positive M, N with N | M")
     fac = prime_factors(M)
-    primes = [p for p, _ in fac]
-    alphas = [k for _, k in fac]
-    betas = []
-    for p, _ in fac:
-        b = 0
-        nn = N
-        while nn % p == 0:
-            nn //= p
-            b += 1
-        betas.append(b)
-
+    # beta_i, the exponent of p_i in N
+    betas = [next(b for b in itertools.count() if N % p ** (b + 1)) for p, _ in fac]
+    n = len(fac)
     total = 0.0
-    def rec_gamma(i, denom, gammas):
-        nonlocal total
-        if i == len(primes):
-            def rec_delta(j, sign, arg):
-                nonlocal total
-                if j == len(primes):
-                    total += (2.0 / denom) * sign * math.cos(math.pi * e0 * arg)
-                    return
-                for delta in range(min(gammas[j], 1) + 1):
-                    rec_delta(j + 1, sign * (-1) ** delta,
-                              arg * primes[j] ** (gammas[j] - delta))
-            rec_delta(0, 1, 1)
-            return
-        for g in range(betas[i], alphas[i] + 1):
-            rec_gamma(i + 1, denom * primes[i] ** g, gammas + [g])
-    rec_gamma(0, 1, [])
+    # a float sum depends on its order: exponent vectors outermost, then the flags
+    for choice in itertools.product(*(range(b, a + 1) for b, (_, a) in zip(betas, fac)),
+                                    *[(0, 1)] * n):
+        gammas, deltas = choice[:n], choice[n:]
+        if any(delta > g for g, delta in zip(gammas, deltas)):
+            continue
+        denom = math.prod(p ** g for (p, _), g in zip(fac, gammas))
+        arg = math.prod(p ** (g - delta) for (p, _), g, delta in zip(fac, gammas, deltas))
+        total += (2.0 / denom) * (-1) ** sum(deltas) * math.cos(math.pi * e0 * arg)
     return total
 
 

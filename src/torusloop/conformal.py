@@ -1,30 +1,26 @@
 """Conformal torus partition functions of the loop models.
 
-Everything in the continuum: the conjectured scaling form of transfer
-traces as Verma-type sesquilinear series, the Gaussian building blocks
-Z_{m,m'}(g) with their modular covariance, the alpha = 2 partition functions
-in three equivalent guises (a Markov sum of trace lines, the p x 2p' grid of
-affine u(1) character products, and the Bezout-indexed single sum), the
-folded sesquilinear forms printed in the worked examples, the Coulomb sums,
-and the full partition function compared against the O(n) form.
+Everything in the continuum.  Route 3's exact series are Markov sums of the
+d-defect trace lines, the scaling forms of the transfer traces: one
+`_markov_sum` gives the sector Z^(h,v)(alpha) at any rational twist, the
+alpha = 2 sectors of `Z_hv_direct` and the full partition function, compared
+against the O(n) form.  The alpha = 2 sectors come also as the p x 2p' grid of
+u(1) character products, the Bezout single sum and the worked examples' folds.
 
 All series are exact.  Floats appear only in the numeric layer: the Gaussian
 blocks Z_{m,m'}(g) on integer grids; the sector sums, each one
 `TauPoint.nome_sum` in the electric (Poisson-dual) frame at tau carried into
 the fundamental domain; and modular covariance at sampled tau.
 
-Every exact series form collects its theta sum as integer exponent
-numerators over one denominator D that it knows before the sum starts:
-D = 4 p p' den^2 for the Kac-lattice forms, whose exponents are
-delta_exp(R/den, S/den) = (p' R - p S)^2 / D with den a common denominator of
-the labels r and s, and D = 16 n for the u(1) character forms, whose doubled
+Every exact form collects its theta sum as integer exponent numerators over
+one denominator D known before the sum starts: D = 4 p p' den^2 for the
+Kac-lattice forms, whose exponents are delta_exp(R/den, S/den) =
+(p' R - p S)^2 / D, and D = 16 n for the u(1) character forms, whose doubled
 labels J = 2j give (J + 4kn)^2 / 16n.  The one kernel `_dress` dresses those
-integer keys with the eta factors as one integer block product per residue
-class of keys, P X P^T with P the triangular matrix of the partition
-numbers.  The exponents stay Python ints all the way into the BiSeries and
-arrive over their least denominator; each coefficient becomes a Fraction or
-a CycloNum once, at the end.  `KacData.delta_exp` and `theta_series` remain
-the references the tests rebuild the forms from.
+keys with the eta factors, one integer block product per residue class of
+keys; the exponents arrive over their least denominator, and each coefficient
+becomes a Fraction or a CycloNum once, at the end.  `KacData.delta_exp` and
+`theta_series` remain the references the tests rebuild the forms from.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import _real_part, gamma_dm_cospoly, gamma_v, lambda_fsz_cospoly
+from .arith import _real_part, divisors, gamma_dm_cospoly, gamma_v, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
 from .characters import TauPoint, eta_numeric, modular_S_residual, t_sign_exact
 from .cyclo import CycloField, CycloNum, cospoly_to_cyclo
@@ -202,6 +198,42 @@ def verma_trace_series(kind: str, p: int, pq: int, d: int, gamma_over_pi,
     return _dress(theta, D, cutoff)
 
 
+def _markov_sum(p: int, pq: int, e0: Fraction, cutoff, weigh, pair) -> BiSeries:
+    """sum_{d >= 0} mult(d) sum_{k < max(d, 1)} Gamma_{d,k} [a_d Z_d(g) + b_d Z_d(g + 1)]
+    of dilute trace lines Z_d through cutoff; (a_d, b_d) = pair[d % 2], mult(0) = 1
+    and mult(d > 0) = 2, as row S = -d repeats S = d at R -> -R.
+
+    At d = 0 the twist is g = e0 and Gamma_{0,0} = 1; at d > 0 it is g = 2k/d, and
+    Gamma_{d,k} = `gamma_dm_cospoly(d, gcd(k, d))`, which `weigh` evaluates at
+    gamma = pi e0 once per (d, gcd) (Gamma_{0,0} as {0: 1}).  Lines of weight zero
+    are dropped; the rest go over the least even den their twists need.
+
+    pair[h] = (1, (-1)^v), pair[1 - h] = (0, 0) gives the sector Z^(h,v)(2 cos pi e0):
+    `gamma_v`'s weights are Gamma^v_{d,m} = [m even] Gamma_{d,m/2} + (-1)^v [m + d even]
+    Gamma_{d,(m+d)/2}, and a dilute line has period 2 in g.  (1, 0) on every d gives
+    half the four-sector sum.  Dense lines with eps = v give twice a sector: a dense
+    line steps by 1 in g where a dilute one steps by 2, so Z^dense_d(g) = Z_d(g) +
+    (-1)^v Z_d(g + 1) = (-1)^v Z^dense_d(g + 1), and each dense pair is twice the dilute one.
+    """
+    check_pair(p, pq)
+    cutoff, work = _window(cutoff)
+    lines = []  # (twist, d, weight); line d reaches the window iff p d^2 / 16 p' <= work
+    top = math.isqrt(math.floor(16 * pq * work / p))
+    for d in (d for d in range(top + 1) if any(pair[d % 2])):
+        if d:
+            by_gcd = {g: 2 * weigh(gamma_dm_cospoly(d, g)) for g in divisors(d)}  # mult(d) = 2
+            twists = [(Fraction(2 * k, d), w) for k in range(d) if (w := by_gcd[math.gcd(k, d)])]
+        else:
+            twists = [(e0, weigh({0: 1}))]
+        lines += [(g + s, d, w * c) for g, w in twists for s, c in zip((0, 1), pair[d % 2]) if c]
+    den = math.lcm(2, *(g.denominator for g, _, _ in lines))
+    D, root = _kac_window(p, pq, den, work)
+    theta: dict = {}
+    for g, d, w in lines:
+        _trace_line(theta, "dilute", p, pq, root, den, int(g * den), d, 0, w)
+    return _dress(theta, D, cutoff)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian partition functions (numeric)
 
@@ -346,19 +378,12 @@ def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
 def Z_hv_direct(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
     """Direct double sum (1/eta etabar) sum_{r, s+h/2} (-1)^{vr} q^... qbar^....
 
-    The Markov sum over d = h (mod 2) of mult(d) [Z_d(0) + (-1)^v Z_d(1)], dilute
-    lines over den = 2; mult(d > 0) = 2, as row S = -d repeats S = d at R -> -R.
+    `_markov_sum` at e0 = 0 with the pair (1, (-1)^v) on d = h (mod 2): there
+    Gamma_{d,k} = [k = 0] is the sum of its coefficients, and the weights stay ints.
     """
-    check_pair(p, pq)
     check_sector((h, v))
-    cutoff, work = _window(cutoff)
-    D, root = _kac_window(p, pq, 2, work)
-    theta: dict = {}
-    for d in range(h, root // p + 1, 2):
-        mult = 2 if d else 1
-        _trace_line(theta, "dilute", p, pq, root, 2, 0, d, 0, mult)
-        _trace_line(theta, "dilute", p, pq, root, 2, 2, d, 0, -mult if v else mult)
-    return _dress(theta, D, cutoff)
+    pair = [(1, (-1) ** v) if d == h else (0, 0) for d in (0, 1)]
+    return _markov_sum(p, pq, Fraction(0), cutoff, lambda poly: int(sum(poly.values())), pair)
 
 
 def _doubled(label) -> int:
@@ -516,27 +541,14 @@ def render_appendix_form(terms: list) -> str:
 def full_Z_series(p: int, pq: int, gamma_over_pi, cutoff) -> BiSeries:
     """Full (sector-summed) partition function as an exact sesquilinear series.
 
-    The Markov sum Z_0(e0) + sum_{d >= 1, m < d} 2 Gamma_{d,m} Z_d(2m/d) of dilute
-    trace lines; the weights are exact cyclotomic numbers, rational combinations
-    of cos(k gamma) at gamma = pi * e0.
+    Half the four-sector sum, `_markov_sum` with the pair (1, 0) on every d:
+    Z_0(e0) + sum_{d >= 1, k < d} 2 Gamma_{d,k} Z_d(2k/d), with exact cyclotomic
+    weights, rational combinations of cos(k gamma) at gamma = pi * e0.
     """
-    check_pair(p, pq)
     e0 = exact(gamma_over_pi, "gamma/pi")
-    field = CycloField(2 * e0.denominator)
-    cutoff, work = _window(cutoff)
-    # the d-line reaches the window iff (p d/2)^2 / (4 p p') <= work
-    d_max = math.isqrt(math.floor(16 * pq * work / p))
-    # twists e0 and 2m/d with S = d/2, all over den = lcm(2, e0.denominator, 1..d_max)
-    den = math.lcm(2, e0.denominator, *range(1, d_max + 1))
-    D, root = _kac_window(p, pq, den, work)
-    theta: dict = {}
-    _trace_line(theta, "dilute", p, pq, root, den, e0.numerator * (den // e0.denominator),
-                0, 0, field.rational(1))
-    for d in range(1, d_max + 1):
-        for m in range(d):
-            weight = cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator, e0.denominator, field)
-            _trace_line(theta, "dilute", p, pq, root, den, 2 * m * den // d, d, 0, 2 * weight)
-    return _dress(theta, D, cutoff)
+    return _markov_sum(p, pq, e0, cutoff,
+                       lambda poly: cospoly_to_cyclo(poly, e0.numerator, e0.denominator),
+                       ((1, 0), (1, 0)))
 
 
 def on_series(g, e0, cutoff) -> BiSeries:

@@ -129,6 +129,7 @@ class Weights:
     kind: str
     rho: tuple      # the tile weights rho_1..rho_9
     beta: float
+    types: tuple = field(init=False, repr=False)  # of rho and beta, so ints != floats
 
     def __post_init__(self):
         check_kind(self.kind)
@@ -136,6 +137,7 @@ class Weights:
         if len(rho) != 9:
             raise ValueError(f"need nine tile weights rho_1..rho_9, got {len(rho)}")
         object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "types", tuple(map(type, rho + (self.beta,))))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Conformal partition functions: series identities, worked-example forms,
 Gaussian numerics and modular covariance."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -310,38 +311,80 @@ def test_direct_lines_match_double_loop(monkeypatch, p, pq, hv):
                            direct_theta(p, pq, *hv, K))
 
 
+def _theta_values(theta: dict, D: int) -> dict:
+    """A theta sum as a map from exponent pairs (A/D, B/D) to its nonzero values."""
+    return {(F(a, D), F(b, D)): c for (a, b), c in theta.items() if c}
+
+
 @pytest.mark.parametrize("p, pq", [(1, 2), (2, 3), (3, 4), (3, 5)])
 @pytest.mark.parametrize("e0", [F(0), F(1, 3), F(2, 5), F(-3, 7), F(7, 5), F(1, 4)])
 def test_full_lines_match_block_loop(monkeypatch, p, pq, e0):
     """`full_Z_series`'s Markov sum of dilute lines collects the theta sum of
-    the d = 0 block and the d > 0 blocks."""
+    the d = 0 block and the d > 0 blocks: the same exponents with the same
+    nonzero values, of the same types, whatever denominator keys them."""
     from reference_series import full_theta
     for K in (F(0), F(5), F(8)):
-        _assert_same_theta(monkeypatch, lambda: full_Z_series(p, pq, e0, K),
-                           full_theta(p, pq, e0, K))
+        (theta, D, _), = _dress_inputs(monkeypatch, lambda: full_Z_series(p, pq, e0, K))
+        got, want = _theta_values(theta, D), _theta_values(*full_theta(p, pq, e0, K))
+        assert got == want
+        assert [type(c) for c in got.values()] == [type(want[k]) for k in got]
+
+
+def _sector_sum(p: int, pq: int, h: int, v: int, e0: F, K):
+    """Z^(h,v)(alpha = 2 cos pi e0) through K, exact: `_markov_sum` with the pair
+    (1, (-1)^v) on d = h (mod 2) and cyclotomic weights."""
+    from torusloop.conformal import _markov_sum
+    from torusloop.cyclo import cospoly_to_cyclo
+    pair = [(1, (-1) ** v) if d == h else (0, 0) for d in (0, 1)]
+    return _markov_sum(p, pq, e0, K,
+                       lambda poly: cospoly_to_cyclo(poly, e0.numerator, e0.denominator), pair)
 
 
 @pytest.mark.parametrize("p, pq", SERIES_PQ)
 @pytest.mark.parametrize("hv", ALL_HV)
-def test_dense_markov_sum_is_twice_the_dilute_one(p, pq, hv):
-    """The dense = dilute identity at alpha = 2, exactly.  At alpha = 2 the
-    Markov weights of row d are 1 at twist 0 and (-1)^v at twist 1, doubled
-    for d > 0; over dense lines with eps = v the sum is 2 `Z_hv_direct`, the
-    same sum over dilute lines."""
-    from torusloop.conformal import _dress, _kac_window, _trace_line, _window
+def test_dense_markov_sum_is_twice_the_dilute_one(monkeypatch, p, pq, hv):
+    """The dense = dilute identity at alpha = 2 cos pi e0, exactly.  The lines
+    that `_markov_sum` adds for sector (h, v), rebuilt as dense lines with
+    eps = v, sum to twice the dilute sum; at e0 = 0 that sum is `Z_hv_direct`."""
+    import torusloop.conformal as conformal
     h, v = hv
-    for K in (F(7, 3), F(10)):
-        cutoff, work = _window(K)
-        D, root = _kac_window(p, pq, 2, work)
+    real, lines = conformal._trace_line, []
+
+    def spy(theta, kind, p, pq, root, den, start, d, eps, weight):
+        lines.append((root, den, start, d, weight))
+        real(theta, kind, p, pq, root, den, start, d, eps, weight)
+
+    for e0, K in itertools.product((F(0), F(1, 3), F(2, 5), F(1, 4)), (F(7, 3), F(10))):
+        lines.clear()
+        monkeypatch.setattr(conformal, "_trace_line", spy)
+        dilute = _sector_sum(p, pq, h, v, e0, K)
+        monkeypatch.undo()
         theta = {}
-        for d in range(h, root // p + 1, 2):
-            mult = 2 if d else 1
-            _trace_line(theta, "dense", p, pq, root, 2, 0, d, v, mult)
-            _trace_line(theta, "dense", p, pq, root, 2, 2, d, v, -mult if v else mult)
-        dense = _dress(theta, D, cutoff)
-        twice = Z_hv_direct(p, pq, h, v, K).scale(2)
-        assert dense.terms
+        for root, den, start, d, weight in lines:
+            real(theta, "dense", p, pq, root, den, start, d, v, weight)
+        (den,) = {line[1] for line in lines}
+        cutoff, work = conformal._window(K)
+        dense = conformal._dress(theta, conformal._kac_window(p, pq, den, work)[0], cutoff)
+        twice = dilute.scale(2)
+        # Z^(0,0) of (1, 3) vanishes at alpha = 1, as the numeric sector sum does
+        assert dense.terms or (p, pq, hv, e0) == (1, 3, (0, 0), F(1, 3))
         assert (dense, dense.valid) == (twice, twice.valid)
+        if e0 == 0:
+            assert dilute == Z_hv_direct(p, pq, h, v, K)
+
+
+@pytest.mark.parametrize("p, pq", [(2, 3), (3, 4)])
+@pytest.mark.parametrize("e0", [F(0), F(1, 3), F(2, 5)])
+def test_exact_sector_sum_matches_numeric_route_3(p, pq, e0):
+    """Route 3 exact against route 3 numeric away from alpha = 2: each sector
+    sum at alpha = 2 cos pi e0 through cutoff 12, read at tau, equals the
+    electric-frame `conformal_Z_numeric` to 1e-12 relative."""
+    tau = TauPoint(complex(0.13, 0.9))
+    alpha = 2 * math.cos(math.pi * e0)
+    for h, v in ALL_HV:
+        series = _sector_sum(p, pq, h, v, e0, F(12)).evaluate(tau)
+        numeric = conformal_Z_numeric(p / pq, alpha, h, v, tau)
+        assert abs(series - numeric) <= 1e-12 * abs(numeric)
 
 
 # -- Gaussian numerics -------------------------------------------------------

@@ -67,6 +67,20 @@ def test_weights_validation():
     assert w.rho == (1,) * 9 and hash(w) == hash(Weights("dilute", (1,) * 9, 2))
 
 
+def test_int_weights_and_their_float_twin_are_cached_apart():
+    """An int weighting and its float twin are equal numbers but distinct cache
+    keys: each sums its sector polynomials in its own type, whichever came first."""
+    from torusloop.acceptance import integer_weights
+    from torusloop.lattice import _sector_polynomials
+    draw = integer_weights("dilute")[0]
+    twin = Weights("dilute", tuple(map(float, draw.rho)), float(draw.beta))
+    assert draw != twin
+    for weights, kind in ((twin, float), (draw, int), (twin, float)):
+        lattice_Z(weights, 2, 3, alpha=2.0)
+        polys = _sector_polynomials(weights, 2, 3)
+        assert {type(c) for poly in polys.values() for c in poly.values()} == {kind}
+
+
 @pytest.mark.parametrize("M, N", [(1, 3), (2, 3), (3, 3), (3, 4)])
 def test_corner_tiles_come_in_pairs(M, N):
     """Occupied edges pair up (L with R, B with T), which forces n_2 = n_3 and
