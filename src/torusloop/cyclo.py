@@ -244,8 +244,3 @@ def cospoly_to_cyclo(cospoly: dict, a: int, b: int, field: CycloField | None = N
     for k, c in cospoly.items():
         out = out + field.cos_pi_multiple(k * a, b) * exact(c, "coefficient")
     return out
-
-
-def cospoly_eval(cospoly: dict, gamma: float) -> float:
-    """Float evaluation of {k: c_k} at a real angle gamma."""
-    return sum(float(c) * math.cos(k * gamma) for k, c in cospoly.items())

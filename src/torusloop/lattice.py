@@ -67,10 +67,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple
 
 from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_PARTNER, ModelSpec, Weights,
-                    check_kind, check_sector, torus_sectors)
+                    check_kind, check_sector, sector_sum, torus_sectors)
 
 # Configurations a census may count: about 3-5 us each on a one-row torus,
 # at most 1 us on a taller one.  Cold census_counter on 2 cores, one run
@@ -536,10 +537,10 @@ def census_counter(kind: str, M: int, N: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _sector_polynomials(spec: ModelSpec | Weights, M: int, N: int) -> dict:
+def _sector_polynomials(spec: ModelSpec | Weights, M: int, N: int) -> Mapping:
     """{(h, v): {n: c_n}}, c_n the summed weight beta^n_beta prod rho_t^n_t
     of the configurations of sector (h, v) with n non-contractible loops;
-    cached per weighting and torus, like `transfer.build_transfer`."""
+    cached and read-only per weighting and torus, like `transfer._markov_polynomials`."""
     rho, beta = spec.rho, spec.beta
     polys: dict = {}
     for (n_beta, winds, counts, h, v), mult in census_counter(spec.kind, M, N):
@@ -547,7 +548,7 @@ def _sector_polynomials(spec: ModelSpec | Weights, M: int, N: int) -> dict:
         n = sum(k for _, k in winds)
         w = mult * beta ** n_beta * math.prod(map(pow, rho, counts))
         poly[n] = poly.get(n, 0) + w
-    return polys
+    return MappingProxyType({hv: MappingProxyType(poly) for hv, poly in polys.items()})
 
 
 def lattice_Z(spec: ModelSpec | Weights, M: int, N: int, sector: tuple | None = None, *,
@@ -563,9 +564,4 @@ def lattice_Z(spec: ModelSpec | Weights, M: int, N: int, sector: tuple | None = 
     if sector is not None:
         sector = tuple(sector)
         check_sector(sector, torus_sectors(spec.kind, M, N))
-    total = 0.0
-    for hv, poly in _sector_polynomials(spec, M, N).items():
-        if sector is None or hv == sector:
-            for n, c in poly.items():
-                total += c * alpha ** n
-    return total
+    return sector_sum(_sector_polynomials(spec, M, N), sector, alpha)

@@ -87,6 +87,16 @@ def check_sector(hv: tuple, sectors: tuple = SECTORS) -> None:
         raise ValueError(f"sector {tuple(hv)} is not one of {', '.join(map(str, sectors))}")
 
 
+def sector_sum(polys, sector: tuple | None, alpha) -> float:
+    """sum_n c_n alpha^n of polys = {(h, v): {n: c_n}} in `sector`, or in all when None."""
+    total = 0.0
+    for hv, poly in polys.items():
+        if sector is None or hv == sector:
+            for n, c in poly.items():
+                total += c * alpha ** n
+    return total
+
+
 def check_kind(kind: str) -> None:
     """Raise ValueError unless `kind` is one of the model kinds of KIND_TILES."""
     if kind not in KIND_TILES:

@@ -38,22 +38,24 @@ basis word of each rotation orbit and fills the orbit's other columns by
 rotating its rows and shifting its powers of omega; a column that its
 orbit's period does not map onto itself raises.
 
-Weights are Laurent polynomials in omega with float coefficients.  An
-operator holds them as one omega-coefficient tensor, which the build writes
-directly; ``matrix`` is a view derived from it on first use, each entry a
-{power of omega: coefficient} dict, and every Laurent polynomial of this
-module is such a mapping.  Traces of transfer-matrix powers decompose as
-sum_j omega^{-j} C_{d,j} (the twisted sectors of Di Francesco, Saleur and
-Zuber, J. Stat. Phys. 49 (1987) 57); the Markov trace reassembles the torus
-partition functions from the C_{d,j} with Chebyshev fugacity factors, the
-defining cross-check being equality with the lattice enumeration.
+Weights are Laurent polynomials in omega, with Python int coefficients when
+every rho_t and beta is an int and float ones otherwise.  An operator holds
+them as one omega-coefficient tensor, which the build writes directly;
+``matrix`` is a view derived from it on first use, each entry a {power of
+omega: coefficient} dict, and every Laurent polynomial of this module is
+such a mapping.  Traces of transfer-matrix powers decompose as sum_j
+omega^{-j} C_{d,j} (the twisted sectors of Di Francesco, Saleur and Zuber,
+J. Stat. Phys. 49 (1987) 57).  The Markov trace of a sector, the lattice
+enumeration's polynomial in alpha, is Z^{(h,v)} = sum_{d = h mod 2} mult(d)
+sum_{j = v mod 2} T_{gcd(d,|j|)}(alpha/2) C_{d,j}: mult(d) = 2 counts the
+modules d and -d > 0 (C_{-d,j} = C_{d,-j}) and clears the halves of
+T_g(alpha/2), which C_{0,j} = C_{0,-j} clears for mult(0) = 1.
 
 Two paths compute the C_{d,j}.  ``C_coefficients``, which ``markov_Z`` and
 the CLI read, multiplies numpy slices of the tensor and is cached per
-(spec, N, M, d); ``commutator_residual`` uses the same slice product.
-``trace_TM`` multiplies the ``matrix`` views entry by entry with one
-``math.fsum`` per power, in pure Python; it is the correctly rounded
-reference that the tests hold the fast path to.
+(spec, N, M, d).  ``trace_TM`` multiplies the ``matrix`` views entry by
+entry with one ``math.fsum`` per power, in pure Python; it is the correctly
+rounded reference that the tests hold the fast path to.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import numpy as np
 
 from .arith import _real_part, chebyshev_T, gcd_conv
 from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_LINKS, TILE_PARTNER,
-                    ModelSpec, Weights, check_sector, defect_numbers, torus_sectors)
+                    ModelSpec, Weights, check_sector, defect_numbers, sector_sum, torus_sectors)
 
 TRANSFER_SITE_GUARD = {"dense": 12, "dilute": 8}
 
@@ -319,7 +321,7 @@ class TransferOperator:
 
     def to_numeric(self, omega: complex) -> np.ndarray:
         powers = np.arange(self.kmin, self.kmin + len(self.tensor))
-        return np.tensordot(complex(omega) ** powers, self.tensor, axes=1)
+        return np.tensordot(complex(omega) ** powers, np.asarray(self.tensor, float), axes=1)
 
 
 @lru_cache(maxsize=256)
@@ -342,6 +344,7 @@ def build_transfer(spec: ModelSpec | Weights, N: int, d: int) -> TransferOperato
     index = {w: i for i, w in enumerate(basis)}
     arcs_of = {w: arc_crossings(w) for w in basis}
     rho, beta = spec.rho, spec.beta
+    dtype = object if all(type(x) is int for x in rho + (beta,)) else float  # exact ints
     diagrams = _row_diagrams(N, tuple(t for t in KIND_TILES[spec.kind] if rho[t - 1] != 0.0))
     # one rotation w -> w[-1] + w[:-1] as an index map, and the defect it
     # carries across the seam
@@ -366,10 +369,10 @@ def build_transfer(spec: ModelSpec | Weights, N: int, d: int) -> TransferOperato
             # (omega + 1/omega)^n_alpha
             for m in range(n_alpha + 1):
                 key = (k + n_alpha - 2 * m, i)
-                column[key] = column.get(key, 0.0) + c * math.comb(n_alpha, m)
+                column[key] = column.get(key, 0) + c * math.comb(n_alpha, m)
         powers = np.array([k for k, _ in column], dtype=np.int64)
         targets = np.array([i for _, i in column], dtype=np.intp)
-        coeffs = np.array(list(column.values()))
+        coeffs = np.array(list(column.values()), dtype=dtype)
         jr = j
         while True:
             parts.append((powers, targets, np.full(len(coeffs), jr), coeffs))
@@ -387,7 +390,7 @@ def build_transfer(spec: ModelSpec | Weights, N: int, d: int) -> TransferOperato
     keep = c != 0.0
     k, i, j, c = k[keep], i[keep], j[keep], c[keep]
     kmin, kmax = (int(k.min()), int(k.max())) if len(k) else (0, 0)
-    tensor = np.zeros((kmax - kmin + 1, dim, dim))
+    tensor = np.zeros((kmax - kmin + 1, dim, dim), dtype)
     tensor[k - kmin, i, j] = c
     return TransferOperator(spec, N, d, basis, kmin, tensor)
 
@@ -447,7 +450,7 @@ def _slice_product(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     out[k] = sum_r P[k - r] @ A[r], so out[0] sits at the sum of the
     factors' lowest powers."""
     dim = A.shape[-1]
-    out = np.zeros((len(P) + len(A) - 1, dim, dim))
+    out = np.zeros((len(P) + len(A) - 1, dim, dim), A.dtype)
     flat = P.reshape(-1, dim)
     for r, slab in enumerate(A):
         out[r:r + len(P)] += (flat @ slab).reshape(P.shape)
@@ -460,24 +463,25 @@ def C_coefficients(spec: ModelSpec | Weights, N: int, M: int, d: int) -> Mapping
 
     tr T^M = sum_j omega^{-j} C_{d,j} is formed on the coefficient slices
     A[r] of the operator tensor: P'[k] = sum_r P[k - r] @ A[r] builds
-    T^{M-1}, and the last factor enters through its trace only.  A power
-    that no closed walk reaches stays exactly 0.0.  ``trace_TM`` is the
-    correctly rounded reference for the same numbers.
+    T^{M-1}, and the last factor enters through its trace only, in the
+    tensor's type.  A power that no closed walk reaches stays exactly zero.
+    ``trace_TM`` is the correctly rounded reference for the same numbers.
     """
     if M < 0:
         raise ValueError("need M >= 0")
     op = build_transfer(spec, N, d)
-    if M == 0:
-        return MappingProxyType({0: float(op.dim)})
     A = op.tensor
-    P = np.eye(op.dim)[None]
+    zero = 0 if A.dtype == object else 0.0
+    if M == 0:
+        return MappingProxyType({0: zero + op.dim})
+    P = np.eye(op.dim, dtype=A.dtype)[None]
     for _ in range(M - 1):
         P = _slice_product(P, A)
-    trace = np.zeros(len(P) + len(A) - 1)
+    trace = np.zeros(len(P) + len(A) - 1, A.dtype)
     for r, slab in enumerate(A):
         trace[r:r + len(P)] += np.einsum("kij,ji->k", P, slab)
     # trace[n] is the omega^(M kmin + n) coefficient, i.e. C_{d,-(M kmin + n)}
-    C = dict.fromkeys(range(-M, M + 1), 0.0)
+    C = dict.fromkeys(range(-M, M + 1), zero)
     for n, c in enumerate(trace.tolist()):
         j = -(M * op.kmin + n)
         if j in C:
@@ -488,41 +492,48 @@ def C_coefficients(spec: ModelSpec | Weights, N: int, M: int, d: int) -> Mapping
     return MappingProxyType(C)
 
 
+@lru_cache(maxsize=None)
+def _twice_chebyshev(g: int) -> tuple:
+    """The int coefficients of 2 T_g(alpha/2), ascending in alpha.
+
+    Their sizes sum to at most 2^(g+1), so at alpha = B = 2^(g+3) the exact
+    value 2 T_g(B/2) holds them as its base-B digits taken in [-B/2, B/2)."""
+    B = 2 ** (g + 3)
+    rest, digits = 2 * chebyshev_T(g, B // 2), []
+    while rest:
+        digits.append((rest + B // 2) % B - B // 2)
+        rest = (rest - digits[-1]) // B
+    return tuple(digits)
+
+
+@lru_cache(maxsize=256)
+def _markov_polynomials(spec: ModelSpec | Weights, M: int, N: int) -> Mapping:
+    """{(h, v): {n: c_n}}, each sector's nonzero Markov sum as sum_n c_n alpha^n,
+    cached and read-only per weighting and torus like `lattice._sector_polynomials`.
+    It is summed on the int coefficients of 2 T_g(alpha/2) and halved: at integer
+    weights every c_n is an int, and one that is not whole raises ArithmeticError."""
+    polys = {}
+    for h, v in torus_sectors(spec.kind, M, N):
+        twice: dict = {}  # n -> 2 c_n
+        for d in range(h, N + 1, 2):  # dense: h = N mod 2, the parity of d
+            C = C_coefficients(spec, N, M, d)
+            for j in range((M + v) % 2 - M, M + 1, 2):  # j = v mod 2
+                for n, t in enumerate(_twice_chebyshev(gcd_conv(d, abs(j)))):
+                    twice[n] = twice.get(n, 0) + (1 if d == 0 else 2) * C[j] * t
+        if any(type(c) is int and c % 2 for c in twice.values()):
+            raise ArithmeticError(f"sector {(h, v)}: a c_n is not whole (2 c_n: {twice})")
+        poly = {n: c // 2 if type(c) is int else c / 2 for n, c in twice.items() if c}
+        if poly:
+            polys[h, v] = MappingProxyType(poly)
+    return MappingProxyType(polys)
+
+
 def markov_Z(spec: ModelSpec | Weights, M: int, N: int, h: int, v: int, alpha: float) -> float:
-    """Torus partition function in sector (h, v) via the Markov trace.
-
-    Z^{(h,v)} = sum_{d >= 0, d = h mod 2} mult(d) sum_{j = v mod 2}
-                T_{gcd(d,|j|)}(alpha/2) C_{d,j},
-    with mult(d) = 1 for d = 0 and 2 for d > 0 (the d and -d modules carry
-    equal weight since C_{-d,j} = C_{d,-j} and the Chebyshev factor is even).
-    The traces do not depend on alpha; it enters only through T_{gcd}.  They
-    read kind, rho and beta of `spec`, a `ModelSpec` or any `Weights`, as
-    `lattice_Z` does, so the two routes agree at every such value.  A
-    sector outside `torus_sectors(spec.kind, M, N)` raises ValueError; a
-    dense torus has h = N mod 2, so d keeps the parity of N as it must.
-    """
+    """Torus partition function in sector (h, v) via the Markov trace: the
+    polynomial of `_markov_polynomials` at `alpha`, read like `lattice_Z`.  A
+    sector outside `torus_sectors(spec.kind, M, N)` raises ValueError."""
     check_sector((h, v), torus_sectors(spec.kind, M, N))
-    half = alpha / 2.0
-    total = 0.0
-    for d in range(h, N + 1, 2):
-        C = C_coefficients(spec, N, M, d)
-        mult = 1.0 if d == 0 else 2.0
-        s = 0.0
-        for j in range(-M, M + 1):
-            if (j - v) % 2:
-                continue
-            c = C[j]
-            if c:
-                s += chebyshev_T(gcd_conv(d, abs(j)), half) * c
-        total += mult * s
-    return total
-
-
-def commutator_residual(spec_a: ModelSpec, spec_b: ModelSpec, N: int, d: int) -> float:
-    """Largest coefficient of [T(u), T(u')] on the (N, d) module."""
-    Ta = build_transfer(spec_a, N, d).tensor
-    Tb = build_transfer(spec_b, N, d).tensor
-    return float(np.abs(_slice_product(Ta, Tb) - _slice_product(Tb, Ta)).max())
+    return sector_sum(_markov_polynomials(spec, M, N), (h, v), alpha)
 
 
 def leading_eigenvalue(spec: ModelSpec, N: int, d: int = 0, omega: complex = 1.0) -> float:

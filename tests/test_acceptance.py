@@ -7,11 +7,11 @@ acceptance report.
 
 import pytest
 
-from torusloop import acceptance
+from torusloop import acceptance, transfer
 from torusloop.golden import GOLDEN_APPENDIX_FORMS, GOLDEN_TABLE_CELLS
-from torusloop.lattice import lattice_Z
-from torusloop.model import ModelSpec, Weights
-from torusloop.transfer import markov_Z
+from torusloop.lattice import _sector_polynomials, lattice_Z
+from torusloop.model import ModelSpec, Weights, torus_sectors
+from torusloop.transfer import _markov_polynomials, markov_Z
 
 
 def _report(name, fn):
@@ -58,6 +58,37 @@ def test_exact_leg_sees_a_tile_swap_the_physical_weights_hide():
         error = acceptance.scaled_error(markov_Z(hidden, M, N, *hv, alpha=alpha),
                                         lattice_Z(spec, M, N, sector=hv, alpha=alpha))
         assert error < acceptance.ORACLE_TOL
+
+
+@pytest.fixture
+def t3_read_as_t1(monkeypatch):
+    """Route 2 with T_3 read as T_1, its polynomial cache emptied before and after."""
+    table = transfer._twice_chebyshev
+    monkeypatch.setattr(transfer, "_twice_chebyshev", lambda g: table(1 if g == 3 else g))
+    _markov_polynomials.cache_clear()
+    yield
+    monkeypatch.undo()
+    _markov_polynomials.cache_clear()
+
+
+def test_exact_leg_sees_what_three_alphas_miss(t3_read_as_t1):
+    """T_3(x) - T_1(x) = 4 x (x^2 - 1) vanishes at x = alpha/2 for alpha in
+    {2, 0, -2}, so with T_3 read as T_1 in route 2 every point of an exact
+    leg at those three alpha still agrees.  The sector polynomials differ,
+    and criterion 1 fails on them."""
+    unequal = 0
+    for kind, sizes in (("dense", acceptance.DENSE_SIZES), ("dilute", acceptance.DILUTE_SIZES)):
+        for weights in acceptance.integer_weights(kind):
+            for M, N in sizes:
+                for hv in torus_sectors(kind, M, N):
+                    for alpha in (2, 0, -2):
+                        assert (markov_Z(weights, M, N, *hv, alpha=alpha)
+                                == lattice_Z(weights, M, N, sector=hv, alpha=alpha))
+                    unequal += (_markov_polynomials(weights, M, N).get(hv)
+                                != _sector_polynomials(weights, M, N).get(hv))
+    assert unequal > 0
+    ok, detail = acceptance.criterion_1_oracle()
+    assert not ok and detail.startswith("unequal alpha-polynomials"), detail
 
 
 def test_criterion_2_exact_triple_identity():

@@ -23,7 +23,12 @@ from torusloop.arith import (
     verify_master,
     verify_s1_s2,
 )
-from torusloop.cyclo import CycloField, cospoly_eval, cospoly_to_cyclo
+from torusloop.cyclo import CycloField, cospoly_to_cyclo
+
+
+def cospoly_eval(cospoly: dict, gamma: float) -> float:
+    """Float evaluation of {k: c_k} at a real angle gamma."""
+    return sum(float(c) * math.cos(k * gamma) for k, c in cospoly.items())
 
 
 def test_gcd_conventions():

@@ -10,8 +10,7 @@ import pytest
 
 from reference_enum import slow_partition_functions
 from torusloop import lattice
-from torusloop.acceptance import (DENSE_SIZES, DILUTE_SIZES, EXACT_ALPHAS, ORACLE_PQ,
-                                  integer_weights)
+from torusloop.acceptance import DENSE_SIZES, DILUTE_SIZES, ORACLE_PQ, integer_weights
 from torusloop.lattice import (
     SizeGuardError,
     _check_size,
@@ -386,18 +385,35 @@ def per_key_lattice_Z(spec, M, N, sector, alpha):
     return total
 
 
+def per_key_polynomials(spec, M, N):
+    """The sector polynomials {(h, v): {n: c_n}} as a loop over the census
+    keys, each weighed on its own: the coefficient-wise reference."""
+    rho, beta = spec.rho, spec.beta
+    polys = {}
+    for (n_beta, winds, counts, h, v), mult in census_counter(spec.kind, M, N):
+        w = mult * beta ** n_beta
+        for t in range(9):
+            w *= rho[t] ** counts[t]
+        n = sum(k for _, k in winds)
+        poly = polys.setdefault((h, v), {})
+        poly[n] = poly.get(n, 0) + w
+    return polys
+
+
 ORACLE_TORI = [("dense", M, N) for M, N in DENSE_SIZES] + [("dilute", M, N) for M, N in DILUTE_SIZES]
 
 
 @pytest.mark.parametrize("kind, M, N", ORACLE_TORI)
 def test_sector_polynomials_equal_the_per_key_sum_at_integer_weights(kind, M, N):
-    """At integer weights both weightings sum integers: every sector, the
-    total, and every alpha of the exact leg agree exactly."""
+    """At integer weights both weightings sum integers: every coefficient of
+    every sector polynomial agrees exactly, as an int."""
     for weights in integer_weights(kind):
-        for sector in torus_sectors(kind, M, N) + (None,):
-            for alpha in EXACT_ALPHAS:
-                assert (lattice_Z(weights, M, N, sector=sector, alpha=alpha)
-                        == per_key_lattice_Z(weights, M, N, sector, alpha))
+        polys = lattice._sector_polynomials(weights, M, N)
+        reference = per_key_polynomials(weights, M, N)
+        assert set(polys) == set(reference) <= set(torus_sectors(kind, M, N))
+        for hv, poly in reference.items():
+            assert dict(polys[hv]) == poly, hv
+            assert {type(c) for c in polys[hv].values()} == {int}
 
 
 @pytest.mark.parametrize("kind, M, N", ORACLE_TORI)

@@ -1,20 +1,22 @@
 """Standard modules, transfer traces and the Markov-trace oracle test."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from torusloop import transfer
-from torusloop.acceptance import ORACLE_TOL, scaled_error
-from torusloop.lattice import lattice_Z
-from torusloop.model import KIND_TILES, ModelSpec
+from torusloop.acceptance import ORACLE_TOL, integer_weights, scaled_error
+from torusloop.arith import chebyshev_T, gcd_conv
+from torusloop.lattice import _sector_polynomials, lattice_Z
+from torusloop.model import KIND_TILES, ModelSpec, Weights, torus_sectors
 from torusloop.transfer import (
     C_coefficients,
     TransferOperator,
     TransferSizeError,
+    _slice_product,
     build_transfer,
-    commutator_residual,
     effective_central_charge,
     leading_eigenvalue,
     link_states,
@@ -22,6 +24,13 @@ from torusloop.transfer import (
     match_word,
     trace_TM,
 )
+
+
+def commutator_residual(spec_a: ModelSpec, spec_b: ModelSpec, N: int, d: int) -> float:
+    """Largest coefficient of [T(u), T(u')] on the (N, d) module."""
+    Ta = build_transfer(spec_a, N, d).tensor
+    Tb = build_transfer(spec_b, N, d).tensor
+    return float(np.abs(_slice_product(Ta, Tb) - _slice_product(Tb, Ta)).max())
 
 
 def comb(n, k):
@@ -446,10 +455,94 @@ def test_markov_alpha2_reduces_to_plain_traces():
 
 def test_chebyshev_gcd_convention_in_markov():
     # T_{gcd(4,6)} = T_2(x) = 2x^2 - 1 enters the d=4, j=6 weight
-    from torusloop.arith import chebyshev_T, gcd_conv
     assert gcd_conv(4, 6) == 2
     x = 0.3
     assert math.isclose(chebyshev_T(2, x), 2 * x * x - 1)
+
+
+def per_call_markov_Z(spec, M, N, h, v, alpha):
+    """markov_Z as one float Markov sum per call, each T_gcd(d,|j|)(alpha/2)
+    evaluated at alpha: the reference the Markov polynomials are held to."""
+    total = 0.0
+    for d in range(h, N + 1, 2):
+        C = C_coefficients(spec, N, M, d)
+        s = 0.0
+        for j in range(-M, M + 1):
+            if (j - v) % 2 == 0 and C[j]:
+                s += chebyshev_T(gcd_conv(d, abs(j)), alpha / 2.0) * C[j]
+        total += (1.0 if d == 0 else 2.0) * s
+    return total
+
+
+@pytest.mark.parametrize("kind, sizes", [
+    ("dense", [(2, 2), (3, 4), (4, 5), (4, 8), (16, 10)]),
+    ("dilute", [(1, 2), (2, 3), (4, 4), (4, 5), (6, 5)]),
+], ids=["dense", "dilute"])
+def test_markov_polynomials_match_the_per_call_sum(kind, sizes):
+    """The polynomial in alpha, evaluated, against the per-call Markov sum at
+    the physical weights: within 1e-13 of the larger value."""
+    for spec in (ModelSpec(kind, 2, 3, 0.37), ModelSpec(kind, 3, 4, 0.0).isotropic()):
+        for M, N in sizes:
+            for h, v in torus_sectors(kind, M, N):
+                for alpha in (2.0, 1.0, 0.6, -0.3):
+                    assert scaled_error(markov_Z(spec, M, N, h, v, alpha=alpha),
+                                        per_call_markov_Z(spec, M, N, h, v, alpha)) < 1e-13
+
+
+@pytest.mark.parametrize("kind", ["dense", "dilute"])
+def test_integer_weights_give_exact_traces(kind):
+    """At integer weights the tensor holds Python ints, the C_{d,j} are ints
+    equal to the fsum reference, and each Markov coefficient is an int; the
+    float twin of the weights keeps a float tensor with the same values."""
+    weights = integer_weights(kind)[0]
+    twin = Weights(kind, tuple(map(float, weights.rho)), float(weights.beta))
+    for N, d in _modules(kind, 4):
+        op, op_float = build_transfer(weights, N, d), build_transfer(twin, N, d)
+        assert op.tensor.dtype == object and op_float.tensor.dtype == float
+        assert {type(c) for c in op.tensor.flat} == {int}
+        assert np.array_equal(op.tensor.astype(float), op_float.tensor)
+        assert np.array_equal(op.to_numeric(0.3 + 0.4j), op_float.to_numeric(0.3 + 0.4j))
+        for M in range(4):
+            C = C_coefficients(weights, N, M, d)
+            assert {type(c) for c in C.values()} == {int}
+            tr = trace_TM(weights, N, M, d)
+            assert C == {j: tr.get(-j, 0) for j in range(-M, M + 1)}
+    polys = transfer._markov_polynomials(weights, 3, 4)
+    assert {type(c) for poly in polys.values() for c in poly.values()} == {int}
+    assert polys == _sector_polynomials(weights, 3, 4)
+
+
+def test_twice_chebyshev_matches_chebyshev_T_on_polynomials():
+    """The base-B digits of 2 T_g(B/2) against chebyshev_T run on exact
+    polynomials in alpha (numpy poly1d of Fractions)."""
+    half_alpha = np.poly1d(np.array([Fraction(1, 2), 0], dtype=object))
+    for g in range(80):
+        reference = chebyshev_T(g, half_alpha).c[::-1]
+        assert transfer._twice_chebyshev(g) == tuple(int(2 * t) for t in reference), g
+
+
+def test_markov_polynomials_refuse_a_coefficient_that_is_not_whole(monkeypatch):
+    """C_{0,1} without its mirror C_{0,-1} leaves half of T_1(alpha/2) = alpha/2."""
+    weights = Weights("dilute", (1, 2, 2, 3, 3, 1, 1, 2, 1), 2)
+    lopsided = {-1: 0, 0: 0, 1: 1}
+    monkeypatch.setattr(transfer, "C_coefficients", lambda *args: lopsided)
+    with pytest.raises(ArithmeticError, match="not whole"):
+        transfer._markov_polynomials(weights, 1, 1)
+
+
+@pytest.mark.parametrize("polynomials", [_sector_polynomials, transfer._markov_polynomials],
+                         ids=["lattice", "markov"])
+def test_polynomial_caches_are_read_only(polynomials):
+    """A cached polynomial cannot be edited, so no caller can change what
+    later calls of lattice_Z and markov_Z read."""
+    weights = integer_weights("dilute")[0]
+    polys = polynomials(weights, 2, 3)
+    with pytest.raises(TypeError):
+        polys[0, 0] = {}
+    with pytest.raises(TypeError):
+        polys[0, 0][0] += 1000
+    assert lattice_Z(weights, 2, 3, sector=(0, 0), alpha=1.0) == 9436.0
+    assert markov_Z(weights, 2, 3, 0, 0, alpha=1.0) == 9436.0
 
 
 def test_dense_markov_rejects_wrong_sector():
