@@ -71,7 +71,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
 from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_PARTNER, ModelSpec, Weights,
-                    check_kind, check_sector, sector_sum, torus_sectors)
+                    check_kind, check_sector, check_size, sector_sum, torus_sectors)
 
 # Configurations a census may count: about 3-5 us each on a one-row torus,
 # at most 1 us on a taller one.  Cold census_counter on 2 cores, one run
@@ -487,8 +487,7 @@ def _config_count(kind: str, M: int, N: int) -> int:
 def _check_size(kind: str, M: int, N: int):
     """Refuse a torus with more than CENSUS_GUARD configurations."""
     check_kind(kind)
-    if M < 1 or N < 1:
-        raise ValueError("lattice dimensions must be positive")
+    check_size(M, N)
     if M * N > _GUARD_FACES:
         count = f"at least 2^{M * N}"
     elif (n := _config_count(kind, M, N)) > CENSUS_GUARD:

@@ -87,6 +87,12 @@ def check_sector(hv: tuple, sectors: tuple = SECTORS) -> None:
         raise ValueError(f"sector {tuple(hv)} is not one of {', '.join(map(str, sectors))}")
 
 
+def check_size(*sizes) -> None:
+    """Raise ValueError unless every lattice dimension in `sizes` is at least 1."""
+    if min(sizes) < 1:
+        raise ValueError("lattice dimensions must be positive")
+
+
 def sector_sum(polys, sector: tuple | None, alpha) -> float:
     """sum_n c_n alpha^n of polys = {(h, v): {n: c_n}} in `sector`, or in all when None."""
     total = 0.0

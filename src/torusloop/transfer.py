@@ -20,20 +20,27 @@ and reading off the top.  Scalars produced while contracting:
     seam and omega^{-1} per leftward crossing;
   * a row that joins two defects annihilates the state.
 
-Each row of tiles is reduced once, for every module, to its row diagram:
-the other end of each strand among its bottom and top edges, the strand's
-signed seam crossings, and the loops closed inside the row.  Stacking a row
-on a link state is then a join: one walk alternates row strands with the
-state's arcs, so each defect reaches a new defect (or a second defect, which
-annihilates the state), the remaining top ends pair into the new arcs, and
-what is left closes into loops.  The new word is checked once, against the
-arcs of the basis word it names.
+A row is stacked on a link state one face at a time (Bloete and Nightingale,
+Physica A 112 (1982) 405).  The sweep's state holds one link per port: a port
+per bottom site and per top site, one per side edge of the face being
+crossed, and a glue port for the far side of the seam edge.  A link is the other end
+of the port's strand and its signed seam crossings, or None; a bottom defect
+is a terminal.  The sweep starts with the seam edge empty and with it
+occupied, edge and glue linked at crossing -1.  Face k uses up bottom site k
+and its left edge and makes top site k and its right edge: a tile strand
+joins two used-up ends (closing a loop, alpha at an odd crossing and beta at
+an even one, or joining two defects, which annihilates the state), extends a
+used-up end to a new one, or pairs the two new ends.  Equal states merge,
+with a weight per number of alpha loops.  At the end the right edge is glued
+to the glue port by the same join, and the top links give the new word, its
+arcs, their winds and the power of omega.  The new word is checked once,
+against the arcs of the basis word it names.
 
 The row is homogeneous, so T commutes with rotating the row by one site,
 rot(w) = w[-1] + w[:-1], up to the twist: with D_r(w) the number of defects
 in w[N-r:], the ones that rot^r carries across the seam, the omega^k
 coefficient of T[i, j] is the omega^(k + D_r(i) - D_r(j)) coefficient of
-T[rot^r i, rot^r j].  ``build_transfer`` therefore joins only the first
+T[rot^r i, rot^r j].  ``build_transfer`` therefore sweeps only the first
 basis word of each rotation orbit and fills the orbit's other columns by
 rotating its rows and shifting its powers of omega; a column that its
 orbit's period does not map onto itself raises.
@@ -69,8 +76,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .arith import _real_part, chebyshev_T, gcd_conv
-from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_LINKS, TILE_PARTNER,
-                    ModelSpec, Weights, check_sector, defect_numbers, sector_sum, torus_sectors)
+from .model import (KIND_TILES, B, L, R, T, TILE_EDGES, TILE_LINKS, ModelSpec, Weights,
+                    check_sector, check_size, defect_numbers, sector_sum, torus_sectors)
 
 TRANSFER_SITE_GUARD = {"dense": 12, "dilute": 8}
 
@@ -166,124 +173,121 @@ def arc_crossings(word: str) -> dict:
 # one-row action
 
 
-@lru_cache(maxsize=32)
-def _row_diagrams(N: int, tiles: tuple) -> Mapping:
-    """Connectivity of every horizontally compatible row of N `tiles`.
+_DEFECT = -1  # the other end of a strand that runs down to a bottom defect
 
-    Rows come in lexicographic order, grouped by bottom occupancy (a tuple
-    of bools, one per site).  Each row is (tiles, ends, crosses, loops): the
-    row ends are numbered c for the bottom edge and N + c for the top edge
-    of column c; ``ends[e]`` is the other end of the strand at e (e itself
-    when e is unoccupied) and ``crosses[e]`` the signed seam crossings from
-    e to it; ``loops`` holds the seam crossings of the loops closed in the
-    row.  ``ends`` is stored as bytes and equal ``crosses`` are shared, which
-    keeps the tens of thousands of dilute rows at N = 7 small.
-    """
-    rows = [()]
-    for _ in range(N):
-        rows = [row + (t,) for row in rows for t in tiles
-                if not row or (L in TILE_EDGES[t]) == (R in TILE_EDGES[row[-1]])]
-    groups: dict = {}
-    shared: dict = {}
-    for row in rows:
-        if (L in TILE_EDGES[row[0]]) != (R in TILE_EDGES[row[-1]]):
-            continue
-        ends = list(range(2 * N))
-        crosses = [0] * (2 * N)
-        for start in range(2 * N):
-            col, edge = start % N, (B if start < N else T)
-            if ends[start] != start or edge not in TILE_EDGES[row[col]]:
-                continue
-            cross = 0
-            while True:
-                edge = TILE_PARTNER[row[col]][edge]
-                if edge == R:
-                    col, edge = (col + 1) % N, L
-                    cross += col == 0
-                elif edge == L:
-                    cross -= col == 0
-                    col, edge = (col - 1) % N, R
-                else:
-                    break
-            end = col if edge == B else N + col
-            ends[start], ends[end] = end, start
-            crosses[start], crosses[end] = cross, -cross
-        # a strand meeting neither edge runs L-R through every tile, so only
-        # the all-horizontal row closes a loop, once around the seam
-        loops = (1,) if all(TILE_LINKS[t] == ((L, R),) for t in row) else ()
-        occupancy = tuple(B in TILE_EDGES[t] for t in row)
-        crosses = tuple(crosses)
-        groups.setdefault(occupancy, []).append(
-            (row, bytes(ends), shared.setdefault(crosses, crosses), loops))
-    return MappingProxyType({k: tuple(v) for k, v in groups.items()})
+# each tile's strands as sweep steps (n, a, b), used-up end a first: n = 0 joins
+# the used-up ends B and L, 1 extends a to the new end b (T or R), 2 pairs T, R
+_SWEEP_STEPS = {t: sorted((sum(e in (T, R) for e in link),
+                           *sorted(link, key=lambda e: e in (T, R))) for link in links)
+                for t, links in TILE_LINKS.items()}
 
 
-def _join(word: str, rows: tuple, weights: tuple, arcs_of: Mapping) -> Iterator[tuple]:
-    """Stack each row diagram of `rows` on the link state `word`.
+def _tie(links: list, x: int, y: int) -> tuple | None:
+    """Join the used-up ends x and y of `links` by a strand that does not
+    cross the seam.  Returns the (alpha, beta) loops this closes, or None
+    when it joins two defects."""
+    (qx, cx), (qy, cy) = links[x], links[y]
+    links[x] = links[y] = None
+    if qx == y:
+        return (1, 0) if cx % 2 else (0, 1)
+    if qx == qy == _DEFECT:
+        return None
+    if qx != _DEFECT:
+        links[qx] = (qy, cy - cx)
+    if qy != _DEFECT:
+        links[qy] = (qx, cx - cy)
+    return 0, 0
 
-    Yields (row_weight, omega_power, n_alpha_loops, n_beta_loops, new_word)
-    per row, in the order of `rows`; ``weights[i]`` is the product of the
-    tile weights of ``rows[i]``.  A row that joins two defects acts as zero
-    on the standard module and yields nothing.  `arcs_of` maps every basis
-    word to its ``arc_crossings``.
 
-    Each walk starts at a row end and alternates row strands with the arcs
-    of `word`.  Row strands and arcs pair their ends, so every walk is a
-    path between two of the terminals (defects and top ends) or a closed
-    loop.  Walks start from the defects, then from the unseen top ends, so
-    whatever is left unseen lies on a closed loop.
+def _face_steps(N: int, tiles: tuple) -> tuple:
+    """Per face k and bottom occupancy, then per occupancy of the left edge,
+    the (rho_t, steps) of the fitting `tiles`, ((t, rho_t), ...), their edges
+    as `_sweep`'s ports."""
+    out, cur = [], (2 * N + 1, 2 * N + 2)
+    for k in range(N):
+        port = (k, N + k, cur[k % 2], cur[1 - k % 2])  # of B, T, L and R
+        face: tuple = (([], []), ([], []))
+        for t, rho_t in tiles:
+            face[B in TILE_EDGES[t]][L in TILE_EDGES[t]].append(
+                (rho_t, tuple((n, port[a], port[b]) for n, a, b in _SWEEP_STEPS[t])))
+        out.append(face)
+    return tuple(out)
+
+
+def _sweep(word: str, faces: tuple, beta, arcs_of: Mapping) -> Iterator[tuple]:
+    """Stack every row of tiles on the link state `word`, one face at a time
+    (see the module docstring); `faces` is their `_face_steps`.
+
+    Yields (weight, omega_power, n_alpha, new_word) per reachable top word,
+    power and count of non-contractible loops; `weight` holds the tile
+    weights and beta per contractible loop.  `arcs_of` maps every basis word
+    to its ``arc_crossings``.
     """
     N = len(word)
-    arcs = arcs_of[word]
-    defects = [s for s, ch in enumerate(word) if ch == "|"]
-    starts = defects + list(range(N, 2 * N)) + list(arcs)
-    # per row end: (partner, signed crossing) of the arc of `word` there
-    arc_at = [arcs.get(e) for e in range(N)] + [None] * N
-    for (_, ends, crosses, loops), weight in zip(rows, weights, strict=True):
-        seen = [False] * (2 * N)
+    glue, cur = 2 * N, (2 * N + 1, 2 * N + 2)  # the left and right edge of face k
+    start: list = [None] * (2 * N + 3)
+    for s, link in arcs_of[word].items():
+        start[s] = link
+    for s in (s for s, ch in enumerate(word) if ch == "|"):
+        start[s] = (_DEFECT, 0)
+    states = {tuple(start): {0: 1}}
+    start[cur[0]], start[glue] = (glue, -1), (cur[0], 1)
+    states[tuple(start)] = {0: 1}
+    for k, face in enumerate(faces):
+        left, fits = cur[k % 2], face[word[k] != "."]
+        after: dict = {}
+        for state, by_alpha in states.items():
+            for weight, steps in fits[state[left] is not None]:
+                links = list(state)
+                n_alpha = 0
+                for n, x, y in steps:
+                    if n == 0:
+                        tied = _tie(links, x, y)
+                        if tied is None:
+                            break
+                        n_alpha += tied[0]
+                        weight *= beta ** tied[1]
+                    elif n == 1:
+                        q, c = links[y] = links[x]
+                        links[x] = None
+                        if q != _DEFECT:
+                            links[q] = (y, -c)
+                    else:
+                        links[x], links[y] = (y, 0), (x, 0)
+                else:
+                    merged = after.setdefault(tuple(links), {})
+                    for n, c in by_alpha.items():
+                        merged[n + n_alpha] = merged.get(n + n_alpha, 0) + c * weight
+        states = after
+    right, defects = cur[N % 2], "|" in word
+    for state, by_alpha in states.items():
+        links, tied = list(state), (0, 0)
+        if (links[right] is None) != (links[glue] is None):
+            continue
+        if links[right] is not None and (tied := _tie(links, right, glue)) is None:
+            continue
         letters = ["."] * N
         top_arcs: dict = {}
         omega_power = 0
-        n_alpha = sum(c % 2 for c in loops)
-        n_beta = len(loops) - n_alpha
-        for start in starts:
-            if seen[start] or ends[start] == start:
+        for a, link in enumerate(links[N:2 * N]):
+            if link is None:
                 continue
-            e, cross = start, 0
-            while True:
-                f = ends[e]
-                cross += crosses[e]
-                seen[e] = seen[f] = True
-                arc = arc_at[f]
-                if arc is None:
-                    break
-                e, dc = arc
-                cross += dc
-                if e == start:
-                    break
-            if start >= N:
-                # a < b: the top ends left of a are seen before a is walked
-                a, b, winds = start - N, f - N, cross % 2
+            q, c = link
+            if q == _DEFECT:
+                letters[a] = "|"
+                omega_power -= c
+            elif q > N + a:
+                b, winds = q - N, c % 2
                 opener, closer = (b, a) if winds else (a, b)
                 letters[opener], letters[closer] = "(", ")"
                 top_arcs[opener], top_arcs[closer] = (closer, winds), (opener, -winds)
-            elif arc_at[start]:
-                n_alpha += cross % 2
-                n_beta += 1 - cross % 2
-            elif f < N:
-                break  # two defects joined
-            else:
-                letters[f - N] = "|"
-                omega_power += cross
-        else:
-            new_word = "".join(letters)
-            if arcs_of.get(new_word) != top_arcs:
-                raise ArithmeticError(
-                    f"inconsistent composite diagram {word} -> {new_word}")
-            if n_alpha and defects:
-                raise ArithmeticError(
-                    "non-contractible loop in a module with defects")
-            yield weight, omega_power, n_alpha, n_beta, new_word
+        new_word = "".join(letters)
+        if arcs_of.get(new_word) != top_arcs:
+            raise ArithmeticError(f"inconsistent composite diagram {word} -> {new_word}")
+        for n, c in by_alpha.items():
+            if n + tied[0] and defects:
+                raise ArithmeticError("non-contractible loop in a module with defects")
+            yield c * beta ** tied[1], omega_power, n + tied[0], new_word
 
 
 class TransferOperator:
@@ -330,10 +334,11 @@ def build_transfer(spec: ModelSpec | Weights, N: int, d: int) -> TransferOperato
 
     Of `spec`, a `ModelSpec` (the physical weights) or any `Weights`, only
     kind, rho and beta are read; the operator is cached per value.  Tiles of
-    weight zero are left out of the rows.  Only the first word of each
-    rotation orbit is joined; the other columns of the orbit are its
+    weight zero are left out of the sweep.  Only the first word of each
+    rotation orbit is swept; the other columns of the orbit are its
     rotations (see the module docstring).
     """
+    check_size(N)
     if (d - N) % defect_numbers(spec.kind, N).step:  # parity; link_states checks 0 <= d <= N
         raise ValueError("dense model needs d = N mod 2")
     if N > TRANSFER_SITE_GUARD[spec.kind]:
@@ -345,27 +350,20 @@ def build_transfer(spec: ModelSpec | Weights, N: int, d: int) -> TransferOperato
     arcs_of = {w: arc_crossings(w) for w in basis}
     rho, beta = spec.rho, spec.beta
     dtype = object if all(type(x) is int for x in rho + (beta,)) else float  # exact ints
-    diagrams = _row_diagrams(N, tuple(t for t in KIND_TILES[spec.kind] if rho[t - 1] != 0.0))
+    faces = _face_steps(N, tuple((t, rho[t - 1]) for t in KIND_TILES[spec.kind]
+                                 if rho[t - 1] != 0.0))
     # one rotation w -> w[-1] + w[:-1] as an index map, and the defect it
     # carries across the seam
     rot = np.array([index[w[-1] + w[:-1]] for w in basis], dtype=np.intp)
     seam = np.array([w[-1] == "|" for w in basis], dtype=np.int64)
-    weights: dict = {}  # bottom occupancy -> weight of each row of the group
     done = bytearray(dim)
     parts: list = []  # (k, i, j, coefficient) arrays, one per filled column
     for j, word in enumerate(basis):
         if done[j]:
             continue
-        occupancy = tuple(ch != "." for ch in word)
-        rows = diagrams.get(occupancy, ())
-        if occupancy not in weights:
-            weights[occupancy] = tuple(math.prod(rho[t - 1] for t in tiles)
-                                       for tiles, *_ in rows)
         column: dict = {}  # (k, i) -> omega^k coefficient of entry (i, j)
-        for row_weight, k, n_alpha, n_beta, new_word in _join(word, rows, weights[occupancy],
-                                                              arcs_of):
+        for c, k, n_alpha, new_word in _sweep(word, faces, beta, arcs_of):
             i = index[new_word]
-            c = row_weight * beta ** n_beta
             # (omega + 1/omega)^n_alpha
             for m in range(n_alpha + 1):
                 key = (k + n_alpha - 2 * m, i)
@@ -531,7 +529,9 @@ def _markov_polynomials(spec: ModelSpec | Weights, M: int, N: int) -> Mapping:
 def markov_Z(spec: ModelSpec | Weights, M: int, N: int, h: int, v: int, alpha: float) -> float:
     """Torus partition function in sector (h, v) via the Markov trace: the
     polynomial of `_markov_polynomials` at `alpha`, read like `lattice_Z`.  A
-    sector outside `torus_sectors(spec.kind, M, N)` raises ValueError."""
+    sector outside `torus_sectors(spec.kind, M, N)` raises ValueError, and so
+    does a dimension M or N below 1."""
+    check_size(M, N)
     check_sector((h, v), torus_sectors(spec.kind, M, N))
     return sector_sum(_markov_polynomials(spec, M, N), (h, v), alpha)
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from torusloop.cli import main
 
 
@@ -81,6 +83,13 @@ def test_transfer_json(capsys):
     obj = json.loads(out)
     assert set(obj) == {"C", "Z"}
     assert set(obj["Z"]) == {"(0,0)", "(0,1)", "(1,0)", "(1,1)"}
+
+
+@pytest.mark.parametrize("M, N", [(2, 0), (0, 2), (2, -2)])
+def test_transfer_refuses_a_torus_that_is_not_one(capsys, M, N):
+    assert main(["transfer", "--kind", "dense", "--p", "2", "--pq", "3",
+                 "--M", str(M), "--N", str(N)]) == 2
+    assert "lattice dimensions must be positive" in capsys.readouterr().err
 
 
 def test_identity_subcommand(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference_transfer as ref_rows
 
 from torusloop import transfer
 from torusloop.acceptance import ORACLE_TOL, integer_weights, scaled_error
@@ -151,10 +152,17 @@ def test_u0_transfer_is_one_site_shift(kind, Nmax, p, pq):
 
 def test_join_rejects_word_outside_given_basis():
     # the shift row sends "()" to ")(", which the join is not told about
-    rows = transfer._row_diagrams(2, (8,))[(True, True)]
+    rows = ref_rows._row_diagrams(2, (8,))[(True, True)]
     arcs_of = {"()": transfer.arc_crossings("()")}
     with pytest.raises(ArithmeticError):
-        list(transfer._join("()", rows, (1.0,) * len(rows), arcs_of))
+        list(ref_rows._join("()", rows, (1.0,) * len(rows), arcs_of))
+
+
+def test_sweep_rejects_word_outside_given_basis():
+    # the same shift row, swept face by face
+    arcs_of = {"()": transfer.arc_crossings("()")}
+    with pytest.raises(ArithmeticError, match="inconsistent composite diagram"):
+        list(transfer._sweep("()", transfer._face_steps(2, ((8, 1.0),)), 1.0, arcs_of))
 
 
 # -- trace properties --------------------------------------------------------
@@ -335,12 +343,12 @@ def _full_join_transfer(spec, N, d):
     arcs_of = {w: transfer.arc_crossings(w) for w in basis}
     rho = spec.rho
     tiles = tuple(t for t in KIND_TILES[spec.kind] if rho[t - 1] != 0.0)
-    diagrams = transfer._row_diagrams(N, tiles)
+    diagrams = ref_rows._row_diagrams(N, tiles)
     entries = {}  # (k, i, j) -> omega^k coefficient of entry (i, j)
     for j, word in enumerate(basis):
         rows = diagrams.get(tuple(ch != "." for ch in word), ())
         weights = tuple(math.prod(rho[t - 1] for t in tiles) for tiles, *_ in rows)
-        for row_weight, k, n_alpha, n_beta, new_word in transfer._join(word, rows, weights,
+        for row_weight, k, n_alpha, n_beta, new_word in ref_rows._join(word, rows, weights,
                                                                        arcs_of):
             weight = {k: row_weight * spec.beta ** n_beta}
             for _ in range(n_alpha):  # times omega + 1/omega
@@ -361,24 +369,34 @@ def _full_join_transfer(spec, N, d):
 @pytest.mark.parametrize("kind, Nmax", [("dense", 8), ("dilute", 6)])
 @pytest.mark.parametrize("p, pq", [(2, 3), (3, 4)])
 def test_orbit_build_matches_full_join(kind, Nmax, p, pq):
-    """Same basis, kmin, shape and zero pattern as joining every column, and
-    every coefficient within 1e-13 relative (only the summation order moves)."""
-    for spec in (ModelSpec(kind, p, pq, 0.29), ModelSpec(kind, p, pq, 0.0).isotropic()):
+    """The face-by-face orbit build against joining every row to every column:
+    same basis, kmin, shape and zero pattern, and every coefficient within
+    1e-13 relative (only the summation order moves).  At integer weights the
+    tensor holds Python ints equal to the reference's; at u = 0 some tiles
+    weigh zero."""
+    specs = (ModelSpec(kind, p, pq, 0.29), ModelSpec(kind, p, pq, 0.0),
+             ModelSpec(kind, p, pq, 0.0).isotropic()) + integer_weights(kind)
+    for spec in specs:
         for N, d in _modules(kind, Nmax):
             op = build_transfer(spec, N, d)
             ref = _full_join_transfer(spec, N, d)
             assert (op.basis, op.kmin, op.tensor.shape) == \
                 (ref.basis, ref.kmin, ref.tensor.shape), (N, d)
             assert np.array_equal(op.tensor != 0.0, ref.tensor != 0.0), (N, d)
-            assert np.allclose(op.tensor, ref.tensor, rtol=1e-13, atol=0.0), (N, d)
+            if isinstance(spec, Weights):
+                assert op.tensor.dtype == object, (N, d)
+                assert {type(c) for c in op.tensor.flat} == {int}, (N, d)
+                assert np.array_equal(op.tensor, ref.tensor), (N, d)
+            else:
+                assert np.allclose(op.tensor, ref.tensor, rtol=1e-13, atol=0.0), (N, d)
 
 
 def test_orbit_period_check_raises(monkeypatch):
     """The word "()()" has period 2 on four sites, but rot^2 moves the fake
     column's only entry "(())" to "))((", so the orbit fill must refuse it."""
-    def fake_join(word, rows, weights, arcs_of):
-        yield 1.0, 0, 0, 0, "(())"
-    monkeypatch.setattr(transfer, "_join", fake_join)
+    def fake_sweep(word, faces, beta, arcs_of):
+        yield 1.0, 0, 0, "(())"
+    monkeypatch.setattr(transfer, "_sweep", fake_sweep)
     with pytest.raises(ArithmeticError, match="rotation period"):
         build_transfer.__wrapped__(ModelSpec("dense", 2, 3, 0.37), 4, 0)
 
@@ -512,6 +530,29 @@ def test_integer_weights_give_exact_traces(kind):
     assert polys == _sector_polynomials(weights, 3, 4)
 
 
+@pytest.mark.parametrize("kind", ["dense", "dilute"])
+def test_int_weights_and_their_float_twin_build_apart(kind):
+    """An int weighting and its float twin are equal numbers but each builds
+    its tensor and its Markov coefficients in its own type, whichever came
+    first; so does the dense u = 0 spec against the int weighting with its
+    (rho_8, rho_9) = (1, 0)."""
+    draw = integer_weights(kind)[0]
+    twin = Weights(kind, tuple(map(float, draw.rho)), float(draw.beta))
+    pairs = [(twin, float), (draw, int), (twin, float)]
+    if kind == "dense":
+        spec = ModelSpec(kind, 2, 3, 0.0)
+        assert spec.rho[7:] == (1.0, 0.0)
+        pairs += [(spec, float), (Weights(kind, (0,) * 7 + (1, 0), spec.beta), float),
+                  (Weights(kind, (0,) * 7 + (1, 0), 1), int)]
+    for weights, kind_of in pairs:
+        for N, d in _modules(kind, 4):
+            op = build_transfer.__wrapped__(weights, N, d)
+            assert op.tensor.dtype == (object if kind_of is int else float), (weights, N, d)
+            assert {type(c) for c in op.tensor.ravel().tolist()} == {kind_of}, (weights, N, d)
+        polys = transfer._markov_polynomials(weights, 2, 3)
+        assert {type(c) for poly in polys.values() for c in poly.values()} == {kind_of}
+
+
 def test_twice_chebyshev_matches_chebyshev_T_on_polynomials():
     """The base-B digits of 2 T_g(B/2) against chebyshev_T run on exact
     polynomials in alpha (numpy poly1d of Fractions)."""
@@ -543,6 +584,21 @@ def test_polynomial_caches_are_read_only(polynomials):
         polys[0, 0][0] += 1000
     assert lattice_Z(weights, 2, 3, sector=(0, 0), alpha=1.0) == 9436.0
     assert markov_Z(weights, 2, 3, 0, 0, alpha=1.0) == 9436.0
+
+
+@pytest.mark.parametrize("kind", ["dense", "dilute"])
+@pytest.mark.parametrize("M, N", [(2, 0), (0, 2), (2, -2)])
+def test_both_routes_refuse_a_torus_that_is_not_one(kind, M, N):
+    """A dimension below 1 raises one ValueError on both routes; the transfer
+    build refuses N < 1 itself."""
+    spec = ModelSpec(kind, 2, 3, 0.37)
+    with pytest.raises(ValueError, match="lattice dimensions must be positive"):
+        lattice_Z(spec, M, N, sector=(0, 0), alpha=1.0)
+    with pytest.raises(ValueError, match="lattice dimensions must be positive"):
+        markov_Z(spec, M, N, 0, 0, alpha=1.0)
+    if N < 1:
+        with pytest.raises(ValueError, match="lattice dimensions must be positive"):
+            build_transfer(spec, N, 0)
 
 
 def test_dense_markov_rejects_wrong_sector():
