@@ -115,16 +115,17 @@ def criterion_2_triple_identity():
     return True, f"{count} sector series, exact"
 
 
-def criterion_3_appendix_forms(golden_forms: dict):
+def criterion_3_appendix_forms():
     """Folded forms reproduce the worked examples and expand to the direct series."""
+    from .golden import GOLDEN_APPENDIX_FORMS  # read here, so importing this module stays cheap
     K = Fraction(6)
-    for (p, pq, h, v), golden in golden_forms.items():
+    for (p, pq, h, v), golden in GOLDEN_APPENDIX_FORMS.items():
         computed = appendix_c_form(p, pq, h, v)
         if computed != golden:
             return False, f"term set differs at ({p},{pq}),({h},{v})"
         if not expand_terms(computed, K).matches(Z_hv_direct(p, pq, h, v, K)):
             return False, f"expansion differs at ({p},{pq}),({h},{v})"
-    return True, f"{len(golden_forms)} forms, exact"
+    return True, f"{len(GOLDEN_APPENDIX_FORMS)} forms, exact"
 
 
 def criterion_4_gamma_lambda():
@@ -167,8 +168,9 @@ def criterion_6_modular():
                              f"character residual {rep['character_S_residual']:.3e}")
 
 
-def criterion_7_bezout(table_cells: dict):
+def criterion_7_bezout():
     """Conjugators and sampled Kac-table cells match the reference values."""
+    from .golden import GOLDEN_TABLE_CELLS
     expected = {(3, 4, 0, 0): 7, (3, 4, 1, 1): 31, (3, 5, 0, 0): 19,
                 (3, 5, 1, 1): 19, (4, 5, 0, 0): 9, (4, 5, 1, 0): 29}
     for (p, pq, h, v), w0 in expected.items():
@@ -176,7 +178,7 @@ def criterion_7_bezout(table_cells: dict):
         if got != w0:
             return False, f"conjugator of ({p},{pq}) h={h} is {got}, expected {w0}"
     cells = 0
-    for (p, pq, h, v), panel in table_cells.items():
+    for (p, pq, h, v), panel in GOLDEN_TABLE_CELLS.items():
         if len(panel) < 6:
             return False, f"fewer than 6 sampled cells for ({p},{pq}) h={h}"
         ctx = BezoutContext(p, pq, h, v)
@@ -234,17 +236,16 @@ def criterion_9_scaling():
     return True, detail
 
 
-def run_suite(golden_forms: dict, table_cells: dict) -> bool:
+def run_suite() -> bool:
     """Run every criterion; returns overall pass/fail."""
     steps = [
         ("1 oracle markov=lattice", criterion_1_oracle),
         ("2 exact triple series identity", criterion_2_triple_identity),
-        ("3 worked-example folded forms",
-         lambda: criterion_3_appendix_forms(golden_forms)),
+        ("3 worked-example folded forms", criterion_3_appendix_forms),
         ("4 gamma = Lambda/2 and number theory", criterion_4_gamma_lambda),
         ("5 full PF = O(n) PF (q<->qbar)", criterion_5_full_pf),
         ("6 modular covariance", criterion_6_modular),
-        ("7 Bezout reference tables", lambda: criterion_7_bezout(table_cells)),
+        ("7 Bezout reference tables", criterion_7_bezout),
         ("8 character identity suite", criterion_8_characters),
         ("9 scaling limit (informational)", criterion_9_scaling),
     ]

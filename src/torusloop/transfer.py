@@ -4,9 +4,11 @@ algebra (dense model) and its dilute enlargement.
 Link states live on N sites around the periodic row.  Each site carries a
 defect "|", a vacancy "." (dilute only), an arc opener "(" or an arc closer
 ")"; arcs pair openers to closers by the unique non-crossing cyclic matching
-and may pass across the periodic seam between sites N-1 and 0.  With d > 0
-defects every defect gap must be balanced.  The dimension of the dense
-module is binom(N, (N-d)/2).
+and may pass across the periodic seam between sites N-1 and 0.  A word is a
+link state when its running height, the count of "(" minus ")", returns to 0
+and every defect sits at the word's lowest height (the cycle lemma of
+Dvoretzky and Motzkin, Duke Math. J. 14 (1947) 305).  The dimension of the
+dense module is binom(N, (N-d)/2).
 
 The one-row transfer matrix acts by stacking a row of faces on a link state
 and reading off the top.  Scalars produced while contracting:
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -93,40 +95,24 @@ class TransferSizeError(ValueError):
 
 
 def match_word(word: str):
-    """Non-crossing cyclic matching of a link word.
-
-    Returns a list of (opener, closer) site pairs, or None when the word is
-    not a valid link state (a defect gap fails to balance).  Arcs cross the
-    periodic seam exactly when closer < opener.
+    """Non-crossing cyclic matching of a link word: a list of (opener, closer)
+    site pairs, or None when the word is not a valid link state.  One pass
+    matches from just after the first lowest point of the running height and
+    fails at a defect inside an arc; arcs cross the seam when closer < opener.
     """
-    N = len(word)
-    if word.count("(") != word.count(")"):
+    heights = [0, *accumulate((ch == "(") - (ch == ")") for ch in word)]
+    if heights[-1]:
         return None
-    if "|" in word:
-        starts = [word.index("|") + 1]
-    else:
-        starts = range(N)
-    for rot in starts:
-        stack: list = []
-        pairs = []
-        ok = True
-        for t in range(N):
-            i = (rot + t) % N
-            ch = word[i]
-            if ch == "(":
-                stack.append(i)
-            elif ch == ")":
-                if not stack:
-                    ok = False
-                    break
-                pairs.append((stack.pop(), i))
-            elif ch == "|":
-                if stack:
-                    ok = False
-                    break
-        if ok and not stack:
-            return pairs
-    return None
+    start = heights.index(min(heights))
+    stack, pairs = [], []
+    for i in [*range(start, len(word)), *range(start)]:
+        if word[i] == "(":
+            stack.append(i)
+        elif word[i] == ")":
+            pairs.append((stack.pop(), i))
+        elif word[i] == "|" and stack:
+            return None
+    return pairs
 
 
 def _word_sort_key(word: str) -> tuple:
@@ -135,27 +121,29 @@ def _word_sort_key(word: str) -> tuple:
 
 @lru_cache(maxsize=None)
 def link_states(kind: str, N: int, d: int) -> tuple:
-    """All canonical link words with d defects, sorted defects-leftmost first."""
+    """All canonical link words with d defects, sorted defects-leftmost first.
+    One walk over the sites per floor, the defects' height (none when d = 0),
+    builds them: a defect goes only at the floor, and no height drops below it."""
+    check_size(N)
     allowed = defect_numbers(kind, N)  # refuses an unknown kind
     if not 0 <= d <= N:
         raise ValueError("need 0 <= d <= N")
     if d not in allowed:
         raise ValueError("dense model needs d = N mod 2")
+    letters = "|()" if kind == "dense" else "|()."
     found = []
-    for defects in combinations(range(N), d):
-        rest = [i for i in range(N) if i not in defects]
-        # dense: every other site ends an arc; dilute: any even number of them
-        ends = (len(rest),) if kind == "dense" else range(0, len(rest) + 1, 2)
-        for m in ends:
-            for arc_ends in combinations(rest, m):
-                for openers in combinations(arc_ends, m // 2):
-                    word = ["."] * N
-                    for sites, ch in ((defects, "|"), (arc_ends, ")"), (openers, "(")):
-                        for i in sites:
-                            word[i] = ch
-                    w = "".join(word)
-                    if match_word(w) is not None:
-                        found.append(w)
+
+    def walk(word: str, height: int, floor: int, defects: int) -> None:
+        if len(word) == N:
+            found.append(word)
+        for ch in letters:  # |height| + defects left must fit the sites left
+            h, k = height + (ch == "(") - (ch == ")"), defects - (ch == "|")
+            if (0 <= k and floor <= h and abs(h) + k < N - len(word)
+                    and (ch != "|" or h == floor)):
+                walk(word + ch, h, floor, k)
+
+    for floor in range(-(N // 2), 1) if d else (-N,):
+        walk("", 0, floor, d)
     return tuple(sorted(found, key=_word_sort_key))
 
 

@@ -1,17 +1,87 @@
-"""Reference row diagrams and row join for the transfer build.
+"""Reference link states, row diagrams and row join for the transfer build:
+the plain ways that the height rule and the face-by-face sweep of
+`torusloop.transfer` are held to.
+
+`match_word` tries every rotation of a word without defects and starts just
+after the first defect otherwise; `link_states` places defects, arc ends and
+openers with `combinations` and keeps the placements `match_word` accepts.
 
 `_row_diagrams` enumerates every horizontally compatible row of tiles once
 and reduces it to its strand ends, seam crossings and closed loops; `_join`
 stacks each row of an occupancy on one link state by walking row strands and
-the state's arcs in turn.  Together they build a transfer column row by row,
-the plain way the face-by-face sweep of `torusloop.transfer` is held to.
+the state's arcs in turn.  Together they build a transfer column row by row.
 """
 
 from functools import lru_cache
+from itertools import combinations
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from torusloop.model import B, L, R, T, TILE_EDGES, TILE_LINKS, TILE_PARTNER
+from torusloop.model import B, L, R, T, TILE_EDGES, TILE_LINKS, TILE_PARTNER, defect_numbers
+from torusloop.transfer import _word_sort_key
+
+
+def match_word(word: str):
+    """Non-crossing cyclic matching of a link word.
+
+    Returns a list of (opener, closer) site pairs, or None when the word is
+    not a valid link state (a defect gap fails to balance).  Arcs cross the
+    periodic seam exactly when closer < opener.
+    """
+    N = len(word)
+    if word.count("(") != word.count(")"):
+        return None
+    if "|" in word:
+        starts = [word.index("|") + 1]
+    else:
+        starts = range(N)
+    for rot in starts:
+        stack: list = []
+        pairs = []
+        ok = True
+        for t in range(N):
+            i = (rot + t) % N
+            ch = word[i]
+            if ch == "(":
+                stack.append(i)
+            elif ch == ")":
+                if not stack:
+                    ok = False
+                    break
+                pairs.append((stack.pop(), i))
+            elif ch == "|":
+                if stack:
+                    ok = False
+                    break
+        if ok and not stack:
+            return pairs
+    return None
+
+
+@lru_cache(maxsize=None)
+def link_states(kind: str, N: int, d: int) -> tuple:
+    """All canonical link words with d defects, sorted defects-leftmost first."""
+    allowed = defect_numbers(kind, N)  # refuses an unknown kind
+    if not 0 <= d <= N:
+        raise ValueError("need 0 <= d <= N")
+    if d not in allowed:
+        raise ValueError("dense model needs d = N mod 2")
+    found = []
+    for defects in combinations(range(N), d):
+        rest = [i for i in range(N) if i not in defects]
+        # dense: every other site ends an arc; dilute: any even number of them
+        ends = (len(rest),) if kind == "dense" else range(0, len(rest) + 1, 2)
+        for m in ends:
+            for arc_ends in combinations(rest, m):
+                for openers in combinations(arc_ends, m // 2):
+                    word = ["."] * N
+                    for sites, ch in ((defects, "|"), (arc_ends, ")"), (openers, "(")):
+                        for i in sites:
+                            word[i] = ch
+                    w = "".join(word)
+                    if match_word(w) is not None:
+                        found.append(w)
+    return tuple(sorted(found, key=_word_sort_key))
 
 
 @lru_cache(maxsize=32)

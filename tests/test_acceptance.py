@@ -8,7 +8,6 @@ acceptance report.
 import pytest
 
 from torusloop import acceptance, transfer
-from torusloop.golden import GOLDEN_APPENDIX_FORMS, GOLDEN_TABLE_CELLS
 from torusloop.lattice import _sector_polynomials, lattice_Z
 from torusloop.model import ModelSpec, Weights, torus_sectors
 from torusloop.transfer import _markov_polynomials, markov_Z
@@ -98,9 +97,7 @@ def test_criterion_2_exact_triple_identity():
 
 
 def test_criterion_3_appendix_golden_forms():
-    ok, detail = _report(
-        "3 worked-example forms",
-        lambda: acceptance.criterion_3_appendix_forms(GOLDEN_APPENDIX_FORMS))
+    ok, detail = _report("3 worked-example forms", acceptance.criterion_3_appendix_forms)
     assert ok, detail
 
 
@@ -120,9 +117,7 @@ def test_criterion_6_modular_covariance():
 
 
 def test_criterion_7_bezout_tables():
-    ok, detail = _report(
-        "7 Bezout reference tables",
-        lambda: acceptance.criterion_7_bezout(GOLDEN_TABLE_CELLS))
+    ok, detail = _report("7 Bezout reference tables", acceptance.criterion_7_bezout)
     assert ok, detail
 
 

@@ -92,6 +92,15 @@ def test_transfer_refuses_a_torus_that_is_not_one(capsys, M, N):
     assert "lattice dimensions must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [-1, 6])
+def test_transfer_refuses_a_defect_number_outside_the_row(capsys, d):
+    assert main(["transfer", "--kind", "dense", "--p", "2", "--pq", "3",
+                 "--M", "2", "--N", "4", "--d", str(d)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need 0 <= d <= N" in captured.err
+
+
 def test_identity_subcommand(capsys):
     """`identity` prints acceptance criterion 4's verdict and detail."""
     from torusloop.acceptance import criterion_4_gamma_lambda

@@ -11,8 +11,9 @@ from torusloop import transfer
 from torusloop.acceptance import ORACLE_TOL, integer_weights, scaled_error
 from torusloop.arith import chebyshev_T, gcd_conv
 from torusloop.lattice import _sector_polynomials, lattice_Z
-from torusloop.model import KIND_TILES, ModelSpec, Weights, torus_sectors
+from torusloop.model import KIND_TILES, ModelSpec, Weights, defect_numbers, torus_sectors
 from torusloop.transfer import (
+    TRANSFER_SITE_GUARD,
     C_coefficients,
     TransferOperator,
     TransferSizeError,
@@ -52,6 +53,43 @@ def test_match_word_basics():
     assert match_word(")|(") is not None
     assert match_word("))((") is not None
     assert match_word("(().") is None      # unbalanced
+    # the height rule: every defect at the lowest running height
+    assert sorted(match_word("()|()")) == [(0, 1), (3, 4)]
+    assert match_word(")(|") is None       # the defect sits above the lowest height
+
+
+def test_match_word_equals_the_reference_on_every_short_word():
+    """Over every word of N <= 7 on the four letters, the height rule accepts
+    the words that the rotation matcher of the reference accepts, with the
+    same pairs."""
+    from itertools import product
+    count = 0
+    for N in range(1, 8):
+        for letters in product("|().", repeat=N):
+            w = "".join(letters)
+            expected = ref_rows.match_word(w)
+            got = match_word(w)
+            assert (got is None) == (expected is None), w
+            if got is not None:
+                assert sorted(got) == sorted(expected), w
+            count += 1
+    assert count == 21_844
+
+
+@pytest.mark.parametrize("kind", ["dense", "dilute"])
+def test_link_states_equal_the_reference_placements(kind):
+    """The walk builds the tuple that the reference's placement filter keeps,
+    for every N up to the transfer guard and every allowed d."""
+    for N in range(1, TRANSFER_SITE_GUARD[kind] + 1):
+        for d in defect_numbers(kind, N):
+            assert link_states(kind, N, d) == ref_rows.link_states(kind, N, d), (N, d)
+
+
+@pytest.mark.parametrize("kind", ["dense", "dilute"])
+@pytest.mark.parametrize("N", [0, -1])
+def test_link_states_refuse_a_row_of_no_sites(kind, N):
+    with pytest.raises(ValueError, match="lattice dimensions must be positive"):
+        link_states(kind, N, 0)
 
 
 @pytest.mark.parametrize("N, d", [(2, 0), (2, 2), (3, 1), (4, 0), (4, 2), (4, 4),
@@ -74,13 +112,13 @@ def test_dilute_small_modules():
 @pytest.mark.parametrize("kind, N", [("dense", N) for N in range(1, 11)]
                          + [("dilute", N) for N in range(1, 8)])
 def test_link_states_equal_the_full_word_filter(kind, N):
-    """Placing defects and arc ends gives the same tuple as filtering every
-    word over the alphabet with match_word."""
+    """The walk gives the same tuple as filtering every word over the
+    alphabet with the reference's match_word."""
     from itertools import product
     by_d = {}
     for word in product("|()" if kind == "dense" else "|().", repeat=N):
         w = "".join(word)
-        if match_word(w) is not None:
+        if ref_rows.match_word(w) is not None:
             by_d.setdefault(w.count("|"), []).append(w)
     for d in range(N + 1):
         if kind == "dense" and (N - d) % 2:
