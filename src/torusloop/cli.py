@@ -74,7 +74,7 @@ def cmd_enumerate(args) -> int:
 def cmd_transfer(args) -> int:
     spec = _model_from(args)
     table = []
-    if args.d is not None and args.d < 0:
+    if args.d is not None and not 0 <= args.d <= args.N:
         raise ValueError("need 0 <= d <= N")
     dmax = args.N if args.d is None else args.d
     allowed = defect_numbers(spec.kind, args.N)

@@ -35,17 +35,22 @@ an even one, or joining two defects, which annihilates the state), extends a
 used-up end to a new one, or pairs the two new ends.  Equal states merge,
 with a weight per number of alpha loops.  At the end the right edge is glued
 to the glue port by the same join, and the top links give the new word, its
-arcs, their winds and the power of omega.  The new word is checked once,
-against the arcs of the basis word it names.
+arcs, their winds and the power of omega.  Each final state's new word is
+checked once, against the arcs of the basis word it names.  All the words
+to be swept go through the faces together: a state's weights are kept per
+column (the word it came from) and per number of alpha loops, so a partial
+state that several words reach is advanced, glued and read once.  A bottom
+site's occupancy is read from its port, which holds a link until face k
+uses it.
 
 The row is homogeneous, so T commutes with rotating the row by one site,
 rot(w) = w[-1] + w[:-1], up to the twist: with D_r(w) the number of defects
 in w[N-r:], the ones that rot^r carries across the seam, the omega^k
 coefficient of T[i, j] is the omega^(k + D_r(i) - D_r(j)) coefficient of
 T[rot^r i, rot^r j].  ``build_transfer`` therefore sweeps only the first
-basis word of each rotation orbit and fills the orbit's other columns by
-rotating its rows and shifting its powers of omega; a column that its
-orbit's period does not map onto itself raises.
+basis word of each rotation orbit, all of them in one sweep, and fills the
+orbit's other columns by rotating its rows and shifting its powers of omega;
+a column that its orbit's period does not map onto itself raises.
 
 Weights are Laurent polynomials in omega, with Python int coefficients when
 every rho_t and beta is an int and float ones otherwise.  An operator holds
@@ -202,30 +207,34 @@ def _face_steps(N: int, tiles: tuple) -> tuple:
     return tuple(out)
 
 
-def _sweep(word: str, faces: tuple, beta, arcs_of: Mapping) -> Iterator[tuple]:
-    """Stack every row of tiles on the link state `word`, one face at a time
-    (see the module docstring); `faces` is their `_face_steps`.
+def _sweep(words: tuple, faces: tuple, beta, arcs_of: Mapping) -> Iterator[tuple]:
+    """Stack every row of tiles on the link states `words` together, one face
+    at a time (see the module docstring); `faces` is their `_face_steps`.
+    Each state maps (column, n_alpha) to its weight, so a state that several
+    words reach is advanced, glued and read once.
 
-    Yields (weight, omega_power, n_alpha, new_word) per reachable top word,
-    power and count of non-contractible loops; `weight` holds the tile
-    weights and beta per contractible loop.  `arcs_of` maps every basis word
-    to its ``arc_crossings``.
+    Yields (column, weight, omega_power, n_alpha, new_word) per word
+    words[column] and reachable top word, power and count of non-contractible
+    loops; `weight` holds the tile weights and beta per contractible loop.
+    `arcs_of` maps every basis word to its ``arc_crossings``.
     """
-    N = len(word)
+    N = len(words[0])
     glue, cur = 2 * N, (2 * N + 1, 2 * N + 2)  # the left and right edge of face k
-    start: list = [None] * (2 * N + 3)
-    for s, link in arcs_of[word].items():
-        start[s] = link
-    for s in (s for s, ch in enumerate(word) if ch == "|"):
-        start[s] = (_DEFECT, 0)
-    states = {tuple(start): {0: 1}}
-    start[cur[0]], start[glue] = (glue, -1), (cur[0], 1)
-    states[tuple(start)] = {0: 1}
+    states: dict = {}
+    for column, word in enumerate(words):
+        start: list = [None] * (2 * N + 3)
+        for s, link in arcs_of[word].items():
+            start[s] = link
+        for s in (s for s, ch in enumerate(word) if ch == "|"):
+            start[s] = (_DEFECT, 0)
+        states[tuple(start)] = {(column, 0): 1}
+        start[cur[0]], start[glue] = (glue, -1), (cur[0], 1)
+        states[tuple(start)] = {(column, 0): 1}
     for k, face in enumerate(faces):
-        left, fits = cur[k % 2], face[word[k] != "."]
+        left = cur[k % 2]
         after: dict = {}
-        for state, by_alpha in states.items():
-            for weight, steps in fits[state[left] is not None]:
+        for state, value in states.items():
+            for weight, steps in face[state[k] is not None][state[left] is not None]:
                 links = list(state)
                 n_alpha = 0
                 for n, x, y in steps:
@@ -244,11 +253,13 @@ def _sweep(word: str, faces: tuple, beta, arcs_of: Mapping) -> Iterator[tuple]:
                         links[x], links[y] = (y, 0), (x, 0)
                 else:
                     merged = after.setdefault(tuple(links), {})
-                    for n, c in by_alpha.items():
-                        merged[n + n_alpha] = merged.get(n + n_alpha, 0) + c * weight
+                    for key, c in value.items():
+                        if n_alpha:
+                            key = (key[0], key[1] + n_alpha)
+                        merged[key] = merged.get(key, 0) + c * weight
         states = after
-    right, defects = cur[N % 2], "|" in word
-    for state, by_alpha in states.items():
+    right = cur[N % 2]
+    for state, value in states.items():
         links, tied = list(state), (0, 0)
         if (links[right] is None) != (links[glue] is None):
             continue
@@ -271,11 +282,13 @@ def _sweep(word: str, faces: tuple, beta, arcs_of: Mapping) -> Iterator[tuple]:
                 top_arcs[opener], top_arcs[closer] = (closer, winds), (opener, -winds)
         new_word = "".join(letters)
         if arcs_of.get(new_word) != top_arcs:
+            word = words[next(iter(value))[0]]
             raise ArithmeticError(f"inconsistent composite diagram {word} -> {new_word}")
-        for n, c in by_alpha.items():
-            if n + tied[0] and defects:
+        loop_weight = beta ** tied[1]
+        for (column, n), c in value.items():
+            if n + tied[0] and "|" in words[column]:
                 raise ArithmeticError("non-contractible loop in a module with defects")
-            yield c * beta ** tied[1], omega_power, n + tied[0], new_word
+            yield column, c * loop_weight, omega_power, n + tied[0], new_word
 
 
 class TransferOperator:
@@ -323,8 +336,8 @@ def build_transfer(spec: ModelSpec | Weights, N: int, d: int) -> TransferOperato
     Of `spec`, a `ModelSpec` (the physical weights) or any `Weights`, only
     kind, rho and beta are read; the operator is cached per value.  Tiles of
     weight zero are left out of the sweep.  Only the first word of each
-    rotation orbit is swept; the other columns of the orbit are its
-    rotations (see the module docstring).
+    rotation orbit is swept, all of them together; the other columns of the
+    orbit are its rotations (see the module docstring).
     """
     check_size(N)
     if (d - N) % defect_numbers(spec.kind, N).step:  # parity; link_states checks 0 <= d <= N
@@ -344,33 +357,39 @@ def build_transfer(spec: ModelSpec | Weights, N: int, d: int) -> TransferOperato
     # carries across the seam
     rot = np.array([index[w[-1] + w[:-1]] for w in basis], dtype=np.intp)
     seam = np.array([w[-1] == "|" for w in basis], dtype=np.int64)
-    done = bytearray(dim)
+    reps, done = [], bytearray(dim)  # the first word of each rotation orbit
+    for j in range(dim):
+        if not done[j]:
+            reps.append(j)
+            jr = j
+            while not done[jr]:
+                done[jr] = 1
+                jr = rot[jr]
+    columns: list = [{} for _ in reps]  # per rep, (k, i) -> omega^k coefficient of (i, j)
+    for r, c, k, n_alpha, new_word in _sweep(tuple(basis[j] for j in reps), faces, beta,
+                                              arcs_of):
+        column, i = columns[r], index[new_word]
+        # (omega + 1/omega)^n_alpha
+        for m in range(n_alpha + 1):
+            key = (k + n_alpha - 2 * m, i)
+            column[key] = column.get(key, 0) + c * math.comb(n_alpha, m)
     parts: list = []  # (k, i, j, coefficient) arrays, one per filled column
-    for j, word in enumerate(basis):
-        if done[j]:
-            continue
-        column: dict = {}  # (k, i) -> omega^k coefficient of entry (i, j)
-        for c, k, n_alpha, new_word in _sweep(word, faces, beta, arcs_of):
-            i = index[new_word]
-            # (omega + 1/omega)^n_alpha
-            for m in range(n_alpha + 1):
-                key = (k + n_alpha - 2 * m, i)
-                column[key] = column.get(key, 0) + c * math.comb(n_alpha, m)
+    for j in reps:
+        column = columns.pop(0)  # dropped once its orbit is filled
         powers = np.array([k for k, _ in column], dtype=np.int64)
         targets = np.array([i for _, i in column], dtype=np.intp)
         coeffs = np.array(list(column.values()), dtype=dtype)
         jr = j
         while True:
             parts.append((powers, targets, np.full(len(coeffs), jr), coeffs))
-            done[jr] = 1
             powers = powers + seam[targets] - seam[jr]
             targets, jr = rot[targets], rot[jr]
             if jr == j:
                 break
-        # rot^P fixes `word` (P its orbit's length), so it must map this
+        # rot^P fixes basis[j] (P its orbit's length), so it must map this
         # column onto itself
         if set(zip(powers.tolist(), targets.tolist())) != set(column):
-            raise ArithmeticError(f"column of {word} is not invariant under its "
+            raise ArithmeticError(f"column of {basis[j]} is not invariant under its "
                                   f"rotation period")
     k, i, j, c = (np.concatenate(a) for a in zip(*parts, strict=True))
     keep = c != 0.0

@@ -92,8 +92,9 @@ def test_transfer_refuses_a_torus_that_is_not_one(capsys, M, N):
     assert "lattice dimensions must be positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("d", [-1, 6])
+@pytest.mark.parametrize("d", [-1, 5, 6])
 def test_transfer_refuses_a_defect_number_outside_the_row(capsys, d):
+    """Any --d outside 0..N is refused, whatever parity the kind allows."""
     assert main(["transfer", "--kind", "dense", "--p", "2", "--pq", "3",
                  "--M", "2", "--N", "4", "--d", str(d)]) == 2
     captured = capsys.readouterr()

@@ -200,8 +200,38 @@ def test_sweep_rejects_word_outside_given_basis():
     # the same shift row, swept face by face
     arcs_of = {"()": transfer.arc_crossings("()")}
     with pytest.raises(ArithmeticError, match="inconsistent composite diagram"):
-        list(transfer._sweep("()", transfer._face_steps(2, ((8, 1.0),)), 1.0, arcs_of))
+        list(transfer._sweep(("()",), transfer._face_steps(2, ((8, 1.0),)), 1.0, arcs_of))
 
+
+
+def _swept(words, faces, beta, arcs_of) -> list:
+    """Per word of `words`, its {(omega power, n_alpha, top word): weight}
+    summed over one `_sweep` of all of them."""
+    out: list = [{} for _ in words]
+    for column, c, k, n_alpha, new_word in transfer._sweep(words, faces, beta, arcs_of):
+        key = (k, n_alpha, new_word)
+        out[column][key] = out[column].get(key, 0) + c
+    return out
+
+
+@pytest.mark.parametrize("kind, Nmax", [("dense", 6), ("dilute", 4)])
+def test_shared_sweep_keeps_every_column_apart(kind, Nmax):
+    """Sweeping every basis word together gives each word what a sweep of it
+    alone gives, exactly at integer weights: states that several words reach
+    merge, but their columns stay apart."""
+    for spec in (ModelSpec(kind, 2, 3, 0.29),) + integer_weights(kind):
+        tiles = tuple((t, spec.rho[t - 1]) for t in KIND_TILES[kind] if spec.rho[t - 1] != 0)
+        for N, d in _modules(kind, Nmax):
+            basis = link_states(kind, N, d)
+            faces = transfer._face_steps(N, tiles)
+            arcs_of = {w: transfer.arc_crossings(w) for w in basis}
+            for word, together in zip(basis, _swept(basis, faces, spec.beta, arcs_of),
+                                      strict=True):
+                [alone] = _swept((word,), faces, spec.beta, arcs_of)
+                if isinstance(spec, Weights):
+                    assert together == alone, (spec, word)
+                else:
+                    assert together == pytest.approx(alone, rel=1e-13, abs=0.0), word
 
 # -- trace properties --------------------------------------------------------
 
@@ -432,8 +462,9 @@ def test_orbit_build_matches_full_join(kind, Nmax, p, pq):
 def test_orbit_period_check_raises(monkeypatch):
     """The word "()()" has period 2 on four sites, but rot^2 moves the fake
     column's only entry "(())" to "))((", so the orbit fill must refuse it."""
-    def fake_sweep(word, faces, beta, arcs_of):
-        yield 1.0, 0, 0, "(())"
+    def fake_sweep(words, faces, beta, arcs_of):
+        for column in range(len(words)):
+            yield column, 1.0, 0, 0, "(())"
     monkeypatch.setattr(transfer, "_sweep", fake_sweep)
     with pytest.raises(ArithmeticError, match="rotation period"):
         build_transfer.__wrapped__(ModelSpec("dense", 2, 3, 0.37), 4, 0)
