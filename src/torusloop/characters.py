@@ -70,6 +70,8 @@ class TauPoint:
     tau: complex
 
     def __post_init__(self):
+        if not cmath.isfinite(self.tau):
+            raise ValueError(f"tau must be finite, got {self.tau!r}")
         if self.tau.imag <= 0:
             raise ValueError("tau must lie in the upper half plane")
 

@@ -19,7 +19,8 @@ Kac-lattice forms, whose exponents are delta_exp(R/den, S/den) =
 labels J = 2j give (J + 4kn)^2 / 16n.  The one kernel `_dress` dresses those
 keys with the eta factors, one integer block product per residue class of
 keys; the exponents arrive over their least denominator, and each coefficient
-becomes a Fraction or a CycloNum once, at the end.  `KacData.delta_exp` and
+is the one Fraction or CycloNum of its value that every form shares, so equal
+terms of two forms compare by identity.  `KacData.delta_exp` and
 `theta_series` remain the references the tests rebuild the forms from.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,16 +91,19 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
     K = floor(top), holding each coefficient as integer coordinates over one
     denominator Q (one for a rational coefficient, field.degree for a
     cyclotomic one).  Both eta products are P X P^T, P the lower-triangular
-    Toeplitz matrix of p(0..K); P is triangular, so one mask at the end,
-    a <= (lim - r_A) div L and b <= (lim - r_B) div L, keeps the window.
+    Toeplitz matrix of p(0..K), read once per K (`_partitions`); P is
+    triangular, so one mask at the end, a <= (lim - r_A) div L and
+    b <= (lim - r_B) div L, keeps the window.
     The product runs in int64 when max|X| (p(0) + ... + p(K))^2 < 2^62
     bounds every entry, else on Python ints (object dtype); L and the
     exponents never enter numpy.  An output entry becomes the key
     (r_A + a L - L/24, r_B + b L - L/24) divided by g = gcd(L, r - L/24)
     over the residues of the output, so the keys arrive over their least
-    denominator L/g; each distinct coordinate vector v becomes the Fraction
-    v / Q or one CycloNum once.  Every key lies in the window by
-    construction, so the BiSeries skips its per-term checks.
+    denominator L/g.  Each distinct coordinate vector v, with h = gcd(Q, *v),
+    becomes `_coefficient(field, v / h, Q / h)`: one object per value in the
+    process, so `matches` finds equal terms of two dressed series identical.
+    Every key lies in the window by construction, so the BiSeries skips its
+    per-term checks.
     """
     top = cutoff + Fraction(1, 24)
     L = math.lcm(D, 24, top.denominator)
@@ -121,8 +126,7 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
         return BiSeries._trusted({}, cutoff, cutoff, 1)
     Q = math.lcm(*(den for *_, den in cells))
     coords = [[x * (Q // den) for x in nums] for *_, nums, den in cells]
-    inv = euler_inverse(top)
-    parts = [inv.coeff(k).numerator for k in range(K + 1)]
+    parts = _partitions(K)
     big = max(abs(x) for row in coords for x in row) * sum(parts) ** 2
     dtype = np.int64 if big < 2 ** 62 else object
     idx = np.arange(K + 1)
@@ -137,8 +141,10 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
     keep = (idx[:, None] <= reach[:, None, None, 0]) & (idx <= reach[:, None, None, 1])
     at, a, b = np.nonzero((Z != 0).any(axis=1) & keep)
     rows = list(map(tuple, Z[at, :, a, b].tolist()))
-    make = (lambda v: Fraction(v[0], Q)) if field is None else (lambda v: CycloNum(field, v, Q))
-    built = {v: make(v) for v in set(rows)}
+    built = {}
+    for v in set(rows):
+        g = math.gcd(Q, *v)
+        built[v] = _coefficient(field, tuple(x // g for x in v), Q // g)
     residues = list(classes)
     shift = L // 24
     g = math.gcd(L, *(r - shift for i in set(at.tolist()) for r in residues[i]))
@@ -147,6 +153,22 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
     terms = {(bx[i] + x * step, by[i] + y * step): built[v]
              for i, x, y, v in zip(at.tolist(), a.tolist(), b.tolist(), rows)}
     return BiSeries._trusted(terms, cutoff, cutoff, step)
+
+
+@lru_cache(maxsize=None)
+def _partitions(K: int) -> tuple:
+    """The partition numbers p(0..K), the coefficients of `euler_inverse`."""
+    inv = euler_inverse(K)
+    return tuple(inv.coeff(k).numerator for k in range(K + 1))
+
+
+@lru_cache(maxsize=None)
+def _coefficient(field, nums: tuple, den: int):
+    """The one Fraction (field None) or CycloNum of field with the value
+    nums / den.  Callers pass it in lowest terms, so the key is the value
+    and every dressed series shares one object per value; the cache keeps
+    each value dressed in the process (2,478 after `torusloop accept`)."""
+    return Fraction(nums[0], den) if field is None else CycloNum(field, nums, den)
 
 
 def _coordinates(c, field, width: int) -> tuple:
@@ -575,7 +597,7 @@ def on_series(g, e0, cutoff) -> BiSeries:
     one = field.rational(1)
     theta: dict = {}
     for _, a, _ in _kac_run(gp, gq, root, e0.numerator * (den // e0.denominator), 2 * den, 0):
-        theta[(a, a)] = theta.get((a, a), field.zero()) + one
+        theta[(a, a)] = theta[(a, a)] + one if (a, a) in theta else one
 
     for M in range(1, M_max + 1):
         for N in (N for N in range(1, M + 1) if M % N == 0):
@@ -587,6 +609,6 @@ def on_series(g, e0, cutoff) -> BiSeries:
             # S = -M den / 2: a = h_{r, M/2} and b = hbar_{r, M/2} = h_{r, -M/2}
             for Pn, a, b in _kac_run(gp, gq, root, 0, 2 * den // N, -M * den // 2):
                 if math.gcd(Pn, N) == 1:
-                    theta[(a, b)] = theta.get((a, b), field.zero()) + lam
+                    theta[(a, b)] = theta[(a, b)] + lam if (a, b) in theta else lam
 
     return _dress(theta, D, cutoff)

@@ -50,6 +50,14 @@ def test_tau_point_nomes():
         TauPoint(complex(0.3, -0.2))
 
 
+@pytest.mark.parametrize("tau", [complex(math.nan, 1), complex(0, math.nan),
+                                 complex(math.inf, 1), complex(0, math.inf)])
+def test_tau_point_refuses_non_finite_tau(tau):
+    # NaN fails the half-plane test silently, and eta at an infinite tau is nan+nanj
+    with pytest.raises(ValueError, match="tau must be finite"):
+        TauPoint(tau)
+
+
 def test_tau_from_lattice_anisotropy():
     dense = ModelSpec("dense", 2, 3, 0.0)
     tau = TauPoint.from_lattice(dense.isotropic(), delta=1.5)

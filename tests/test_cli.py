@@ -134,6 +134,11 @@ def test_modular_report_lines(capsys):
         assert "np." not in out
 
 
+def test_modular_refuses_non_finite_tau(capsys):
+    assert main(["modular", "--tau", "0", "nan"]) == 2
+    assert "tau must be finite, got nanj" in capsys.readouterr().err
+
+
 def test_bad_arguments_exit_2(capsys):
     assert main(["series", "--p", "2", "--pq", "4", "--h", "0", "--v", "0"]) == 2
     assert main(["nonsense"]) == 2

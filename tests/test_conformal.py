@@ -288,6 +288,56 @@ def test_dress_refuses_negative_exponents():
         _dress({(0, 0): 1, (-24, 5): 1}, 24, F(4))
 
 
+# -- one object per coefficient value -----------------------------------------
+
+@pytest.mark.parametrize("i, pair", enumerate(SERIES_PQ))
+def test_three_forms_share_their_coefficients(i, pair):
+    """Equal terms of the three alpha = 2 forms are one object, so `matches`
+    compares them by identity."""
+    (p, pq), (h, v) = pair, ALL_HV[i % len(ALL_HV)]
+    zd = Z_hv_direct(p, pq, h, v, F(4))
+    for form in (Z_hv_u1, Z_hv_bezout):
+        z = form(p, pq, h, v, F(4))
+        assert z.terms.keys() == zd.terms.keys()
+        assert all(c is zd.terms[k] for k, c in z.terms.items())
+
+
+def test_full_and_on_series_share_their_coefficients():
+    full = full_Z_series(2, 3, F(2, 5), F(4))
+    on = on_series(F(2, 3), F(2, 5), F(4)).swap()
+    assert on.terms.keys() == full.terms.keys()
+    assert all(c is full.terms[k] for k, c in on.terms.items())
+
+
+def test_shared_coefficients_are_keyed_by_field_and_reduced_value():
+    from torusloop.conformal import _dress
+    from torusloop.cyclo import CycloField
+    lead = (F(-1, 24), F(-1, 24))
+
+    def dressed(theta):
+        return _dress(theta, 24, F(0)).coeff(*lead)
+
+    # 3 is the integer vector (3, 0, 0, 0) in both Q(zeta_10) and Q(zeta_12),
+    # and these elements compare equal across fields; each keeps its own field
+    threes = [dressed({(0, 0): CycloField(m).rational(3)}) for m in (10, 12, 14)]
+    assert [c.field.m for c in threes] == [10, 12, 14]
+    assert len({id(c) for c in threes}) == 3
+    assert all(c == 3 for c in threes)
+    # the 3 of a sum over denominator 2 is 6/2, the same Fraction as a lone 3
+    alone, halves = dressed({(0, 0): 3}), dressed({(0, 0): 3, (1, 0): F(1, 2)})
+    assert type(alone) is F and alone == 3
+    assert halves is alone
+
+
+def test_series_digest_holds_with_the_coefficient_cache_cold_and_warm():
+    from test_series_digest import PINNED, series_digest
+    from torusloop.conformal import _coefficient
+    _coefficient.cache_clear()
+    assert series_digest() == PINNED
+    assert _coefficient.cache_info().currsize > 0
+    assert series_digest() == PINNED
+
+
 # -- route 3's trace lines ----------------------------------------------------
 
 def _assert_same_theta(monkeypatch, build, reference):
