@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import time
+import traceback
 from fractions import Fraction
 
 from .arith import gamma_dm, lambda_fsz, verify_master, verify_s1_s2
@@ -197,8 +198,7 @@ def criterion_8_characters():
         step = max(1, n // 2)
         labels = [Fraction(j2, 2) for j2 in range(0, 4 * n + 1, step)]
         for j in labels:
-            plus = u1_char(n, j, 1, K)
-            minus = u1_char(n, j, -1, K)
+            plus, minus = u1_char(n, j, 1, K), u1_char(n, j, -1, K)
             checks = (
                 u1_char(n, j + 2 * n, 1, K).matches(plus),
                 u1_char(n, j + 4 * n, -1, K).matches(minus),
@@ -208,11 +208,9 @@ def criterion_8_characters():
             )
             if not all(checks):
                 return False, f"folding fails at level {n}, j={j}"
-            for z in (1, -1):
-                lhs = u1_char(n, j, z, K)
-                a = u1_char(4 * n, 2 * j, 1, K)
-                b = u1_char(4 * n, 4 * n - 2 * j, 1, K)
-                rhs = a + b if z == 1 else a - b
+            a = u1_char(4 * n, 2 * j, 1, K)
+            b = u1_char(4 * n, 4 * n - 2 * j, 1, K)
+            for z, lhs, rhs in ((1, plus, a + b), (-1, minus, a - b)):
                 if not lhs.matches(rhs):
                     return False, f"intertwining fails at level {n}, j={j}, z={z}"
         if u1_char(n, n, -1, K):
@@ -237,7 +235,9 @@ def criterion_9_scaling():
 
 
 def run_suite() -> bool:
-    """Run every criterion; returns overall pass/fail."""
+    """Run every criterion; returns overall pass/fail.  A criterion that
+    raises fails with the exception's type and message on its line (the
+    traceback goes to stderr), and the rest still run."""
     steps = [
         ("1 oracle markov=lattice", criterion_1_oracle),
         ("2 exact triple series identity", criterion_2_triple_identity),
@@ -252,7 +252,11 @@ def run_suite() -> bool:
     all_ok = True
     for name, fn in steps:
         t0 = time.perf_counter()
-        ok, detail = fn()
+        try:
+            ok, detail = fn()
+        except Exception as exc:  # the suite reports it and runs the rest
+            traceback.print_exc()
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({time.perf_counter() - t0:.1f}s)")
     return all_ok

@@ -20,8 +20,9 @@ labels J = 2j give (J + 4kn)^2 / 16n.  The one kernel `_dress` dresses those
 keys with the eta factors, one integer block product per residue class of
 keys; the exponents arrive over their least denominator, and each coefficient
 is the one Fraction or CycloNum of its value that every form shares, so equal
-terms of two forms compare by identity.  `KacData.delta_exp` and
-`theta_series` remain the references the tests rebuild the forms from.
+terms of two forms compare by identity.  The tests rebuild the Kac-lattice
+forms from `KacData.delta_exp` and hold the character-product forms to
+products of `u1_char`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .arith import _real_part, divisors, gamma_dm_cospoly, gamma_v, lambda_fsz_cospoly
 from .bezout import BezoutContext, index_pairs
-from .characters import TauPoint, eta_numeric, modular_S_residual, t_sign_exact
+from .characters import TauPoint, eta_numeric, level_weight, modular_S_residual
 from .cyclo import CycloField, CycloNum, cospoly_to_cyclo
 from .model import SECTORS, check_kind, check_pair, check_ratio, check_sector
 from .qseries import BiSeries, euler_inverse, exact
@@ -321,10 +322,11 @@ def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float
     S, each step moving (h, v) by the sector map of MODULAR_T4 or MODULAR_S4, and
     the sector is summed there by `_electric`, whose terms fall off at least as
     e^{-pi sqrt 3 (D + Dbar)}: accurate at every tau, however small the sector.
-    |alpha| > 2 is refused: gamma is real and the weights bounded only within it.
+    |alpha| > 2 is refused, and so is a NaN alpha: gamma is real and the weights
+    bounded only within it.
     """
     check_sector((h, v))
-    if abs(alpha) > 2:
+    if not abs(alpha) <= 2:
         raise ValueError("the numeric sector sum needs |alpha| <= 2")
     check_ratio(g)
     shift, invert = _sector_map(MODULAR_T4), _sector_map(MODULAR_S4)
@@ -343,12 +345,14 @@ def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
 
     * the 4-dimensional S, T permutation matrices satisfy
       S^2 = (S T)^3 = T^2 = I exactly;
-    * Z_{d,j}(tau+1) = Z_{d,j-d}(tau) and Z_{d,j}(-1/tau) = Z_{j,-d}(tau);
+    * Z_{d,j}(tau+1) = Z_{d,j-d}(tau) and Z_{d,j}(-1/tau) = Z_{j,-d}(tau), one
+      array `Zmm` per side, tau, g and image;
     * the electric sums at alpha = 2 and 1.2, at tau and its images unreduced
       (a Poisson identity, not the reduction), transform under S and T by the
       stated permutations, for each ratio g in g_values;
     * the character-level S transform holds numerically at levels 2 and 6,
-      and the T-phase on odd level-4n labels is the sign (-1)^j, exactly.
+      and the exact weights of the level-4n labels j and 4n - j differ by j/2
+      plus an integer, so their T phases by (-1)^j: a wrong weight reads False.
     """
     report: dict = {}
     S, T, one = np.array(MODULAR_S4), np.array(MODULAR_T4), np.eye(4, dtype=int)
@@ -356,18 +360,14 @@ def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
     report["T2_is_identity"] = bool(np.array_equal(T @ T, one))
     report["ST3_is_identity"] = bool(np.array_equal(np.linalg.matrix_power(S @ T, 3), one))
 
+    d, j = np.array([0, 1, 2, 3]), np.array([2, 1, -1, 2])
     worst_gauss = 0.0
     for tau in taus:
-        for (d, j) in ((0, 2), (1, 1), (2, -1), (3, 2)):
-            for g in (0.125, 0.3):
-                t_lhs = Zmm(g, d, j, tau.shift())
-                t_rhs = Zmm(g, d, j - d, tau)
-                s_lhs = Zmm(g, d, j, tau.invert())
-                s_rhs = Zmm(g, j, -d, tau)
-                worst_gauss = max(
-                    worst_gauss,
-                    abs(t_lhs - t_rhs) / max(1.0, abs(t_rhs)),
-                    abs(s_lhs - s_rhs) / max(1.0, abs(s_rhs)))
+        for g in (0.125, 0.3):
+            for image, (m, mp) in ((tau.shift(), (d, j - d)), (tau.invert(), (j, -d))):
+                ref = Zmm(g, m, mp, tau)
+                worst_gauss = max(worst_gauss, float(np.max(
+                    np.abs(Zmm(g, d, j, image) - ref) / np.maximum(1.0, np.abs(ref)))))
     report["Zmm_covariance_residual"] = worst_gauss
 
     images = ((TauPoint.shift, _sector_map(MODULAR_T4)),
@@ -388,8 +388,8 @@ def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
     report["character_S_residual"] = max(
         modular_S_residual(n, taus[0]) for n in (2, 6))
     report["T_sign_checks"] = all(
-        t_sign_exact(4 * n, j) == (-1) ** j
-        for n in (2, 6) for j in range(0, 2 * n + 1))
+        (level_weight(4 * n, j) - level_weight(4 * n, 4 * n - j) - Fraction(j, 2)).denominator == 1
+        for n in (2, 6) for j in range(2 * n + 1))
     return report
 
 

@@ -116,9 +116,10 @@ def check_pair(p: int, pq: int) -> None:
 
 
 def check_ratio(g) -> None:
-    """Raise ValueError unless the ratio g = p/p' (the Coulomb coupling) is positive."""
-    if not g > 0:
-        raise ValueError(f"the ratio g = {g} must be positive")
+    """Raise ValueError unless the ratio g = p/p' (the Coulomb coupling) is
+    positive and finite; a NaN fails both comparisons."""
+    if not 0 < g < math.inf:
+        raise ValueError(f"the ratio g = {g} must be positive and finite")
 
 
 def check_character(n, z) -> None:

@@ -340,12 +340,10 @@ def build_transfer(spec: ModelSpec | Weights, N: int, d: int) -> TransferOperato
     orbit are its rotations (see the module docstring).
     """
     check_size(N)
-    if (d - N) % defect_numbers(spec.kind, N).step:  # parity; link_states checks 0 <= d <= N
-        raise ValueError("dense model needs d = N mod 2")
     if N > TRANSFER_SITE_GUARD[spec.kind]:
         raise TransferSizeError(
             f"{spec.kind} transfer matrix limited to N <= {TRANSFER_SITE_GUARD[spec.kind]}")
-    basis = link_states(spec.kind, N, d)
+    basis = link_states(spec.kind, N, d)  # refuses a d outside 0..N or of the wrong parity
     dim = len(basis)
     index = {w: i for i, w in enumerate(basis)}
     arcs_of = {w: arc_crossings(w) for w in basis}
@@ -471,6 +469,9 @@ def C_coefficients(spec: ModelSpec | Weights, N: int, M: int, d: int) -> Mapping
     T^{M-1}, and the last factor enters through its trace only, in the
     tensor's type.  A power that no closed walk reaches stays exactly zero.
     ``trace_TM`` is the correctly rounded reference for the same numbers.
+    With this sign of j, C_{d,j} / C_{0,0} tends to the Coulomb-gas ratio
+    Zmm(p/4p', d, j, tau) / Zmm(p/4p', 0, 0, tau) at tau =
+    `TauPoint.from_lattice(spec, M/N)`, the block of (d, j) and not of (d, -j).
     """
     if M < 0:
         raise ValueError("need M >= 0")

@@ -5,9 +5,13 @@ pass/fail line so `pytest -s tests/test_acceptance.py` doubles as the
 acceptance report.
 """
 
+from fractions import Fraction as F
+
 import pytest
 
-from torusloop import acceptance, transfer
+from torusloop import acceptance, conformal, transfer
+from torusloop.cli import main
+from torusloop.conformal import modular_rep_check
 from torusloop.lattice import _sector_polynomials, lattice_Z
 from torusloop.model import ModelSpec, Weights, torus_sectors
 from torusloop.transfer import _markov_polynomials, markov_Z
@@ -116,6 +120,19 @@ def test_criterion_6_modular_covariance():
     assert ok, detail
 
 
+def test_t_sign_check_reads_a_wrong_weight_as_false(monkeypatch):
+    """With the level weight j^2/2N in place of j^2/4N the T phases of j and
+    4n - j differ by (-1)^{2j} = 1, not (-1)^j: the report says False and
+    criterion 6 fails, where a check that raised would abort the suite."""
+    def wrong(n, j):
+        return min(F(j) ** 2, (2 * n - F(j)) ** 2) / (2 * n)
+
+    monkeypatch.setattr(conformal, "level_weight", wrong)
+    assert modular_rep_check(acceptance.MODULAR_TAUS)["T_sign_checks"] is False
+    ok, detail = acceptance.criterion_6_modular()
+    assert ok is False and "sector residual" in detail
+
+
 def test_criterion_7_bezout_tables():
     ok, detail = _report("7 Bezout reference tables", acceptance.criterion_7_bezout)
     assert ok, detail
@@ -152,3 +169,44 @@ def test_scaled_error():
     assert acceptance.scaled_error(0.0, 0.0) == 0.0
     assert acceptance.scaled_error(1e-10, 2e-10) == 0.5
     assert acceptance.scaled_error(-3.0, 3.0) == 2.0
+
+
+CRITERIA = sorted(name for name in vars(acceptance) if name.startswith("criterion_"))
+
+
+def _stub_criteria(monkeypatch, raising=None):
+    """Every criterion returns (True, "stub <name>"); the one named `raising`
+    raises ValueError instead."""
+    def stub(name):
+        def criterion():
+            if name == raising:
+                raise ValueError(f"{name} broke")
+            return True, f"stub {name}"
+        return criterion
+    for name in CRITERIA:
+        monkeypatch.setattr(acceptance, name, stub(name))
+
+
+def test_run_suite_prints_one_line_per_criterion(monkeypatch, capsys):
+    _stub_criteria(monkeypatch)
+    assert len(CRITERIA) == 9
+    assert acceptance.run_suite() is True
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    for line, name in zip(lines, CRITERIA, strict=True):
+        assert line.startswith("[PASS] ") and f"stub {name} (" in line
+    assert main(["accept"]) == 0
+
+
+def test_run_suite_fails_a_criterion_that_raises_and_runs_the_rest(monkeypatch, capsys):
+    _stub_criteria(monkeypatch, raising="criterion_4_gamma_lambda")
+    assert acceptance.run_suite() is False
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 9
+    assert lines[3].startswith("[FAIL] 4 ")
+    assert "raised ValueError: criterion_4_gamma_lambda broke" in lines[3]
+    assert all(line.startswith("[PASS] ") for line in lines[:3] + lines[4:])
+    assert "Traceback" in captured.err
+    # a failed check, exit code 1, not the argument-error code 2
+    assert main(["accept"]) == 1

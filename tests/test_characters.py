@@ -13,7 +13,6 @@ from torusloop.characters import (
     eta_numeric,
     level_weight,
     modular_S_residual,
-    t_sign_exact,
     theta_series,
     u1_char,
     u1_char_numeric,
@@ -147,12 +146,6 @@ def test_eta_numeric_matches_series():
     tau = TauPoint(complex(0.17, 0.83))
     series_val = dedekind_eta(F(40)).evaluate(tau)
     assert abs(series_val - eta_numeric(tau)) < 1e-13
-
-
-def test_t_sign_exact():
-    for n in (2, 6, 12, 15, 20):
-        for j in range(0, 2 * n + 1):
-            assert t_sign_exact(4 * n, j) == (-1) ** j
 
 
 def test_modular_S_small_levels():

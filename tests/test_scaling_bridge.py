@@ -15,6 +15,8 @@ import pytest
 
 from torusloop.characters import KacData, TauPoint, eta_numeric
 from torusloop.conformal import Z_hv_direct, Zmm, conformal_Z_numeric
+from torusloop.model import ModelSpec
+from torusloop.transfer import C_coefficients
 
 TAU = TauPoint(complex(0.2, 1.1))
 
@@ -64,3 +66,26 @@ def test_exact_series_sums_to_gaussian_sectors(hv):
     val = s.evaluate(TAU).real
     gauss = conformal_Z_numeric(F(2, 3), 2.0, hv[0], hv[1], TAU)
     assert abs(val - gauss) < 1e-8 * max(1.0, abs(gauss))
+
+
+@pytest.mark.parametrize("frac", [0.3, 0.7])
+@pytest.mark.parametrize("kind, N", [("dilute", 5), ("dense", 8)])
+def test_lattice_tau_pairs_C_with_the_gaussian_of_the_same_labels(kind, N, frac):
+    """At anisotropy angle theta = frac pi on the N x N torus, the large one of
+    C_{2,+-2} / C_{0,0} is within 10% of Zmm(p/4p', 2, j) / Zmm(p/4p', 0, 0) at
+    `TauPoint.from_lattice`'s tau, and over 100 times the (2, -j) block, which
+    the mirror tau -> -conj(tau) would pair it with."""
+    lam = ModelSpec(kind, 2, 3, 0.0).lam
+    spec = ModelSpec(kind, 2, 3, frac * lam * (3 if kind == "dilute" else 1))
+    tau = TauPoint.from_lattice(spec, 1.0)
+    assert cmath.isclose(tau.tau, cmath.exp(1j * math.pi * frac))
+    C0, C2 = C_coefficients(spec, N, N, 0), C_coefficients(spec, N, N, 2)
+    j = max((2, -2), key=C2.__getitem__)
+    assert j == (2 if frac < 0.5 else -2)
+    lattice = C2[j] / C0[0]
+
+    def gaussian(d, jj):
+        return Zmm(F(2, 12), d, jj, tau) / Zmm(F(2, 12), 0, 0, tau)
+
+    assert abs(lattice / gaussian(2, j) - 1) < 0.1
+    assert lattice > 100 * gaussian(2, -j)

@@ -199,13 +199,22 @@ RATIO_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("g", [F(0), F(-1), -0.5])
+@pytest.mark.parametrize("g", [F(0), F(-1), -0.5, math.inf])
 @pytest.mark.parametrize("name", sorted(RATIO_TAKERS))
 def test_ratio_outside_the_positive_rule_raises(name, g):
-    """The numeric Coulomb layer refuses g <= 0 with one ValueError, in place
-    of a ZeroDivisionError, a math domain error or a silent 0."""
+    """The numeric Coulomb layer refuses g <= 0 and g = inf with one ValueError,
+    in place of a ZeroDivisionError, a math domain error, an OverflowError, a
+    silent 0 or a silent nan."""
     with pytest.raises(ValueError, match=re.escape(f"the ratio g = {g} must be positive")):
         RATIO_TAKERS[name](g)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_numeric_sector_sum_refuses_a_non_finite_fugacity(alpha):
+    """A NaN alpha fails |alpha| > 2 silently and returned nan; it is refused
+    with the infinite ones."""
+    with pytest.raises(ValueError, match=re.escape("the numeric sector sum needs |alpha| <= 2")):
+        conformal_Z_numeric(F(1, 2), alpha, 0, 0, TAU)
 
 
 CHARACTER_TAKERS = {

@@ -1,6 +1,7 @@
 """Standard modules, transfer traces and the Markov-trace oracle test."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,26 @@ def test_link_states_equal_the_reference_placements(kind):
 def test_link_states_refuse_a_row_of_no_sites(kind, N):
     with pytest.raises(ValueError, match="lattice dimensions must be positive"):
         link_states(kind, N, 0)
+
+
+@pytest.mark.parametrize("kind, N, d, message", [
+    ("dense", 4, -1, "need 0 <= d <= N"), ("dense", 4, 5, "need 0 <= d <= N"),
+    ("dense", 4, 6, "need 0 <= d <= N"), ("dense", 4, 1, "dense model needs d = N mod 2"),
+    ("dense", 5, 2, "dense model needs d = N mod 2"),
+    ("dilute", 3, -1, "need 0 <= d <= N"), ("dilute", 3, 4, "need 0 <= d <= N")])
+def test_a_defect_number_outside_the_module_rule_raises(kind, N, d, message):
+    """`link_states` is route 2's one refusal of a bad d: the build and the
+    traces reach it.  A dense d above N of the wrong parity is out of range first."""
+    spec = ModelSpec(kind, 2, 3, 0.37)
+    for call in (lambda: link_states(kind, N, d), lambda: build_transfer(spec, N, d),
+                 lambda: C_coefficients(spec, N, 2, d)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+def test_C_coefficients_refuses_a_negative_power():
+    with pytest.raises(ValueError, match=re.escape("need M >= 0")):
+        C_coefficients(ModelSpec("dense", 2, 3, 0.37), 4, -1, 0)
 
 
 @pytest.mark.parametrize("N, d", [(2, 0), (2, 2), (3, 1), (4, 0), (4, 2), (4, 4),
@@ -400,6 +421,9 @@ def test_size_guard():
         build_transfer(spec, 9, 1)
     with pytest.raises(TransferSizeError):
         build_transfer(ModelSpec("dense", 2, 3, 0.37), 13, 1)
+    # the site guard comes before the module's own checks of d
+    with pytest.raises(TransferSizeError):
+        build_transfer(ModelSpec("dense", 2, 3, 0.37), 13, 0)
 
 
 # -- the orbit build against a full join -------------------------------------
