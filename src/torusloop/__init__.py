@@ -15,15 +15,14 @@ from .arith import (chebyshev_T, gamma_dm, gamma_v, gcd_conv, lambda_fsz,
                     verify_master, verify_s1_s2)
 from .bezout import (BezoutContext, bezout_conjugator, bezout_table,
                      kac_table_text, mu_shift, rho_j)
-from .characters import KacData, TauPoint, u1_char
+from .characters import TauPoint, u1_char
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm,
                         appendix_c_form, conformal_Z_numeric,
                         expand_terms, full_Z_series, modular_rep_check,
                         on_series, render_appendix_form, verma_trace_series)
 from .lattice import LoopCensus, TileGrid, enumerate_configs, lattice_Z
 from .model import ModelSpec, Weights
-from .qseries import (BiSeries, QSeries, dedekind_eta, euler_inverse,
-                      euler_product)
+from .qseries import BiSeries, QSeries, euler_inverse
 from .transfer import (TransferOperator, build_transfer,
                        effective_central_charge, link_states, markov_Z,
                        trace_TM)
@@ -31,15 +30,12 @@ from .transfer import (TransferOperator, build_transfer,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BezoutContext", "BiSeries", "KacData", "LoopCensus", "ModelSpec",
-    "QSeries", "TauPoint", "TileGrid", "TransferOperator", "Weights",
-    "Z_hv_bezout", "Z_hv_direct", "Z_hv_u1", "Zmm", "appendix_c_form",
-    "bezout_conjugator", "bezout_table", "build_transfer", "chebyshev_T",
-    "conformal_Z_numeric", "dedekind_eta",
-    "effective_central_charge", "enumerate_configs", "euler_inverse",
-    "euler_product", "expand_terms", "full_Z_series",
-    "gamma_dm", "gamma_v", "gcd_conv", "kac_table_text", "lambda_fsz",
-    "lattice_Z", "link_states", "markov_Z", "modular_rep_check", "mu_shift",
-    "on_series", "render_appendix_form", "rho_j", "trace_TM",
-    "u1_char", "verify_master", "verify_s1_s2", "verma_trace_series",
+    "BezoutContext", "BiSeries", "LoopCensus", "ModelSpec", "QSeries", "TauPoint",
+    "TileGrid", "TransferOperator", "Weights", "Z_hv_bezout", "Z_hv_direct", "Z_hv_u1",
+    "Zmm", "appendix_c_form", "bezout_conjugator", "bezout_table", "build_transfer",
+    "chebyshev_T", "conformal_Z_numeric", "effective_central_charge", "enumerate_configs",
+    "euler_inverse", "expand_terms", "full_Z_series", "gamma_dm", "gamma_v", "gcd_conv",
+    "kac_table_text", "lambda_fsz", "lattice_Z", "link_states", "markov_Z",
+    "modular_rep_check", "mu_shift", "on_series", "render_appendix_form", "rho_j",
+    "trace_TM", "u1_char", "verify_master", "verify_s1_s2", "verma_trace_series",
 ]

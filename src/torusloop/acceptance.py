@@ -38,6 +38,8 @@ DILUTE_SIZES = ((1, 2), (2, 2), (2, 3), (3, 3), (3, 4))
 PHYSICAL_SIZES = {"dense": DENSE_SIZES + ((4, 5),), "dilute": DILUTE_SIZES + ((4, 4),)}
 ORACLE_PQ = ((1, 2), (2, 3), (3, 4))
 SERIES_PQ = ((1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5))
+# the ratios g = p/p' at which criterion 6 and `torusloop modular` check the sectors
+MODULAR_RATIOS = tuple(Fraction(p, pq) for (p, pq) in SERIES_PQ)
 # criterion 1's exact leg: integer weights, at which both routes make the
 # same integer polynomial in alpha per sector
 EXACT_SEED = 57
@@ -163,8 +165,7 @@ def criterion_5_full_pf():
 
 def criterion_6_modular():
     """Modular covariance at the sampled tau, plus the exact 4-dim relations."""
-    g_values = tuple(Fraction(p, pq) for (p, pq) in SERIES_PQ)
-    rep = modular_rep_check(taus=MODULAR_TAUS, g_values=g_values)
+    rep = modular_rep_check(taus=MODULAR_TAUS, g_values=MODULAR_RATIOS)
     return modular_ok(rep), (f"sector residual {rep['sector_covariance_residual']:.3e}, "
                              f"character residual {rep['character_S_residual']:.3e}")
 

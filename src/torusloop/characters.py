@@ -1,4 +1,4 @@
-"""Kac data, modular nome bookkeeping, and affine u(1) characters.
+"""Modular nome bookkeeping and affine u(1) characters.
 
 The central objects are the level-n characters
 
@@ -24,43 +24,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import ModelSpec, check_character, check_pair, check_ratio
+from .model import ModelSpec, check_character
 from .qseries import QSeries, eta_inverse, exact
 
 # every numeric sum drops the terms whose size falls below this, relative to
 # the sum's leading term
 NUMERIC_TAIL = 1e-18
-
-
-@dataclass(frozen=True)
-class KacData:
-    """Central charge and conformal weights of the (p, p') model."""
-
-    p: int
-    pq: int
-
-    def __post_init__(self):
-        check_pair(self.p, self.pq)
-
-    @property
-    def c(self) -> Fraction:
-        return 1 - Fraction(6 * (self.p - self.pq) ** 2, self.p * self.pq)
-
-    def delta(self, r, s) -> Fraction:
-        return self.delta_exp(r, s) + (self.c - 1) / 24
-
-    def delta_exp(self, r, s) -> Fraction:
-        """delta(r, s) - c/24 + 1/24 = (p' r - p s)^2 / (4 p p')."""
-        r, s = exact(r, "label r"), exact(s, "label s")
-        return (self.pq * r - self.p * s) ** 2 / Fraction(4 * self.p * self.pq)
-
-
-def delta_from_ratio(g: Fraction, r, s) -> Fraction:
-    """Conformal weight written through the ratio g = p/p' > 0 alone."""
-    check_ratio(g)
-    g = exact(g, "g = p/p'")
-    r, s = exact(r, "label r"), exact(s, "label s")
-    return ((r - g * s) ** 2 - (1 - g) ** 2) / (4 * g)
 
 
 @dataclass(frozen=True)

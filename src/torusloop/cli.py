@@ -13,7 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .acceptance import MODULAR_TAUS, criterion_4_gamma_lambda, modular_ok, run_suite
+from .acceptance import (MODULAR_RATIOS, MODULAR_TAUS, criterion_4_gamma_lambda, modular_ok,
+                         run_suite)
 from .bezout import BezoutContext, kac_table_text, table_json_obj
 from .characters import TauPoint
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
@@ -114,7 +115,7 @@ def cmd_bezout(args) -> int:
 def cmd_modular(args) -> int:
     taus = tuple(TauPoint(complex(re, im)) for re, im in args.tau) if args.tau \
         else MODULAR_TAUS
-    rep = modular_rep_check(taus=taus)
+    rep = modular_rep_check(taus=taus, g_values=MODULAR_RATIOS)
     for key in sorted(rep):
         print(f"{key} = {rep[key]!r}")
     return 0 if modular_ok(rep) else 1

@@ -21,8 +21,8 @@ keys with the eta factors, one integer block product per residue class of
 keys; the exponents arrive over their least denominator, and each coefficient
 is the one Fraction or CycloNum of its value that every form shares, so equal
 terms of two forms compare by identity.  The tests rebuild the Kac-lattice
-forms from `KacData.delta_exp` and hold the character-product forms to
-products of `u1_char`.
+forms from the reference `KacData.delta_exp` (tests/reference_kac.py) and hold
+the character-product forms to products of `u1_char`.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float
         t, hv = -1 / t, invert[hv]
 
 
-def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
+def modular_rep_check(taus, g_values) -> dict:
     """Verify the modular structure; returns a report of exact and numeric checks.
 
     * the 4-dimensional S, T permutation matrices satisfy
@@ -349,7 +349,8 @@ def modular_rep_check(taus, g_values=(Fraction(1, 2),)) -> dict:
       array `Zmm` per side, tau, g and image;
     * the electric sums at alpha = 2 and 1.2, at tau and its images unreduced
       (a Poisson identity, not the reduction), transform under S and T by the
-      stated permutations, for each ratio g in g_values;
+      stated permutations, for each ratio g in g_values (criterion 6 and
+      `torusloop modular` pass `acceptance.MODULAR_RATIOS`);
     * the character-level S transform holds numerically at levels 2 and 6,
       and the exact weights of the level-4n labels j and 4n - j differ by j/2
       plus an integer, so their T phases by (-1)^j: a wrong weight reads False.

@@ -69,12 +69,6 @@ class CycloField:
             cls._instances[m] = inst
         return cls._instances[m]
 
-    def element(self, coeffs) -> "CycloNum":
-        vec = [exact(c, "coefficient") for c in coeffs]
-        den = math.lcm(*(c.denominator for c in vec))
-        return CycloNum(self, self._reduce([c.numerator * (den // c.denominator)
-                                            for c in vec]), den)
-
     def zero(self) -> "CycloNum":
         return CycloNum(self, (0,) * self.degree)
 

@@ -127,10 +127,6 @@ class LoopCensus:
     H: int                      # crossings of the horizontal cut line
     V: int                      # crossings of the vertical cut line
 
-    @property
-    def n_noncontractible(self) -> int:
-        return sum(n for _, n in self.windings)
-
     def sector_from_cuts(self) -> tuple:
         return (self.H % 2, self.V % 2)
 
@@ -558,7 +554,8 @@ def lattice_Z(spec: ModelSpec | Weights, M: int, N: int, sector: tuple | None = 
     * prod rho_t^{n_t}, with kind, rho and beta read from `spec`, a
     `ModelSpec` (the physical weights) or any `Weights`; summed as
     sum_n c_n alpha^n over the sector polynomials of `_sector_polynomials`.
-    A sector outside `torus_sectors(spec.kind, M, N)` raises ValueError.
+    A sector outside `torus_sectors(spec.kind, M, N)` raises ValueError, and so
+    does a NaN or infinite alpha.
     """
     if sector is not None:
         sector = tuple(sector)

@@ -94,7 +94,10 @@ def check_size(*sizes) -> None:
 
 
 def sector_sum(polys, sector: tuple | None, alpha) -> float:
-    """sum_n c_n alpha^n of polys = {(h, v): {n: c_n}} in `sector`, or in all when None."""
+    """sum_n c_n alpha^n of polys = {(h, v): {n: c_n}} in `sector`, or in all when
+    None; a NaN or infinite alpha raises ValueError."""
+    if not math.isfinite(alpha):
+        raise ValueError(f"the fugacity alpha = {alpha} must be finite")
     total = 0.0
     for hv, poly in polys.items():
         if sector is None or hv == sector:
@@ -183,6 +186,8 @@ class ModelSpec:
     def __post_init__(self):
         check_kind(self.kind)
         check_pair(self.p, self.pq)
+        if not math.isfinite(self.u):
+            raise ValueError(f"the spectral parameter u = {self.u} must be finite")
         p, pq = self.p, self.pq
         if self.kind == "dense":
             lam = math.pi * (pq - p) / pq

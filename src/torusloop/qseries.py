@@ -367,25 +367,6 @@ def _coeff_json(c):
     return {"m": field.m, "coeffs": [_frac_str(x) for x in c.coeffs]}
 
 
-def euler_product(cutoff) -> QSeries:
-    """(q)_inf = prod_{n>=1} (1 - q^n), by Euler's pentagonal number theorem."""
-    cutoff = exact(cutoff, "cutoff")
-    top = math.floor(cutoff)
-    terms = {}
-    k = 0
-    while True:
-        placed = False
-        for kk in ((k, -k) if k else (0,)):
-            e = kk * (3 * kk - 1) // 2
-            if e <= top:
-                terms[e] = Fraction((-1) ** (kk % 2))
-                placed = True
-        if not placed and k > 0:
-            break
-        k += 1
-    return QSeries._trusted(terms, cutoff, cutoff, 1)
-
-
 def euler_inverse(cutoff) -> QSeries:
     """1/(q)_inf; the coefficient of q^n is the partition number p(n)."""
     cutoff = exact(cutoff, "cutoff")
@@ -398,14 +379,6 @@ def euler_inverse(cutoff) -> QSeries:
         for n in range(part, nmax + 1):
             p[n] += p[n - part]
     return QSeries._trusted({n: Fraction(p[n]) for n in range(nmax + 1)}, cutoff, cutoff, 1)
-
-
-def dedekind_eta(cutoff) -> QSeries:
-    """eta(q) = q^{1/24} (q)_inf, exact through `cutoff`."""
-    cutoff = exact(cutoff, "cutoff")
-    if cutoff < Fraction(1, 24):
-        raise ValueError("cutoff must be >= 1/24")
-    return euler_product(cutoff).shift(Fraction(1, 24))
 
 
 def eta_inverse(cutoff) -> QSeries:

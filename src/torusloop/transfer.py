@@ -538,7 +538,7 @@ def markov_Z(spec: ModelSpec | Weights, M: int, N: int, h: int, v: int, alpha: f
     """Torus partition function in sector (h, v) via the Markov trace: the
     polynomial of `_markov_polynomials` at `alpha`, read like `lattice_Z`.  A
     sector outside `torus_sectors(spec.kind, M, N)` raises ValueError, and so
-    does a dimension M or N below 1."""
+    do a dimension M or N below 1 and a NaN or infinite alpha."""
     check_size(M, N)
     check_sector((h, v), torus_sectors(spec.kind, M, N))
     return sector_sum(_markov_polynomials(spec, M, N), (h, v), alpha)

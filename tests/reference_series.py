@@ -13,10 +13,14 @@ the package's own series, and `dress_dict`, the kernel as it was before it
 became one block product per residue class, which convolves each integer
 coordinate with the partition numbers in dict steps.
 
-Last, the theta sums of two route-3 forms as their own Kac loops built them
+Then the theta sums of two route-3 forms as their own Kac loops built them
 before both became Markov sums of `conformal._trace_line`: `direct_theta`,
 the double loop over S and r of `Z_hv_direct`, and `full_theta`, the d = 0
 block and the d > 0 blocks of `full_Z_series`.
+
+Last, the Euler product (q)_inf by the pentagonal number theorem and the
+Dedekind eta built on it, exact series that the package's `euler_inverse`,
+`eta_inverse` and `characters.eta_numeric` are held to.
 """
 
 import math
@@ -26,7 +30,7 @@ from torusloop.arith import gamma_dm_cospoly
 from torusloop.conformal import _coordinates, _kac_run, _kac_window, _run, _window
 from torusloop.cyclo import CycloField, CycloNum, cospoly_to_cyclo
 from torusloop.model import check_pair, check_sector
-from torusloop.qseries import BiSeries, euler_inverse, exact
+from torusloop.qseries import BiSeries, QSeries, euler_inverse, exact
 
 BIG = Fraction(10**9)  # the minimal exponent of an empty series
 
@@ -239,3 +243,34 @@ def full_theta(p: int, pq: int, gamma_over_pi, cutoff) -> tuple:
             theta[(a, b)] = theta.get((a, b), field.zero()) + weights[t % d]
 
     return theta, D
+
+
+# ---------------------------------------------------------------------------
+# references of the Euler product and eta
+
+
+def euler_product(cutoff) -> QSeries:
+    """(q)_inf = prod_{n>=1} (1 - q^n), by Euler's pentagonal number theorem."""
+    cutoff = exact(cutoff, "cutoff")
+    top = math.floor(cutoff)
+    terms = {}
+    k = 0
+    while True:
+        placed = False
+        for kk in ((k, -k) if k else (0,)):
+            e = kk * (3 * kk - 1) // 2
+            if e <= top:
+                terms[e] = Fraction((-1) ** (kk % 2))
+                placed = True
+        if not placed and k > 0:
+            break
+        k += 1
+    return QSeries._trusted(terms, cutoff, cutoff, 1)
+
+
+def dedekind_eta(cutoff) -> QSeries:
+    """eta(q) = q^{1/24} (q)_inf, exact through `cutoff`."""
+    cutoff = exact(cutoff, "cutoff")
+    if cutoff < Fraction(1, 24):
+        raise ValueError("cutoff must be >= 1/24")
+    return euler_product(cutoff).shift(Fraction(1, 24))

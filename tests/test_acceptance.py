@@ -128,9 +128,36 @@ def test_t_sign_check_reads_a_wrong_weight_as_false(monkeypatch):
         return min(F(j) ** 2, (2 * n - F(j)) ** 2) / (2 * n)
 
     monkeypatch.setattr(conformal, "level_weight", wrong)
-    assert modular_rep_check(acceptance.MODULAR_TAUS)["T_sign_checks"] is False
+    rep = modular_rep_check(acceptance.MODULAR_TAUS, acceptance.MODULAR_RATIOS)
+    assert rep["T_sign_checks"] is False
     ok, detail = acceptance.criterion_6_modular()
     assert ok is False and "sector residual" in detail
+
+
+def test_modular_command_reports_what_criterion_6_gates(capsys):
+    """`torusloop modular` prints the report of criterion 6's taus and ratios."""
+    assert main(["modular"]) == 0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    rep = modular_rep_check(acceptance.MODULAR_TAUS, acceptance.MODULAR_RATIOS)
+    assert printed == {key: repr(value) for key, value in rep.items()}
+    assert f"sector residual {rep['sector_covariance_residual']:.3e}" \
+        in acceptance.criterion_6_modular()[1]
+
+
+def test_modular_command_and_criterion_6_fail_a_fault_at_one_ratio(monkeypatch, capsys):
+    """A sector sum off by 1e-6 at g = 3/4, at the shifted taus only, fails
+    both the command and the criterion: neither samples fewer ratios."""
+    electric = conformal._electric
+
+    def faulty(g, alpha, h, v, tau):
+        value = electric(g, alpha, h, v, tau)
+        return value * (1 + 1e-6) if g == F(3, 4) and tau.tau.real > 0.55 else value
+
+    monkeypatch.setattr(conformal, "_electric", faulty)
+    assert main(["modular"]) == 1
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert float(printed["sector_covariance_residual"]) > acceptance.MODULAR_TOL
+    assert acceptance.criterion_6_modular()[0] is False
 
 
 def test_criterion_7_bezout_tables():

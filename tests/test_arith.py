@@ -23,7 +23,7 @@ from torusloop.arith import (
     verify_master,
     verify_s1_s2,
 )
-from torusloop.cyclo import CycloField, cospoly_to_cyclo
+from torusloop.cyclo import CycloField, CycloNum, cospoly_to_cyclo
 
 
 def cospoly_eval(cospoly: dict, gamma: float) -> float:
@@ -276,7 +276,7 @@ def test_cyclo_scalar_product_matches_field_product(scalar):
     """Scaling by an int or Fraction equals the product with the field's
     rational element, zero coefficients included, and keeps Fractions."""
     fld = CycloField(12)
-    x = fld.element([F(1, 2), 0, F(-3), 0])
+    x = CycloNum(fld, (1, 0, -6, 0), 2)  # 1/2 - 3 zeta^2
     for got in (x * scalar, scalar * x):
         assert got == x * fld.rational(scalar)
         assert all(type(c) is F for c in got.coeffs)

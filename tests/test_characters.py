@@ -6,10 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from reference_kac import KacData, delta_from_ratio
+from reference_series import dedekind_eta
 from torusloop.characters import (
-    KacData,
     TauPoint,
-    delta_from_ratio,
     eta_numeric,
     level_weight,
     modular_S_residual,
@@ -18,7 +18,6 @@ from torusloop.characters import (
     u1_char_numeric,
 )
 from torusloop.model import ModelSpec
-from torusloop.qseries import dedekind_eta
 
 
 def test_kac_data_values():

@@ -139,6 +139,23 @@ def test_modular_refuses_non_finite_tau(capsys):
     assert "tau must be finite, got nanj" in capsys.readouterr().err
 
 
+MODEL_ARGS = ("--kind", "dilute", "--p", "2", "--pq", "3", "--M", "2", "--N", "2")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, name", [
+    (("transfer", *MODEL_ARGS, "--u={}"), "the spectral parameter u"),
+    (("transfer", *MODEL_ARGS, "--alpha={}"), "the fugacity alpha"),
+    (("enumerate", *MODEL_ARGS, "--with-z", "--alpha={}"), "the fugacity alpha"),
+])
+def test_non_finite_u_or_alpha_exits_2(capsys, argv, name, value):
+    """A NaN or infinite u or alpha is an argument error, where `transfer`
+    printed "nan" for every sector and `enumerate` "# Z = inf", and exited 0."""
+    assert main([arg.format(value) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{name} = {float(value)} must be finite" in err
+
+
 def test_bad_arguments_exit_2(capsys):
     assert main(["series", "--p", "2", "--pq", "4", "--h", "0", "--v", "0"]) == 2
     assert main(["nonsense"]) == 2

@@ -8,8 +8,9 @@ from fractions import Fraction as F
 import pytest
 
 import reference_numeric as ref
-from torusloop.acceptance import MODULAR_TAUS, SERIES_PQ, modular_ok
-from torusloop.characters import KacData, TauPoint
+from reference_kac import KacData
+from torusloop.acceptance import MODULAR_RATIOS, MODULAR_TAUS, SERIES_PQ, modular_ok
+from torusloop.characters import TauPoint
 from torusloop.conformal import (
     MODULAR_S4,
     MODULAR_T4,
@@ -71,7 +72,7 @@ def test_verma_dense_sign_reads_eps_mod_2(eps):
 
 def test_verma_depends_on_ratio_only():
     """The series is a function of g = p/p' alone: rebuild from delta(g)."""
-    from torusloop.characters import delta_from_ratio
+    from reference_kac import delta_from_ratio
     from torusloop.qseries import BiSeries
     p, pq, d, g0 = 2, 3, 1, F(1, 3)
     K = F(4)
@@ -532,7 +533,7 @@ def test_sector_sum_alpha2_is_twice_coulomb_quarter_coupling():
 
 
 def test_modular_report():
-    rep = modular_rep_check(MODULAR_TAUS)
+    rep = modular_rep_check(MODULAR_TAUS, MODULAR_RATIOS)
     assert modular_ok(rep)
     assert rep["Zmm_covariance_residual"] < 1e-12
 

@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 
 import reference_cyclo as ref
-from torusloop.cyclo import CycloField, cyclotomic_poly
+from torusloop.cyclo import CycloField, CycloNum, cyclotomic_poly
 
 ORDERS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 15)
 SCALARS = (0, 1, -3, 7, F(0), F(-2, 7), F(5, 3), F(1, 12))
@@ -28,6 +28,13 @@ def _draw(rng, length):
             for _ in range(length)]
 
 
+def _element(field, vec):
+    """sum_k vec[k] zeta^k as a CycloNum: the numerators over their least common
+    denominator, reduced mod Phi_m by the field."""
+    den = math.lcm(*(F(c).denominator for c in vec))
+    return CycloNum(field, field._reduce([int(F(c) * den) for c in vec]), den)
+
+
 def _elements(m, count=10):
     """(CycloNum, reference tuple) pairs of Q(zeta_m); some from vectors
     longer than the degree, so the reduction mod Phi_m is exercised."""
@@ -37,7 +44,7 @@ def _elements(m, count=10):
     out = []
     for i in range(count):
         vec = _draw(rng, n if i % 2 else rng.randint(n, 2 * n + 1))
-        out.append((field.element(vec), ref.reduce(vec, m)))
+        out.append((_element(field, vec), ref.reduce(vec, m)))
     return out
 
 

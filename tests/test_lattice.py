@@ -193,7 +193,7 @@ def test_beta_zero_kills_contractible_loops():
     for grid, census in enumerate_configs(spec, 2, 2):
         if census.n_beta:
             continue
-        w = 1.0 * alpha ** census.n_noncontractible
+        w = 1.0 * alpha ** sum(n for _, n in census.windings)
         for t, n in zip(range(1, 10), census.tile_counts):
             w *= rho[t - 1] ** n
         by_hand += w

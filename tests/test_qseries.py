@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_series import dedekind_eta, euler_product
 from torusloop.characters import TauPoint
 from torusloop.qseries import (
     BiSeries,
     CutoffMismatchError,
     QSeries,
-    dedekind_eta,
     euler_inverse,
-    euler_product,
     eta_inverse,
 )
 

@@ -13,7 +13,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from torusloop.characters import KacData, TauPoint, eta_numeric
+from reference_kac import KacData
+from torusloop.characters import TauPoint, eta_numeric
 from torusloop.conformal import Z_hv_direct, Zmm, conformal_Z_numeric
 from torusloop.model import ModelSpec
 from torusloop.transfer import C_coefficients

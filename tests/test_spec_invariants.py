@@ -1,6 +1,8 @@
 """Cross-cutting invariants that tie the modules together."""
 
 import ast
+import functools
+import importlib
 import math
 import re
 from fractions import Fraction as F
@@ -11,11 +13,12 @@ import numpy as np
 import pytest
 
 from reference_enum import _valid
+from reference_kac import KacData, delta_from_ratio
 import torusloop
 from torusloop.arith import ImaginaryResidueError, gamma_v
 from torusloop.bezout import BezoutContext
-from torusloop.characters import (KacData, TauPoint, delta_from_ratio, level_weight,
-                                  modular_S_residual, theta_series, u1_char, u1_char_numeric)
+from torusloop.characters import (TauPoint, level_weight, modular_S_residual, theta_series,
+                                  u1_char, u1_char_numeric)
 from torusloop.conformal import (SesquiTerm, Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm,
                                  appendix_c_form, conformal_Z_numeric,
                                  expand_terms, full_Z_series, on_series, verma_trace_series)
@@ -217,6 +220,24 @@ def test_numeric_sector_sum_refuses_a_non_finite_fugacity(alpha):
         conformal_Z_numeric(F(1, 2), alpha, 0, 0, TAU)
 
 
+@pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+def test_model_spec_refuses_a_non_finite_spectral_parameter(u):
+    """A NaN u made every tile weight nan; it is refused with the infinite ones."""
+    with pytest.raises(ValueError, match=re.escape(f"the spectral parameter u = {u} must be finite")):
+        ModelSpec("dilute", 2, 3, u)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("route", ["lattice_Z", "markov_Z"])
+def test_lattice_and_markov_sums_refuse_a_non_finite_fugacity(route, alpha):
+    """`sector_sum`, shared by routes 1 and 2, refuses a NaN or infinite alpha
+    where it returned nan or inf."""
+    call = {"lattice_Z": lambda: lattice_Z(SPEC, 2, 2, sector=(0, 0), alpha=alpha),
+            "markov_Z": lambda: markov_Z(SPEC, 2, 2, 0, 0, alpha=alpha)}[route]
+    with pytest.raises(ValueError, match=re.escape(f"the fugacity alpha = {alpha} must be finite")):
+        call()
+
+
 CHARACTER_TAKERS = {
     "modular_S_residual": lambda n, z: modular_S_residual(n, TAU),
     "theta_series": lambda n, z: theta_series(F(1), n, z, F(2)),
@@ -323,7 +344,6 @@ def test_euler_inverse_negative_cutoff_rejected():
 
 def test_series_lattice_sums_are_range_stable():
     """Widening the internal summation windows must not change the series."""
-    from torusloop.characters import KacData
     from reference_series import double_eta_inverse
     from torusloop.qseries import BiSeries
 
@@ -373,7 +393,6 @@ def _add(theta: dict, key, c) -> None:
 @pytest.mark.parametrize("g0", BRUTE_ANGLES)
 @pytest.mark.parametrize("K", BRUTE_CUTOFFS)
 def test_verma_series_matches_delta_exp_reference(kind, eps, g0, K):
-    from torusloop.characters import KacData
     from torusloop.conformal import verma_trace_series
 
     p, pq = 2, 3
@@ -394,7 +413,6 @@ def test_verma_series_matches_delta_exp_reference(kind, eps, g0, K):
 @pytest.mark.parametrize("K", BRUTE_CUTOFFS)
 def test_full_series_matches_delta_exp_reference(e0, K):
     from torusloop.arith import gamma_dm_cospoly
-    from torusloop.characters import KacData
     from torusloop.conformal import full_Z_series
     from torusloop.cyclo import CycloField, cospoly_to_cyclo
 
@@ -421,7 +439,6 @@ def test_full_series_matches_delta_exp_reference(e0, K):
 def test_on_series_matches_delta_exp_reference(e0, K):
     """h_{r,s} = (r + g s)^2 / 4g is delta_exp(r, -s) of (g.numerator, g.denominator)."""
     from torusloop.arith import lambda_fsz_cospoly
-    from torusloop.characters import KacData
     from torusloop.conformal import on_series
     from torusloop.cyclo import CycloField, cospoly_to_cyclo
 
@@ -490,12 +507,15 @@ def test_no_assert_statements_in_package():
 
 
 # the functions, methods and classes of the package that no package code
-# reads: entry points of the public API, the tests and the bench, and the
-# references that wait to move to the tests
+# reads, each with the reason it stays in the package (ROADMAP items)
 UNCALLED_ALLOWED = {
-    "KacData", "conformal_Z_numeric", "dedekind_eta", "delta_from_ratio", "element",
-    "enumerate_configs", "evaluate", "from_lattice", "from_product", "n_noncontractible",
-    "trace_TM", "verma_trace_series",
+    "conformal_Z_numeric": "item 1: the route 2 <-> route 3 criterion sums it at from_lattice's tau",
+    "enumerate_configs": "shares the census search; the exhaustive reference of the orbit census",
+    "evaluate": "item 13: sums verma_trace_series at a modular point",
+    "from_lattice": "item 15: the tau at which each C_{d,j} meets its Gaussian block",
+    "from_product": "the bench wraps it, and the tests build their product references with it",
+    "trace_TM": "the bench wraps it; the exact Laurent trace that C_coefficients is held to",
+    "verma_trace_series": "item 13: the conjectured scaling form of each module's twisted trace",
 }
 
 
@@ -512,4 +532,50 @@ def test_every_uncalled_definition_is_allowed():
     read = {node.id for node in nodes if isinstance(node, ast.Name)
             and isinstance(node.ctx, ast.Load)}
     read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-    assert defined - read == UNCALLED_ALLOWED
+    assert defined - read == UNCALLED_ALLOWED.keys()
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_tree(name: str) -> ast.Module:
+    return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
+def _resolves(obj, dotted: str) -> bool:
+    try:
+        functools.reduce(getattr, dotted.split("."), obj)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_every_name_the_bench_reads_exists():
+    """The bench reaches the package through names: the workloads read
+    `tl.<name>` attributes at call time, the tracer wraps the `(module, name)`
+    pairs of `WRAPPED` (inherited methods count) and reads `matrix` off the
+    transfer operators, whose `to_numeric` the workloads call.  Each must
+    resolve, so a move out of `src/` cannot silently zero a bench metric."""
+    importlib.import_module("torusloop.acceptance")  # the workloads read tl.acceptance
+    reads = set()
+    for node in ast.walk(_bench_tree("workloads.py")):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id == "tl":
+            reads.add(".".join(chain))
+    assert {"lattice_Z", "markov_Z", "acceptance.ORACLE_TOL", "arith.gcd_conv"} <= reads
+    assert sorted(name for name in reads if not _resolves(torusloop, name)) == []
+
+    tracer = _bench_tree("tracer.py")
+    wrapped = next(ast.literal_eval(node.value) for node in tracer.body
+                   if isinstance(node, ast.Assign) and node.targets[0].id == "WRAPPED")
+    assert ("transfer", "trace_TM") in wrapped
+    assert [pair for pair in wrapped
+            if not _resolves(importlib.import_module(f"torusloop.{pair[0]}"), pair[1])] == []
+
+    attrs = {node.attr for name in ("workloads.py", "tracer.py")
+             for node in ast.walk(_bench_tree(name)) if isinstance(node, ast.Attribute)}
+    assert {"matrix", "to_numeric"} <= attrs
+    assert all(hasattr(torusloop.TransferOperator, a) for a in ("matrix", "to_numeric"))
