@@ -95,16 +95,21 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
     Toeplitz matrix of p(0..K), read once per K (`_partitions`); P is
     triangular, so one mask at the end, a <= (lim - r_A) div L and
     b <= (lim - r_B) div L, keeps the window.
-    The product runs in int64 when max|X| (p(0) + ... + p(K))^2 < 2^62
-    bounds every entry, else on Python ints (object dtype); L and the
-    exponents never enter numpy.  An output entry becomes the key
-    (r_A + a L - L/24, r_B + b L - L/24) divided by g = gcd(L, r - L/24)
-    over the residues of the output, so the keys arrive over their least
-    denominator L/g.  Each distinct coordinate vector v, with h = gcd(Q, *v),
-    becomes `_coefficient(field, v / h, Q / h)`: one object per value in the
-    process, so `matches` finds equal terms of two dressed series identical.
-    Every key lies in the window by construction, so the BiSeries skips its
-    per-term checks.
+    An output entry becomes the key (r_A + a L - L/24, r_B + b L - L/24)
+    divided by g = gcd(L, r - L/24 over the residues r of the output), over
+    step = L/g.  The product and the keys run in one dtype: int64 when
+    max|X| (p(0) + ... + p(K))^2, lim and L are all < 2^62, which bounds
+    every entry and every key integer, else Python ints (object dtype).
+    step is least: each key integer is (r - L/24)/g + a step, so
+    gcd(step, every key integer) = gcd(step, (r - L/24)/g over the output's
+    residues) = gcd(L, r - L/24, ...)/g = 1, and the BiSeries takes
+    den = step with no gcd over its keys (`_least`).
+    An output row is its coordinates: an int when width is 1 (rationals,
+    and Q(zeta_2)), which saves building and hashing a 1-tuple per term,
+    else a tuple.  `_by_row(field, Q)` maps each row to the one Fraction or
+    CycloNum of its value, kept across calls, so `matches` finds equal terms
+    of two dressed series identical.  Every key lies in the window by
+    construction, so the BiSeries skips its per-term checks.
     """
     top = cutoff + Fraction(1, 24)
     L = math.lcm(D, 24, top.denominator)
@@ -124,12 +129,12 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
             cells.append((classes.setdefault((rA, rB), len(classes)), a, b)
                          + _coordinates(c, field, width))
     if not cells:
-        return BiSeries._trusted({}, cutoff, cutoff, 1)
+        return BiSeries._least({}, cutoff, cutoff, 1)
     Q = math.lcm(*(den for *_, den in cells))
     coords = [[x * (Q // den) for x in nums] for *_, nums, den in cells]
     parts = _partitions(K)
     big = max(abs(x) for row in coords for x in row) * sum(parts) ** 2
-    dtype = np.int64 if big < 2 ** 62 else object
+    dtype = np.int64 if max(big, lim, L) < 2 ** 62 else object
     idx = np.arange(K + 1)
     P = np.tril(np.array(parts, dtype)[np.subtract.outer(idx, idx)])
     X = np.zeros((len(classes), width, K + 1, K + 1), dtype)
@@ -141,19 +146,17 @@ def _dress(theta: dict, D: int, cutoff: Fraction) -> BiSeries:
     reach = np.array([((lim - rA) // L, (lim - rB) // L) for rA, rB in classes])
     keep = (idx[:, None] <= reach[:, None, None, 0]) & (idx <= reach[:, None, None, 1])
     at, a, b = np.nonzero((Z != 0).any(axis=1) & keep)
-    rows = list(map(tuple, Z[at, :, a, b].tolist()))
-    built = {}
-    for v in set(rows):
-        g = math.gcd(Q, *v)
-        built[v] = _coefficient(field, tuple(x // g for x in v), Q // g)
+    found = Z[at, :, a, b]
+    rows = found[:, 0].tolist() if width == 1 else list(zip(*found.T.tolist()))
     residues = list(classes)
     shift = L // 24
     g = math.gcd(L, *(r - shift for i in set(at.tolist()) for r in residues[i]))
     step = L // g
-    bx, by = ([(r - shift) // g for r in axis] for axis in zip(*residues))
-    terms = {(bx[i] + x * step, by[i] + y * step): built[v]
-             for i, x, y, v in zip(at.tolist(), a.tolist(), b.tolist(), rows)}
-    return BiSeries._trusted(terms, cutoff, cutoff, step)
+    bx, by = (np.array([(r - shift) // g for r in axis], dtype) for axis in zip(*residues))
+    kx = (bx[at] + a.astype(dtype) * step).tolist()
+    ky = (by[at] + b.astype(dtype) * step).tolist()
+    terms = dict(zip(zip(kx, ky), map(_by_row(field, Q).__getitem__, rows)))
+    return BiSeries._least(terms, cutoff, cutoff, step)
 
 
 @lru_cache(maxsize=None)
@@ -164,11 +167,37 @@ def _partitions(K: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
+def _by_row(field, Q: int) -> "_Rows":
+    """The one table of field (None for Fraction) and Q, kept for the process,
+    so a row that any earlier `_dress` call met costs one dict lookup."""
+    return _Rows(field, Q)
+
+
+class _Rows(dict):
+    """Raw row -> the one coefficient of its value: an int row (one
+    coordinate) or a tuple of field.degree ints, numerators over Q.  A row
+    met for the first time is reduced by h = gcd(Q, *row) and stored as
+    `_coefficient(field, row / h, Q / h)`."""
+
+    def __init__(self, field, Q: int):
+        super().__init__()
+        self.field = field
+        self.Q = Q
+
+    def __missing__(self, row):
+        nums = row if isinstance(row, tuple) else (row,)
+        h = math.gcd(self.Q, *nums)
+        c = self[row] = _coefficient(self.field, tuple(x // h for x in nums), self.Q // h)
+        return c
+
+
+@lru_cache(maxsize=None)
 def _coefficient(field, nums: tuple, den: int):
     """The one Fraction (field None) or CycloNum of field with the value
-    nums / den.  Callers pass it in lowest terms, so the key is the value
-    and every dressed series shares one object per value; the cache keeps
-    each value dressed in the process (2,478 after `torusloop accept`)."""
+    nums / den.  `_Rows` passes it in lowest terms, so the key is the value
+    and every dressed series shares one object per value, whatever Q its
+    raw row came over; the cache keeps each value dressed in the process
+    (2,478 after `torusloop accept`)."""
     return Fraction(nums[0], den) if field is None else CycloNum(field, nums, den)
 
 

@@ -119,13 +119,17 @@ class CycloNum:
     """An element of Q(zeta_m): integer numerators `nums`, reduced mod Phi_m,
     over one denominator `den` > 0, with gcd(den, *nums) = 1.
 
-    The constructor takes reduced nums and a positive den and brings them to
-    lowest terms, so equal elements of one field have equal (nums, den).
+    The constructor takes reduced nums, exactly field.degree of them, and a
+    positive den, raising ValueError otherwise, and brings them to lowest
+    terms, so equal elements of one field have equal (nums, den).
     """
 
     __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: CycloField, nums: tuple, den: int = 1):
+        if den <= 0 or len(nums) != field.degree:
+            raise ValueError(f"a CycloNum of {field} needs {field.degree} numerators "
+                             f"over a positive denominator, not {nums!r} / {den!r}")
         g = math.gcd(den, *nums)
         if g != 1:
             nums = tuple(a // g for a in nums)

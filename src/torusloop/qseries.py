@@ -107,14 +107,29 @@ class _Series:
 
         Every key must have all its integers <= floor(cutoff den), no
         coefficient may be zero, and valid <= cutoff must be a Fraction.
-        den need not be the least one: it is reduced here.
+        den need not be the least one: `_adopt` reduces it.  A caller that
+        can prove den least uses `_least` instead.
         """
         out = object.__new__(cls)
         out._adopt(terms, cutoff, valid, den)
         return out
 
+    @classmethod
+    def _least(cls, terms: dict, cutoff: Fraction, valid: Fraction, den: int):
+        """`_trusted` for keys already over their least denominator: den is
+        kept as given, with no gcd over the keys.
+
+        The caller proves gcd(den, every key integer) = 1; `_dress`, the
+        one caller, does so by its choice of step.
+        """
+        out = object.__new__(cls)
+        out.terms, out.cutoff, out.valid, out.den = terms, cutoff, valid, den
+        return out
+
     def _adopt(self, terms: dict, cutoff: Fraction, valid: Fraction, den: int):
-        """Set the slots, dividing keys and den by their common factor."""
+        """Set the slots, dividing keys and den by their common factor: one
+        gcd over every key integer, so den is least after `__init__` and
+        `_trusted`."""
         if den > 1:
             g = math.gcd(den, *chain.from_iterable(map(self._split, terms)))
             if g > 1:

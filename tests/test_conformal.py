@@ -263,9 +263,9 @@ def test_dress_matches_dict_reference_on_the_forms(monkeypatch, build, K):
         _assert_dress_matches_dict(*call)
 
 
-def _cyclo(nums, den=1):
+def _cyclo(nums, den=1, m=10):
     from torusloop.cyclo import CycloField, CycloNum
-    return CycloNum(CycloField(10), tuple(nums), den)
+    return CycloNum(CycloField(m), tuple(nums), den)
 
 
 @pytest.mark.parametrize("theta, D, K", [
@@ -276,10 +276,15 @@ def _cyclo(nums, den=1):
     ({(0, 0): 2 ** 60, (24, 0): -(2 ** 60), (5, 29): 1}, 24, F(4)),  # past int64 once dressed
     ({(0, 0): _cyclo((2 ** 70 + 1, -(2 ** 69), 3, 0), 5),
       (7, 31): _cyclo((1, 2, 0, -1)), (48, 24): _cyclo((0, 0, 2 ** 69, 1))}, 24, F(7, 3)),
+    # Q(zeta_2) has degree 1, so its rows are single coordinates like a Fraction's
+    ({(0, 0): _cyclo((5,), 3, m=2), (24, 48): _cyclo((-1,), m=2), (5, 29): 2}, 24, F(4)),
+    ({(0, 0): _cyclo((3 ** 45,), 7, m=2), (24, 48): _cyclo((-1,), m=2), (5, 29): 2}, 24, F(4)),
+    ({(0, 0): 1, (1, 5): F(-1, 2), (2 ** 64 + 1, 0): 3}, 2 ** 64 + 1, F(2)),  # keys past int64
 ])
 def test_dress_matches_dict_reference_at_the_edges(theta, D, K):
-    """Empty and out-of-window theta sums, the single block of K = 0, and
-    coefficients whose dressed entries need more than int64."""
+    """Empty and out-of-window theta sums, the single block of K = 0,
+    coefficients whose dressed entries need more than int64, the one
+    coordinate of a degree-1 field, and exponent keys past int64."""
     _assert_dress_matches_dict(theta, D, K)
 
 
@@ -331,11 +336,16 @@ def test_shared_coefficients_are_keyed_by_field_and_reduced_value():
 
 
 def test_series_digest_holds_with_the_coefficient_cache_cold_and_warm():
+    """Both coefficient caches, the values and the raw-row tables over them,
+    start empty, fill on the first digest and serve the second."""
     from test_series_digest import PINNED, series_digest
-    from torusloop.conformal import _coefficient
-    _coefficient.cache_clear()
+    from torusloop.conformal import _by_row, _coefficient
+    caches = (_coefficient, _by_row)
+    for cache in caches:
+        cache.cache_clear()
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
     assert series_digest() == PINNED
-    assert _coefficient.cache_info().currsize > 0
+    assert all(cache.cache_info().currsize > 0 for cache in caches)
     assert series_digest() == PINNED
 
 

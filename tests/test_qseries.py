@@ -172,6 +172,8 @@ def test_neg_sub_and_scale(cls, key):
     b = series(cls, key, {F(1, 2): 1, 3: 5}, K)
     assert dict((-a).sorted_terms()) == {key(F(0)): F(-1), key(F(1, 2)): F(3)}
     assert (-a).valid == 2
+    # negation keeps the keys, so it keeps a least den
+    assert -a == series(cls, key, {0: -1, F(1, 2): 3}, K) and (-a).den == a.den == 2
     diff = a - b
     assert dict(diff.sorted_terms()) == {key(F(0)): F(1), key(F(1, 2)): F(-4), key(F(3)): F(-5)}
     assert diff.valid == 2
@@ -248,6 +250,9 @@ def test_biseries_product_and_swap():
     bi = BiSeries.from_product(left, right)
     assert bi.coeff(F(1), F(1, 2)) == F(2)
     assert bi.swap().coeff(F(1, 2), F(1)) == F(2)
+    # the swap keeps the key integers, so it keeps a least den
+    assert bi.swap() == BiSeries({(F(1, 2), F(0)): F(1), (F(1, 2), F(1)): F(2)}, K)
+    assert bi.swap().den == bi.den == 2
     sq = bi * bi
     assert sq.coeff(F(2), F(1)) == F(4)
 

@@ -22,7 +22,7 @@ from torusloop.characters import (TauPoint, level_weight, modular_S_residual, th
 from torusloop.conformal import (SesquiTerm, Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm,
                                  appendix_c_form, conformal_Z_numeric,
                                  expand_terms, full_Z_series, on_series, verma_trace_series)
-from torusloop.cyclo import CycloField, cospoly_to_cyclo
+from torusloop.cyclo import CycloField, CycloNum, cospoly_to_cyclo
 from torusloop.lattice import census_counter, enumerate_configs, lattice_Z
 from torusloop.model import KIND_TILES, ModelSpec, Weights, defect_numbers, torus_sectors
 from torusloop.transfer import link_states, markov_Z
@@ -185,6 +185,21 @@ def test_cyclo_field_refuses_a_non_int_order(m):
     with pytest.raises(TypeError, match=re.escape(
             f"the cyclotomic order m must be an int, not {m!r}")):
         CycloField(m)
+
+
+@pytest.mark.parametrize("nums, den", [((1, 0, 0, 0), -2), ((1, 0, 0, 0), 0),
+                                       ((1, 2, 3), 1), ((1, 2, 3, 4, 5), 1), ((), 1)])
+def test_cyclo_num_refuses_a_bad_denominator_or_length(nums, den):
+    """A CycloNum holds field.degree numerators over a positive den.  A
+    negative den made -1/2 unequal to itself with the same hash, and a short
+    nums was truncated by the zip of `__add__`."""
+    field = CycloField(10)
+    with pytest.raises(ValueError, match=re.escape(
+            f"a CycloNum of {field} needs 4 numerators over a positive denominator, "
+            f"not {nums!r} / {den!r}")):
+        CycloNum(field, nums, den)
+    half = CycloNum(field, (-1, 0, 0, 0), 2)
+    assert half == field.rational(F(-1, 2)) == F(-1, 2)
 
 
 @pytest.mark.parametrize("den", [0, -5])
