@@ -11,8 +11,7 @@ Three independent computational routes to the same physics:
 plus the number-theoretic identities that tie the continuum forms together.
 """
 
-from .arith import (chebyshev_T, gamma_dm, gamma_v, gcd_conv, lambda_fsz,
-                    verify_master, verify_s1_s2)
+from .arith import chebyshev_T, gamma_v, gcd_conv, verify_master, verify_s1_s2
 from .bezout import (BezoutContext, bezout_conjugator, bezout_table,
                      kac_table_text, mu_shift, rho_j)
 from .characters import TauPoint, u1_char
@@ -34,8 +33,8 @@ __all__ = [
     "TileGrid", "TransferOperator", "Weights", "Z_hv_bezout", "Z_hv_direct", "Z_hv_u1",
     "Zmm", "appendix_c_form", "bezout_conjugator", "bezout_table", "build_transfer",
     "chebyshev_T", "conformal_Z_numeric", "effective_central_charge", "enumerate_configs",
-    "euler_inverse", "expand_terms", "full_Z_series", "gamma_dm", "gamma_v", "gcd_conv",
-    "kac_table_text", "lambda_fsz", "lattice_Z", "link_states", "markov_Z",
+    "euler_inverse", "expand_terms", "full_Z_series", "gamma_v", "gcd_conv",
+    "kac_table_text", "lattice_Z", "link_states", "markov_Z",
     "modular_rep_check", "mu_shift", "on_series", "render_appendix_form", "rho_j",
     "trace_TM", "u1_char", "verify_master", "verify_s1_s2", "verma_trace_series",
 ]

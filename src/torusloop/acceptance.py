@@ -14,18 +14,19 @@ import time
 import traceback
 from fractions import Fraction
 
-from .arith import gamma_dm, lambda_fsz, verify_master, verify_s1_s2
+from .arith import (gamma_dm_cospoly, lambda_fsz_cospoly, lambda_prime_form, verify_master,
+                    verify_s1_s2)
 from .bezout import BezoutContext, bezout_conjugator, bezout_table
 from .characters import TauPoint, u1_char
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
                         expand_terms, modular_rep_check)
 from .conformal import full_Z_series, on_series
+from .cyclo import gamma_dm_sum
 from .lattice import _sector_polynomials, lattice_Z
 from .model import SECTORS as ALL_HV, ModelSpec, Weights, torus_sectors
 from .transfer import _markov_polynomials, effective_central_charge, markov_Z
 
 ORACLE_TOL = 1e-9
-GAMMA_LAMBDA_TOL = 1e-10
 MODULAR_TOL = 1e-8
 # the tau points of criterion 6 and of `torusloop modular` without --tau
 MODULAR_TAUS = (TauPoint(complex(0.1, 0.9)), TauPoint(complex(-0.4, 1.3)),
@@ -132,15 +133,16 @@ def criterion_3_appendix_forms():
 
 
 def criterion_4_gamma_lambda():
-    """gamma_dm = (1/2) Lambda plus the supporting index-set and Moebius lemmas."""
-    worst = 0.0
+    """Gamma_{d,m} = (1/2) Lambda(d, d/gcd(m, d)) as four equal cosine polynomials (the
+    definition, the series' form, Lambda/2, its prime form), plus the index-set and Moebius lemmas."""
+    pairs = 0
     for d in range(1, 31):
         for m in range(1, d + 1):
             n = d // math.gcd(m, d)
-            for g in (0.0, 0.3, 1.0, 2.6, math.pi - 0.1):
-                worst = max(worst, abs(gamma_dm(d, m, g) - 0.5 * lambda_fsz(d, n, g / math.pi)))
-    if worst >= GAMMA_LAMBDA_TOL:
-        return False, f"gamma vs Lambda worst {worst:.3e}"
+            if not (gamma_dm_sum(d, m) == gamma_dm_cospoly(d, m) == lambda_fsz_cospoly(d, n)
+                    == lambda_prime_form(d, n)):
+                return False, f"Gamma and Lambda/2 forms differ at (d, m) = ({d}, {m})"
+            pairs += 1
     for d in range(1, 13):
         if not verify_s1_s2(d, 25):
             return False, f"S1/S2 window mismatch at d={d}"
@@ -148,7 +150,7 @@ def criterion_4_gamma_lambda():
         for l in range(1, 51):
             if not verify_master(a, l):
                 return False, f"master identity fails at a={a}, l={l}"
-    return True, f"worst |gamma - Lambda/2| = {worst:.3e}; S1=S2 d<=12; master a<=10,l<=50"
+    return True, f"{pairs} (d, m), d<=30: four forms equal; S1=S2 d<=12; master a<=10,l<=50"
 
 
 def criterion_5_full_pf():

@@ -6,8 +6,8 @@ Two families of weights appear.  The sector-resolved weights of a row are one
 inverse DFT of its parity-projected Chebyshev sequence; the sector-summed
 weights reduce to rational combinations of cos(k*gamma) with Ramanujan-sum
 integer coefficients, which is what makes the exact series pipeline possible.
-An equivalent divisor-sum form (with Moebius/totient data) is implemented
-independently and cross-checked.
+The divisor-sum weight Lambda/2 and its prime decomposition are exact cosine
+polynomials too; criterion 4 holds all equal to the sum `cyclo.gamma_dm_sum`.
 """
 
 from __future__ import annotations
@@ -123,19 +123,10 @@ def gamma_v(d: int, alpha: float, v: int) -> np.ndarray:
     return _real_part(np.fft.ifft(np.where((j - v) % 2, 0.0, 2.0 * cheb)))
 
 
-def gamma_dm(d: int, m: int, gamma: float) -> float:
-    """Sector-summed winding weight (1/d) sum_{j=1..d} e^{2 pi i j m/d} cos(gcd(d,j) gamma)."""
-    if d <= 0:
-        raise ValueError("d must be positive")
-    total = 0j
-    for j in range(1, d + 1):
-        total += cmath.exp(2j * math.pi * j * m / d) * math.cos(gcd_conv(d, j) * gamma)
-    return _real_part(total / d)
-
-
 @lru_cache(maxsize=None)
 def gamma_dm_cospoly(d: int, m: int) -> Mapping:
-    """gamma_dm as an exact map {k: Fraction} meaning sum_k c_k cos(k*gamma).
+    """Gamma_{d,m} of `cyclo.gamma_dm_sum` as an exact map {k: Fraction} meaning
+    sum_k c_k cos(k*gamma).
 
     Grouping j by g = gcd(d, j) turns the residue sum into a Ramanujan sum:
     (1/d) sum_{g | d} c_{d/g}(m) cos(g*gamma).  Cached, so the map is read-only.
@@ -165,13 +156,14 @@ def lambda_fsz_cospoly(M: int, N: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def lambda_prime_form(M: int, N: int, e0: float) -> float:
-    """Lambda(M, N) from its prime-decomposition form.
+def lambda_prime_form(M: int, N: int) -> dict:
+    """Half of Lambda(M, N) from its prime-decomposition form, exact as
+    {k: Fraction} in cos(k*gamma), like `lambda_fsz_cospoly`.
 
     With M = prod p_i^{alpha_i} and N = prod p_i^{beta_i}, sum over exponent
     vectors beta_i <= gamma_i <= alpha_i and deletion flags delta_i in
     {0, min(gamma_i, 1)} of
-        2 / prod p_i^{gamma_i} * (-1)^{sum delta_i} cos(pi e0 prod p_i^{gamma_i - delta_i}).
+        (-1)^{sum delta_i} / prod p_i^{gamma_i} * cos(gamma prod p_i^{gamma_i - delta_i}).
     """
     if M <= 0 or N <= 0 or M % N:
         raise ValueError("need positive M, N with N | M")
@@ -179,29 +171,16 @@ def lambda_prime_form(M: int, N: int, e0: float) -> float:
     # beta_i, the exponent of p_i in N
     betas = [next(b for b in itertools.count() if N % p ** (b + 1)) for p, _ in fac]
     n = len(fac)
-    total = 0.0
-    # a float sum depends on its order: exponent vectors outermost, then the flags
+    out: dict = {}
     for choice in itertools.product(*(range(b, a + 1) for b, (_, a) in zip(betas, fac)),
                                     *[(0, 1)] * n):
         gammas, deltas = choice[:n], choice[n:]
         if any(delta > g for g, delta in zip(gammas, deltas)):
             continue
         denom = math.prod(p ** g for (p, _), g in zip(fac, gammas))
-        arg = math.prod(p ** (g - delta) for (p, _), g, delta in zip(fac, gammas, deltas))
-        total += (2.0 / denom) * (-1) ** sum(deltas) * math.cos(math.pi * e0 * arg)
-    return total
-
-
-def lambda_fsz(M: int, N: int, e0: float) -> float:
-    """Lambda(M, N) at gamma = pi*e0; both closed forms computed and reconciled."""
-    gamma = math.pi * e0
-    divisor_form = 2.0 * sum(float(c) * math.cos(k * gamma)
-                             for k, c in lambda_fsz_cospoly(M, N).items())
-    prime_form = lambda_prime_form(M, N, e0)
-    if abs(divisor_form - prime_form) > 1e-12 * max(1.0, abs(divisor_form)):
-        raise ArithmeticError(
-            f"Lambda({M},{N}) forms disagree: {divisor_form} vs {prime_form}")
-    return divisor_form
+        k = math.prod(p ** (g - delta) for (p, _), g, delta in zip(fac, gammas, deltas))
+        out[k] = out.get(k, Fraction(0)) + Fraction((-1) ** sum(deltas), denom)
+    return {k: v for k, v in out.items() if v}
 
 
 def s1_elements(d: int, window: int) -> list:

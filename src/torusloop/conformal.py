@@ -238,9 +238,12 @@ def verma_trace_series(kind: str, p: int, pq: int, d: int, gamma_over_pi,
 
     One `_trace_line` over den = 2 g0.denominator; gamma_over_pi, the twist in
     units of pi, must be rational here (the numeric route takes any twist).
+    A d below 0 raises ValueError: standard modules have d >= 0.
     """
     check_kind(kind)
     check_pair(p, pq)
+    if d < 0:
+        raise ValueError("need d >= 0")
     g0 = exact(gamma_over_pi, "gamma/pi")
     cutoff, work = _window(cutoff)
     den = 2 * g0.denominator
@@ -431,11 +434,19 @@ def Z_hv_direct(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
     """Direct double sum (1/eta etabar) sum_{r, s+h/2} (-1)^{vr} q^... qbar^....
 
     `_markov_sum` at e0 = 0 with the pair (1, (-1)^v) on d = h (mod 2): there
-    Gamma_{d,k} = [k = 0] is the sum of its coefficients, and the weights stay ints.
+    Gamma_{d,k} = [k = 0] is the sum of its coefficients, and the weights stay ints;
+    ArithmeticError for a sum that is not whole.
     """
     check_sector((h, v))
     pair = [(1, (-1) ** v) if d == h else (0, 0) for d in (0, 1)]
-    return _markov_sum(p, pq, Fraction(0), cutoff, lambda poly: int(sum(poly.values())), pair)
+
+    def weigh(poly) -> int:
+        total = sum(poly.values())
+        if total.denominator != 1:
+            raise ArithmeticError(f"Gamma at e0 = 0 is {total}, not whole")
+        return int(total)
+
+    return _markov_sum(p, pq, Fraction(0), cutoff, weigh, pair)
 
 
 def _doubled(label) -> int:

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import _real_part
+from .arith import _real_part, gcd_conv
 from .qseries import exact
 
 
@@ -241,4 +241,24 @@ def cospoly_to_cyclo(cospoly: dict, a: int, b: int, field: CycloField | None = N
     out = field.zero()
     for k, c in cospoly.items():
         out = out + field.cos_pi_multiple(k * a, b) * exact(c, "coefficient")
+    return out
+
+
+def gamma_dm_sum(d: int, m: int) -> dict:
+    """Gamma_{d,m} = (1/d) sum_{j=1..d} zeta_d^{jm} cos(gcd(d, j) gamma) as {k: Fraction}
+    in cos(k*gamma), from the roots of each gcd g summed as one element of
+    Q(zeta_d); ArithmeticError if that element is not an integer."""
+    if d <= 0:
+        raise ValueError("d must be positive")
+    field = CycloField(d)
+    groups: dict = {}  # g -> how often each power of zeta_d occurs
+    for j in range(1, d + 1):
+        groups.setdefault(gcd_conv(d, j), [0] * d)[j * m % d] += 1
+    out = {}
+    for g, counts in groups.items():
+        total = field._reduce(counts)
+        if any(total[1:]):
+            raise ArithmeticError(f"gcd {g}: roots sum to {total} in Q(zeta_{d}), not an integer")
+        if total[0]:
+            out[g] = Fraction(total[0], d)
     return out

@@ -544,9 +544,9 @@ def markov_Z(spec: ModelSpec | Weights, M: int, N: int, h: int, v: int, alpha: f
     return sector_sum(_markov_polynomials(spec, M, N), (h, v), alpha)
 
 
-def leading_eigenvalue(spec: ModelSpec, N: int, d: int = 0, omega: complex = 1.0) -> float:
-    """Largest-magnitude transfer eigenvalue at a fixed twist."""
-    mat = build_transfer(spec, N, d).to_numeric(omega)
+def leading_eigenvalue(spec: ModelSpec, N: int) -> float:
+    """Largest-magnitude eigenvalue of the untwisted d = 0 transfer matrix."""
+    mat = build_transfer(spec, N, 0).to_numeric(1.0)
     eigs = np.linalg.eigvals(mat)
     return _real_part(eigs[np.argmax(np.abs(eigs))])
 
@@ -559,8 +559,7 @@ def effective_central_charge(spec: ModelSpec) -> float:
     1/(n1 n2) of each pair.
     """
     sizes = (6, 8, 10)
-    fs = {N: -math.log(leading_eigenvalue(spec.isotropic(), N, d=0, omega=1.0)) / N
-          for N in sizes}
+    fs = {N: -math.log(leading_eigenvalue(spec.isotropic(), N)) / N for N in sizes}
     (c1, x1), (c2, x2) = ((6 * (fs[n2] - fs[n1]) / (math.pi * (1 / n1**2 - 1 / n2**2)),
                            1.0 / (n1 * n2)) for n1, n2 in zip(sizes, sizes[1:]))
     return c2 + (c2 - c1) * x2 / (x1 - x2)

@@ -11,7 +11,7 @@ import pytest
 
 from torusloop import acceptance, conformal, transfer
 from torusloop.cli import main
-from torusloop.conformal import modular_rep_check
+from torusloop.conformal import Z_hv_direct, modular_rep_check
 from torusloop.lattice import _sector_polynomials, lattice_Z
 from torusloop.model import ModelSpec, Weights, torus_sectors
 from torusloop.transfer import _markov_polynomials, markov_Z
@@ -100,6 +100,25 @@ def test_criterion_2_exact_triple_identity():
     assert ok, detail
 
 
+def _off_by_a_sixth_at_6(real):
+    """`gamma_dm_cospoly` with 1/6 added to its cos(gamma) coefficient at d = 6."""
+    def faulty(d, m):
+        poly = dict(real(d, m))
+        if d == 6:
+            poly[1] = poly.get(1, 0) + F(1, 6)
+        return poly
+    return faulty
+
+
+def test_direct_series_refuses_a_weight_that_is_not_whole(monkeypatch):
+    """At e0 = 0 every Gamma_{d,k} sums to 0 or 1; one off by 1/6 raises in
+    criterion 2's reference series instead of being truncated to an int."""
+    monkeypatch.setattr(conformal, "gamma_dm_cospoly",
+                        _off_by_a_sixth_at_6(conformal.gamma_dm_cospoly))
+    with pytest.raises(ArithmeticError, match="not whole"):
+        Z_hv_direct(2, 3, 0, 0, F(4))
+
+
 def test_criterion_3_appendix_golden_forms():
     ok, detail = _report("3 worked-example forms", acceptance.criterion_3_appendix_forms)
     assert ok, detail
@@ -108,6 +127,31 @@ def test_criterion_3_appendix_golden_forms():
 def test_criterion_4_gamma_lambda_and_lemmas():
     ok, detail = _report("4 gamma = Lambda/2", acceptance.criterion_4_gamma_lambda)
     assert ok, detail
+
+
+def test_criterion_4_fails_the_series_gamma_off_by_a_sixth(monkeypatch):
+    """The Gamma form the series read, wrong at d = 6, fails the exact gate."""
+    monkeypatch.setattr(acceptance, "gamma_dm_cospoly",
+                        _off_by_a_sixth_at_6(acceptance.gamma_dm_cospoly))
+    ok, detail = acceptance.criterion_4_gamma_lambda()
+    assert not ok and "(d, m) = (6, 1)" in detail, detail
+
+
+def test_criterion_4_fails_a_sign_flip_in_the_prime_form(monkeypatch):
+    """Lambda(6, 1)/2 with the sign of its one cos(6 gamma)/6 term flipped
+    (gamma_i = alpha_i, no deletion) fails the gate at the one m it reads."""
+    real = acceptance.lambda_prime_form
+
+    def flipped(M, N):
+        poly = real(M, N)
+        if (M, N) == (6, 1):
+            assert poly[6] == F(1, 6)
+            poly[6] = -poly[6]
+        return poly
+
+    monkeypatch.setattr(acceptance, "lambda_prime_form", flipped)
+    ok, detail = acceptance.criterion_4_gamma_lambda()
+    assert not ok and "(d, m) = (6, 6)" in detail, detail
 
 
 def test_criterion_5_full_pf_vs_on():

@@ -10,11 +10,9 @@ import pytest
 from torusloop.arith import (
     chebyshev_T,
     divisors,
-    gamma_dm,
     gamma_dm_cospoly,
     gamma_v,
     gcd_conv,
-    lambda_fsz,
     lambda_fsz_cospoly,
     lambda_prime_form,
     mobius,
@@ -23,12 +21,16 @@ from torusloop.arith import (
     verify_master,
     verify_s1_s2,
 )
-from torusloop.cyclo import CycloField, CycloNum, cospoly_to_cyclo
+from torusloop.cyclo import CycloField, CycloNum, cospoly_to_cyclo, gamma_dm_sum
 
 
-def cospoly_eval(cospoly: dict, gamma: float) -> float:
-    """Float evaluation of {k: c_k} at a real angle gamma."""
-    return sum(float(c) * math.cos(k * gamma) for k, c in cospoly.items())
+def cos_combination(*weighted) -> dict:
+    """sum_i w_i p_i of cosine polynomials p_i = {k: c_k}, zero terms dropped."""
+    out: dict = {}
+    for w, poly in weighted:
+        for k, c in poly.items():
+            out[k] = out.get(k, 0) + w * c
+    return {k: c for k, c in out.items() if c}
 
 
 def test_gcd_conventions():
@@ -102,53 +104,44 @@ def test_resummation_identity_on_synthetic_data(d, v):
 
 
 def test_gamma_dm_hand_values():
-    g = 0.77
-    assert math.isclose(gamma_dm(1, 0, g), math.cos(g), abs_tol=1e-12)
-    assert math.isclose(gamma_dm(2, 1, g), 0.5 * (math.cos(2 * g) - math.cos(g)),
-                        abs_tol=1e-12)
+    # Gamma_{1,0} = cos g, Gamma_{2,1} = (cos 2g - cos g)/2
+    for form in (gamma_dm_sum, gamma_dm_cospoly):
+        assert form(1, 0) == {1: 1}
+        assert form(2, 1) == {2: F(1, 2), 1: F(-1, 2)}
 
 
 def test_gamma_dm_depends_on_gcd_of_m():
-    g = 1.9
     for d in range(1, 16):
         for m in range(1, 2 * d):
-            assert math.isclose(gamma_dm(d, m, g), gamma_dm(d, math.gcd(m, d), g),
-                                abs_tol=1e-11)
+            assert gamma_dm_sum(d, m) == gamma_dm_sum(d, math.gcd(m, d))
 
 
-def test_gamma_dm_cospoly_matches_float():
+def test_gamma_dm_cospoly_matches_the_definition():
     for d in range(1, 21):
         for m in range(0, d + 1):
-            for g in (0.0, 0.3, 2.6):
-                assert math.isclose(cospoly_eval(gamma_dm_cospoly(d, m), g),
-                                    gamma_dm(d, m, g), abs_tol=1e-11)
+            assert gamma_dm_cospoly(d, m) == gamma_dm_sum(d, m)
+
+
+def test_gamma_dm_sum_refuses_roots_that_do_not_sum_to_an_integer(monkeypatch):
+    """Grouped by j in place of gcd(d, j), each group is one root of unity,
+    irrational for d = 5: the definition raises instead of dropping it."""
+    from torusloop import cyclo
+    monkeypatch.setattr(cyclo, "gcd_conv", lambda d, j: j)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        gamma_dm_sum(5, 1)
 
 
 def test_lambda_hand_values():
-    e0 = 0.41
-    assert math.isclose(lambda_fsz(1, 1, e0), 2 * math.cos(math.pi * e0), abs_tol=1e-12)
-    # (1/2) Lambda(2,2) = (cos 2g - cos g)/2 at g = pi e0
-    g = math.pi * e0
-    assert math.isclose(0.5 * lambda_fsz(2, 2, e0),
-                        0.5 * (math.cos(2 * g) - math.cos(g)), abs_tol=1e-12)
+    # Lambda(1,1)/2 = cos g, Lambda(2,2)/2 = (cos 2g - cos g)/2
+    for form in (lambda_fsz_cospoly, lambda_prime_form):
+        assert form(1, 1) == {1: 1}
+        assert form(2, 2) == {2: F(1, 2), 1: F(-1, 2)}
 
 
 def test_lambda_two_forms_agree():
     for M in range(1, 25):
         for N in divisors(M):
-            for e0 in (0.0, 0.37, 1.0):
-                direct = 2.0 * cospoly_eval(lambda_fsz_cospoly(M, N), math.pi * e0)
-                assert math.isclose(direct, lambda_prime_form(M, N, e0), abs_tol=1e-11)
-
-
-def test_gamma_equals_half_lambda():
-    for d in range(1, 31):
-        for m in range(1, d + 1):
-            n = d // math.gcd(m, d)
-            for g in (0.0, 0.3, 1.0, 2.6, math.pi - 0.1):
-                lhs = gamma_dm(d, m, g)
-                rhs = 0.5 * lambda_fsz(d, n, g / math.pi)
-                assert abs(lhs - rhs) < 1e-10
+            assert lambda_fsz_cospoly(M, N) == lambda_prime_form(M, N)
 
 
 def test_gamma_equals_half_lambda_exact_cospoly():
@@ -176,15 +169,15 @@ def test_master_identity():
 
 def test_sum_lambda_restructuring():
     # sum_{k=1..n} Gamma_{k d/n, d} = sum_{r|n} phi(n/r) Gamma_{r d/n, d}
-    g = 0.44
     for d in (4, 6, 12, 18):
         for n in divisors(d):
-            lhs = sum(gamma_dm(d, k * d // n, g) for k in range(1, n + 1))
-            rhs = sum(totient(n // r) * gamma_dm(d, r * d // n, g) for r in divisors(n))
-            assert math.isclose(lhs, rhs, abs_tol=1e-10)
+            lhs = cos_combination(*((1, gamma_dm_sum(d, k * d // n)) for k in range(1, n + 1)))
+            rhs = cos_combination(*((totient(n // r), gamma_dm_sum(d, r * d // n))
+                                    for r in divisors(n)))
+            assert lhs == rhs
 
 
-def gamma_via_mobius_inversion(d: int, n: int, gamma: float) -> float:
+def gamma_via_mobius_inversion(d: int, n: int) -> dict:
     """Gamma_{d/n, d} from the Moebius-inverted divisor form, for n | d.
 
     phi(n) Gamma_{d/n, d} = sum_{a|n} mu(a) (n/(a d)) sum_{l=1..a d/n}
@@ -192,41 +185,32 @@ def gamma_via_mobius_inversion(d: int, n: int, gamma: float) -> float:
     """
     if d % n:
         raise ValueError("n must divide d")
-    total = 0.0
+    terms = []
     for a in divisors(n):
-        mu = mobius(a)
-        if not mu:
-            continue
         top = a * d // n
-        inner = sum(math.cos(math.gcd(top, l) * (n / a) * gamma)
-                    for l in range(1, top + 1))
-        total += mu * (n / (a * d)) * inner
-    return total / totient(n)
+        weight = F(mobius(a) * n, a * d * totient(n))
+        terms += [(weight, {math.gcd(top, l) * (n // a): 1}) for l in range(1, top + 1)]
+    return cos_combination(*terms)
 
 
-def gamma_via_totient_form(d: int, n: int, gamma: float) -> float:
+def gamma_via_totient_form(d: int, n: int) -> dict:
     """Gamma_{d/n, d} from the fully reduced divisor/totient form, for n | d."""
     if d % n:
         raise ValueError("n must divide d")
-    total = 0.0
+    terms = []
     for a in divisors(n):
-        mu = mobius(a)
-        if not mu:
-            continue
         top = a * d // n
-        inner = sum(totient(top // r) * math.cos((n * r / a) * gamma)
-                    for r in divisors(top))
-        total += mu / a * inner
-    return total * n / (totient(n) * d)
+        weight = F(mobius(a) * n, a * totient(n) * d)
+        terms += [(weight * totient(top // r), {n * r // a: 1}) for r in divisors(top)]
+    return cos_combination(*terms)
 
 
 def test_mobius_inversion_forms_reproduce_gamma():
-    g = 0.91
     for d in range(1, 31):
         for n in divisors(d):
-            ref = gamma_dm(d, d // n, g)
-            assert math.isclose(gamma_via_mobius_inversion(d, n, g), ref, abs_tol=1e-10)
-            assert math.isclose(gamma_via_totient_form(d, n, g), ref, abs_tol=1e-10)
+            ref = gamma_dm_sum(d, d // n)
+            assert gamma_via_mobius_inversion(d, n) == ref
+            assert gamma_via_totient_form(d, n) == ref
 
 
 def test_cyclotomic_polys():

@@ -98,6 +98,13 @@ def test_verma_rejects_irrational_twist():
         verma_trace_series("dilute", 2, 3, 0, 0.123, 0, F(3))
 
 
+@pytest.mark.parametrize("kind", ["dense", "dilute"])
+def test_verma_rejects_a_negative_d(kind):
+    """Standard modules have d >= 0, as `link_states` demands."""
+    with pytest.raises(ValueError, match="d >= 0"):
+        verma_trace_series(kind, 2, 3, -2, 0, 0, 2)
+
+
 # -- the shared theta-sum kernel ----------------------------------------------
 
 def _fraction_theta(work):

@@ -521,6 +521,16 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
+def test_every_public_name_resolves():
+    """Each name of `torusloop.__all__` is an attribute of the package, once,
+    and `from torusloop import *` binds them all."""
+    assert [name for name in torusloop.__all__ if not hasattr(torusloop, name)] == []
+    assert len(set(torusloop.__all__)) == len(torusloop.__all__)
+    namespace: dict = {}
+    exec("from torusloop import *", namespace)
+    assert set(torusloop.__all__) <= namespace.keys()
+
+
 # the functions, methods and classes of the package that no package code
 # reads, each with the reason it stays in the package (ROADMAP items)
 UNCALLED_ALLOWED = {
