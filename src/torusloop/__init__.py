@@ -13,7 +13,7 @@ plus the number-theoretic identities that tie the continuum forms together.
 
 from .arith import chebyshev_T, gamma_v, gcd_conv, verify_master, verify_s1_s2
 from .bezout import (BezoutContext, bezout_conjugator, bezout_table,
-                     kac_table_text, mu_shift, rho_j)
+                     kac_table_text, mu_shift)
 from .characters import TauPoint, u1_char
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, Zmm,
                         appendix_c_form, conformal_Z_numeric,
@@ -35,6 +35,6 @@ __all__ = [
     "chebyshev_T", "conformal_Z_numeric", "effective_central_charge", "enumerate_configs",
     "euler_inverse", "expand_terms", "full_Z_series", "gamma_v", "gcd_conv",
     "kac_table_text", "lattice_Z", "link_states", "markov_Z",
-    "modular_rep_check", "mu_shift", "on_series", "render_appendix_form", "rho_j",
+    "modular_rep_check", "mu_shift", "on_series", "render_appendix_form",
     "trace_TM", "u1_char", "verify_master", "verify_s1_s2", "verma_trace_series",
 ]

@@ -13,13 +13,13 @@ exactly in that case).  Conjugation is an involution implemented by
 multiplication with an odd conjugator w0, up to a half-period shift mu*P/2.
 
 Labels are stored as doubled integers (2j + h') so every reduction is plain
-integer arithmetic mod 2P.
+integer arithmetic mod 2P, the period of J = 2j in the u(1) character
+kappa^n_j(z), 4n at z = +1 and 8n at z = -1; `conformal` reads them as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .model import check_pair, check_sector
@@ -85,16 +85,6 @@ def bezout_table(ctx: BezoutContext) -> dict:
     return table
 
 
-def conjugate_of(ctx: BezoutContext, doubled_label: int) -> int:
-    """Doubled conjugate of a doubled label 2(j + h'/2)."""
-    return _conjugate_lookup(ctx)[doubled_label % (2 * ctx.P)]
-
-
-@lru_cache(maxsize=None)
-def _conjugate_lookup(ctx: BezoutContext) -> dict:
-    return {a: b for (a, b) in bezout_table(ctx).values()}
-
-
 def bezout_conjugator(ctx: BezoutContext) -> tuple:
     """The odd conjugator w0 and its defining Kac cell (r0, s0).
 
@@ -127,22 +117,15 @@ def mu_shift(ctx: BezoutContext, r: int, s: int) -> int:
     return (r - r0) % 2
 
 
-def rho_j(ctx: BezoutContext, j_doubled: int) -> Fraction:
-    """rho_j = (j + h'/2 + conj(j + h'/2)) / (2 p'); an integer = r mod p*kappa."""
-    conj = conjugate_of(ctx, j_doubled)
-    rho = Fraction(j_doubled + conj, 4 * ctx.pq)
-    if rho.denominator != 1:
-        raise ArithmeticError("rho_j is not an integer")
-    return rho
-
-
 def index_pairs(ctx: BezoutContext) -> list:
-    """[(j+h'/2, conj, rho_j)] over 0 <= j < P as exact Fractions."""
+    """[(a, b, rho_j)] as ints in increasing j: the doubled label a = 2(j + h'/2), its
+    doubled conjugate b and rho_j = (a + b)/(4p'), ArithmeticError if not whole."""
     out = []
-    for j in range(ctx.P):
-        a = 2 * j + ctx.hprime
-        b = conjugate_of(ctx, a)
-        out.append((Fraction(a, 2), Fraction(b, 2), rho_j(ctx, a)))
+    for a, b in sorted(bezout_table(ctx).values()):
+        rho, rest = divmod(a + b, 4 * ctx.pq)
+        if rest:
+            raise ArithmeticError("rho_j is not an integer")
+        out.append((a, b, rho))
     return out
 
 

@@ -495,16 +495,13 @@ def _pairs_theta(pairs, work: Fraction) -> tuple:
 def _u1_pairs(p: int, pq: int, h: int, v: int):
     """(n, JL, JR, z, sign) over the p x 2p' character grid of sector (h, v).
 
-    JL = 2 jl and JR = 2 jr are the doubled labels p' r -+ p (s + h/2).
+    JL and JR are `BezoutContext.doubled_pair(r, s)`, the doubled labels mod 2P.
     """
-    check_pair(p, pq)
-    check_sector((h, v))
-    n = p * pq
-    z = -1 if (p * v) % 2 else 1
+    ctx = BezoutContext(p, pq, h, v)
     for r in range(p):
         sign = -1 if (v and r % 2) else 1
         for s in range(2 * pq):
-            yield (n, 2 * pq * r - p * (2 * s + h), 2 * pq * r + p * (2 * s + h), z, sign)
+            yield (ctx.n, *ctx.doubled_pair(r, s), ctx.zsign, sign)
 
 
 def Z_hv_u1(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
@@ -518,8 +515,8 @@ def Z_hv_bezout(p: int, pq: int, h: int, v: int, cutoff) -> BiSeries:
     """Bezout-indexed single sum (1/kappa) sum_j (-1)^{v rho_j} kappa kappa-bar."""
     cutoff, work = _window(cutoff)
     ctx = BezoutContext(p, pq, h, v)
-    pairs = ((ctx.n, _doubled(jval), _doubled(conj), ctx.zsign, -1 if v and rho % 2 else 1)
-             for jval, conj, rho in index_pairs(ctx))
+    pairs = ((ctx.n, a, b, ctx.zsign, -1 if v and rho % 2 else 1)
+             for a, b, rho in index_pairs(ctx))
     theta, D = _pairs_theta(pairs, work)
     if ctx.kappa > 1:
         theta = {ab: Fraction(c, ctx.kappa) for ab, c in theta.items()}
@@ -644,7 +641,7 @@ def on_series(g, e0, cutoff) -> BiSeries:
         for N in (N for N in range(1, M + 1) if M % N == 0):
             lam = cospoly_to_cyclo(
                 {k: 2 * c for k, c in lambda_fsz_cospoly(M, N).items()},
-                e0.numerator, e0.denominator, field)
+                e0.numerator, e0.denominator)
             if not lam:
                 continue
             # S = -M den / 2: a = h_{r, M/2} and b = hbar_{r, M/2} = h_{r, -M/2}

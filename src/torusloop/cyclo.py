@@ -234,10 +234,10 @@ class CycloNum:
         return f"CycloNum({self.coeffs}, zeta_{self.field.m})"
 
 
-def cospoly_to_cyclo(cospoly: dict, a: int, b: int, field: CycloField | None = None) -> CycloNum:
-    """Evaluate {k: c_k} meaning sum c_k cos(k*gamma) exactly at gamma = pi*a/b."""
-    if field is None:
-        field = CycloField(2 * b)
+def cospoly_to_cyclo(cospoly: dict, a: int, b: int) -> CycloNum:
+    """Evaluate {k: c_k} meaning sum c_k cos(k*gamma) exactly at gamma = pi*a/b,
+    in CycloField(2b)."""
+    field = CycloField(2 * b)
     out = field.zero()
     for k, c in cospoly.items():
         out = out + field.cos_pi_multiple(k * a, b) * exact(c, "coefficient")

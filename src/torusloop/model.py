@@ -46,13 +46,9 @@ DILUTE_TILES = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 KIND_TILES = {"dense": DENSE_TILES, "dilute": DILUTE_TILES}
 
 # tile partner lookup: TILE_PARTNER[t][e] is the edge connected to e, or None
-TILE_PARTNER: dict[int, dict] = {}
-for _t, _links in TILE_LINKS.items():
-    part: dict = {}
-    for a, b in _links:
-        part[a] = b
-        part[b] = a
-    TILE_PARTNER[_t] = part
+TILE_PARTNER: dict[int, dict] = {
+    t: {e: f for a, b in links for e, f in ((a, b), (b, a))} for t, links in TILE_LINKS.items()
+}
 
 
 # the boundary sectors (h, v): the parities of the loop crossings of a horizontal

@@ -152,16 +152,6 @@ class _Series:
         """The Fraction exponents of an integer key, in nome order."""
         return [Fraction(x, self.den) for x in self._split(key)]
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, cutoff):
-        return cls({}, cutoff)
-
-    @classmethod
-    def one(cls, cutoff):
-        return cls({cls._join([0] * len(cls._nomes)): Fraction(1)}, cutoff)
-
     # -- inspection --------------------------------------------------------
 
     def coeff(self, *exponents):

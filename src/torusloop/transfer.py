@@ -518,19 +518,24 @@ def _markov_polynomials(spec: ModelSpec | Weights, M: int, N: int) -> Mapping:
     cached and read-only per weighting and torus like `lattice._sector_polynomials`.
     It is summed on the int coefficients of 2 T_g(alpha/2) and halved: at integer
     weights every c_n is an int, and one that is not whole raises ArithmeticError."""
-    polys = {}
-    for h, v in torus_sectors(spec.kind, M, N):
-        twice: dict = {}  # n -> 2 c_n
-        for d in range(h, N + 1, 2):  # dense: h = N mod 2, the parity of d
-            C = C_coefficients(spec, N, M, d)
+    sums: dict = {hv: {} for hv in torus_sectors(spec.kind, M, N)}  # n -> 2 c_n
+    # each module is read once and feeds the sectors of h = d mod 2; every
+    # sector sums its floats in the order d ascending, then j ascending
+    for d in defect_numbers(spec.kind, N):
+        C = C_coefficients(spec, N, M, d)
+        for (h, v), twice in sums.items():
+            if h != d % 2:
+                continue
             for j in range((M + v) % 2 - M, M + 1, 2):  # j = v mod 2
                 for n, t in enumerate(_twice_chebyshev(gcd_conv(d, abs(j)))):
                     twice[n] = twice.get(n, 0) + (1 if d == 0 else 2) * C[j] * t
+    polys = {}
+    for hv, twice in sums.items():
         if any(type(c) is int and c % 2 for c in twice.values()):
-            raise ArithmeticError(f"sector {(h, v)}: a c_n is not whole (2 c_n: {twice})")
+            raise ArithmeticError(f"sector {hv}: a c_n is not whole (2 c_n: {twice})")
         poly = {n: c // 2 if type(c) is int else c / 2 for n, c in twice.items() if c}
         if poly:
-            polys[h, v] = MappingProxyType(poly)
+            polys[hv] = MappingProxyType(poly)
     return MappingProxyType(polys)
 
 

@@ -237,8 +237,8 @@ def full_theta(p: int, pq: int, gamma_over_pi, cutoff) -> tuple:
 
     # d > 0 blocks: 2 sum_t Gamma_{d, t mod d} q^{Delta(2t/d, d/2)} qbar^{Delta(2t/d, -d/2)}
     for d in range(1, d_max + 1):
-        weights = [2 * cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator,
-                                        e0.denominator, field) for m in range(d)]
+        weights = [2 * cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator, e0.denominator)
+                   for m in range(d)]
         for t, a, b in _kac_run(p, pq, root, 0, 2 * den // d, d * den // 2):
             theta[(a, b)] = theta.get((a, b), field.zero()) + weights[t % d]
 

@@ -144,13 +144,6 @@ def test_lambda_two_forms_agree():
             assert lambda_fsz_cospoly(M, N) == lambda_prime_form(M, N)
 
 
-def test_gamma_equals_half_lambda_exact_cospoly():
-    # the identity holds term-by-term in the cosine basis
-    for d in range(1, 25):
-        for m in range(1, d + 1):
-            assert gamma_dm_cospoly(d, m) == lambda_fsz_cospoly(d, d // math.gcd(m, d))
-
-
 def test_s1_s2_small_and_medium():
     assert verify_s1_s2(1, 10)
     assert verify_s1_s2(6, 20)

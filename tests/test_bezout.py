@@ -6,11 +6,9 @@ from torusloop.bezout import (
     BezoutContext,
     bezout_conjugator,
     bezout_table,
-    conjugate_of,
     index_pairs,
     kac_table_text,
     mu_shift,
-    rho_j,
 )
 
 ALL_HV = [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -122,9 +120,6 @@ def check_shift_conjugation(ctx: BezoutContext) -> bool:
         mu = mu_shift(ctx, r, s)
         if (w0 * a + mu * ctx.P) % (2 * ctx.P) != b:
             return False
-        # involution on doubled labels
-        if conjugate_of(ctx, b) != a:
-            return False
     return True
 
 
@@ -147,28 +142,28 @@ def test_mu_table_cases():
 
 
 def test_conjugation_involution():
-    for hv in ALL_HV:
-        ctx = BezoutContext(3, 4, hv[0], hv[1])
-        for j in range(ctx.P):
-            a = 2 * j + ctx.hprime
-            assert conjugate_of(ctx, conjugate_of(ctx, a)) == a
+    for p, pq in [(1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]:
+        for hv in ALL_HV:
+            ctx = BezoutContext(p, pq, hv[0], hv[1])
+            conj = dict(bezout_table(ctx).values())
+            assert sorted(conj) == [2 * j + ctx.hprime for j in range(ctx.P)]
+            assert all(conj[conj[a]] == a for a in conj)
 
 
 def test_rho_j_values_and_sign_equivalence():
     ctx = BezoutContext(3, 4, 0, 0)
     # reference cell (r, s) = (1, 1) is {1, 7}: rho = (1+7)/8 = 1 = r
     assert bezout_table(ctx)[(1, 1)] == (2, 14)
-    assert rho_j(ctx, 2) == 1
-    assert rho_j(ctx, 0) == 0
+    rhos = {a: rho for a, _, rho in index_pairs(ctx)}
+    assert (rhos[2], rhos[0]) == (1, 0)
     for p, pq in [(2, 3), (3, 4), (3, 5), (4, 5)]:
         for hv in ALL_HV:
             c = BezoutContext(p, pq, hv[0], hv[1])
-            table = bezout_table(c)
-            for (r, s), (a, b) in table.items():
-                rho = rho_j(c, a)
-                assert (rho - r) % (c.p * c.kappa) == 0
+            rhos = {a: rho for a, _, rho in index_pairs(c)}
+            for (r, s), (a, b) in bezout_table(c).items():
+                assert (rhos[a] - r) % (c.p * c.kappa) == 0
                 if hv[1] == 1:
-                    assert (-1) ** (rho % 2) == (-1) ** (r % 2)
+                    assert (-1) ** (rhos[a] % 2) == (-1) ** (r % 2)
 
 
 def test_kac_table_text_layout():
@@ -187,8 +182,11 @@ def test_kac_table_text_layout():
 
 
 def test_index_pairs_consistency():
-    ctx = BezoutContext(2, 3, 1, 0)
-    pairs = index_pairs(ctx)
-    assert len(pairs) == ctx.P
-    for jval, conj, rho in pairs:
-        assert (jval + conj) / (2 * ctx.pq) == rho
+    for hv in ALL_HV:
+        ctx = BezoutContext(2, 3, hv[0], hv[1])
+        pairs = index_pairs(ctx)
+        assert [a for a, _, _ in pairs] == [2 * j + ctx.hprime for j in range(ctx.P)]
+        assert {(a, b) for a, b, _ in pairs} == set(bezout_table(ctx).values())
+        for a, b, rho in pairs:
+            assert all(type(x) is int for x in (a, b, rho))
+            assert 4 * ctx.pq * rho == a + b

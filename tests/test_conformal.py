@@ -129,7 +129,7 @@ def _cyclo_theta(work):
     theta = {}
     for d in (1, 2, 3):
         for t in range(-4 * d, 4 * d + 1):
-            w = cospoly_to_cyclo(gamma_dm_cospoly(d, t % d), 2, 5, field)
+            w = cospoly_to_cyclo(gamma_dm_cospoly(d, t % d), 2, 5)
             a = kac.delta_exp(F(2 * t, d), F(d, 2))
             b = kac.delta_exp(F(2 * t, d), F(-d, 2))
             if a <= work and b <= work:
@@ -598,7 +598,7 @@ def test_u1_half_range_reduction():
     z = -1
     K = F(5)
     work = K + 2
-    total = BiSeries.zero(work)
+    total = BiSeries({}, work)
     for r in range(p):
         for s in range(4 * pq):
             jl = F(2 * pq * r - p * (2 * s + h), 2)

@@ -439,8 +439,8 @@ def test_full_series_matches_delta_exp_reference(e0, K):
         a = kac.delta_exp(e0 - 2 * ell, 0)
         _add(theta, (a, a), field.rational(1))
     for d in range(1, 20):
-        weights = [2 * cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator, e0.denominator,
-                                        field) for m in range(d)]
+        weights = [2 * cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator, e0.denominator)
+                   for m in range(d)]
         for t in range(-8 * d, 8 * d + 1):
             r = F(2 * t, d)
             _add(theta, (kac.delta_exp(r, F(d, 2)), kac.delta_exp(r, F(-d, 2))), weights[t % d])
@@ -467,7 +467,7 @@ def test_on_series_matches_delta_exp_reference(e0, K):
     for M in range(1, 20):
         for N in (N for N in range(1, M + 1) if M % N == 0):
             lam = cospoly_to_cyclo({k: 2 * c for k, c in lambda_fsz_cospoly(M, N).items()},
-                                   e0.numerator, e0.denominator, field)
+                                   e0.numerator, e0.denominator)
             for Pn in range(-8 * N, 8 * N + 1):
                 if math.gcd(Pn, N) == 1:
                     r = F(2 * Pn, N)
@@ -531,6 +531,13 @@ def test_every_public_name_resolves():
     assert set(torusloop.__all__) <= namespace.keys()
 
 
+def test_model_binds_no_loop_variable():
+    """The tile tables of `torusloop.model` are built in comprehensions, so
+    no loop variable stays bound on the module or leaks through `import *`."""
+    model = importlib.import_module("torusloop.model")
+    assert [name for name in ("part", "a", "b", "_t", "_links") if hasattr(model, name)] == []
+
+
 # the functions, methods and classes of the package that no package code
 # reads, each with the reason it stays in the package (ROADMAP items)
 UNCALLED_ALLOWED = {
@@ -545,19 +552,23 @@ UNCALLED_ALLOWED = {
 
 
 def test_every_uncalled_definition_is_allowed():
-    """A definition whose name no package code reads, as a name or an
-    attribute, is on the allow-list.  An import and an `__all__` entry are
-    not reads: the one binds a name and the other is a string, and so is a
-    docstring that mentions the name."""
+    """A definition whose name no package code reads is on the allow-list.  A
+    function or class is read as a name or an attribute, a method only as an
+    attribute (`.name`): a local variable of the same name does not call it.
+    An import and an `__all__` entry are not reads: the one binds a name and
+    the other is a string, and so is a docstring that mentions the name."""
     trees = [ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(torusloop.__file__).parent.glob("*.py"))]
     nodes = [node for tree in trees for node in ast.walk(tree)]
-    defined = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and not node.name.startswith("__")}
-    read = {node.id for node in nodes if isinstance(node, ast.Name)
-            and isinstance(node.ctx, ast.Load)}
-    read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
-    assert defined - read == UNCALLED_ALLOWED.keys()
+    methods = {id(node) for cls in nodes if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)}
+    names = {node.id for node in nodes if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load)}
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    unread = {node.name for node in nodes if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("__") and node.name not in attributes
+              and (id(node) in methods or node.name not in names)}
+    assert unread == UNCALLED_ALLOWED.keys()
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"

@@ -339,6 +339,22 @@ def test_tensor_coefficients_match_fsum_reference(kind, Nmax):
                     assert (C[j] == 0.0) == (c == 0.0), (N, M, d, j)
 
 
+def test_markov_polynomials_reads_each_module_once(monkeypatch):
+    """A cold Markov sum at a dilute torus reads each module's C_{d,j} once,
+    though each d feeds the two sectors of h = d mod 2."""
+    reads = []
+
+    def spy(spec, N, M, d):
+        reads.append((spec, N, M, d))
+        return C_coefficients(spec, N, M, d)
+
+    monkeypatch.setattr(transfer, "C_coefficients", spy)
+    spec = ModelSpec("dilute", 2, 3, 0.37)
+    polys = transfer._markov_polynomials.__wrapped__(spec, 3, 3)
+    assert set(polys) == set(torus_sectors("dilute", 3, 3))
+    assert reads == [(spec, 3, 3, d) for d in defect_numbers("dilute", 3)]
+
+
 def test_C_coefficients_cached_and_read_only():
     spec = ModelSpec("dilute", 2, 3, 0.41)
     C = C_coefficients(spec, 3, 2, 1)
