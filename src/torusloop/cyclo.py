@@ -6,11 +6,11 @@ gamma = pi*a/b these live in the real subfield of Q(zeta_{2b}); representing
 them as polynomials in zeta reduced modulo the cyclotomic polynomial makes
 equality testing exact, so the identity can be checked with zero tolerance.
 
-An element is stored as integer numerators over one positive denominator, in
-lowest terms.  Every Phi_m is monic with integer coefficients, so reduction
-mod Phi_m subtracts integer multiples and never divides: sums, products and
-comparisons work on ints, and the Fraction coefficients are built only when
-read through `CycloNum.coeffs`.
+`cospoly_to_cyclo` sums a cosine polynomial as one integer vector of powers
+of zeta and reduces it once; Phi_m is monic with integer coefficients, so the
+reduction never divides.  `CycloNum` is the Q-vector the forms build: integer
+numerators over one positive denominator, in lowest terms, with +, -, scaling
+by an int or a Fraction, and ==.  No form multiplies two field elements.
 """
 
 from __future__ import annotations
@@ -65,37 +65,12 @@ class CycloField:
             inst.m = m
             inst.phi = cyclotomic_poly(m)
             inst.degree = len(inst.phi) - 1
-            inst._cos = {}
             cls._instances[m] = inst
         return cls._instances[m]
-
-    def zero(self) -> "CycloNum":
-        return CycloNum(self, (0,) * self.degree)
 
     def rational(self, x) -> "CycloNum":
         x = exact(x, "coefficient")
         return CycloNum(self, (x.numerator,) + (0,) * (self.degree - 1), x.denominator)
-
-    def zeta_power(self, k: int) -> "CycloNum":
-        """zeta^k as a field element."""
-        k %= self.m
-        return CycloNum(self, self._reduce([0] * k + [1]))
-
-    def cos_pi_multiple(self, num: int, den: int) -> "CycloNum":
-        """cos(pi * num / den) as a field element; needs 2*den to divide m.
-
-        Memoised per field on k = (num mod 2 den) m / (2 den), the angle in
-        units of 2 pi / m, so equal angles share one cached element.
-        """
-        if den <= 0:
-            raise ValueError(f"cos(pi*{num}/{den}) needs a positive denominator")
-        if self.m % (2 * den):
-            raise ValueError(f"cos(pi*{num}/{den}) does not live in Q(zeta_{self.m})")
-        k = (num % (2 * den)) * (self.m // (2 * den))
-        if k not in self._cos:
-            z = self.zeta_power(k) + self.zeta_power(-k)
-            self._cos[k] = z * Fraction(1, 2)
-        return self._cos[k]
 
     def _reduce(self, vec: list) -> tuple:
         """Reduce an integer coefficient vector modulo the monic Phi_m."""
@@ -176,20 +151,11 @@ class CycloNum:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloNum(self.field, tuple(a * other.numerator for a in self.nums),
-                            self.den * other.denominator)
-        other = self._coerce(other)
-        if other is None:
+        """Scaling by an int or a Fraction."""
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        n = self.field.degree
-        prod = [0] * (2 * n)
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(other.nums):
-                    if b:
-                        prod[i + j] += a * b
-        return CycloNum(self.field, self.field._reduce(prod), self.den * other.den)
+        return CycloNum(self.field, tuple(a * other.numerator for a in self.nums),
+                        self.den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -235,13 +201,20 @@ class CycloNum:
 
 
 def cospoly_to_cyclo(cospoly: dict, a: int, b: int) -> CycloNum:
-    """Evaluate {k: c_k} meaning sum c_k cos(k*gamma) exactly at gamma = pi*a/b,
-    in CycloField(2b)."""
+    """sum_k c_k cos(k*gamma) of {k: c_k} exactly at gamma = pi*a/b, b > 0, in
+    CycloField(2b): cos(k*gamma) = (zeta^(ka) + zeta^(-ka))/2, zeta = exp(i pi/b),
+    so c_k L, L the lcm of the c_k's denominators, goes to the indices +-k*a
+    mod 2b of one int vector, reduced mod Phi_2b once and taken over 2L."""
+    if b <= 0:
+        raise ValueError(f"gamma = pi*{a}/{b} needs a positive denominator")
+    coeffs = [(k, exact(c, "coefficient")) for k, c in cospoly.items()]
+    L = math.lcm(*(c.denominator for _, c in coeffs))
     field = CycloField(2 * b)
-    out = field.zero()
-    for k, c in cospoly.items():
-        out = out + field.cos_pi_multiple(k * a, b) * exact(c, "coefficient")
-    return out
+    vec = [0] * field.m
+    for k, c in coeffs:
+        for i in (k * a, -k * a):
+            vec[i % field.m] += c.numerator * (L // c.denominator)
+    return CycloNum(field, field._reduce(vec), 2 * L)
 
 
 def gamma_dm_sum(d: int, m: int) -> dict:

@@ -139,7 +139,8 @@ class Weights:
     transfer routes read only `kind`, `rho` and `beta`, so both compute the
     same polynomial in these values: `ModelSpec` supplies the physical ones,
     and a Weights any others, such as integers at which the two routes must
-    agree exactly.  A dense weighting reads only rho_8 and rho_9.
+    agree exactly.  A dense weighting reads only rho_8 and rho_9.  A NaN or
+    infinite weight raises ValueError.
     """
 
     kind: str
@@ -152,6 +153,10 @@ class Weights:
         rho = tuple(self.rho)
         if len(rho) != 9:
             raise ValueError(f"need nine tile weights rho_1..rho_9, got {len(rho)}")
+        names = [f"rho_{t}" for t in range(1, 10)] + ["beta"]
+        for name, w in zip(names, rho + (self.beta,)):
+            if not math.isfinite(w):
+                raise ValueError(f"the weight {name} = {w} must be finite")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "types", tuple(map(type, rho + (self.beta,))))
 

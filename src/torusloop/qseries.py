@@ -31,9 +31,12 @@ public constructor takes Fraction exponents; `coeff`, `min_exponent`,
 `evaluate` as floats.  Each class says only how to split a key into its
 integers, join them back and rescale the keys of a term dict.
 
-Coefficients are usually ``fractions.Fraction`` but any exact commutative
-ring element works (addition, multiplication, bool for zero-testing); the
-full-partition-function pipeline uses real cyclotomic numbers.
+Coefficients are ints, ``fractions.Fraction`` or, in the full partition
+function and the O(n) form, real cyclotomic numbers (`cyclo.CycloNum`).
+`_Series` uses +, unary -, == and bool (zero-testing) on them, complex()
+in `evaluate`, and a product in `__mul__`, `scale` and `from_product` with
+at most one cyclotomic factor: a CycloNum scales by an int or a Fraction,
+and cyclotomic series are never multiplied together.
 """
 
 from __future__ import annotations

@@ -292,7 +292,9 @@ def _sweep(words: tuple, faces: tuple, beta, arcs_of: Mapping) -> Iterator[tuple
 
 
 class TransferOperator:
-    """One-row transfer matrix on the standard module with d defects.
+    """One-row transfer matrix on a standard module, as its basis, kmin and
+    tensor alone: `build_transfer(spec, N, d)` builds it, and its dim,
+    matrix, numeric form and traces read nothing else.
 
     ``tensor[k - kmin, i, j]`` is the omega^k coefficient of the weight of
     basis[j] -> basis[i] for every k in [kmin, kmin + len(tensor) - 1]; the
@@ -300,11 +302,9 @@ class TransferOperator:
     first use.
     """
 
-    def __init__(self, spec: ModelSpec | Weights, N: int, d: int, basis: tuple, kmin: int,
-                 tensor: np.ndarray):
+    def __init__(self, basis: tuple, kmin: int, tensor: np.ndarray):
         tensor.setflags(write=False)
-        self.spec, self.N, self.d, self.basis = spec, N, d, basis
-        self.kmin, self.tensor = kmin, tensor
+        self.basis, self.kmin, self.tensor = basis, kmin, tensor
 
     @property
     def dim(self) -> int:
@@ -395,7 +395,7 @@ def build_transfer(spec: ModelSpec | Weights, N: int, d: int) -> TransferOperato
     kmin, kmax = (int(k.min()), int(k.max())) if len(k) else (0, 0)
     tensor = np.zeros((kmax - kmin + 1, dim, dim), dtype)
     tensor[k - kmin, i, j] = c
-    return TransferOperator(spec, N, d, basis, kmin, tensor)
+    return TransferOperator(basis, kmin, tensor)
 
 
 def _fsum_nonzero(buckets: dict) -> dict:

@@ -233,14 +233,14 @@ def full_theta(p: int, pq: int, gamma_over_pi, cutoff) -> tuple:
 
     # d = 0 block: sum_l (q qbar)^{Delta(e0 - 2l, 0)}
     for _, a, _ in _kac_run(p, pq, root, e0.numerator * (den // e0.denominator), 2 * den, 0):
-        theta[(a, a)] = theta.get((a, a), field.zero()) + one
+        theta[(a, a)] = theta.get((a, a), field.rational(0)) + one
 
     # d > 0 blocks: 2 sum_t Gamma_{d, t mod d} q^{Delta(2t/d, d/2)} qbar^{Delta(2t/d, -d/2)}
     for d in range(1, d_max + 1):
         weights = [2 * cospoly_to_cyclo(gamma_dm_cospoly(d, m), e0.numerator, e0.denominator)
                    for m in range(d)]
         for t, a, b in _kac_run(p, pq, root, 0, 2 * den // d, d * den // 2):
-            theta[(a, b)] = theta.get((a, b), field.zero()) + weights[t % d]
+            theta[(a, b)] = theta.get((a, b), field.rational(0)) + weights[t % d]
 
     return theta, D
 

@@ -133,7 +133,7 @@ def _cyclo_theta(work):
             a = kac.delta_exp(F(2 * t, d), F(d, 2))
             b = kac.delta_exp(F(2 * t, d), F(-d, 2))
             if a <= work and b <= work:
-                theta[(a, b)] = theta.get((a, b), field.zero()) + 2 * w
+                theta[(a, b)] = theta.get((a, b), field.rational(0)) + 2 * w
     return theta
 
 

@@ -204,10 +204,11 @@ def test_cyclo_num_refuses_a_bad_denominator_or_length(nums, den):
 
 @pytest.mark.parametrize("den", [0, -5])
 def test_cos_pi_multiple_refuses_a_non_positive_denominator(den):
-    """cos(pi num / den) needs den > 0: den = 0 raised ZeroDivisionError."""
+    """`cospoly_to_cyclo` needs b > 0 in gamma = pi a/b: b = 0 would divide
+    by zero, and b < 0 ask for a field of negative order."""
     with pytest.raises(ValueError, match=re.escape(
-            f"cos(pi*1/{den}) needs a positive denominator")):
-        CycloField(10).cos_pi_multiple(1, den)
+            f"gamma = pi*1/{den} needs a positive denominator")):
+        cospoly_to_cyclo({1: 1}, 1, den)
 
 
 RATIO_TAKERS = {
@@ -240,6 +241,16 @@ def test_model_spec_refuses_a_non_finite_spectral_parameter(u):
     """A NaN u made every tile weight nan; it is refused with the infinite ones."""
     with pytest.raises(ValueError, match=re.escape(f"the spectral parameter u = {u} must be finite")):
         ModelSpec("dilute", 2, 3, u)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weights_refuse_a_non_finite_weight(bad):
+    """A NaN tile weight made Z nan on routes 1 and 2, and beta = inf made
+    the lattice Z inf; a Weights is finite, like the u of a ModelSpec."""
+    with pytest.raises(ValueError, match=re.escape(f"the weight rho_9 = {bad} must be finite")):
+        Weights("dilute", (1.0,) * 8 + (bad,), 2.0)
+    with pytest.raises(ValueError, match=re.escape(f"the weight beta = {bad} must be finite")):
+        Weights("dilute", (1.0,) * 9, bad)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
@@ -349,7 +360,7 @@ def test_one_realness_rule():
         _real_part(np.array([[1 + 0j], [2 + 3 * IMAG_TOL * 1j]]))
     assert type(_real_part(np.complex128(3))) is float
     with pytest.raises(ImaginaryResidueError):
-        float(CycloField(4).zeta_power(1))
+        float(CycloNum(CycloField(4), (0, 1)))
 
 
 def test_euler_inverse_negative_cutoff_rejected():

@@ -301,7 +301,7 @@ def test_trace_basis_permutation_bit_identical():
     permuted = op.tensor[:, perm][:, :, perm]
     t_ref = trace_TM(spec, 3, 2, 1)
     from torusloop.transfer import matrix_power_trace
-    t_perm = matrix_power_trace(TransferOperator(spec, 3, 1, shuffled, op.kmin, permuted), 2)
+    t_perm = matrix_power_trace(TransferOperator(shuffled, op.kmin, permuted), 2)
     assert t_ref == t_perm  # bit-for-bit
 
 
@@ -365,7 +365,7 @@ def test_C_coefficients_cached_and_read_only():
 
 def test_C_coefficients_rejects_support_beyond_M(monkeypatch):
     spec = ModelSpec("dilute", 1, 7, 0.123)
-    op = TransferOperator(spec, 1, 0, (".",), 2, np.ones((1, 1, 1)))
+    op = TransferOperator((".",), 2, np.ones((1, 1, 1)))
     monkeypatch.setattr(transfer, "build_transfer", lambda *args: op)
     with pytest.raises(ArithmeticError):
         C_coefficients(spec, 1, 1, 0)
@@ -471,32 +471,45 @@ def _full_join_transfer(spec, N, d):
     tensor = np.zeros((kmax - kmin + 1, len(basis), len(basis)))
     for (k, i, j), c in entries.items():
         tensor[k - kmin, i, j] = c
-    return TransferOperator(spec, N, d, basis, kmin, tensor)
+    return TransferOperator(basis, kmin, tensor)
 
 
-@pytest.mark.parametrize("kind, Nmax", [("dense", 8), ("dilute", 6)])
+def _check_orbit_build(spec, kind, Nmax):
+    for N, d in _modules(kind, Nmax):
+        op = build_transfer(spec, N, d)
+        ref = _full_join_transfer(spec, N, d)
+        assert (op.basis, op.kmin, op.tensor.shape) == \
+            (ref.basis, ref.kmin, ref.tensor.shape), (N, d)
+        assert np.array_equal(op.tensor != 0.0, ref.tensor != 0.0), (N, d)
+        if isinstance(spec, Weights):
+            assert op.tensor.dtype == object, (N, d)
+            assert {type(c) for c in op.tensor.flat} == {int}, (N, d)
+            assert np.array_equal(op.tensor, ref.tensor), (N, d)
+        else:
+            assert np.allclose(op.tensor, ref.tensor, rtol=1e-13, atol=0.0), (N, d)
+
+
+ORBIT_NMAX = [("dense", 8), ("dilute", 6)]
+
+
+@pytest.mark.parametrize("kind, Nmax", ORBIT_NMAX)
 @pytest.mark.parametrize("p, pq", [(2, 3), (3, 4)])
 def test_orbit_build_matches_full_join(kind, Nmax, p, pq):
     """The face-by-face orbit build against joining every row to every column:
     same basis, kmin, shape and zero pattern, and every coefficient within
-    1e-13 relative (only the summation order moves).  At integer weights the
-    tensor holds Python ints equal to the reference's; at u = 0 some tiles
+    1e-13 relative (only the summation order moves).  At u = 0 some tiles
     weigh zero."""
-    specs = (ModelSpec(kind, p, pq, 0.29), ModelSpec(kind, p, pq, 0.0),
-             ModelSpec(kind, p, pq, 0.0).isotropic()) + integer_weights(kind)
-    for spec in specs:
-        for N, d in _modules(kind, Nmax):
-            op = build_transfer(spec, N, d)
-            ref = _full_join_transfer(spec, N, d)
-            assert (op.basis, op.kmin, op.tensor.shape) == \
-                (ref.basis, ref.kmin, ref.tensor.shape), (N, d)
-            assert np.array_equal(op.tensor != 0.0, ref.tensor != 0.0), (N, d)
-            if isinstance(spec, Weights):
-                assert op.tensor.dtype == object, (N, d)
-                assert {type(c) for c in op.tensor.flat} == {int}, (N, d)
-                assert np.array_equal(op.tensor, ref.tensor), (N, d)
-            else:
-                assert np.allclose(op.tensor, ref.tensor, rtol=1e-13, atol=0.0), (N, d)
+    for spec in (ModelSpec(kind, p, pq, 0.29), ModelSpec(kind, p, pq, 0.0),
+                 ModelSpec(kind, p, pq, 0.0).isotropic()):
+        _check_orbit_build(spec, kind, Nmax)
+
+
+@pytest.mark.parametrize("kind, Nmax", ORBIT_NMAX)
+def test_orbit_build_matches_full_join_at_integer_weights(kind, Nmax):
+    """The same at criterion 1's integer draws, which do not depend on (p, p'):
+    the tensor holds Python ints equal to the reference's."""
+    for weights in integer_weights(kind):
+        _check_orbit_build(weights, kind, Nmax)
 
 
 def test_orbit_period_check_raises(monkeypatch):
@@ -531,38 +544,6 @@ def test_matrix_view_round_trips(kind, Nmax):
 
 
 # -- the defining oracle: Markov trace vs lattice enumeration ---------------
-
-DENSE_SIZES = [(2, 2), (2, 4), (3, 3), (3, 4)]
-DILUTE_SIZES = [(1, 2), (2, 2), (2, 3)]
-
-
-@pytest.mark.parametrize("p, pq", [(1, 2), (2, 3), (3, 4)])
-def test_markov_equals_lattice_dense(p, pq):
-    for (M, N) in DENSE_SIZES:
-        for iso in (True, False):
-            spec = ModelSpec("dense", p, pq, 0.37)
-            if iso:
-                spec = spec.isotropic()
-            hv = (N % 2, M % 2)
-            for alpha in (1.0, 2.0, 0.6):
-                lz = lattice_Z(spec, M, N, sector=hv, alpha=alpha)
-                mz = markov_Z(spec, M, N, hv[0], hv[1], alpha=alpha)
-                assert scaled_error(mz, lz) < ORACLE_TOL
-
-
-@pytest.mark.parametrize("p, pq", [(1, 2), (2, 3), (3, 4)])
-def test_markov_equals_lattice_dilute(p, pq):
-    for (M, N) in DILUTE_SIZES:
-        for iso in (True, False):
-            spec = ModelSpec("dilute", p, pq, 0.37)
-            if iso:
-                spec = spec.isotropic()
-            for hv in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-                for alpha in (1.0, 2.0, 0.6):
-                    lz = lattice_Z(spec, M, N, sector=hv, alpha=alpha)
-                    mz = markov_Z(spec, M, N, hv[0], hv[1], alpha=alpha)
-                    assert scaled_error(mz, lz) < ORACLE_TOL
-
 
 def test_markov_alpha2_reduces_to_plain_traces():
     """At alpha = 2 the sector sum is the omega = +/-1 trace combination."""
