@@ -13,8 +13,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .acceptance import (MODULAR_RATIOS, MODULAR_TAUS, criterion_4_gamma_lambda, modular_ok,
-                         run_suite)
+from .acceptance import (MODULAR_MIN_IM, MODULAR_RATIOS, MODULAR_TAUS, criterion_4_gamma_lambda,
+                         modular_ok, run_suite)
 from .bezout import BezoutContext, kac_table_text, table_json_obj
 from .characters import TauPoint
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
@@ -41,6 +41,14 @@ def _add_model_args(sub):
                      help="spectral parameter (default: isotropic point)")
     sub.add_argument("--alpha", type=float, default=1.0,
                      help="non-contractible loop fugacity")
+
+
+def fraction(text: str) -> Fraction:
+    """`Fraction(text)`, a zero denominator a ValueError: an argument error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(text) from exc
 
 
 def _model_from(args) -> ModelSpec:
@@ -92,7 +100,7 @@ def cmd_transfer(args) -> int:
 
 def cmd_series(args) -> int:
     form = {"direct": Z_hv_direct, "u1": Z_hv_u1, "bezout": Z_hv_bezout}[args.form]
-    series = form(args.p, args.pq, args.h, args.v, Fraction(args.cutoff))
+    series = form(args.p, args.pq, args.h, args.v, args.cutoff)
     _write(args, json.dumps(series.to_json_obj(), indent=2, sort_keys=True))
     return 0
 
@@ -115,6 +123,8 @@ def cmd_bezout(args) -> int:
 def cmd_modular(args) -> int:
     taus = tuple(TauPoint(complex(re, im)) for re, im in args.tau) if args.tau \
         else MODULAR_TAUS
+    if min(t.tau.imag for t in taus) < MODULAR_MIN_IM:
+        raise ValueError(f"need Im tau >= MODULAR_MIN_IM = {MODULAR_MIN_IM}")
     rep = modular_rep_check(taus=taus, g_values=MODULAR_RATIOS)
     for key in sorted(rep):
         print(f"{key} = {rep[key]!r}")
@@ -167,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ser.add_argument("--v", type=int, choices=(0, 1), required=True)
     p_ser.add_argument("--form", choices=("direct", "u1", "bezout"),
                        default="direct")
-    p_ser.add_argument("--cutoff", type=Fraction, default=Fraction(8),
+    p_ser.add_argument("--cutoff", type=fraction, default=Fraction(8),
                        help="exponent cutoff, integer or num/den")
     p_ser.add_argument("--out", default=None)
     p_ser.set_defaults(func=cmd_series)

@@ -66,10 +66,10 @@ modules d and -d > 0 (C_{-d,j} = C_{d,-j}) and clears the halves of
 T_g(alpha/2), which C_{0,j} = C_{0,-j} clears for mult(0) = 1.
 
 Two paths compute the C_{d,j}.  ``C_coefficients``, which ``markov_Z`` and
-the CLI read, multiplies numpy slices of the tensor and is cached per
-(spec, N, M, d).  ``trace_TM`` multiplies the ``matrix`` views entry by
-entry with one ``math.fsum`` per power, in pure Python; it is the correctly
-rounded reference that the tests hold the fast path to.
+the CLI read, multiplies numpy slices of the tensor into two half powers
+and keeps no cache of its own.  ``trace_TM`` multiplies the ``matrix`` views
+entry by entry with one ``math.fsum`` per power, in pure Python; it is the
+correctly rounded reference that the tests hold the fast path to.
 """
 
 from __future__ import annotations
@@ -460,34 +460,32 @@ def _slice_product(P: np.ndarray, A: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=1024)
-def C_coefficients(spec: ModelSpec | Weights, N: int, M: int, d: int) -> Mapping:
-    """The coefficients C_{d,j} for j in [-M, M], as a read-only mapping.
+def C_coefficients(spec: ModelSpec | Weights, N: int, M: int, d: int) -> dict:
+    """The coefficients C_{d,j} for j in [-M, M], as a dict.
 
     tr T^M = sum_j omega^{-j} C_{d,j} is formed on the coefficient slices
     A[r] of the operator tensor: P'[k] = sum_r P[k - r] @ A[r] builds
-    T^{M-1}, and the last factor enters through its trace only, in the
-    tensor's type.  A power that no closed walk reaches stays exactly zero.
-    ``trace_TM`` is the correctly rounded reference for the same numbers.
-    With this sign of j, C_{d,j} / C_{0,0} tends to the Coulomb-gas ratio
-    Zmm(p/4p', d, j, tau) / Zmm(p/4p', 0, 0, tau) at tau =
-    `TauPoint.from_lattice(spec, M/N)`, the block of (d, j) and not of (d, -j).
+    H = T^floor(M/2) from the identity and R = T^ceil(M/2) from H, and
+    tr(H R) is summed in the tensor's type.  A power that no closed walk
+    reaches stays exactly zero.  ``trace_TM`` is the correctly rounded
+    reference for the same numbers.  With this sign of j, C_{d,j} / C_{0,0}
+    tends to the Coulomb-gas ratio Zmm(p/4p', d, j, tau) / Zmm(p/4p', 0, 0,
+    tau) at tau = `TauPoint.from_lattice(spec, M/N)`, the block of (d, j) and
+    not of (d, -j).
     """
     if M < 0:
         raise ValueError("need M >= 0")
     op = build_transfer(spec, N, d)
     A = op.tensor
-    zero = 0 if A.dtype == object else 0.0
-    if M == 0:
-        return MappingProxyType({0: zero + op.dim})
-    P = np.eye(op.dim, dtype=A.dtype)[None]
-    for _ in range(M - 1):
-        P = _slice_product(P, A)
-    trace = np.zeros(len(P) + len(A) - 1, A.dtype)
-    for r, slab in enumerate(A):
-        trace[r:r + len(P)] += np.einsum("kij,ji->k", P, slab)
+    H = np.eye(op.dim, dtype=A.dtype)[None]
+    for _ in range(M // 2):
+        H = _slice_product(H, A)
+    R = _slice_product(H, A) if M % 2 else H
+    trace = np.zeros(len(H) + len(R) - 1, A.dtype)
+    for r, slab in enumerate(R):
+        trace[r:r + len(H)] += np.einsum("kij,ji->k", H, slab)
     # trace[n] is the omega^(M kmin + n) coefficient, i.e. C_{d,-(M kmin + n)}
-    C = dict.fromkeys(range(-M, M + 1), zero)
+    C = dict.fromkeys(range(-M, M + 1), 0 if A.dtype == object else 0.0)
     for n, c in enumerate(trace.tolist()):
         j = -(M * op.kmin + n)
         if j in C:
@@ -495,7 +493,7 @@ def C_coefficients(spec: ModelSpec | Weights, N: int, M: int, d: int) -> Mapping
         elif c != 0.0:
             raise ArithmeticError(
                 f"trace support exceeds [-M, M]: omega^{-j} coefficient {c!r}")
-    return MappingProxyType(C)
+    return C
 
 
 @lru_cache(maxsize=None)

@@ -163,6 +163,11 @@ def test_bad_arguments_exit_2(capsys):
     assert main(["modular", "--cutoff", "40"]) == 2
     assert main(["accept", "--suite", "core"]) == 2
     assert main(["identity", "--dmax", "12"]) == 2
+    # a cutoff with a zero denominator is an argument error, like --cutoff nan
+    assert main(["series", "--p", "1", "--pq", "2", "--h", "0", "--v", "0",
+                 "--cutoff", "1/0"]) == 2
+    # below Im tau = 0.064 the theta sums at the S images are not real
+    assert main(["modular", "--tau", "0", "0.05"]) == 2
     # every series form and the folded forms refuse a pair that is not coprime 0 < p < p'
     assert main(["series", "--form", "u1", "--p", "2", "--pq", "4", "--h", "0", "--v", "0"]) == 2
     assert main(["appendixc", "--p", "4", "--pq", "2"]) == 2
@@ -176,6 +181,7 @@ def test_bad_arguments_exit_2(capsys):
     assert "--with-z" in captured.err and "--h and --v" in captured.err
     assert "(p, p') = (2, 4) is not a coprime pair" in captured.err
     assert "(p, p') = (4, 2) is not a coprime pair" in captured.err
+    assert "need Im tau >= MODULAR_MIN_IM = 0.07" in captured.err
 
 
 def test_output_file(tmp_path, capsys):

@@ -328,7 +328,8 @@ def test_tensor_coefficients_match_fsum_reference(kind, Nmax):
     agreement to 1e-12 of the largest coefficient, same exact-zero pattern."""
     for spec in (ModelSpec(kind, 2, 3, 0.29), ModelSpec(kind, 3, 4, 0.0).isotropic()):
         for N, d in _modules(kind, Nmax):
-            for M in range(0, 5):
+            # the half powers group the products anew from M = 3 and make fewer from M = 4
+            for M in range(0, 7):
                 C = C_coefficients(spec, N, M, d)
                 tr = trace_TM(spec, N, M, d)
                 ref = {j: tr.get(-j, 0.0) for j in range(-M, M + 1)}
@@ -355,12 +356,14 @@ def test_markov_polynomials_reads_each_module_once(monkeypatch):
     assert reads == [(spec, 3, 3, d) for d in defect_numbers("dilute", 3)]
 
 
-def test_C_coefficients_cached_and_read_only():
-    spec = ModelSpec("dilute", 2, 3, 0.41)
-    C = C_coefficients(spec, 3, 2, 1)
-    assert C_coefficients(spec, 3, 2, 1) is C
-    with pytest.raises(TypeError):
-        C[0] = 1.0
+@pytest.mark.parametrize("M, N", [(4, 3), (6, 8), (9, 10), (10, 10), (11, 10)])
+def test_percolation_markov_trace_is_exact(M, N):
+    """At dense (2, 3), beta = 1 and every loop weighs 1 at alpha = 1, so the one
+    sector's Z(1) is the sum over all tilings, (rho_8 + rho_9)^(M N): an exact
+    target up to tori that the census cannot reach, at odd and even M past 4."""
+    spec = ModelSpec("dense", 2, 3, 0.37)
+    exact = (spec.rho[7] + spec.rho[8]) ** (M * N)
+    assert markov_Z(spec, M, N, N % 2, M % 2, 1.0) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_C_coefficients_rejects_support_beyond_M(monkeypatch):
@@ -610,7 +613,7 @@ def test_integer_weights_give_exact_traces(kind):
         assert {type(c) for c in op.tensor.flat} == {int}
         assert np.array_equal(op.tensor.astype(float), op_float.tensor)
         assert np.array_equal(op.to_numeric(0.3 + 0.4j), op_float.to_numeric(0.3 + 0.4j))
-        for M in range(4):
+        for M in range(6):
             C = C_coefficients(weights, N, M, d)
             assert {type(c) for c in C.values()} == {int}
             tr = trace_TM(weights, N, M, d)
