@@ -31,9 +31,6 @@ MODULAR_TOL = 1e-8
 # the tau points of criterion 6 and of `torusloop modular` without --tau
 MODULAR_TAUS = (TauPoint(complex(0.1, 0.9)), TauPoint(complex(-0.4, 1.3)),
                 TauPoint(complex(0.5, 0.5)))
-# the least Im tau of `torusloop modular --tau`: 0.064, the least that passes on
-# the imaginary axis, rounded up; below it the theta sums at the S images are not real
-MODULAR_MIN_IM = 0.07
 
 DENSE_SIZES = ((2, 2), (2, 4), (3, 3), (4, 4), (3, 4))
 DILUTE_SIZES = ((1, 2), (2, 2), (2, 3), (3, 3), (3, 4))
@@ -169,7 +166,7 @@ def criterion_5_full_pf():
 
 
 def criterion_6_modular():
-    """Modular covariance at the sampled tau, plus the exact 4-dim relations."""
+    """Modular covariance at the sampled tau, plus the exact S, T relations."""
     rep = modular_rep_check(taus=MODULAR_TAUS, g_values=MODULAR_RATIOS)
     return modular_ok(rep), (f"sector residual {rep['sector_covariance_residual']:.3e}, "
                              f"character residual {rep['character_S_residual']:.3e}")

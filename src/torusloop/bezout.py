@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .model import check_pair, check_sector
 
@@ -64,8 +65,8 @@ class BezoutContext:
 
 
 @lru_cache(maxsize=None)
-def bezout_table(ctx: BezoutContext) -> dict:
-    """Map (r, s) in the Kac rectangle to the doubled conjugate pair.
+def bezout_table(ctx: BezoutContext) -> MappingProxyType:
+    """Read-only map from (r, s) in the Kac rectangle to the doubled conjugate pair.
 
     Raises if the label map fails to be a bijection onto {2j + h'}.
     """
@@ -82,7 +83,7 @@ def bezout_table(ctx: BezoutContext) -> dict:
             table[(r, s)] = (a, b)
     if len(seen) != ctx.P:
         raise ArithmeticError("Bezout label map is not onto")
-    return table
+    return MappingProxyType(table)
 
 
 def bezout_conjugator(ctx: BezoutContext) -> tuple:

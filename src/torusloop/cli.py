@@ -13,8 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .acceptance import (MODULAR_MIN_IM, MODULAR_RATIOS, MODULAR_TAUS, criterion_4_gamma_lambda,
-                         modular_ok, run_suite)
+from .acceptance import MODULAR_RATIOS, MODULAR_TAUS, criterion_4_gamma_lambda, modular_ok, run_suite
 from .bezout import BezoutContext, kac_table_text, table_json_obj
 from .characters import TauPoint
 from .conformal import (Z_hv_bezout, Z_hv_direct, Z_hv_u1, appendix_c_form,
@@ -121,10 +120,7 @@ def cmd_bezout(args) -> int:
 
 
 def cmd_modular(args) -> int:
-    taus = tuple(TauPoint(complex(re, im)) for re, im in args.tau) if args.tau \
-        else MODULAR_TAUS
-    if min(t.tau.imag for t in taus) < MODULAR_MIN_IM:
-        raise ValueError(f"need Im tau >= MODULAR_MIN_IM = {MODULAR_MIN_IM}")
+    taus = tuple(TauPoint(complex(*t)) for t in args.tau) if args.tau else MODULAR_TAUS
     rep = modular_rep_check(taus=taus, g_values=MODULAR_RATIOS)
     for key in sorted(rep):
         print(f"{key} = {rep[key]!r}")

@@ -8,9 +8,9 @@ against the O(n) form.  The alpha = 2 sectors come also as the p x 2p' grid of
 u(1) character products, the Bezout single sum and the worked examples' folds.
 
 All series are exact.  Floats appear only in the numeric layer: the Gaussian
-blocks Z_{m,m'}(g) on integer grids; the sector sums, each one
-`TauPoint.nome_sum` in the electric (Poisson-dual) frame at tau carried into
-the fundamental domain; and modular covariance at sampled tau.
+blocks Z_{m,m'}(g) on integer grids; the sector sums, each one `nome_sum` in
+the electric (Poisson-dual) frame at tau carried into the fundamental domain
+by S and T, two sector permutations; and modular covariance at sampled tau.
 
 Every exact form collects its theta sum as integer exponent numerators over
 one denominator D known before the sum starts: D = 4 p p' den^2 for the
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -306,14 +306,12 @@ def Zmm(g, m, mp, tau: TauPoint):
     return _real_part(val / abs(eta_numeric(tau)) ** 2)
 
 
-MODULAR_S4 = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
-MODULAR_T4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
-
-
-def _sector_map(A) -> dict:
-    """hv -> the sector whose column holds the 1 in row hv of the 0/1
-    matrix `A` over SECTORS."""
-    return {hv: SECTORS[row.index(1)] for hv, row in zip(SECTORS, A, strict=True)}
+# the modular S and T as permutations of the sectors (h, v)
+MODULAR_S = {(h, v): (v, h) for h, v in SECTORS}
+MODULAR_T = {(h, v): (h, (h + v) % 2) for h, v in SECTORS}
+# the least Im of every tau `modular_rep_check` sums at: 0.064 on the imaginary axis,
+# rounded up; below it some `_electric` sums are not real, and its arrays grow as 1/Im
+MODULAR_MIN_IM = 0.07
 
 
 def _electric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float:
@@ -351,7 +349,7 @@ def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float
 
     g is the model ratio p/p'; d runs over the integers of parity h and j over
     those of parity v.  tau is carried into |Re tau| <= 1/2, |tau| >= 1 by T and
-    S, each step moving (h, v) by the sector map of MODULAR_T4 or MODULAR_S4, and
+    S, each step moving (h, v) by the permutation MODULAR_T or MODULAR_S, and
     the sector is summed there by `_electric`, whose terms fall off at least as
     e^{-pi sqrt 3 (D + Dbar)}: accurate at every tau, however small the sector.
     |alpha| > 2 is refused, and so is a NaN alpha: gamma is real and the weights
@@ -361,37 +359,45 @@ def conformal_Z_numeric(g, alpha: float, h: int, v: int, tau: TauPoint) -> float
     if not abs(alpha) <= 2:
         raise ValueError("the numeric sector sum needs |alpha| <= 2")
     check_ratio(g)
-    shift, invert = _sector_map(MODULAR_T4), _sector_map(MODULAR_S4)
     t, hv = tau.tau, (h, v)
     while True:
         k = round(t.real)
-        t, hv = t - k, shift[hv] if k % 2 else hv
+        t, hv = t - k, MODULAR_T[hv] if k % 2 else hv
         # the margin keeps a point on the unit circle from being inverted back and forth
         if abs(t) >= 1 - 1e-12:
             return _electric(g, alpha, *hv, TauPoint(t))
-        t, hv = -1 / t, invert[hv]
+        t, hv = -1 / t, MODULAR_S[hv]
 
 
 def modular_rep_check(taus, g_values) -> dict:
     """Verify the modular structure; returns a report of exact and numeric checks.
 
-    * the 4-dimensional S, T permutation matrices satisfy
-      S^2 = (S T)^3 = T^2 = I exactly;
+    * the sector permutations MODULAR_S and MODULAR_T, composed, satisfy
+      S^2 = (S T)^3 = T^2 = 1 exactly;
     * Z_{d,j}(tau+1) = Z_{d,j-d}(tau) and Z_{d,j}(-1/tau) = Z_{j,-d}(tau), one
       array `Zmm` per side, tau, g and image;
     * the electric sums at alpha = 2 and 1.2, at tau and its images unreduced
       (a Poisson identity, not the reduction), transform under S and T by the
-      stated permutations, for each ratio g in g_values (criterion 6 and
+      two permutations, for each ratio g in g_values (criterion 6 and
       `torusloop modular` pass `acceptance.MODULAR_RATIOS`);
     * the character-level S transform holds numerically at levels 2 and 6,
       and the exact weights of the level-4n labels j and 4n - j differ by j/2
       plus an integer, so their T phases by (-1)^j: a wrong weight reads False.
+
+    A tau with Im tau or Im(-1/tau) below MODULAR_MIN_IM raises ValueError before
+    any sum; tau + 1 has the Im of tau, so the rule bounds every point summed at.
     """
-    report: dict = {}
-    S, T, one = np.array(MODULAR_S4), np.array(MODULAR_T4), np.eye(4, dtype=int)
-    report["S2_is_identity"] = bool(np.array_equal(S @ S, one))
-    report["T2_is_identity"] = bool(np.array_equal(T @ T, one))
-    report["ST3_is_identity"] = bool(np.array_equal(np.linalg.matrix_power(S @ T, 3), one))
+    for tau in taus:
+        if min(tau.tau.imag, tau.invert().tau.imag) < MODULAR_MIN_IM:
+            raise ValueError(f"need Im tau >= MODULAR_MIN_IM = {MODULAR_MIN_IM} "
+                             f"at tau and at -1/tau, got tau = {tau.tau}")
+
+    def fixes_every_sector(*perms) -> bool:
+        return all(reduce(lambda x, perm: perm[x], perms, hv) == hv for hv in SECTORS)
+
+    report = {"S2_is_identity": fixes_every_sector(MODULAR_S, MODULAR_S),
+              "T2_is_identity": fixes_every_sector(MODULAR_T, MODULAR_T),
+              "ST3_is_identity": fixes_every_sector(*(MODULAR_S, MODULAR_T) * 3)}
 
     d, j = np.array([0, 1, 2, 3]), np.array([2, 1, -1, 2])
     worst_gauss = 0.0
@@ -403,19 +409,16 @@ def modular_rep_check(taus, g_values) -> dict:
                     np.abs(Zmm(g, d, j, image) - ref) / np.maximum(1.0, np.abs(ref)))))
     report["Zmm_covariance_residual"] = worst_gauss
 
-    images = ((TauPoint.shift, _sector_map(MODULAR_T4)),
-              (TauPoint.invert, _sector_map(MODULAR_S4)))
     worst_sector = 0.0
     for tau in taus:
         for g in g_values:
             for alpha in (2.0, 1.2):
                 vals = {hv: _electric(g, alpha, *hv, tau) for hv in SECTORS}
-                for image, perm in images:
+                for image, perm in ((tau.shift(), MODULAR_T), (tau.invert(), MODULAR_S)):
                     for hv in SECTORS:
                         ref = vals[perm[hv]]
-                        moved = _electric(g, alpha, *hv, image(tau))
-                        worst_sector = max(worst_sector,
-                                           abs(moved - ref) / max(1.0, abs(ref)))
+                        err = abs(_electric(g, alpha, *hv, image) - ref) / max(1.0, abs(ref))
+                        worst_sector = max(worst_sector, err)
     report["sector_covariance_residual"] = worst_sector
 
     report["character_S_residual"] = max(

@@ -52,7 +52,7 @@ TILE_PARTNER: dict[int, dict] = {
 
 
 # the boundary sectors (h, v): the parities of the loop crossings of a horizontal
-# resp. vertical cut line, in the row order of the modular S and T matrices
+# resp. vertical cut line, which the modular S and T permute
 SECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 

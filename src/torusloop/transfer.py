@@ -66,8 +66,8 @@ modules d and -d > 0 (C_{-d,j} = C_{d,-j}) and clears the halves of
 T_g(alpha/2), which C_{0,j} = C_{0,-j} clears for mult(0) = 1.
 
 Two paths compute the C_{d,j}.  ``C_coefficients``, which ``markov_Z`` and
-the CLI read, multiplies numpy slices of the tensor into two half powers
-and keeps no cache of its own.  ``trace_TM`` multiplies the ``matrix`` views
+the CLI read, climbs one ladder of slice products to two half powers and
+keeps no cache of its own.  ``trace_TM`` multiplies the ``matrix`` views
 entry by entry with one ``math.fsum`` per power, in pure Python; it is the
 correctly rounded reference that the tests hold the fast path to.
 """
@@ -464,23 +464,25 @@ def C_coefficients(spec: ModelSpec | Weights, N: int, M: int, d: int) -> dict:
     """The coefficients C_{d,j} for j in [-M, M], as a dict.
 
     tr T^M = sum_j omega^{-j} C_{d,j} is formed on the coefficient slices
-    A[r] of the operator tensor: P'[k] = sum_r P[k - r] @ A[r] builds
-    H = T^floor(M/2) from the identity and R = T^ceil(M/2) from H, and
-    tr(H R) is summed in the tensor's type.  A power that no closed walk
-    reaches stays exactly zero.  ``trace_TM`` is the correctly rounded
-    reference for the same numbers.  With this sign of j, C_{d,j} / C_{0,0}
-    tends to the Coulomb-gas ratio Zmm(p/4p', d, j, tau) / Zmm(p/4p', 0, 0,
-    tau) at tau = `TauPoint.from_lattice(spec, M/N)`, the block of (d, j) and
-    not of (d, -j).
+    A[r] of the operator tensor: P'[k] = sum_r P[k - r] @ A[r] climbs from
+    T^0 to H = T^floor(M/2) and R = T^ceil(M/2) in ceil(M/2) - 1 products
+    (none at M = 0), and tr(H R) is summed in the tensor's type.  A power that
+    no closed walk reaches stays exactly zero.  ``trace_TM`` is the correctly
+    rounded reference for the same numbers.  With this sign of j, C_{d,j} /
+    C_{0,0} tends to the Coulomb-gas ratio Zmm(p/4p', d, j, tau) / Zmm(p/4p',
+    0, 0, tau) at tau = `TauPoint.from_lattice(spec, M/N)`, the block of
+    (d, j) and not of (d, -j).
     """
     if M < 0:
         raise ValueError("need M >= 0")
     op = build_transfer(spec, N, d)
     A = op.tensor
-    H = np.eye(op.dim, dtype=A.dtype)[None]
-    for _ in range(M // 2):
-        H = _slice_product(H, A)
-    R = _slice_product(H, A) if M % 2 else H
+    H = R = np.eye(op.dim, dtype=A.dtype)[None]
+    for m in range(M):  # an even step raises R by one power, an odd one lets H catch up
+        if m % 2:
+            H = R
+        else:
+            R = _slice_product(R, A) if m else A
     trace = np.zeros(len(H) + len(R) - 1, A.dtype)
     for r, slab in enumerate(R):
         trace[r:r + len(H)] += np.einsum("kij,ji->k", H, slab)

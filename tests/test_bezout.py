@@ -99,6 +99,16 @@ def test_zero_cell_maps_to_zero():
         assert bezout_table(ctx)[(0, 0)] == (0, 0)
 
 
+def test_cached_table_is_read_only():
+    """The cached table cannot be edited, so no caller can change what a later
+    `index_pairs` of the same context reads."""
+    ctx = BezoutContext(3, 4, 0, 0)
+    before = index_pairs(ctx)
+    with pytest.raises(TypeError):
+        bezout_table(ctx)[(0, 0)] = (999, 999)
+    assert index_pairs(BezoutContext(3, 4, 0, 0)) == before
+
+
 @pytest.mark.parametrize("p, pq", [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5),
                                    (4, 5), (5, 6), (5, 7), (6, 7), (7, 9)])
 @pytest.mark.parametrize("hv", ALL_HV)

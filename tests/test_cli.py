@@ -139,6 +139,16 @@ def test_modular_refuses_non_finite_tau(capsys):
     assert "tau must be finite, got nanj" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("re", ["2", "3"])
+def test_modular_refuses_a_tau_whose_S_image_is_below_the_bound(re, capsys):
+    """Im tau = 0.07 is at the bound, but -1/tau is not: the check refuses the
+    point with exit 2, where the theta sums there would fail."""
+    assert main(["modular", "--tau", re, "0.07"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "need Im tau >= MODULAR_MIN_IM = 0.07 at tau and at -1/tau" in captured.err
+
+
 MODEL_ARGS = ("--kind", "dilute", "--p", "2", "--pq", "3", "--M", "2", "--N", "2")
 
 

@@ -12,8 +12,8 @@ from reference_kac import KacData
 from torusloop.acceptance import MODULAR_RATIOS, MODULAR_TAUS, SERIES_PQ, modular_ok
 from torusloop.characters import TauPoint
 from torusloop.conformal import (
-    MODULAR_S4,
-    MODULAR_T4,
+    MODULAR_S,
+    MODULAR_T,
     SesquiTerm,
     Z_hv_bezout,
     Z_hv_direct,
@@ -555,15 +555,41 @@ def test_modular_report():
     assert rep["Zmm_covariance_residual"] < 1e-12
 
 
-def test_modular_matrices_are_permutations():
-    assert MODULAR_S4[1][2] == MODULAR_S4[2][1] == 1
-    assert MODULAR_T4[2][3] == MODULAR_T4[3][2] == 1
-    # the sector maps the numeric covariance check reads off the matrices
-    from torusloop.conformal import _sector_map
-    assert _sector_map(MODULAR_T4) == {(0, 0): (0, 0), (0, 1): (0, 1),
-                                       (1, 0): (1, 1), (1, 1): (1, 0)}
-    assert _sector_map(MODULAR_S4) == {(0, 0): (0, 0), (0, 1): (1, 0),
-                                       (1, 0): (0, 1), (1, 1): (1, 1)}
+def test_modular_S_and_T_are_sector_permutations():
+    """S exchanges (0, 1) and (1, 0), T exchanges (1, 0) and (1, 1), and each is
+    a bijection of the four sectors."""
+    from torusloop.model import SECTORS
+    assert MODULAR_T == {(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (1, 1), (1, 1): (1, 0)}
+    assert MODULAR_S == {(0, 0): (0, 0), (0, 1): (1, 0), (1, 0): (0, 1), (1, 1): (1, 1)}
+    for perm in (MODULAR_S, MODULAR_T):
+        assert sorted(perm) == sorted(perm.values()) == sorted(SECTORS)
+
+
+@pytest.mark.parametrize("tau", [complex(3, 0.07), complex(2, 0.07), complex(100, 0.07),
+                                 complex(0, 0.05), complex(0, 20)])
+def test_modular_check_refuses_a_tau_whose_S_image_it_cannot_sum(tau, monkeypatch):
+    """Im tau and Im(-1/tau) must both reach MODULAR_MIN_IM.  The refusal comes
+    before any sum: at 100 + 0.07i the S image has Im 7e-6, where one array of
+    `_electric` would take about 134 GiB."""
+    from torusloop import conformal
+
+    def no_sum(*args):
+        raise AssertionError("summed before the domain rule")
+
+    for name in ("_electric", "Zmm", "modular_S_residual"):
+        monkeypatch.setattr(conformal, name, no_sum)
+    with pytest.raises(ValueError, match="need Im tau >= MODULAR_MIN_IM = 0.07"):
+        modular_rep_check([TAU, TauPoint(tau)], MODULAR_RATIOS)
+
+
+def test_modular_check_admits_a_grid_down_to_the_bound():
+    """The check passes at Im tau = MODULAR_MIN_IM and where it is -1/tau that
+    lies near the bound."""
+    from torusloop.conformal import MODULAR_MIN_IM
+    taus = [TauPoint(complex(re, MODULAR_MIN_IM)) for re in (-0.5, 0.0, 0.25)]
+    taus += [TauPoint(14j), TauPoint(complex(2.5, 1))]
+    assert min(t.invert().tau.imag for t in taus) >= MODULAR_MIN_IM
+    assert modular_ok(modular_rep_check(taus, MODULAR_RATIOS))
 
 
 # -- the exact triple identity ------------------------------------------------

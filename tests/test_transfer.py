@@ -356,6 +356,21 @@ def test_markov_polynomials_reads_each_module_once(monkeypatch):
     assert reads == [(spec, 3, 3, d) for d in defect_numbers("dilute", 3)]
 
 
+@pytest.mark.parametrize("M, products", [(0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (10, 4)])
+def test_C_coefficients_climbs_one_ladder(M, products, monkeypatch):
+    """T^floor(M/2) and T^ceil(M/2) take ceil(M/2) - 1 slice products: none
+    starts from the identity, and each power is formed once."""
+    calls = []
+
+    def spy(P, A):
+        calls.append((P, A))
+        return _slice_product(P, A)
+
+    monkeypatch.setattr(transfer, "_slice_product", spy)
+    C_coefficients(ModelSpec("dense", 2, 3, 0.37), 4, M, 0)
+    assert len(calls) == products
+
+
 @pytest.mark.parametrize("M, N", [(4, 3), (6, 8), (9, 10), (10, 10), (11, 10)])
 def test_percolation_markov_trace_is_exact(M, N):
     """At dense (2, 3), beta = 1 and every loop weighs 1 at alpha = 1, so the one
